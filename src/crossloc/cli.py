@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .errors import CrosslocError, OutOfRange
+from .errors import CrosslocError, OutOfRange, UsageError
 from .estimator import PipelineConfig, RansacConfig, estimate_pose, overlay_layout
 from .gradcheck import build_context, check
 from .io import (
@@ -44,24 +44,33 @@ from .trainer import (
 __all__ = ["main", "entry", "build_parser"]
 
 
+def _parse_number(text: str, kind, what: str):
+    """``kind(text)``, with a malformed value raised as a UsageError."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise UsageError(f"{what}: expected a number, got {text!r}") from None
+
+
 def parse_seed_range(text: str):
     """'A..B' -> inclusive list of seeds; a single integer is a one-seed list."""
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
+        lo, hi = (_parse_number(v, int, "seed range") for v in text.split("..", 1))
         if hi < lo:
-            raise OutOfRange(f"empty seed range {text!r}")
+            raise UsageError(f"empty seed range {text!r}")
         return list(range(lo, hi + 1))
-    return [int(text)]
+    return [_parse_number(text, int, "seed")]
 
 
 def parse_factor_range(text: str, steps: int):
     """'0.001..1000' -> log-spaced factors, endpoints inclusive."""
     if ".." not in text:
-        return [float(text)]
-    lo, hi = (float(v) for v in text.split("..", 1))
-    if lo <= 0 or hi <= 0 or hi < lo:
-        raise OutOfRange(f"factor range {text!r} must be positive and increasing")
+        return [_parse_number(text, float, "factor")]
+    lo, hi = (_parse_number(v, float, "factor range") for v in text.split("..", 1))
+    if not 0 < lo <= hi < math.inf:
+        raise UsageError(
+            f"factor range {text!r} must be finite, positive and increasing"
+        )
     return [float(f) for f in np.logspace(math.log10(lo), math.log10(hi), steps)]
 
 
@@ -252,7 +261,11 @@ ABLATION_MODES = ("top-points", "no-scale", "N", "grid")
 def cmd_ablate(args) -> int:
     base_doc = _load_json(args.config) if args.config else {}
     seeds = parse_seed_range(args.seeds)
-    values = [int(v) for v in args.values.split(",")] if args.values else None
+    values = (
+        [_parse_number(v, int, "--values") for v in args.values.split(",")]
+        if args.values
+        else None
+    )
     variants = _ablation_variants(args.mode, values)
     results = {}
     for name, scene_patch, pipe in variants:
@@ -494,6 +507,9 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
+    except UsageError as e:
+        print(f"usage error: {e}", file=sys.stderr)
+        return 2
     except (CrosslocError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

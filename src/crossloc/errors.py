@@ -112,3 +112,13 @@ class TruncatedPayload(FormatError):
 
 class MetadataMissing(FormatError):
     """Required sidecar metadata file is absent or lacks required keys."""
+
+
+class NonFiniteValue(FormatError):
+    """A results document holds NaN or infinity, which JSON cannot encode."""
+
+
+# --- command line -----------------------------------------------------------
+
+class UsageError(OutOfRange):
+    """A command-line argument is malformed or names an empty range."""

@@ -107,8 +107,9 @@ def build_correspondences(
     """Run matching and lifting, returning solver-ready weighted pairs.
 
     Ground cells failing the depth validity test are masked before the
-    softmax, zero-weight matches are discarded, and in topmost mode only
-    the highest lifted point per aerial-cell-sized planar bucket survives.
+    softmax, matches whose weight is not positive (zero or NaN) are
+    discarded, and in topmost mode only the highest lifted point per
+    aerial-cell-sized planar bucket survives.
     Raises InsufficientMatches when fewer than two weighted pairs remain.
     """
     m = score_matrix(aerial, ground, cfg.tau)
@@ -118,7 +119,7 @@ def build_correspondences(
 
     kept = []
     for c in matches:
-        if c.weight <= 0.0:
+        if not c.weight > 0.0:
             continue
         if not valid[c.ground[0] * ground.cols + c.ground[1]]:
             continue

@@ -28,6 +28,16 @@ relative-error floor.  The extended-precision path is a dtype-parameterized
 twin of the forward computation; its float64 instantiation is tested to
 match the production forward to machine precision.
 
+Two things keep that oracle cheap.  First, the twin scores only the
+depth-valid ground columns plus the dustbin: masked columns contribute
+exactly 0 probability to real pairs, yet in ``np.longdouble`` an ``exp``
+that underflows (as the ``MASK_SCORE`` entries do) costs several times a
+normal one, and most ground columns are masked in typical scenes.  Second,
+``forward_value`` accepts a leading batch axis (``(P,)`` -> scalar,
+``(K, P)`` -> ``(K,)``), so ``fd_gradient`` evaluates the + and - rows of
+``FD_BLOCK`` coordinates per call instead of two calls per coordinate.
+The scalar ``finite_difference`` stays as the generic reference.
+
 Leaf parameterizations:
 
 * ``"score"``      -- every raw score-matrix entry plus the dustbin score;
@@ -62,7 +72,6 @@ from .losses import (
     virtual_point_grid,
 )
 from .matching import (
-    MASK_SCORE,
     FeatureGrid,
     ScoreMatrix,
     augment_dustbin,
@@ -83,6 +92,7 @@ __all__ = [
     "forward_value",
     "backward",
     "finite_difference",
+    "fd_gradient",
     "check",
     "compare_gradients",
     "pose_weight_gradients",
@@ -114,10 +124,13 @@ class GradContext:
     aerial_raw: np.ndarray  # (n_aerial, dim) unnormalized features
     ground_raw: np.ndarray  # (n_ground, dim) unnormalized features
     params0: np.ndarray  # flat leaf vector matching the scene as rendered
-    # frozen contrastive structure: positives and negative sets are fixed
-    # functions of the (fixed) geometry, captured once at construction
-    g2s_terms: tuple = ()  # ((ground column, positive aerial flat cell), ...)
-    s2g_terms: tuple = ()  # ((aerial row, candidate columns, positive index), ...)
+    # frozen contrastive structure as index arrays over the N selected pairs:
+    # positives and negative sets are fixed functions of the (fixed)
+    # geometry, captured once at construction
+    g2s_pairs: np.ndarray  # (T,) pairs whose aerial target lies in coverage
+    g2s_targets: np.ndarray  # (T,) positive aerial flat cell of each such pair
+    s2g_keep: np.ndarray  # (N, N) bool: pair m is a candidate for row of pair n
+    s2g_pos: np.ndarray  # (N,) the positive candidate pair of each row
 
     @property
     def n_aerial(self) -> int:
@@ -146,11 +159,17 @@ class GradReport:
     error: Optional[str] = None  # failure surfaced instead of gradients
 
     def to_dict(self) -> dict:
+        """JSON-ready summary; errors that are not finite (a failed check
+        carries ``inf``) become ``None``, since JSON cannot encode them."""
+
+        def finite_or_none(x):
+            return float(x) if math.isfinite(x) else None
+
         return {
             "mode": self.mode,
             "n_params": int(self.n_params),
-            "max_abs_err": float(self.max_abs_err),
-            "max_rel_err": float(self.max_rel_err),
+            "max_abs_err": finite_or_none(self.max_abs_err),
+            "max_rel_err": finite_or_none(self.max_rel_err),
             "passed": bool(self.passed),
             "error": self.error,
         }
@@ -216,20 +235,17 @@ def build_context(
     aerial_shape = (scene.aerial.rows, scene.aerial.cols)
     q_hat = gt_aerial_targets(corr.ground_planar, scene.truth, target_scale)
     inside = aerial_coverage_mask(q_hat, scene.aerial.meta, aerial_shape)
-    g2s_terms = []
-    for n in np.flatnonzero(inside):
-        r, c = metric_to_aerial_cell(q_hat[n], scene.aerial.meta, aerial_shape)
-        g2s_terms.append((int(ground_flat[n]), r * aerial_shape[1] + c))
+    g2s_pairs = np.flatnonzero(inside)
+    cells = [
+        metric_to_aerial_cell(q_hat[n], scene.aerial.meta, aerial_shape)
+        for n in g2s_pairs
+    ]
+    g2s_targets = np.array([r * aerial_shape[1] + c for r, c in cells], dtype=int)
     p_hat = gt_ground_targets(corr.aerial_metric, scene.truth, target_scale)
-    s2g_terms = []
-    for n in range(len(aerial_flat)):
-        dist = np.linalg.norm(corr.ground_planar - p_hat[n], axis=1)
-        pos = int(np.argmin(dist))
-        keep = dist > rule.radius
-        keep[pos] = True
-        s2g_terms.append(
-            (int(aerial_flat[n]), ground_flat[keep].copy(), int(keep[:pos].sum()))
-        )
+    dist = np.linalg.norm(corr.ground_planar[None, :, :] - p_hat[:, None, :], axis=2)
+    s2g_pos = np.argmin(dist, axis=1)  # ties keep the earliest candidate
+    s2g_keep = dist > rule.radius
+    s2g_keep[np.arange(len(s2g_pos)), s2g_pos] = True
 
     aerial_raw = scene.aerial.flat().astype(float).copy()
     ground_raw = scene.ground.flat().astype(float).copy()
@@ -264,8 +280,10 @@ def build_context(
         aerial_raw=aerial_raw,
         ground_raw=ground_raw,
         params0=params0,
-        g2s_terms=tuple(g2s_terms),
-        s2g_terms=tuple(s2g_terms),
+        g2s_pairs=g2s_pairs,
+        g2s_targets=g2s_targets,
+        s2g_keep=s2g_keep,
+        s2g_pos=s2g_pos,
     )
 
 
@@ -330,6 +348,45 @@ def forward(ctx: GradContext, params: np.ndarray) -> float:
     return total_loss(vce, g2s, s2g, ctx.beta).total
 
 
+def _valid_scores(ctx: GradContext, params: np.ndarray, cols: np.ndarray, dtype):
+    """Raw scores of the ground columns ``cols``, ``(..., n_aerial, len(cols))``.
+
+    Leaves are gathered before they are widened to ``dtype``, so leaves of
+    other columns are never converted or copied.
+    """
+    batch = params.shape[:-1]
+    na, ng, d = ctx.n_aerial, ctx.n_ground, ctx.dim
+    if ctx.mode == "score":
+        entries = (np.arange(na)[:, None] * ng + cols).ravel()
+        return params[..., entries].reshape(batch + (na, len(cols))).astype(dtype)
+    if ctx.mode == "features":
+        a_raw = params[..., : na * d].reshape(batch + (na, d)).astype(dtype)
+        g_raw = params[..., na * d : (na + ng) * d].reshape(batch + (ng, d))
+        g_raw = g_raw[..., cols, :].astype(dtype)
+    else:
+        mat = params[..., : d * d].reshape(batch + (d, d)).astype(dtype)
+        a_raw = ctx.aerial_raw.astype(dtype) @ mat.swapaxes(-1, -2)
+        g_raw = ctx.ground_raw[cols].astype(dtype) @ mat.swapaxes(-1, -2)
+    a_hat = a_raw / np.sqrt((a_raw**2).sum(axis=-1, keepdims=True))
+    g_hat = g_raw / np.sqrt((g_raw**2).sum(axis=-1, keepdims=True))
+    return (a_hat @ g_hat.swapaxes(-1, -2)) / dtype(ctx.tau)
+
+
+def _dual_softmax_at(scores: np.ndarray, z, rows: np.ndarray, cols: np.ndarray):
+    """Dual-softmax probabilities of the entries ``(rows, cols)`` of
+    ``scores`` with a dustbin row and column of score ``z`` appended."""
+    na, nc = scores.shape[-2:]
+    extended = np.empty(scores.shape[:-2] + (na + 1, nc + 1), dtype=scores.dtype)
+    extended[..., :-1, :-1] = scores
+    extended[..., -1, :] = z[..., None]
+    extended[..., :-1, -1] = z[..., None]
+    er = np.exp(extended - extended.max(axis=-1, keepdims=True))
+    ec = np.exp(extended - extended.max(axis=-2, keepdims=True))
+    return (er[..., rows, cols] / er.sum(axis=-1)[..., rows]) * (
+        ec[..., rows, cols] / ec.sum(axis=-2)[..., cols]
+    )
+
+
 def forward_value(ctx: GradContext, params: np.ndarray, dtype=np.longdouble):
     """The same scalar as ``forward``, computed in a chosen float type.
 
@@ -340,49 +397,42 @@ def forward_value(ctx: GradContext, params: np.ndarray, dtype=np.longdouble):
     ``np.longdouble`` so that arithmetic rounding stays far below the
     gradient entries being resolved; with ``np.float64`` it reproduces
     ``forward`` to machine precision, which is tested.
-    """
-    params = np.asarray(params, dtype=dtype)
-    z = params[-1]
-    if ctx.mode == "score":
-        scores = params[:-1].reshape(ctx.n_aerial, ctx.n_ground)
-    else:
-        if ctx.mode == "features":
-            na, ng, d = ctx.n_aerial, ctx.n_ground, ctx.dim
-            a_raw = params[: na * d].reshape(na, d)
-            g_raw = params[na * d : na * d + ng * d].reshape(ng, d)
-        else:
-            d = ctx.dim
-            mat = params[: d * d].reshape(d, d)
-            a_raw = ctx.aerial_raw.astype(dtype) @ mat.T
-            g_raw = ctx.ground_raw.astype(dtype) @ mat.T
-        a_hat = a_raw / np.sqrt((a_raw**2).sum(axis=1, keepdims=True))
-        g_hat = g_raw / np.sqrt((g_raw**2).sum(axis=1, keepdims=True))
-        scores = (a_hat @ g_hat.T) / dtype(ctx.tau)
-    scores = np.where(ctx.valid[None, :], scores, dtype(MASK_SCORE))
 
-    extended = np.full(
-        (ctx.n_aerial + 1, ctx.n_ground + 1), z, dtype=dtype
-    )
-    extended[:-1, :-1] = scores
-    er = np.exp(extended - extended.max(axis=1, keepdims=True))
-    ec = np.exp(extended - extended.max(axis=0, keepdims=True))
-    probs = (er / er.sum(axis=1, keepdims=True)) * (ec / ec.sum(axis=0, keepdims=True))
-    w = probs[:-1, :-1][ctx.aerial_flat, ctx.ground_flat]
+    ``params`` may carry one leading batch axis: a ``(P,)`` leaf vector
+    gives a scalar, a ``(K, P)`` stack of leaf vectors gives ``(K,)``
+    values, row ``k`` equal to the single-vector call on ``params[k]``.
+
+    Only the depth-valid ground columns (plus the dustbin) are scored.
+    ``forward`` masks the other columns to ``MASK_SCORE``, whose exp
+    underflows to exactly 0 after the softmax, and the dustbin-row entries
+    it adds for them are dropped with the dustbin; so the real-pair
+    probabilities, and hence the loss, do not depend on masked columns.
+    Skipping them is what makes this oracle affordable: a long-double
+    ``exp`` that underflows costs several times a normal one, and most
+    ground columns are masked in typical scenes.
+    """
+    params = np.asarray(params)
+    cols = np.flatnonzero(ctx.valid)
+    # compacted column of each selected pair (selection never picks a
+    # masked column: build_correspondences drops those pairs)
+    sel = np.searchsorted(cols, ctx.ground_flat)
+    scores = _valid_scores(ctx, params, cols, dtype)
+    w = _dual_softmax_at(scores, params[..., -1].astype(dtype), ctx.aerial_flat, sel)
 
     p = ctx.ground_planar.astype(dtype)
     q = ctx.aerial_metric.astype(dtype)
-    total = w.sum()
-    p_bar = (w[:, None] * p).sum(axis=0) / total
-    q_bar = (w[:, None] * q).sum(axis=0) / total
-    pt = p - p_bar
-    qt = q - q_bar
-    g = (w * (pt[:, 0] * qt[:, 1] - pt[:, 1] * qt[:, 0])).sum()
-    h = (w * (pt * qt).sum(axis=1)).sum()
+    total = w.sum(axis=-1)
+    p_bar = (w[..., None] * p).sum(axis=-2) / total[..., None]
+    q_bar = (w[..., None] * q).sum(axis=-2) / total[..., None]
+    pt = p - p_bar[..., None, :]
+    qt = q - q_bar[..., None, :]
+    g = (w * (pt[..., 0] * qt[..., 1] - pt[..., 1] * qt[..., 0])).sum(axis=-1)
+    h = (w * (pt * qt).sum(axis=-1)).sum(axis=-1)
     theta = np.arctan2(g, h)
-    scale = np.hypot(g, h) / (w * (pt**2).sum(axis=1)).sum()
+    scale = np.hypot(g, h) / (w * (pt**2).sum(axis=-1)).sum(axis=-1)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
-    rot = np.array([[cos_t, -sin_t], [sin_t, cos_t]], dtype=dtype)
-    t_est = q_bar - scale * (rot @ p_bar)
+    t_x = q_bar[..., 0] - scale * (cos_t * p_bar[..., 0] - sin_t * p_bar[..., 1])
+    t_y = q_bar[..., 1] - scale * (sin_t * p_bar[..., 0] + cos_t * p_bar[..., 1])
 
     v = ctx.virtual_points.astype(dtype)
     gt_theta = dtype(ctx.truth.theta)
@@ -393,25 +443,28 @@ def forward_value(ctx: GradContext, params: np.ndarray, dtype=np.longdouble):
         ],
         dtype=dtype,
     )
-    delta = (v @ rot_gt.T + ctx.truth.t.astype(dtype)) - (v @ rot.T + t_est)
-    vce = np.sqrt((delta**2).sum(axis=1)).mean()
+    v_gt = v @ rot_gt.T + ctx.truth.t.astype(dtype)  # (V, 2)
+    cos_t, sin_t = cos_t[..., None], sin_t[..., None]
+    dx = v_gt[:, 0] - (cos_t * v[:, 0] - sin_t * v[:, 1] + t_x[..., None])
+    dy = v_gt[:, 1] - (sin_t * v[:, 0] + cos_t * v[:, 1] + t_y[..., None])
+    vce = np.sqrt(dx**2 + dy**2).mean(axis=-1)
     if ctx.beta == 0.0:
         return vce
 
     def logsumexp(x):
-        m = x.max()
-        return m + np.log(np.exp(x - m).sum())
+        m = x.max(axis=-1, keepdims=True)
+        return m[..., 0] + np.log(np.exp(x - m).sum(axis=-1))
 
-    g2s = dtype(0.0)
-    for col, pos in ctx.g2s_terms:
-        column = scores[:, col]
-        g2s += -(column[pos] - logsumexp(column))
-    g2s /= len(ctx.g2s_terms)
-    s2g = dtype(0.0)
-    for row, cols, pos_idx in ctx.s2g_terms:
-        entries = scores[row, cols]
-        s2g += -(entries[pos_idx] - logsumexp(entries))
-    s2g /= len(ctx.s2g_terms)
+    # ground -> aerial: each in-coverage pair's whole score column
+    g2s_sel = sel[ctx.g2s_pairs]
+    g2s_lse = logsumexp(scores[..., g2s_sel].swapaxes(-1, -2))  # over (..., T, A)
+    g2s_pos = scores[..., ctx.g2s_targets, g2s_sel]
+    g2s = -(g2s_pos - g2s_lse).sum(axis=-1) / len(g2s_sel)
+    # aerial -> ground: each pair's row over its candidate pairs' columns
+    block = scores[..., ctx.aerial_flat[:, None], sel[None, :]]  # (..., N, N)
+    s2g_lse = logsumexp(np.where(ctx.s2g_keep, block, dtype(-np.inf)))
+    s2g_pos = scores[..., ctx.aerial_flat, sel[ctx.s2g_pos]]
+    s2g = -(s2g_pos - s2g_lse).sum(axis=-1) / len(sel)
     return vce + dtype(ctx.beta) * (g2s + s2g) / dtype(2.0)
 
 
@@ -508,30 +561,33 @@ def _vce_partials(theta: float, t: np.ndarray, truth, points: np.ndarray):
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max())
-    return e / e.sum()
+    """Softmax along the last axis."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _contrastive_score_gradient(ctx: GradContext, scores_masked: np.ndarray):
     """d(beta-weighted contrastive losses)/d(score entries), dense.
 
-    Uses the frozen positive/negative structure captured at construction;
-    both directions are plain softmax cross-entropy gradients.
+    Uses the frozen positive/negative index arrays captured at
+    construction; both directions are plain softmax cross-entropy
+    gradients, accumulated pair by pair in pair order.
     """
     ds = np.zeros_like(scores_masked)
     coef = ctx.beta / 2.0
 
-    count = len(ctx.g2s_terms)
-    for col, pos in ctx.g2s_terms:
-        grad = _softmax(scores_masked[:, col])
-        grad[pos] -= 1.0
-        ds[:, col] += (coef / count) * grad
+    n_terms = len(ctx.g2s_pairs)
+    if n_terms:
+        g2s_cols = ctx.ground_flat[ctx.g2s_pairs]
+        grad = _softmax(scores_masked.T[g2s_cols])  # (T, A): one column per row
+        grad[np.arange(n_terms), ctx.g2s_targets] -= 1.0
+        np.add.at(ds, (slice(None), g2s_cols), (coef / n_terms) * grad.T)
 
-    n_rows = len(ctx.s2g_terms)
-    for row, cols, pos_idx in ctx.s2g_terms:
-        grad = _softmax(scores_masked[row, cols])
-        grad[pos_idx] -= 1.0
-        np.add.at(ds[row], cols, (coef / n_rows) * grad)
+    n_rows = len(ctx.s2g_pos)
+    rows, cols = ctx.aerial_flat[:, None], ctx.ground_flat[None, :]
+    grad = _softmax(np.where(ctx.s2g_keep, scores_masked[rows, cols], -np.inf))
+    grad[np.arange(n_rows), ctx.s2g_pos] -= 1.0
+    np.add.at(ds, (rows, cols), (coef / n_rows) * grad)
     return ds
 
 
@@ -637,6 +693,37 @@ def finite_difference(
     return grad
 
 
+# Coordinates perturbed per batched ``forward_value`` call (2 * FD_BLOCK
+# rows).  Larger blocks shave per-call overhead but hold more long-double
+# temporaries at once.
+FD_BLOCK = 4
+
+
+def fd_gradient(
+    ctx: GradContext, params: np.ndarray, epsilon: float = 1.0e-5
+) -> np.ndarray:
+    """Central-difference gradient of ``forward_value`` in ``np.longdouble``.
+
+    The same differences as ``finite_difference(lambda p: forward_value(ctx,
+    p), params, epsilon)`` -- each perturbed vector is formed in float64 and
+    evaluated in long double -- but the + and - rows of ``FD_BLOCK``
+    coordinates at a time go through one batched ``forward_value`` call.
+    """
+    if epsilon <= 0:
+        raise OutOfRange(f"epsilon must be positive, got {epsilon}")
+    params = np.asarray(params, dtype=float)
+    grad = np.empty_like(params)
+    for start in range(0, params.size, FD_BLOCK):
+        idx = np.arange(start, min(start + FD_BLOCK, params.size))
+        k = len(idx)
+        rows = np.tile(params, (2 * k, 1))
+        rows[np.arange(k), idx] += epsilon
+        rows[np.arange(k, 2 * k), idx] -= epsilon
+        values = forward_value(ctx, rows)
+        grad[idx] = (values[:k] - values[k:]) / (2.0 * epsilon)
+    return grad
+
+
 def compare_gradients(
     analytic: np.ndarray,
     fd: np.ndarray,
@@ -667,11 +754,7 @@ def check(
         params = ctx.params0
     try:
         analytic = backward(ctx, params)
-        fd = finite_difference(
-            lambda p: forward_value(ctx, p),
-            np.asarray(params, dtype=np.longdouble),
-            epsilon,
-        ).astype(float)
+        fd = fd_gradient(ctx, params, epsilon)
     except (DegenerateConfiguration, NonDifferentiablePoint) as exc:
         return GradReport(
             mode=ctx.mode,

@@ -36,6 +36,7 @@ from .errors import (
     BadMagic,
     FormatError,
     MetadataMissing,
+    NonFiniteValue,
     OutOfRange,
     TruncatedPayload,
     VersionUnsupported,
@@ -227,14 +228,20 @@ def read_depth_map(path) -> DepthMap:
 
 
 def write_results(data: dict, path, timestamp: str = "") -> None:
-    """Sorted-key JSON results document; deterministic except ``timestamp``."""
+    """Sorted-key JSON results document; deterministic except ``timestamp``.
+
+    Raises NonFiniteValue, before touching ``path``, when a value is NaN or
+    infinite: JSON has no encoding for them.
+    """
     if "timestamp" in data:
         raise OutOfRange("pass the timestamp as the argument, not inside data")
     doc = dict(data)
     doc["timestamp"] = timestamp
-    _atomic_write_bytes(
-        path, (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
-    )
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteValue(f"{path}: {exc}") from None
+    _atomic_write_bytes(path, (text + "\n").encode())
 
 
 def read_results(path) -> dict:

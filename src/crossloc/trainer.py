@@ -31,7 +31,7 @@ import numpy as np
 from .errors import DivergenceDetected, EmptyInput, OutOfRange
 from .estimator import PipelineConfig, estimate_pose
 from .geometry import wrap_angle
-from .gradcheck import backward, build_context, finite_difference, forward, forward_value
+from .gradcheck import backward, build_context, fd_gradient, forward
 from .lifting import LiftConfig
 from .matching import FeatureGrid
 from .simulator import SceneConfig, generate
@@ -197,10 +197,7 @@ def _target_scale_and_beta(cfg: TrainConfig, scene, pipe: PipelineConfig):
 def _scene_gradient(ctx, params: np.ndarray, mode: str) -> np.ndarray:
     if mode == "analytic":
         return backward(ctx, params)
-    fd = finite_difference(
-        lambda p: forward_value(ctx, p), params.astype(np.longdouble)
-    )
-    return fd.astype(float)
+    return fd_gradient(ctx, params)
 
 
 def train(

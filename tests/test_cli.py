@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
+from crossloc import cli
 from crossloc.cli import main, parse_factor_range, parse_seed_range
 from crossloc.errors import OutOfRange
 from crossloc.io import read_results
@@ -263,6 +265,44 @@ def test_unknown_subcommand_is_usage_error(capsys):
 def test_missing_required_argument_is_usage_error(capsys):
     assert main(["solve"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gradcheck", "--seeds", "5.."],
+        ["gradcheck", "--seeds", "x"],
+        ["ablate", "--mode", "N", "--seeds", "0", "--values", "a"],
+    ],
+    ids=["open-seed-range", "non-numeric-seed", "non-numeric-values"],
+)
+def test_malformed_argument_values_are_usage_errors(argv, tmp_path, capsys):
+    out = tmp_path / "never.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gradcheck_failure_writes_valid_json(tmp_path, monkeypatch, capsys):
+    """A failed check carries infinite errors; --out must still be strict
+    JSON (null, not a bare Infinity token), and the command exits 1."""
+    real_check = cli.check
+
+    def degenerate_check(ctx, tol):
+        collapsed = dataclasses.replace(
+            ctx, ground_planar=np.zeros_like(ctx.ground_planar)
+        )
+        return real_check(collapsed, tol=tol)
+
+    monkeypatch.setattr(cli, "check", degenerate_check)
+    out = tmp_path / "grad.json"
+    rc = main(["gradcheck", "--seeds", "1", "--mode", "projection", "--out", str(out)])
+    assert rc == 1
+    capsys.readouterr()
+    (report,) = json.loads(out.read_text(), parse_constant=pytest.fail)["reports"]
+    assert report["passed"] is False
+    assert report["max_abs_err"] is None and report["max_rel_err"] is None
+    assert "DegenerateConfiguration" in report["error"]
 
 
 def test_runtime_failure_gives_exit_one(tmp_path, capsys):

@@ -30,7 +30,7 @@ from crossloc.geometry import (
     solve_similarity,
     wrap_angle,
 )
-from crossloc.lifting import DepthMap, LiftConfig
+from crossloc.lifting import DepthMap, LiftConfig, depth_valid_mask
 from crossloc.simulator import SceneConfig, contaminate, generate
 
 
@@ -157,6 +157,19 @@ def test_all_invalid_depth_raises():
         estimate_pose(
             scene.aerial, scene.ground, blank, scene.rays, closure_config(scene)
         )
+
+
+def test_nan_feature_in_valid_cell_leaves_no_matches():
+    """One NaN ground feature turns every dual-softmax row into NaN; NaN
+    weights are not positive, so nothing survives to reach the solver."""
+    scene = generate(SceneConfig(seed=4))
+    cfg = PipelineConfig()  # N large enough to reach the NaN entries
+    valid = depth_valid_mask(scene.depth, cfg.lift)
+    data = scene.ground.data.copy()
+    data[tuple(np.argwhere(valid)[0])] = np.nan
+    ground = dataclasses.replace(scene.ground, data=data)
+    with pytest.raises(InsufficientMatches, match="only 0 "):
+        build_correspondences(scene.aerial, ground, scene.depth, scene.rays, cfg)
 
 
 def test_topmost_mode_still_closes():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from crossloc import gradcheck
-from crossloc.errors import DegenerateConfiguration, NonDifferentiablePoint
+from crossloc.errors import DegenerateConfiguration, NonDifferentiablePoint, OutOfRange
 from crossloc.estimator import PipelineConfig, build_correspondences
 from crossloc.geometry import SimilarityTransform2D, solve_similarity, wrap_angle
 from crossloc.lifting import LiftConfig
@@ -62,6 +62,9 @@ def test_finite_difference_linear_is_exact():
 def test_finite_difference_rejects_bad_epsilon():
     with pytest.raises(Exception):
         gradcheck.finite_difference(lambda x: 0.0, np.zeros(2), epsilon=0.0)
+    ctx = small_context(2, "projection")
+    with pytest.raises(OutOfRange):
+        gradcheck.fd_gradient(ctx, ctx.params0, epsilon=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +209,40 @@ def test_masked_column_gradients_are_exactly_zero():
         1e-5,
     ).astype(float)
     assert (fd[:-1].reshape(ctx.n_aerial, ctx.n_ground)[:, ~ctx.valid] == 0.0).all()
+    batched = gradcheck.fd_gradient(ctx, ctx.params0)
+    masked = batched[:-1].reshape(ctx.n_aerial, ctx.n_ground)[:, ~ctx.valid]
+    assert (masked == 0.0).all()
+
+
+# one context per leaf mode; every parameter count leaves a partial last
+# FD block (1569, 649 and 65 leaves against blocks of FD_BLOCK)
+LEAF_CONTEXTS = [(0, "score"), (1, "features"), (2, "projection")]
+
+
+@pytest.mark.parametrize("seed, mode", LEAF_CONTEXTS)
+def test_batched_rows_equal_single_vector_calls(seed, mode):
+    """A (K, P) stack gives (K,) values, each the single-vector value up to
+    a few long-double roundings (batched reductions may associate
+    differently)."""
+    ctx = small_context(seed, mode)
+    rng = np.random.default_rng(seed)
+    rows = ctx.params0 + rng.normal(scale=1e-2, size=(5,) + ctx.params0.shape)
+    batched = gradcheck.forward_value(ctx, rows)
+    assert batched.shape == (5,)
+    single = np.array([gradcheck.forward_value(ctx, row) for row in rows])
+    np.testing.assert_allclose(
+        batched, single, rtol=64 * np.finfo(np.longdouble).eps, atol=0.0
+    )
+
+
+@pytest.mark.parametrize("seed, mode", LEAF_CONTEXTS)
+def test_batched_fd_matches_scalar_reference(seed, mode):
+    ctx = small_context(seed, mode)
+    reference = gradcheck.finite_difference(
+        lambda p: gradcheck.forward_value(ctx, p), ctx.params0, 1e-5
+    )
+    batched = gradcheck.fd_gradient(ctx, ctx.params0, 1e-5)
+    np.testing.assert_allclose(batched, reference, rtol=0.0, atol=1e-9)
 
 
 def test_uniform_shift_direction_has_zero_derivative():
@@ -289,6 +326,9 @@ def test_degenerate_configuration_surfaces_in_report():
     report = gradcheck.check(collapsed)
     assert not report.passed
     assert "DegenerateConfiguration" in report.error
+    # infinite errors serialize as null: JSON has no Infinity
+    d = report.to_dict()
+    assert d["max_abs_err"] is None and d["max_rel_err"] is None
 
 
 def test_boundary_tie_raises_non_differentiable():

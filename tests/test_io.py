@@ -11,6 +11,7 @@ from crossloc.errors import (
     BadMagic,
     FormatError,
     MetadataMissing,
+    NonFiniteValue,
     OutOfRange,
     TruncatedPayload,
     VersionUnsupported,
@@ -275,6 +276,17 @@ def test_results_timestamp_is_the_only_varying_field(tmp_path):
 def test_results_reject_embedded_timestamp(tmp_path):
     with pytest.raises(OutOfRange):
         write_results({"timestamp": "x"}, tmp_path / "r.json")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_results_reject_non_finite_values(tmp_path, bad):
+    """JSON has no NaN or infinity; the writer refuses them and writes
+    nothing rather than emitting bare ``NaN``/``Infinity`` tokens."""
+    path = tmp_path / "r.json"
+    with pytest.raises(NonFiniteValue):
+        write_results({"nested": {"err": [1.0, bad]}}, path)
+    assert not path.exists()
+    assert issubclass(NonFiniteValue, FormatError)
 
 
 def test_float_values_round_trip_exactly(tmp_path):
