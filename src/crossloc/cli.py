@@ -89,6 +89,14 @@ def _scene_config(doc: dict) -> SceneConfig:
     return SceneConfig(**doc)
 
 
+def _from_args(build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with OutOfRange raised as a UsageError."""
+    try:
+        return build(*args, **kwargs)
+    except OutOfRange as e:
+        raise UsageError(str(e)) from None
+
+
 def _pipeline_from_args(args) -> PipelineConfig:
     ransac = None
     if getattr(args, "ransac", False):
@@ -166,20 +174,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    pipe = _from_args(_pipeline_from_args, args)
     aerial = read_feature_grid(args.aerial)
     ground = read_feature_grid(args.ground)
     depth = read_depth_map(args.depth)
-    pipe = _pipeline_from_args(args)
     est = estimate_pose(aerial, ground, depth, ground.meta.rays, pipe)
     truth = _truth_from_results(_load_json(args.truth)) if args.truth else None
     record = _solve_record(est, truth)
     record["config"] = _pipeline_echo(pipe)
-    record["overlay"] = [
-        [float(x), float(y)]
-        for x, y in overlay_layout(
-            _lifted_points(ground, depth, est, pipe), est.transform
-        )
-    ]
+    record["overlay"] = overlay_layout(est.ground_points3, est.transform).tolist()
     write_results(record, args.out)
     line = "scale={scale:.6g} theta={theta:.6g} t=({t[0]:.6g}, {t[1]:.6g})".format(
         **record["estimate"]
@@ -188,13 +191,6 @@ def cmd_solve(args) -> int:
         line += f" loc_error={record['errors']['loc_error']:.3g}m"
     print(line)
     return 0
-
-
-def _lifted_points(ground, depth, est, pipe) -> np.ndarray:
-    from .lifting import lift_ground_cells
-
-    cells = np.array([c.ground for c in est.correspondences])
-    return lift_ground_cells(cells, depth, ground.meta.rays, pipe.lift.initial_scale)
 
 
 def _pipeline_echo(pipe: PipelineConfig) -> dict:
@@ -221,14 +217,11 @@ def cmd_sweep_scale(args) -> int:
     ground = read_feature_grid(args.ground)
     depth = read_depth_map(args.depth)
     factors = parse_factor_range(args.factors, args.factor_steps)
+    base = _from_args(_pipeline_from_args, args)
     runs = []
     for factor in factors:
-        pipe = PipelineConfig(
-            num_correspondences=args.num_correspondences,
-            lift=LiftConfig(
-                max_depth=args.max_depth * factor, initial_scale=args.initial_scale
-            ),
-        )
+        lift = dataclasses.replace(base.lift, max_depth=args.max_depth * factor)
+        pipe = dataclasses.replace(base, lift=lift)
         scaled = DepthMap(depth.depth * factor, depth.kind)
         est = estimate_pose(aerial, ground, scaled, ground.meta.rays, pipe)
         runs.append(
@@ -266,7 +259,7 @@ def cmd_ablate(args) -> int:
         if args.values
         else None
     )
-    variants = _ablation_variants(args.mode, values)
+    variants = _from_args(_ablation_variants, args.mode, values)
     results = {}
     for name, scene_patch, pipe in variants:
         samples = []

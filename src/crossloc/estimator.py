@@ -1,21 +1,24 @@
 """End-to-end pose estimation from an aerial grid and a ground view.
 
-Pipeline: score all aerial/ground cell pairs, mask ground cells with
-unusable depth, soft-assign with a dustbin dual softmax, take the top-N
-probabilities as weighted correspondences, lift the ground cells to BEV
-points, convert aerial cells to metric coordinates, and solve for the
-aligning similarity (scale, heading, translation).  An optional RANSAC
-wrapper makes the solve robust to outlier correspondences.
+Pipeline: score every aerial cell against the ground cells with usable
+depth, soft-assign with a dustbin dual softmax, take the top-N
+probabilities as weighted correspondences (``matching.Matches`` index
+arrays), lift the ground cells to BEV points, convert aerial cells to
+metric coordinates, and solve for the aligning similarity (scale, heading,
+translation).  An optional RANSAC wrapper makes the solve robust to
+outlier correspondences.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import AllHypothesesDegenerate, DegenerateConfiguration, InsufficientMatches
+from .errors import OutOfRange
 from .geometry import (
     SimilarityTransform2D,
     apply_transform,
@@ -33,7 +36,7 @@ from .lifting import (
 )
 from .matching import (
     FeatureGrid,
-    mask_ground_columns,
+    Matches,
     match_probabilities,
     sample_correspondences,
     score_matrix,
@@ -63,6 +66,12 @@ class RansacConfig:
     refit_on_inliers: bool = True
     seed: int = 0
 
+    def __post_init__(self):
+        if self.iterations < 1 or self.min_sample < 2:
+            raise OutOfRange(f"need iterations >= 1 and min_sample >= 2: {self}")
+        if not 0.0 < self.inlier_threshold < math.inf:
+            raise OutOfRange(f"need a finite inlier threshold > 0: {self}")
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -75,15 +84,20 @@ class PipelineConfig:
     ransac: Optional[RansacConfig] = None
     scale_aware: bool = True  # False pins scale to 1 (ablation)
 
+    def __post_init__(self):
+        if self.num_correspondences < 1 or not 0.0 < self.tau < math.inf:
+            raise OutOfRange(f"need num_correspondences >= 1 and a finite tau > 0: {self}")
+
 
 @dataclass(frozen=True)
 class PoseEstimate:
     """Solver output plus the evidence that produced it."""
 
     transform: SimilarityTransform2D
-    correspondences: Optional[list] = None  # Correspondence list actually used
+    correspondences: Optional[Matches] = None  # the pairs actually used
     inlier_mask: Optional[np.ndarray] = None  # only when RANSAC ran
     inlier_count: Optional[int] = None
+    ground_points3: Optional[np.ndarray] = None  # (N, 3) their lifted points
 
 
 @dataclass(frozen=True)
@@ -94,7 +108,7 @@ class CorrespondenceSet:
     aerial_metric: np.ndarray  # (N, 2) metric points in the aerial frame
     weights: np.ndarray  # (N,)
     ground_points3: np.ndarray  # (N, 3) lifted points before projection
-    matches: list  # matching.Correspondence entries, parallel to the rows
+    matches: Matches  # the kept pairs, parallel to the rows
 
 
 def build_correspondences(
@@ -106,32 +120,30 @@ def build_correspondences(
 ) -> CorrespondenceSet:
     """Run matching and lifting, returning solver-ready weighted pairs.
 
-    Ground cells failing the depth validity test are masked before the
-    softmax, matches whose weight is not positive (zero or NaN) are
-    discarded, and in topmost mode only the highest lifted point per
-    aerial-cell-sized planar bucket survives.
+    Only ground cells passing the depth validity test are scored (the
+    others would carry exactly zero probability to every real pair),
+    matches whose weight is not positive (zero or NaN) are discarded, and
+    in topmost mode only the highest lifted point per aerial-cell-sized
+    planar bucket survives.
     Raises InsufficientMatches when fewer than two weighted pairs remain.
     """
-    m = score_matrix(aerial, ground, cfg.tau)
-    valid = depth_valid_mask(depth, cfg.lift).ravel()
-    probs = match_probabilities(mask_ground_columns(m, valid), z=cfg.dustbin_z)
+    valid = np.flatnonzero(depth_valid_mask(depth, cfg.lift))
+    if len(valid) == 0:
+        raise InsufficientMatches("only 0 correspondences: no ground cell has valid depth")
+    valid_ground = FeatureGrid(ground.flat()[valid][None], "ground")  # one row
+    probs = match_probabilities(score_matrix(aerial, valid_ground, cfg.tau), cfg.dustbin_z)
     matches = sample_correspondences(probs, cfg.num_correspondences)
-
-    kept = []
-    for c in matches:
-        if not c.weight > 0.0:
-            continue
-        if not valid[c.ground[0] * ground.cols + c.ground[1]]:
-            continue
-        kept.append(c)
-    if len(kept) < 2:
+    keep = matches.weights > 0.0
+    # the matrix columns index the valid cells: map them back to ground cells
+    aerial_flat, ground_flat = matches.aerial[keep], valid[matches.ground[keep]]
+    weights = matches.weights[keep]
+    if len(weights) < 2:
         raise InsufficientMatches(
-            f"only {len(kept)} positively weighted correspondences after masking"
+            f"only {len(weights)} positively weighted correspondences after masking"
         )
 
-    ground_cells = np.array([c.ground for c in kept])
-    aerial_cells = np.array([c.aerial for c in kept])
-    weights = np.array([c.weight for c in kept])
+    ground_cells = np.stack(np.divmod(ground_flat, ground.cols), axis=1)
+    aerial_cells = np.stack(np.divmod(aerial_flat, aerial.cols), axis=1)
     points3 = lift_ground_cells(ground_cells, depth, rays, cfg.lift.initial_scale)
     aerial_xy = aerial_cells_to_metric(
         aerial_cells, aerial.meta, (aerial.rows, aerial.cols)
@@ -146,14 +158,14 @@ def build_correspondences(
         points3 = points3[keep]
         aerial_xy = aerial_xy[keep]
         weights = weights[keep]
-        kept = [kept[i] for i in keep]
+        aerial_flat, ground_flat = aerial_flat[keep], ground_flat[keep]
 
     return CorrespondenceSet(
         ground_planar=points3[:, :2].copy(),
         aerial_metric=aerial_xy,
         weights=weights,
         ground_points3=points3,
-        matches=kept,
+        matches=Matches(aerial_flat, ground_flat, weights),
     )
 
 
@@ -171,15 +183,10 @@ def estimate_pose(
             corr.ground_planar, corr.aerial_metric, corr.weights, cfg.ransac,
             scale_aware=cfg.scale_aware,
         )
-        return PoseEstimate(
-            transform=est.transform,
-            correspondences=corr.matches,
-            inlier_mask=est.inlier_mask,
-            inlier_count=est.inlier_count,
-        )
-    solver = solve_similarity if cfg.scale_aware else solve_orthogonal
-    transform = solver(corr.ground_planar, corr.aerial_metric, corr.weights)
-    return PoseEstimate(transform=transform, correspondences=corr.matches)
+    else:
+        solver = solve_similarity if cfg.scale_aware else solve_orthogonal
+        est = PoseEstimate(solver(corr.ground_planar, corr.aerial_metric, corr.weights))
+    return replace(est, correspondences=corr.matches, ground_points3=corr.ground_points3)
 
 
 def count_inliers(
@@ -189,10 +196,14 @@ def count_inliers(
     threshold: float,
 ):
     """Correspondences whose transformed ground point lands within
-    ``threshold`` meters of its aerial point.  Returns (count, flags)."""
-    residual = apply_transform(transform, ground_planar) - aerial_metric
-    flags = np.linalg.norm(residual, axis=1) <= threshold
-    return int(flags.sum()), flags
+    ``threshold`` meters of its aerial point (at exactly ``threshold`` it
+    counts).  Returns (count, flags).  Planar points are read as complex
+    numbers x + iy, so the transform is x -> scale * e^(i theta) * x + t."""
+    p, q = (np.ascontiguousarray(x, dtype=float).view(complex)[:, 0]
+            for x in (ground_planar, aerial_metric))
+    turn = transform.scale * complex(math.cos(transform.theta), math.sin(transform.theta))
+    flags = np.abs(turn * p + complex(*transform.t) - q) <= threshold
+    return int(np.count_nonzero(flags)), flags
 
 
 def ransac_estimate(

@@ -106,24 +106,9 @@ def weighted_covariance(
     return (p * w[:, None]).T @ q
 
 
-def svd2x2(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form SVD of a 2x2 matrix: c = U @ diag(sigma) @ V.T.
-
-    Uses the rotation-angle parameterization: the matrix is split into its
-    rotation-like and reflection-like parts, whose polar angles give the left
-    and right rotation angles directly.  Singular values are returned in
-    descending order; a negative determinant is absorbed by negating the
-    second column of V.  The zero matrix yields identity factors.
-
-    Returns
-    -------
-    (U, sigma, V) with U, V orthogonal 2x2 arrays and sigma a (2,) array,
-    sigma[0] >= sigma[1] >= 0.
-    """
-    c = np.asarray(c, dtype=float)
-    a, b = c[0, 0], c[0, 1]
-    d, e = c[1, 0], c[1, 1]
-
+def _svd2x2_angles(a: float, b: float, d: float, e: float):
+    """(phi, psi, s1, s2) with [[a, b], [d, e]] = R(phi) diag(s1, s2) R(-psi),
+    s1 >= |s2|; s2 < 0 exactly when the matrix reflects (det < 0)."""
     # Rotation-like part [[E, -H], [H, E]] and reflection-like part
     # [[F, G], [G, -F]]; their polar angles are the sum/difference of the
     # left and right rotation angles.
@@ -134,14 +119,23 @@ def svd2x2(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     q_mag = math.hypot(big_e, big_h)
     r_mag = math.hypot(big_f, big_g)
-    s1 = q_mag + r_mag
-    s2 = q_mag - r_mag  # may be negative when det(c) < 0
-
     a_sum = math.atan2(big_g, big_f)  # phi + psi
     a_diff = math.atan2(big_h, big_e)  # phi - psi
     phi = 0.5 * (a_diff + a_sum)
     psi = 0.5 * (a_sum - a_diff)
+    return phi, psi, q_mag + r_mag, q_mag - r_mag
 
+
+def svd2x2(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form SVD of a 2x2 matrix: c = U @ diag(sigma) @ V.T.
+
+    Built from the rotation angles of ``_svd2x2_angles``; a negative
+    determinant is absorbed by negating the second column of V, and the
+    zero matrix yields identity factors.  Returns (U, sigma, V) with U, V
+    orthogonal 2x2 arrays and sigma[0] >= sigma[1] >= 0.
+    """
+    c = np.asarray(c, dtype=float)
+    phi, psi, s1, s2 = _svd2x2_angles(c[0, 0], c[0, 1], c[1, 0], c[1, 1])
     u = rotation_matrix(phi)
     v_t = rotation_matrix(-psi)
     sigma = np.array([s1, s2])
@@ -153,38 +147,41 @@ def svd2x2(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _solve(p, q, w, with_scale: bool) -> SimilarityTransform2D:
+    """``svd2x2``'s route on scalars: R = V diag(1, det_sign) U^T, with
+    det_sign = -1 exactly in the reflection case (s2 < 0), is R(psi - phi)
+    either way, and the sign-corrected singular value sum is s1 + s2.  The
+    two point sets are centered side by side, as one (N, 4) array."""
     p, q, w = _check_pairs(p, q, w)
-    positive = w > 0.0
-    if int(positive.sum()) < 2:
+    positive = int(np.count_nonzero(w > 0.0))
+    if positive < 2:
         raise DegenerateConfiguration(
-            f"need >= 2 positively weighted pairs, got {int(positive.sum())}"
+            f"need >= 2 positively weighted pairs, got {positive}"
         )
     total = float(w.sum())
     if total <= 0.0:
         raise ZeroWeightSum("weights sum to zero")
 
-    p_bar = weighted_centroid(p, w)
-    q_bar = weighted_centroid(q, w)
-    p_c = p - p_bar
-    q_c = q - q_bar
+    w_col = w[:, None]
+    pq = np.concatenate((p, q), axis=1)
+    bar = (w_col * pq).sum(axis=0) / total
+    centered = pq - bar
+    p_c = centered[:, :2]
     spread = float((w * (p_c**2).sum(axis=1)).sum())
     if spread == 0.0:
         raise DegenerateConfiguration(
             "all positively weighted source points coincide"
         )
 
-    c = weighted_covariance(p_c, q_c, w)
-    u, sigma, v = svd2x2(c)
-    det_sign = 1.0 if np.linalg.det(v @ u.T) >= 0.0 else -1.0
-    correction = np.diag([1.0, det_sign])
-    rot = v @ correction @ u.T
-    theta = wrap_angle(math.atan2(rot[1, 0], rot[0, 0]))
-
-    if with_scale:
-        scale = float((sigma * np.diag(correction)).sum()) / spread
-    else:
-        scale = 1.0
-    t = q_bar - scale * (rot @ p_bar)
+    (a, b), (d, e) = ((p_c * w_col).T @ centered[:, 2:]).tolist()
+    phi, psi, s1, s2 = _svd2x2_angles(a, b, d, e)
+    theta = wrap_angle(psi - phi)
+    scale = (s1 + s2) / spread if with_scale else 1.0
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    p_x, p_y, q_x, q_y = bar.tolist()
+    t = np.array([
+        q_x - scale * (cos_t * p_x - sin_t * p_y),
+        q_y - scale * (sin_t * p_x + cos_t * p_y),
+    ])
     return SimilarityTransform2D(scale=scale, theta=theta, t=t)
 
 

@@ -219,10 +219,6 @@ def build_context(
         cfg = dataclasses.replace(cfg, dustbin_z=float(proj_z))
     corr = build_correspondences(aerial_view, ground_view, scene.depth, scene.rays, cfg)
 
-    a_cols = scene.aerial.cols
-    g_cols = scene.ground.cols
-    aerial_flat = np.array([c.aerial[0] * a_cols + c.aerial[1] for c in corr.matches])
-    ground_flat = np.array([c.ground[0] * g_cols + c.ground[1] for c in corr.matches])
     valid = depth_valid_mask(scene.depth, cfg.lift).ravel()
 
     if target_scale is None:
@@ -265,8 +261,8 @@ def build_context(
         mode=mode,
         tau=cfg.tau,
         valid=valid,
-        aerial_flat=aerial_flat,
-        ground_flat=ground_flat,
+        aerial_flat=corr.matches.aerial,
+        ground_flat=corr.matches.ground,
         ground_planar=corr.ground_planar.copy(),
         aerial_metric=corr.aerial_metric.copy(),
         truth=scene.truth,
@@ -413,8 +409,8 @@ def forward_value(ctx: GradContext, params: np.ndarray, dtype=np.longdouble):
     """
     params = np.asarray(params)
     cols = np.flatnonzero(ctx.valid)
-    # compacted column of each selected pair (selection never picks a
-    # masked column: build_correspondences drops those pairs)
+    # compacted column of each selected pair (build_correspondences scores
+    # only valid columns, so it never selects a masked one)
     sel = np.searchsorted(cols, ctx.ground_flat)
     scores = _valid_scores(ctx, params, cols, dtype)
     w = _dual_softmax_at(scores, params[..., -1].astype(dtype), ctx.aerial_flat, sel)

@@ -4,13 +4,12 @@ Scores are temperature-scaled cosine similarities between every aerial cell
 and every ground cell.  A learnable dustbin row/column gives unmatched cells
 somewhere to put probability mass, and a dual softmax (row softmax times
 column softmax) turns scores into soft mutual-assignment probabilities from
-which the top-N entries are sampled as weighted correspondences.
+which the top-N entries are sampled as weighted ``Matches`` (index arrays).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +22,7 @@ __all__ = [
     "FeatureGrid",
     "ScoreMatrix",
     "MatchProbabilities",
-    "Correspondence",
+    "Matches",
     "normalize_features",
     "score_matrix",
     "augment_dustbin",
@@ -102,12 +101,16 @@ class MatchProbabilities:
     ground_shape: tuple
 
 
-class Correspondence(NamedTuple):
-    """One sampled match: aerial cell, ground cell, and its soft weight."""
+@dataclass(frozen=True)
+class Matches:
+    """Sampled matches as parallel arrays; ``len()`` is their number."""
 
-    aerial: tuple
-    ground: tuple
-    weight: float
+    aerial: np.ndarray  # (N,) flat aerial cell indices
+    ground: np.ndarray  # (N,) flat ground cell indices
+    weights: np.ndarray  # (N,) soft weights
+
+    def __len__(self) -> int:
+        return len(self.weights)
 
 
 def normalize_features(flat: np.ndarray) -> np.ndarray:
@@ -208,31 +211,30 @@ def match_probabilities(m: ScoreMatrix, z: float = 0.0) -> MatchProbabilities:
 
 
 def top_n_flat_indices(flat_probs: np.ndarray, n: int) -> np.ndarray:
-    """Indices of the n largest entries, descending, ties broken by index."""
-    take = min(n, flat_probs.size)
-    # primary key: descending probability; secondary: ascending flat index
-    return np.lexsort((np.arange(flat_probs.size), -flat_probs))[:take]
+    """Indices of the n largest entries, descending, ties broken by index
+    (NaN last); only the entries at or above the n-th largest are sorted."""
+    key = -flat_probs  # ascending key; NaN stays NaN and sorts last
+    take = min(n, key.size)
+    candidates = np.arange(key.size)
+    if 0 < take < key.size:
+        kth = np.partition(key, take - 1)[take - 1]
+        if not np.isnan(kth):  # else every non-NaN entry is a candidate
+            candidates = np.flatnonzero(key <= kth)
+    # the stable sort keeps ascending flat index order within ties
+    return candidates[np.argsort(key[candidates], kind="stable")[:take]]
 
 
-def sample_correspondences(probs: MatchProbabilities, n: int) -> list:
+def sample_correspondences(probs: MatchProbabilities, n: int) -> Matches:
     """Deterministic top-N entries of the probability matrix as matches.
 
     Entries are ordered by descending probability; exact ties are broken by
     row-major flat index so the result never depends on sort internals.
-    Returns fewer than ``n`` entries when the matrix has fewer cells.
+    Cell indices are the entry's row and column (flat cells of the scored
+    grids).  Returns fewer than ``n`` entries when the matrix has fewer cells.
     """
     if n <= 0:
         raise OutOfRange(f"sample count must be positive, got {n}")
     flat = probs.probs.ravel()
     order = top_n_flat_indices(flat, n)
-    out = []
-    for idx in order:
-        i, j = divmod(int(idx), probs.probs.shape[1])
-        out.append(
-            Correspondence(
-                aerial=divmod(i, probs.aerial_shape[1]),
-                ground=divmod(j, probs.ground_shape[1]),
-                weight=float(flat[idx]),
-            )
-        )
-    return out
+    aerial, ground = np.divmod(order, probs.probs.shape[1])
+    return Matches(aerial, ground, flat[order])

@@ -10,7 +10,9 @@ import pytest
 from crossloc import cli
 from crossloc.cli import main, parse_factor_range, parse_seed_range
 from crossloc.errors import OutOfRange
-from crossloc.io import read_results
+from crossloc.estimator import PipelineConfig, estimate_pose
+from crossloc.io import read_depth_map, read_feature_grid, read_results
+from crossloc.lifting import LiftConfig, lift_ground_cells
 
 SCENE = dict(
     extent=20.0,
@@ -318,3 +320,55 @@ def test_runtime_failure_gives_exit_one(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--ransac", "--inlier-threshold", "-1"],
+        ["--ransac", "--inlier-threshold", "nan"],
+        ["--ransac", "--ransac-iterations", "0"],
+        ["--num-correspondences", "0"],
+    ],
+    ids=["negative-threshold", "nan-threshold", "zero-iterations", "zero-matches"],
+)
+def test_invalid_solver_settings_are_usage_errors(flags, scene_dir, tmp_path, capsys):
+    files = scene_files(scene_dir, 7)
+    out = tmp_path / "never.json"
+    argv = [
+        "solve",
+        "--aerial", files["aerial"],
+        "--ground", files["ground"],
+        "--depth", files["depth"],
+        "--out", str(out),
+    ]
+    assert main(argv + flags) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_overlay_is_the_lifted_matches_under_the_pose(scene_dir, tmp_path):
+    """The overlay is built from the points the estimate lifted, not from a
+    second lift of the matched cells."""
+    files = scene_files(scene_dir, 7)
+    out = tmp_path / "r.json"
+    argv = [
+        "solve",
+        "--aerial", files["aerial"],
+        "--ground", files["ground"],
+        "--depth", files["depth"],
+        "--num-correspondences", "8",
+        "--max-depth", "15",
+        "--out", str(out),
+    ]
+    assert main(argv) == 0
+    aerial = read_feature_grid(files["aerial"])
+    ground = read_feature_grid(files["ground"])
+    depth = read_depth_map(files["depth"])
+    pipe = PipelineConfig(num_correspondences=8, lift=LiftConfig(max_depth=15.0))
+    est = estimate_pose(aerial, ground, depth, ground.meta.rays, pipe)
+    cells = np.stack(np.divmod(est.correspondences.ground, ground.cols), axis=1)
+    points3 = lift_ground_cells(cells, depth, ground.meta.rays)
+    np.testing.assert_array_equal(est.ground_points3, points3)
+    expected = est.transform.apply(points3[:, :2])
+    assert read_results(out)["overlay"] == expected.tolist()

@@ -15,6 +15,7 @@ from crossloc.errors import (
     AllHypothesesDegenerate,
     DegenerateConfiguration,
     InsufficientMatches,
+    OutOfRange,
 )
 from crossloc.estimator import (
     PipelineConfig,
@@ -144,10 +145,9 @@ def test_build_correspondences_masks_invalid_depth():
     )
     assert len(corr.matches) == 8
     assert (corr.weights > 0).all()
-    scaled = scene.depth.depth * scene.scale_gt
-    for c in corr.matches:
-        assert np.isfinite(scaled[c.ground])
-        assert scaled[c.ground] <= 35.0 + 1e-12
+    scaled = (scene.depth.depth * scene.scale_gt).ravel()[corr.matches.ground]
+    assert np.isfinite(scaled).all()
+    assert (scaled <= 35.0 + 1e-12).all()
 
 
 def test_all_invalid_depth_raises():
@@ -267,6 +267,40 @@ def test_degenerate_redraw_does_not_burn_iterations():
     q[:4] = q[0]
     est = ransac_estimate(p, q, np.ones(len(p)), RansacConfig(iterations=40, seed=2))
     assert np.linalg.norm(est.transform.t - truth.t) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"iterations": 0},
+        {"min_sample": 1},
+        {"inlier_threshold": -1.0},
+        {"inlier_threshold": 0.0},
+        {"inlier_threshold": float("nan")},
+        {"inlier_threshold": float("inf")},
+    ],
+    ids=["zero-iterations", "one-point-sample", "negative-threshold",
+         "zero-threshold", "nan-threshold", "inf-threshold"],
+)
+def test_invalid_ransac_config_is_rejected(kwargs):
+    with pytest.raises(OutOfRange):
+        RansacConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"num_correspondences": 0},
+        {"tau": 0.0},
+        {"tau": -0.1},
+        {"tau": float("nan")},
+        {"tau": float("inf")},
+    ],
+    ids=["zero-matches", "zero-tau", "negative-tau", "nan-tau", "inf-tau"],
+)
+def test_invalid_pipeline_config_is_rejected(kwargs):
+    with pytest.raises(OutOfRange):
+        PipelineConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from crossloc.errors import DegenerateConfiguration, LengthMismatch, ZeroWeightSum
+from crossloc.estimator import count_inliers
 from crossloc.geometry import (
     SimilarityTransform2D,
     alignment_objective,
@@ -351,3 +354,103 @@ def test_wrap_angle_range_and_branch():
     assert wrap_angle(math.pi) == pytest.approx(-math.pi)
     assert wrap_angle(-math.pi) == pytest.approx(-math.pi)
     assert wrap_angle(3 * math.pi) == pytest.approx(-math.pi)
+
+
+# --- properties -------------------------------------------------------------
+
+
+def svd_route(p, q, w, with_scale=True):
+    """The solver written with the full SVD matrices: R = V diag(1, d) U^T
+    with d = sign(det(V U^T)), scale = (sigma * diag(1, d)).sum() / spread."""
+    p, q, w = (np.asarray(x, dtype=float) for x in (p, q, w))
+    if int((w > 0.0).sum()) < 2:
+        raise DegenerateConfiguration("fewer than two positive weights")
+    if float(w.sum()) <= 0.0:
+        raise ZeroWeightSum("weights sum to zero")
+    p_bar, q_bar = weighted_centroid(p, w), weighted_centroid(q, w)
+    p_c, q_c = p - p_bar, q - q_bar
+    spread = float((w * (p_c**2).sum(axis=1)).sum())
+    if spread == 0.0:
+        raise DegenerateConfiguration("source points coincide")
+    u, sigma, v = svd2x2(weighted_covariance(p_c, q_c, w))
+    correction = np.diag([1.0, 1.0 if np.linalg.det(v @ u.T) >= 0.0 else -1.0])
+    rot = v @ correction @ u.T
+    scale = float((sigma * np.diag(correction)).sum()) / spread if with_scale else 1.0
+    theta = wrap_angle(math.atan2(rot[1, 0], rot[0, 0]))
+    return SimilarityTransform2D(scale, theta, q_bar - scale * (rot @ p_bar))
+
+
+def outcome(solver, *args):
+    try:
+        return solver(*args)
+    except (DegenerateConfiguration, ZeroWeightSum) as e:
+        return type(e)
+
+
+def assert_same_solution(lean, ref, p, q):
+    assert not isinstance(lean, type) and not isinstance(ref, type)
+    assert abs(lean.scale - ref.scale) <= 1e-12 * abs(ref.scale)
+    assert abs(wrap_angle(lean.theta - ref.theta)) <= 1e-12
+    # t = q_bar - s R p_bar: rounding scales with the terms it combines
+    size = 1.0 + abs(ref.scale) * np.abs(p).max() + np.abs(q).max()
+    assert np.abs(lean.t - ref.t).max() <= 1e-12 * size
+
+
+COORD = st.floats(-50.0, 50.0)
+POINTS = st.lists(st.tuples(COORD, COORD, COORD, COORD, st.floats(0.0, 10.0)),
+                  min_size=2, max_size=8)
+
+
+@given(POINTS, st.booleans())
+def test_lean_solver_equals_svd_route(rows, reflect):
+    """Random inputs (with ``reflect``, nearly mirrored ones, whose
+    covariance mostly has det < 0) give the SVD-matrix route's transform,
+    or the same error."""
+    data = np.array(rows)
+    p, q, w = data[:, :2], data[:, 2:4], data[:, 4]
+    if reflect:
+        q = p * [1.0, -1.0] + 0.01 * q
+    for solver, with_scale in ((solve_similarity, True), (solve_orthogonal, False)):
+        lean = outcome(solver, p, q, w)
+        ref = outcome(svd_route, p, q, w, with_scale)
+        if isinstance(ref, type):
+            assert lean is ref
+        else:
+            assert_same_solution(lean, ref, p, q)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(3, 8))
+def test_lean_solver_reflection_case(seed, n):
+    """Mirrored targets make the covariance reflect (det < 0), the branch
+    where the SVD route negates a column of V."""
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(-20, 20, size=(n, 2))
+    mirror = rotation_matrix(rng.uniform(-np.pi, np.pi)) @ np.diag([1.0, -1.0])
+    q = p @ mirror.T + rng.uniform(-20, 20, size=2)
+    w = rng.uniform(0.1, 2.0, size=n)
+    c = weighted_covariance(p - weighted_centroid(p, w), q - weighted_centroid(q, w), w)
+    assert np.linalg.det(c) < 0.0
+    assert_same_solution(solve_similarity(p, q, w), svd_route(p, q, w), p, q)
+
+
+PYTHAGOREAN = st.sampled_from([(3, 4, 5), (5, 12, 13), (8, 15, 17), (0, 7, 7), (6, 0, 6)])
+
+
+@given(
+    st.lists(st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)), min_size=1, max_size=10),
+    PYTHAGOREAN,
+    st.integers(-3, 3),
+    st.tuples(st.integers(-100, 100), st.integers(-100, 100)),
+)
+def test_count_inliers_threshold_is_inclusive(cells, triple, log2_scale, t):
+    """A pair exactly ``threshold`` away is an inlier; one ulp less and it
+    is not.  Integer data and power-of-two scales keep the residuals exact."""
+    dx, dy, dist = triple
+    scale = 2.0**log2_scale
+    transform = SimilarityTransform2D(scale, 0.0, np.array(t, dtype=float))
+    p = np.array(cells, dtype=float)
+    q = scale * p + np.array(t, dtype=float) + [dx, dy]
+    count, flags = count_inliers(transform, p, q, float(dist))
+    assert count == len(p) and flags.all()
+    count, flags = count_inliers(transform, p, q, np.nextafter(float(dist), 0.0))
+    assert count == 0 and not flags.any()

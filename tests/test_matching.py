@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from crossloc.errors import DimensionMismatch, OutOfRange, TooSmall, ZeroNormFeature
 from crossloc.matching import (
@@ -20,6 +22,7 @@ from crossloc.matching import (
     row_softmax,
     sample_correspondences,
     score_matrix,
+    top_n_flat_indices,
 )
 
 TIGHT = 1e-9
@@ -188,9 +191,8 @@ def test_masked_columns_never_sampled_while_unmasked_remain():
     probs = match_probabilities(mask_ground_columns(m, valid), z=0.0)
     n_unmasked_entries = 4 * int(valid.sum())
     corrs = sample_correspondences(probs, n_unmasked_entries)
-    for c in corrs:
-        j = c.ground[0] * 3 + c.ground[1]
-        assert valid[j]
+    assert len(corrs) == n_unmasked_entries
+    assert valid[corrs.ground].all()
 
 
 def test_all_columns_masked_gives_zero_probability_everywhere():
@@ -208,8 +210,9 @@ def test_sample_correspondences_orders_by_probability():
 
     probs = MatchProbabilities(probs_mat, (2, 1), (1, 2))
     corrs = sample_correspondences(probs, 3)
-    assert [c.weight for c in corrs] == [0.9, 0.5, 0.3]
-    assert corrs[0].aerial == (1, 0) and corrs[0].ground == (0, 1)
+    assert corrs.weights.tolist() == [0.9, 0.5, 0.3]
+    # flat cells: aerial (1, 0) of a 2x1 grid, ground (0, 1) of a 1x2 grid
+    assert corrs.aerial[0] == 1 and corrs.ground[0] == 1
 
 
 def test_sample_correspondences_tie_break_row_major():
@@ -219,10 +222,11 @@ def test_sample_correspondences_tie_break_row_major():
 
     probs = MatchProbabilities(probs_mat, (1, 2), (2, 1))
     corrs = sample_correspondences(probs, 3)
-    assert [(c.aerial, c.ground) for c in corrs] == [
-        ((0, 0), (0, 0)),  # entry (0, 0)
-        ((0, 0), (1, 0)),  # entry (0, 1)
-        ((0, 1), (0, 0)),  # entry (1, 0)
+    # flat cells of a 1x2 aerial and a 2x1 ground grid
+    assert list(zip(corrs.aerial.tolist(), corrs.ground.tolist())) == [
+        (0, 0),  # entry (0, 0): aerial (0, 0), ground (0, 0)
+        (0, 1),  # entry (0, 1): aerial (0, 0), ground (1, 0)
+        (1, 0),  # entry (1, 0): aerial (0, 1), ground (0, 0)
     ]
 
 
@@ -244,3 +248,53 @@ def test_pipeline_weights_match_manual_chain():
     manual = drop_dustbin(dual_softmax(augment_dustbin(m.scores, z=0.7)))
     composed = match_probabilities(m, z=0.7)
     assert np.array_equal(manual, composed.probs)
+
+
+# --- properties -------------------------------------------------------------
+
+# few distinct values, so exact ties (and signed zeros) are the common case
+TIED_VALUES = st.sampled_from([0.0, -0.0, 0.0, 1e-300, 0.25, 0.25, 0.5, 1.0, math.nan])
+
+
+@given(st.lists(TIED_VALUES | st.floats(0.0, 1.0), min_size=1, max_size=60))
+def test_top_n_equals_full_lexsort(values):
+    """The partial selection equals a full sort of every entry: descending
+    value, ties by ascending flat index, NaN last, for every n."""
+    flat = np.array(values)
+    reference = np.lexsort((np.arange(flat.size), -flat))
+    for n in range(1, flat.size + 3):
+        np.testing.assert_array_equal(top_n_flat_indices(flat, n), reference[:n])
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_ground=st.integers(1, 12),
+    mask_bits=st.integers(0, 2**12 - 1),
+    mode=st.sampled_from(["random", "all-valid", "single-valid"]),
+    z=st.floats(-2.0, 2.0),
+)
+def test_compacted_probabilities_equal_masked_chain(seed, n_ground, mask_bits, mode, z):
+    """Scoring only the valid ground columns gives the masked full-matrix
+    chain's probabilities on those columns and the same positive matches."""
+    rng = np.random.default_rng(seed)
+    a = grid(3, 4, 5, rng)
+    g = grid(1, n_ground, 5, rng, "ground")
+    if mode == "all-valid":
+        valid = np.ones(n_ground, dtype=bool)
+    elif mode == "single-valid":
+        valid = np.arange(n_ground) == mask_bits % n_ground
+    else:
+        valid = (mask_bits >> np.arange(n_ground)) & 1 == 1
+        valid[mask_bits % n_ground] = True
+    cols = np.flatnonzero(valid)
+    full = match_probabilities(mask_ground_columns(score_matrix(a, g, 0.1), valid), z)
+    valid_ground = FeatureGrid(g.flat()[cols][None], "ground")  # as the estimator does
+    compact = match_probabilities(score_matrix(a, valid_ground, 0.1), z)
+    np.testing.assert_allclose(compact.probs, full.probs[:, cols], rtol=0, atol=1e-15)
+    assert (full.probs[:, ~valid] == 0.0).all()
+
+    n = full.probs.size
+    full_m, compact_m = (sample_correspondences(p, n) for p in (full, compact))
+    full_pos, compact_pos = full_m.weights > 0.0, compact_m.weights > 0.0
+    np.testing.assert_array_equal(full_m.aerial[full_pos], compact_m.aerial[compact_pos])
+    np.testing.assert_array_equal(full_m.ground[full_pos], cols[compact_m.ground[compact_pos]])
