@@ -213,14 +213,17 @@ def _pipeline_echo(pipe: PipelineConfig) -> dict:
 
 
 def cmd_sweep_scale(args) -> int:
+    factors = parse_factor_range(args.factors, args.factor_steps)
+    base = _from_args(_pipeline_from_args, args)
+    lifts = [
+        _from_args(dataclasses.replace, base.lift, max_depth=args.max_depth * factor)
+        for factor in factors
+    ]
     aerial = read_feature_grid(args.aerial)
     ground = read_feature_grid(args.ground)
     depth = read_depth_map(args.depth)
-    factors = parse_factor_range(args.factors, args.factor_steps)
-    base = _from_args(_pipeline_from_args, args)
     runs = []
-    for factor in factors:
-        lift = dataclasses.replace(base.lift, max_depth=args.max_depth * factor)
+    for factor, lift in zip(factors, lifts):
         pipe = dataclasses.replace(base, lift=lift)
         scaled = DepthMap(depth.depth * factor, depth.kind)
         est = estimate_pose(aerial, ground, scaled, ground.meta.rays, pipe)

@@ -5,21 +5,23 @@ selection is frozen: gradients flow through the selected entries' soft
 weights, not through which entries were selected (the usual straight-through
 treatment of hard selection).  This module builds that frozen view of a
 scene, evaluates the training loss through the *production* code paths
-(SVD-based alignment solver, loss module), and computes its gradient
-analytically through an independent closed-form route:
+(``forward``: SVD-based alignment solver, loss module), and computes the
+loss and its gradient in one reverse sweep through an independent
+closed-form route (``value_and_grad``; ``backward`` is its gradient):
 
-* dual softmax with dustbin -- standard softmax vector-Jacobian products on
-  the augmented matrix;
+* dual softmax with dustbin -- one row and one column softmax of the
+  augmented matrix, shared by the match weights and their vector-Jacobian
+  product;
 * weighted scale-aware alignment -- the optimal angle in 2-D has the closed
   form theta* = atan2(C01 - C10, C00 + C11) over the weighted covariance C,
   and the optimal scale is hypot of the same two invariants over the
   weighted ground spread, so no SVD differentiation is needed;
-* contrastive losses -- textbook softmax/cross-entropy gradients on the raw
-  score entries.
+* contrastive losses -- softmax cross-entropy values and gradients on the
+  raw score entries, one log-sum-exp per term.
 
-Because the forward pass uses the SVD solver while the backward pass uses
-the angle parameterization, a central finite-difference check of this module
-is a genuine two-route consistency test, not a tautology.
+``forward`` (SVD) vs ``value_and_grad`` (closed-form angle) vs the
+long-double FD oracle is a genuine consistency test, not a tautology, and
+it certifies the very pass the trainer runs.
 
 The FD oracle evaluates the loss in extended precision (``np.longdouble``):
 float64 rounding of an O(1) loss leaves ~1e-10 of noise in a central
@@ -28,15 +30,15 @@ relative-error floor.  The extended-precision path is a dtype-parameterized
 twin of the forward computation; its float64 instantiation is tested to
 match the production forward to machine precision.
 
-Two things keep that oracle cheap.  First, the twin scores only the
-depth-valid ground columns plus the dustbin: masked columns contribute
-exactly 0 probability to real pairs, yet in ``np.longdouble`` an ``exp``
-that underflows (as the ``MASK_SCORE`` entries do) costs several times a
-normal one, and most ground columns are masked in typical scenes.  Second,
-``forward_value`` accepts a leading batch axis (``(P,)`` -> scalar,
-``(K, P)`` -> ``(K,)``), so ``fd_gradient`` evaluates the + and - rows of
-``FD_BLOCK`` coordinates per call instead of two calls per coordinate.
-The scalar ``finite_difference`` stays as the generic reference.
+Every route, float64 and long double, scores only the depth-valid ground
+columns plus the dustbin: masked columns carry exactly 0 probability to
+real pairs, and most ground columns are masked in typical scenes (in
+``np.longdouble`` an ``exp`` that underflows costs several times a normal
+one).  The oracle is also batched: ``forward_value`` accepts a leading
+batch axis (``(P,)`` -> scalar, ``(K, P)`` -> ``(K,)``), so ``fd_gradient``
+evaluates the + and - rows of ``FD_BLOCK`` coordinates per call instead of
+two calls per coordinate.  The scalar ``finite_difference`` stays as the
+generic reference.
 
 Leaf parameterizations:
 
@@ -52,15 +54,16 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DegenerateConfiguration, NonDifferentiablePoint, OutOfRange
+from .errors import DegenerateConfiguration, NonDifferentiablePoint
+from .errors import NoValidTargets, OutOfRange
 from .estimator import PipelineConfig, build_correspondences
 from .geometry import rotation_matrix, solve_similarity
-from .lifting import aerial_coverage_mask, depth_valid_mask, metric_to_aerial_cell
+from .lifting import aerial_coverage_mask, depth_valid_mask, metric_to_aerial_cells
 from .losses import (
     NegativeRule,
     gt_aerial_targets,
@@ -78,7 +81,6 @@ from .matching import (
     col_softmax,
     drop_dustbin,
     dual_softmax,
-    mask_ground_columns,
     normalize_features,
     row_softmax,
     score_matrix,
@@ -90,6 +92,7 @@ __all__ = [
     "build_context",
     "forward",
     "forward_value",
+    "value_and_grad",
     "backward",
     "finite_difference",
     "fd_gradient",
@@ -232,11 +235,8 @@ def build_context(
     q_hat = gt_aerial_targets(corr.ground_planar, scene.truth, target_scale)
     inside = aerial_coverage_mask(q_hat, scene.aerial.meta, aerial_shape)
     g2s_pairs = np.flatnonzero(inside)
-    cells = [
-        metric_to_aerial_cell(q_hat[n], scene.aerial.meta, aerial_shape)
-        for n in g2s_pairs
-    ]
-    g2s_targets = np.array([r * aerial_shape[1] + c for r, c in cells], dtype=int)
+    cells = metric_to_aerial_cells(q_hat[g2s_pairs], scene.aerial.meta, aerial_shape)
+    g2s_targets = cells[:, 0] * aerial_shape[1] + cells[:, 1]
     p_hat = gt_ground_targets(corr.aerial_metric, scene.truth, target_scale)
     dist = np.linalg.norm(corr.ground_planar[None, :, :] - p_hat[:, None, :], axis=2)
     s2g_pos = np.argmin(dist, axis=1)  # ties keep the earliest candidate
@@ -283,38 +283,50 @@ def build_context(
     )
 
 
-def _unpack(ctx: GradContext, params: np.ndarray):
-    """Leaf vector -> (raw scores, dustbin z) for the context's mode."""
+def _float_leaves(ctx: GradContext, params: np.ndarray) -> np.ndarray:
+    """One float64 leaf vector of the context's layout."""
     params = np.asarray(params, dtype=float)
     if params.shape != ctx.params0.shape:
         raise OutOfRange(
             f"expected {ctx.params0.shape[0]} parameters, got {params.shape}"
         )
-    z = float(params[-1])
-    if ctx.mode == "score":
-        scores = params[:-1].reshape(ctx.n_aerial, ctx.n_ground)
-        return scores, z
+    return params
+
+
+def _valid_columns(ctx: GradContext):
+    """The depth-valid ground columns, and each selected pair's column among
+    them (build_correspondences scores only valid columns, so it never
+    selects a masked one)."""
+    cols = np.flatnonzero(ctx.valid)
+    return cols, np.searchsorted(cols, ctx.ground_flat)
+
+
+def _compact_features(ctx: GradContext, params: np.ndarray, cols: np.ndarray, dtype):
+    """Raw aerial features and raw features of the ground columns ``cols``
+    (feature and projection leaves), with any leading batch axis kept."""
+    batch = params.shape[:-1]
+    na, ng, d = ctx.n_aerial, ctx.n_ground, ctx.dim
     if ctx.mode == "features":
-        na, ng, d = ctx.n_aerial, ctx.n_ground, ctx.dim
-        a_raw = params[: na * d].reshape(na, d)
-        g_raw = params[na * d : na * d + ng * d].reshape(ng, d)
-    else:  # projection
-        d = ctx.dim
-        w = params[: d * d].reshape(d, d)
-        a_raw = ctx.aerial_raw @ w.T
-        g_raw = ctx.ground_raw @ w.T
-    a_hat = normalize_features(a_raw)
-    g_hat = normalize_features(g_raw)
-    return (a_hat @ g_hat.T) / ctx.tau, z
+        a_raw = params[..., : na * d].reshape(batch + (na, d)).astype(dtype)
+        g_raw = params[..., na * d : (na + ng) * d].reshape(batch + (ng, d))
+        return a_raw, g_raw[..., cols, :].astype(dtype)
+    mat_t = params[..., : d * d].reshape(batch + (d, d)).astype(dtype).swapaxes(-1, -2)
+    return ctx.aerial_raw.astype(dtype) @ mat_t, ctx.ground_raw[cols].astype(dtype) @ mat_t
 
 
-def _masked_matrix(ctx: GradContext, scores: np.ndarray) -> ScoreMatrix:
-    m = ScoreMatrix(scores, ctx.tau, ctx.aerial_shape, ctx.ground_shape)
-    return mask_ground_columns(m, ctx.valid)
+def _valid_scores(ctx: GradContext, params: np.ndarray, cols: np.ndarray, dtype):
+    """Raw scores of the ground columns ``cols``, ``(..., n_aerial, len(cols))``.
 
-
-def _selected_weights(ctx: GradContext, probs: np.ndarray) -> np.ndarray:
-    return probs[ctx.aerial_flat, ctx.ground_flat]
+    Leaves are gathered before they are widened to ``dtype``, so leaves of
+    other columns are never converted or copied.
+    """
+    if ctx.mode == "score":
+        shape = params.shape[:-1] + (ctx.n_aerial, len(cols))
+        entries = (np.arange(ctx.n_aerial)[:, None] * ctx.n_ground + cols).ravel()
+        return params[..., entries].reshape(shape).astype(dtype)
+    a_raw, g_raw = _compact_features(ctx, params, cols, dtype)
+    a_hat, g_hat = normalize_features(a_raw), normalize_features(g_raw)
+    return (a_hat @ g_hat.swapaxes(-1, -2)) / dtype(ctx.tau)
 
 
 # ---------------------------------------------------------------------------
@@ -324,48 +336,26 @@ def _selected_weights(ctx: GradContext, probs: np.ndarray) -> np.ndarray:
 def forward(ctx: GradContext, params: np.ndarray) -> float:
     """Total training loss at ``params`` with the context's frozen selection.
 
-    Uses the production solver and loss implementations end to end, so this
-    is exactly the quantity the trainer descends.
+    Uses the production solver and loss implementations end to end, as an
+    independent route to the loss ``value_and_grad`` returns.  Only the
+    depth-valid ground columns are scored (see ``forward_value``).
     """
-    scores, z = _unpack(ctx, params)
-    masked = _masked_matrix(ctx, scores)
-    probs = drop_dustbin(dual_softmax(augment_dustbin(masked.scores, z)))
-    w = _selected_weights(ctx, probs)
-    estimate = solve_similarity(ctx.ground_planar, ctx.aerial_metric, w)
+    params = _float_leaves(ctx, params)
+    cols, sel = _valid_columns(ctx)
+    scores = _valid_scores(ctx, params, cols, np.float64)
+    m = ScoreMatrix(scores, ctx.tau, ctx.aerial_shape, (1, len(cols)))
+    probs = drop_dustbin(dual_softmax(augment_dustbin(scores, params[-1])))
+    estimate = solve_similarity(
+        ctx.ground_planar, ctx.aerial_metric, probs[ctx.aerial_flat, sel]
+    )
     vce = vce_loss(estimate, ctx.truth, ctx.virtual_points)
     if ctx.beta == 0.0:
         return total_loss(vce, 0.0, 0.0, 0.0).total
     q_hat = gt_aerial_targets(ctx.ground_planar, ctx.truth, ctx.target_scale)
     p_hat = gt_ground_targets(ctx.aerial_metric, ctx.truth, ctx.target_scale)
-    g2s = info_nce_g2s(masked, ctx.ground_flat, q_hat, ctx.aerial_meta)
-    s2g = info_nce_s2g(
-        masked, ctx.aerial_flat, p_hat, ctx.ground_flat, ctx.ground_planar, ctx.rule
-    )
+    g2s = info_nce_g2s(m, sel, q_hat, ctx.aerial_meta)
+    s2g = info_nce_s2g(m, ctx.aerial_flat, p_hat, sel, ctx.ground_planar, ctx.rule)
     return total_loss(vce, g2s, s2g, ctx.beta).total
-
-
-def _valid_scores(ctx: GradContext, params: np.ndarray, cols: np.ndarray, dtype):
-    """Raw scores of the ground columns ``cols``, ``(..., n_aerial, len(cols))``.
-
-    Leaves are gathered before they are widened to ``dtype``, so leaves of
-    other columns are never converted or copied.
-    """
-    batch = params.shape[:-1]
-    na, ng, d = ctx.n_aerial, ctx.n_ground, ctx.dim
-    if ctx.mode == "score":
-        entries = (np.arange(na)[:, None] * ng + cols).ravel()
-        return params[..., entries].reshape(batch + (na, len(cols))).astype(dtype)
-    if ctx.mode == "features":
-        a_raw = params[..., : na * d].reshape(batch + (na, d)).astype(dtype)
-        g_raw = params[..., na * d : (na + ng) * d].reshape(batch + (ng, d))
-        g_raw = g_raw[..., cols, :].astype(dtype)
-    else:
-        mat = params[..., : d * d].reshape(batch + (d, d)).astype(dtype)
-        a_raw = ctx.aerial_raw.astype(dtype) @ mat.swapaxes(-1, -2)
-        g_raw = ctx.ground_raw[cols].astype(dtype) @ mat.swapaxes(-1, -2)
-    a_hat = a_raw / np.sqrt((a_raw**2).sum(axis=-1, keepdims=True))
-    g_hat = g_raw / np.sqrt((g_raw**2).sum(axis=-1, keepdims=True))
-    return (a_hat @ g_hat.swapaxes(-1, -2)) / dtype(ctx.tau)
 
 
 def _dual_softmax_at(scores: np.ndarray, z, rows: np.ndarray, cols: np.ndarray):
@@ -398,20 +388,13 @@ def forward_value(ctx: GradContext, params: np.ndarray, dtype=np.longdouble):
     gives a scalar, a ``(K, P)`` stack of leaf vectors gives ``(K,)``
     values, row ``k`` equal to the single-vector call on ``params[k]``.
 
-    Only the depth-valid ground columns (plus the dustbin) are scored.
-    ``forward`` masks the other columns to ``MASK_SCORE``, whose exp
-    underflows to exactly 0 after the softmax, and the dustbin-row entries
-    it adds for them are dropped with the dustbin; so the real-pair
-    probabilities, and hence the loss, do not depend on masked columns.
-    Skipping them is what makes this oracle affordable: a long-double
-    ``exp`` that underflows costs several times a normal one, and most
-    ground columns are masked in typical scenes.
+    Only the depth-valid ground columns (plus the dustbin) are scored:
+    masked to ``MASK_SCORE`` they would carry exactly 0 probability after
+    the softmax, and their dustbin-row entries are dropped with the
+    dustbin, so the loss does not depend on them.
     """
     params = np.asarray(params)
-    cols = np.flatnonzero(ctx.valid)
-    # compacted column of each selected pair (build_correspondences scores
-    # only valid columns, so it never selects a masked one)
-    sel = np.searchsorted(cols, ctx.ground_flat)
+    cols, sel = _valid_columns(ctx)
     scores = _valid_scores(ctx, params, cols, dtype)
     w = _dual_softmax_at(scores, params[..., -1].astype(dtype), ctx.aerial_flat, sel)
 
@@ -538,7 +521,7 @@ def pose_weight_gradients(
 
 
 def _vce_partials(theta: float, t: np.ndarray, truth, points: np.ndarray):
-    """(dvce/dtheta, dvce/dt) for the mean virtual-point offset norm.
+    """(vce, dvce/dtheta, dvce/dt) for the mean virtual-point offset norm.
 
     Offsets that are exactly zero contribute nothing (the minimum of the
     cone; its symmetric subgradient).
@@ -553,111 +536,106 @@ def _vce_partials(theta: float, t: np.ndarray, truth, points: np.ndarray):
     rot_p = rotation_matrix(theta + math.pi / 2)
     d_theta = -float((unit * (points @ rot_p.T)).sum() / len(points))
     d_t = -unit.sum(axis=0) / len(points)
-    return d_theta, d_t
+    return float(norms.mean()), d_theta, d_t
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    """Softmax along the last axis."""
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+def _cross_entropy(logits: np.ndarray, targets: np.ndarray):
+    """Mean softmax cross-entropy of the rows of ``logits`` against their
+    ``targets`` columns (``-inf`` entries are left out), and its gradient,
+    from one log-sum-exp per row."""
+    top = logits.max(axis=1, keepdims=True)
+    lse = top + np.log(np.exp(logits - top).sum(axis=1, keepdims=True))
+    rows = np.arange(len(targets))
+    grad = np.exp(logits - lse)
+    grad[rows, targets] -= 1.0
+    loss = -(logits[rows, targets] - lse[:, 0]).sum() / len(targets)
+    return float(loss), grad / len(targets)
 
 
-def _contrastive_score_gradient(ctx: GradContext, scores_masked: np.ndarray):
-    """d(beta-weighted contrastive losses)/d(score entries), dense.
-
-    Uses the frozen positive/negative index arrays captured at
-    construction; both directions are plain softmax cross-entropy
-    gradients, accumulated pair by pair in pair order.
-    """
-    ds = np.zeros_like(scores_masked)
-    coef = ctx.beta / 2.0
-
-    n_terms = len(ctx.g2s_pairs)
-    if n_terms:
-        g2s_cols = ctx.ground_flat[ctx.g2s_pairs]
-        grad = _softmax(scores_masked.T[g2s_cols])  # (T, A): one column per row
-        grad[np.arange(n_terms), ctx.g2s_targets] -= 1.0
-        np.add.at(ds, (slice(None), g2s_cols), (coef / n_terms) * grad.T)
-
-    n_rows = len(ctx.s2g_pos)
-    rows, cols = ctx.aerial_flat[:, None], ctx.ground_flat[None, :]
-    grad = _softmax(np.where(ctx.s2g_keep, scores_masked[rows, cols], -np.inf))
-    grad[np.arange(n_rows), ctx.s2g_pos] -= 1.0
-    np.add.at(ds, (rows, cols), (coef / n_rows) * grad)
-    return ds
-
-
-def _dual_softmax_vjp(extended: np.ndarray, d_probs_full: np.ndarray) -> np.ndarray:
-    """VJP of row_softmax(E) * col_softmax(E) at E = ``extended``."""
-    ra = row_softmax(extended)
-    cb = col_softmax(extended)
-    u = d_probs_full * cb
-    d_row = ra * (u - (ra * u).sum(axis=1, keepdims=True))
-    v = d_probs_full * ra
-    d_col = cb * (v - (cb * v).sum(axis=0, keepdims=True))
-    return d_row + d_col
-
-
-def _check_selection_boundary(ctx: GradContext, probs: np.ndarray):
+def _check_selection_boundary(ctx: GradContext, probs: np.ndarray, sel: np.ndarray):
     """Exact probability tie across the top-N boundary means the frozen
-    selection is ambiguous at these parameters."""
+    selection is ambiguous at these parameters.
+
+    ``probs`` holds the valid columns only; every entry of a masked column
+    is an unselected entry of probability exactly 0.
+    """
     flat = probs.ravel()
-    if len(ctx.aerial_flat) >= flat.size:
-        return
-    sel = ctx.aerial_flat * ctx.n_ground + ctx.ground_flat
     outside = np.ones(flat.size, dtype=bool)
-    outside[sel] = False
-    if flat[sel].min() == flat[outside].max():
+    outside[ctx.aerial_flat * probs.shape[1] + sel] = False
+    floor = 0.0 if probs.shape[1] < ctx.n_ground else -np.inf
+    if flat[~outside].min() == flat[outside].max(initial=floor):
         raise NonDifferentiablePoint(
             "selected and unselected entries tie exactly at the sampling boundary"
         )
 
 
-def backward(ctx: GradContext, params: np.ndarray) -> np.ndarray:
-    """Exact gradient of ``forward`` at ``params``, fully closed-form."""
-    params = np.asarray(params, dtype=float)
-    scores, z = _unpack(ctx, params)
-    masked = _masked_matrix(ctx, scores)
-    extended = augment_dustbin(masked.scores, z)
-    probs = drop_dustbin(dual_softmax(extended))
-    _check_selection_boundary(ctx, probs)
-    w = _selected_weights(ctx, probs)
+def value_and_grad(ctx: GradContext, params: np.ndarray):
+    """(loss, gradient) at ``params`` in one compacted reverse sweep.
+
+    Scores only the depth-valid ground columns plus the dustbin, and takes
+    one row softmax and one column softmax of that extended matrix for both
+    the match weights and their vector-Jacobian product.  The pose enters
+    through the closed-form angle route and each contrastive term through
+    one log-sum-exp, so the loss equals ``forward``'s up to summation
+    order.  Entries of masked ground columns, and of masked ground feature
+    rows, are exactly 0 in the gradient.
+    """
+    params = _float_leaves(ctx, params)
+    cols, sel = _valid_columns(ctx)
+    if ctx.mode == "score":
+        scores = _valid_scores(ctx, params, cols, np.float64)
+    else:
+        a_raw, g_raw = _compact_features(ctx, params, cols, np.float64)
+        a_hat, g_hat = normalize_features(a_raw), normalize_features(g_raw)
+        scores = (a_hat @ g_hat.T) / ctx.tau
+    extended = augment_dustbin(scores, params[-1])
+    ra, cb = row_softmax(extended), col_softmax(extended)
+    probs = ra[:-1, :-1] * cb[:-1, :-1]
+    _check_selection_boundary(ctx, probs, sel)
+    w = probs[ctx.aerial_flat, sel]
 
     internals = _solver_internals(ctx.ground_planar, ctx.aerial_metric, w)
     rot = rotation_matrix(internals["theta"])
     t_est = internals["q_bar"] - internals["scale"] * (rot @ internals["p_bar"])
-    d_theta, d_t = _vce_partials(
+    loss, d_theta, d_t = _vce_partials(
         internals["theta"], t_est, ctx.truth, ctx.virtual_points
     )
     de_dw = pose_weight_gradients(
         ctx.ground_planar, ctx.aerial_metric, w, d_theta, 0.0, d_t
     )
 
-    d_probs_full = np.zeros_like(extended)
-    np.add.at(d_probs_full, (ctx.aerial_flat, ctx.ground_flat), de_dw)
-    d_extended = _dual_softmax_vjp(extended, d_probs_full)
+    # VJP of row_softmax(E) * col_softmax(E); the selected entries are distinct
+    d_probs = np.zeros_like(extended)
+    d_probs[ctx.aerial_flat, sel] = de_dw
+    u = d_probs * cb
+    v = d_probs * ra
+    d_extended = ra * (u - (ra * u).sum(axis=1, keepdims=True)) + cb * (
+        v - (cb * v).sum(axis=0, keepdims=True)
+    )
     d_scores = d_extended[:-1, :-1]
     d_z = float(d_extended[-1, :].sum() + d_extended[:-1, -1].sum())
 
     if ctx.beta != 0.0:
-        d_scores = d_scores + _contrastive_score_gradient(ctx, masked.scores)
-    d_scores = np.where(ctx.valid[None, :], d_scores, 0.0)
+        if len(ctx.g2s_pairs) == 0:
+            raise NoValidTargets("every ground-to-aerial target left the aerial coverage")
+        coef = ctx.beta / 2.0
+        # ground -> aerial: each in-coverage pair's whole score column
+        g2s_cols = sel[ctx.g2s_pairs]
+        g2s, d_g2s = _cross_entropy(scores[:, g2s_cols].T, ctx.g2s_targets)
+        np.add.at(d_scores, (slice(None), g2s_cols), coef * d_g2s.T)
+        # aerial -> ground: each pair's row over its candidate pairs' columns
+        rows, cand = ctx.aerial_flat[:, None], sel[None, :]
+        block = np.where(ctx.s2g_keep, scores[rows, cand], -np.inf)
+        s2g, d_s2g = _cross_entropy(block, ctx.s2g_pos)
+        np.add.at(d_scores, (rows, cand), coef * d_s2g)
+        loss = loss + ctx.beta * (g2s + s2g) / 2.0
 
     if ctx.mode == "score":
-        return np.append(d_scores.ravel(), d_z)
+        grad = np.zeros((ctx.n_aerial, ctx.n_ground))
+        grad[:, cols] = d_scores
+        return loss, np.append(grad.ravel(), d_z)
 
-    # chain through cosine scores into the raw feature vectors
-    if ctx.mode == "features":
-        a_raw = params[: ctx.n_aerial * ctx.dim].reshape(ctx.n_aerial, ctx.dim)
-        g_raw = params[
-            ctx.n_aerial * ctx.dim : ctx.n_aerial * ctx.dim + ctx.n_ground * ctx.dim
-        ].reshape(ctx.n_ground, ctx.dim)
-    else:
-        mat = params[: ctx.dim * ctx.dim].reshape(ctx.dim, ctx.dim)
-        a_raw = ctx.aerial_raw @ mat.T
-        g_raw = ctx.ground_raw @ mat.T
-    a_hat = normalize_features(a_raw)
-    g_hat = normalize_features(g_raw)
+    # chain through the cosine scores and the normalization into raw features
     d_a_hat = (d_scores @ g_hat) / ctx.tau
     d_g_hat = (d_scores.T @ a_hat) / ctx.tau
     a_norm = np.linalg.norm(a_raw, axis=1, keepdims=True)
@@ -665,9 +643,16 @@ def backward(ctx: GradContext, params: np.ndarray) -> np.ndarray:
     d_a_raw = (d_a_hat - a_hat * (a_hat * d_a_hat).sum(axis=1, keepdims=True)) / a_norm
     d_g_raw = (d_g_hat - g_hat * (g_hat * d_g_hat).sum(axis=1, keepdims=True)) / g_norm
     if ctx.mode == "features":
-        return np.concatenate([d_a_raw.ravel(), d_g_raw.ravel(), [d_z]])
-    d_mat = d_a_raw.T @ ctx.aerial_raw + d_g_raw.T @ ctx.ground_raw
-    return np.append(d_mat.ravel(), d_z)
+        d_ground = np.zeros((ctx.n_ground, ctx.dim))
+        d_ground[cols] = d_g_raw
+        return loss, np.concatenate([d_a_raw.ravel(), d_ground.ravel(), [d_z]])
+    d_mat = d_a_raw.T @ ctx.aerial_raw + d_g_raw.T @ ctx.ground_raw[cols]
+    return loss, np.append(d_mat.ravel(), d_z)
+
+
+def backward(ctx: GradContext, params: np.ndarray) -> np.ndarray:
+    """Exact gradient of ``forward`` at ``params``: ``value_and_grad``'s."""
+    return value_and_grad(ctx, params)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -743,15 +728,16 @@ def check(
 ) -> GradReport:
     """Run backward against the FD oracle and report the discrepancy.
 
-    Pipeline failures (degenerate alignment, selection-boundary ties) are
-    surfaced in the report rather than raised.
+    Pipeline failures (degenerate alignment, selection-boundary ties, no
+    contrastive target in coverage) are surfaced in the report rather than
+    raised.
     """
     if params is None:
         params = ctx.params0
     try:
         analytic = backward(ctx, params)
         fd = fd_gradient(ctx, params, epsilon)
-    except (DegenerateConfiguration, NonDifferentiablePoint) as exc:
+    except (DegenerateConfiguration, NonDifferentiablePoint, NoValidTargets) as exc:
         return GradReport(
             mode=ctx.mode,
             n_params=len(ctx.params0),

@@ -26,6 +26,7 @@ __all__ = [
     "aerial_cell_to_metric",
     "aerial_cells_to_metric",
     "metric_to_aerial_cell",
+    "metric_to_aerial_cells",
     "aerial_coverage_mask",
     "lift_ground_cell",
     "lift_ground_cells",
@@ -173,6 +174,12 @@ class LiftConfig:
     initial_scale: float = 1.0
     projection_mode: str = "all"  # "all" | "topmost"
 
+    def __post_init__(self):
+        if not (0.0 < self.max_depth < math.inf and 0.0 < self.initial_scale < math.inf):
+            raise OutOfRange(f"need a finite max_depth > 0 and initial_scale > 0: {self}")
+        if self.projection_mode not in ("all", "topmost"):
+            raise OutOfRange(f"unknown projection mode {self.projection_mode!r}")
+
 
 # --- aerial grid geometry ---------------------------------------------------
 
@@ -198,20 +205,28 @@ def aerial_cells_to_metric(cells: np.ndarray, meta: AerialMeta, shape: tuple) ->
 
 
 def metric_to_aerial_cell(point: np.ndarray, meta: AerialMeta, shape: tuple) -> tuple:
-    """Aerial cell whose center is nearest a metric point.
+    """Aerial cell ``(row, col)`` whose center is nearest a metric point."""
+    row, col = metric_to_aerial_cells(np.array([point], dtype=float), meta, shape)[0]
+    return int(row), int(col)
+
+
+def metric_to_aerial_cells(points: np.ndarray, meta: AerialMeta, shape: tuple) -> np.ndarray:
+    """Nearest aerial cells of (N, 2) metric points as (N, 2) ``(row, col)``.
 
     Exact half-cell ties resolve to the smaller index (row-major first),
-    and results are clamped to the grid.
+    and results are clamped to the grid.  Raises OutOfRange for a point
+    that is not finite.
     """
     rows, cols = shape
     m = meta.meters_per_cell
-    rel = np.asarray(point, dtype=float) - np.asarray(meta.center_offset, dtype=float)
-    col_f = rel[0] / m + (cols - 1) / 2.0
-    row_f = (rows - 1) / 2.0 - rel[1] / m
+    rel = np.asarray(points, dtype=float) - np.asarray(meta.center_offset, dtype=float)
+    if not np.isfinite(rel).all():
+        raise OutOfRange("metric points must be finite")
+    col_f = rel[:, 0] / m + (cols - 1) / 2.0
+    row_f = (rows - 1) / 2.0 - rel[:, 1] / m
     # ceil(x - 0.5) rounds halves down, so the smaller index wins ties
-    col = int(math.ceil(col_f - 0.5))
-    row = int(math.ceil(row_f - 0.5))
-    return max(0, min(rows - 1, row)), max(0, min(cols - 1, col))
+    cells = np.ceil(np.stack([row_f, col_f], axis=1) - 0.5).astype(int)
+    return np.clip(cells, 0, [rows - 1, cols - 1])
 
 
 def aerial_coverage_mask(points: np.ndarray, meta: AerialMeta, shape: tuple) -> np.ndarray:

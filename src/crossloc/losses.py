@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import EmptyInput, NoValidTargets, OutOfRange
 from .geometry import SimilarityTransform2D, apply_transform, rotation_matrix
-from .lifting import aerial_coverage_mask, metric_to_aerial_cell
+from .lifting import aerial_coverage_mask, metric_to_aerial_cells
 from .matching import AerialMeta, ScoreMatrix
 
 __all__ = [
@@ -131,19 +131,12 @@ def info_nce_g2s(
     inside = aerial_coverage_mask(targets, meta, shape)
     if not inside.any():
         raise NoValidTargets("every ground-to-aerial target left the aerial coverage")
+    cells = metric_to_aerial_cells(targets[inside], meta, shape)
     total = 0.0
-    count = 0
-    scores = m.scores
-    for col, target, ok in zip(ground_cols, targets, inside):
-        if not ok:
-            continue
-        r, c = metric_to_aerial_cell(target, meta, shape)
-        pos = r * shape[1] + c
-        column = scores[:, col]
-        lse = _logsumexp(column)
-        total += -(column[pos] - lse)
-        count += 1
-    return total / count
+    for col, pos in zip(ground_cols[inside], cells[:, 0] * shape[1] + cells[:, 1]):
+        column = m.scores[:, col]
+        total += -(column[pos] - _logsumexp(column))
+    return total / len(cells)
 
 
 def info_nce_s2g(

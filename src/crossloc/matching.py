@@ -114,12 +114,13 @@ class Matches:
 
 
 def normalize_features(flat: np.ndarray) -> np.ndarray:
-    """L2-normalize each row; raises ZeroNormFeature on a zero row."""
-    norms = np.linalg.norm(flat, axis=1)
+    """L2-normalize each row (along the last axis); raises ZeroNormFeature
+    on a zero row."""
+    norms = np.linalg.norm(flat, axis=-1)
     if (norms == 0).any():
         bad = int(np.flatnonzero(norms == 0)[0])
         raise ZeroNormFeature(f"feature vector {bad} has zero norm")
-    return flat / norms[:, None]
+    return flat / norms[..., None]
 
 
 def score_matrix(aerial: FeatureGrid, ground: FeatureGrid, tau: float) -> ScoreMatrix:

@@ -4,9 +4,10 @@ The trainable parameters are a single dim x dim matrix applied to the raw
 feature vectors of *both* grids before normalization, plus the dustbin
 score.  Optimization is plain full-batch gradient descent on the combined
 alignment-plus-contrastive loss; each step rebuilds the frozen pipeline
-view (selection, targets) under the current weights and takes gradients
-through the closed-form backward pass.  No momentum, no adaptive scaling:
-the point is to demonstrate that pose supervision alone moves the
+view (selection, targets) under the current weights and takes each scene's
+loss and gradient from one compacted pass (``gradcheck.value_and_grad``:
+one dual softmax, one closed-form reverse sweep).  No momentum, no adaptive
+scaling: the point is to demonstrate that pose supervision alone moves the
 projection toward better matching, not to engineer an optimizer.
 
 Three loss modes mirror the ablation settings of the alignment objective:
@@ -31,7 +32,7 @@ import numpy as np
 from .errors import DivergenceDetected, EmptyInput, OutOfRange
 from .estimator import PipelineConfig, estimate_pose
 from .geometry import wrap_angle
-from .gradcheck import backward, build_context, fd_gradient, forward
+from .gradcheck import build_context, fd_gradient, forward, value_and_grad
 from .lifting import LiftConfig
 from .matching import FeatureGrid
 from .simulator import SceneConfig, generate
@@ -194,12 +195,6 @@ def _target_scale_and_beta(cfg: TrainConfig, scene, pipe: PipelineConfig):
     return None, 0.0  # vce-only
 
 
-def _scene_gradient(ctx, params: np.ndarray, mode: str) -> np.ndarray:
-    if mode == "analytic":
-        return backward(ctx, params)
-    return fd_gradient(ctx, params)
-
-
 def train(
     dataset,
     cfg: TrainConfig = TrainConfig(),
@@ -211,8 +206,10 @@ def train(
     The trailing ``cfg.holdout`` scenes are excluded from gradient steps and
     used only for the before/after estimator evaluation (with no holdout the
     evaluation falls back to the training scenes).  Each step rebuilds every
-    batch scene's frozen pipeline view at the current weights, averages the
-    per-scene gradients in dataset order, and takes one descent step.
+    batch scene's frozen pipeline view at the current weights, takes the
+    scene's loss and gradient from one ``value_and_grad`` pass (or
+    ``forward`` plus the FD oracle when ``gradient_mode="fd"``), averages
+    them in dataset order, and takes one descent step.
     Raises DivergenceDetected as soon as the batch loss exceeds
     ``divergence_factor`` times its step-0 value.
 
@@ -255,8 +252,8 @@ def train(
             idx = [(start + i) % n_train for i in range(batch)]
             batch_scenes = [train_scenes[i] for i in idx]
 
-        contexts = []
         loss_sum = 0.0
+        grad_sum = np.zeros(dim * dim + 1)
         for scene in batch_scenes:
             target_scale, beta = _target_scale_and_beta(cfg, scene, pipe)
             ctx = build_context(
@@ -267,8 +264,12 @@ def train(
                 projection=(matrix, dustbin),
                 target_scale=target_scale,
             )
-            contexts.append(ctx)
-            loss_sum += forward(ctx, ctx.params0)
+            if cfg.gradient_mode == "analytic":
+                value, grad = value_and_grad(ctx, ctx.params0)
+            else:
+                value, grad = forward(ctx, ctx.params0), fd_gradient(ctx, ctx.params0)
+            loss_sum += value
+            grad_sum += grad
 
         loss = loss_sum / batch
         curve[step] = loss
@@ -280,9 +281,6 @@ def train(
                 f"{cfg.divergence_factor:g}x the initial {initial:.3e}"
             )
 
-        grad_sum = np.zeros(dim * dim + 1)
-        for ctx in contexts:
-            grad_sum += _scene_gradient(ctx, ctx.params0, cfg.gradient_mode)
         grad = grad_sum / batch
         matrix = matrix - cfg.lr * grad[:-1].reshape(dim, dim)
         dustbin = dustbin - cfg.lr * grad[-1]

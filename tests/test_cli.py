@@ -329,8 +329,21 @@ def test_runtime_failure_gives_exit_one(tmp_path, capsys):
         ["--ransac", "--inlier-threshold", "nan"],
         ["--ransac", "--ransac-iterations", "0"],
         ["--num-correspondences", "0"],
+        ["--max-depth", "-1"],
+        ["--max-depth", "nan"],
+        ["--initial-scale", "inf"],
+        ["--initial-scale", "0"],
     ],
-    ids=["negative-threshold", "nan-threshold", "zero-iterations", "zero-matches"],
+    ids=[
+        "negative-threshold",
+        "nan-threshold",
+        "zero-iterations",
+        "zero-matches",
+        "negative-max-depth",
+        "nan-max-depth",
+        "inf-initial-scale",
+        "zero-initial-scale",
+    ],
 )
 def test_invalid_solver_settings_are_usage_errors(flags, scene_dir, tmp_path, capsys):
     files = scene_files(scene_dir, 7)
@@ -343,6 +356,24 @@ def test_invalid_solver_settings_are_usage_errors(flags, scene_dir, tmp_path, ca
         "--out", str(out),
     ]
     assert main(argv + flags) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_scale_rejects_a_non_finite_scaled_max_depth(tmp_path, capsys):
+    """Each factor's max depth is validated too (1e300 x 1e10 overflows),
+    before any input file is read."""
+    out = tmp_path / "never.json"
+    argv = [
+        "sweep-scale",
+        "--aerial", str(tmp_path / "missing.fgrd"),
+        "--ground", str(tmp_path / "missing.fgrd"),
+        "--depth", str(tmp_path / "missing.dpth"),
+        "--max-depth", "1e300",
+        "--factors", "1e10",
+        "--out", str(out),
+    ]
+    assert main(argv) == 2
     assert "usage error" in capsys.readouterr().err
     assert not out.exists()
 

@@ -11,13 +11,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from crossloc import gradcheck
-from crossloc.errors import DegenerateConfiguration, NonDifferentiablePoint, OutOfRange
+from crossloc.errors import DegenerateConfiguration, NonDifferentiablePoint
+from crossloc.errors import NoValidTargets, OutOfRange
 from crossloc.estimator import PipelineConfig, build_correspondences
-from crossloc.geometry import SimilarityTransform2D, solve_similarity, wrap_angle
+from crossloc.geometry import (
+    SimilarityTransform2D,
+    rotation_matrix,
+    solve_similarity,
+    wrap_angle,
+)
 from crossloc.lifting import LiftConfig
 from crossloc.losses import vce_loss, virtual_point_grid
+from crossloc.matching import (
+    ScoreMatrix,
+    augment_dustbin,
+    col_softmax,
+    mask_ground_columns,
+    row_softmax,
+)
 from crossloc.simulator import SceneConfig, generate
 
 SMALL_SCENE = dict(
@@ -132,10 +147,11 @@ def test_vce_partials_equal_rotation_closed_form():
     truth = SimilarityTransform2D(1.0, 0.3, np.array([3.0, 4.0]))
     t_est = np.array([0.0, 0.0])
     points = virtual_point_grid(5, 4.0)
-    d_theta, d_t = gradcheck._vce_partials(0.3, t_est, truth, points)
+    vce, d_theta, d_t = gradcheck._vce_partials(0.3, t_est, truth, points)
     np.testing.assert_allclose(d_t, -np.array([3.0, 4.0]) / 5.0, atol=1e-12)
 
     est = SimilarityTransform2D(1.0, 0.3, t_est)
+    assert vce == vce_loss(est, truth, points)
     fd = gradcheck.finite_difference(
         lambda t: vce_loss(dataclasses.replace(est, t=t), truth, points), t_est, 1e-6
     )
@@ -146,7 +162,7 @@ def test_vce_partials_theta_matches_fd():
     truth = SimilarityTransform2D(1.0, -0.4, np.array([1.0, -2.0]))
     points = virtual_point_grid(6, 5.0)
     t_est = np.array([0.5, 0.5])
-    d_theta, _ = gradcheck._vce_partials(0.2, t_est, truth, points)
+    _, d_theta, _ = gradcheck._vce_partials(0.2, t_est, truth, points)
     fd = gradcheck.finite_difference(
         lambda th: vce_loss(
             SimilarityTransform2D(1.0, float(th[0]), t_est), truth, points
@@ -245,6 +261,96 @@ def test_batched_fd_matches_scalar_reference(seed, mode):
     np.testing.assert_allclose(batched, reference, rtol=0.0, atol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "seed, mode, beta",
+    [(0, "score", 0.1), (1, "features", 0.1), (2, "projection", 0.1), (3, "projection", 0.0)],
+)
+def test_value_and_grad_equals_forward_and_passes_check(seed, mode, beta):
+    ctx = small_context(seed, mode, beta=beta)
+    loss, grad = gradcheck.value_and_grad(ctx, ctx.params0)
+    f = gradcheck.forward(ctx, ctx.params0)
+    assert abs(loss - f) < 1e-12 * max(1.0, abs(f))
+    np.testing.assert_array_equal(grad, gradcheck.backward(ctx, ctx.params0))
+    rep = gradcheck.check(ctx)
+    assert rep.passed, f"rel {rep.max_rel_err:.2e}"
+
+
+def _softmax(x):
+    e = np.exp(x - x.max())
+    return e / e.sum()
+
+
+def masked_chain_gradient(ctx, params):
+    """Reference score-leaf gradient through the full masked matrix: every
+    ground column scored, masked ones at MASK_SCORE, the dual-softmax VJP
+    over the whole augmented matrix and the contrastive terms one at a time."""
+    full = ScoreMatrix(
+        params[:-1].reshape(ctx.n_aerial, ctx.n_ground),
+        ctx.tau,
+        ctx.aerial_shape,
+        ctx.ground_shape,
+    )
+    scores = mask_ground_columns(full, ctx.valid).scores
+    ext = augment_dustbin(scores, params[-1])
+    ra, cb = row_softmax(ext), col_softmax(ext)
+    pairs = (ctx.aerial_flat, ctx.ground_flat)
+    w = (ra * cb)[pairs]
+    s = gradcheck._solver_internals(ctx.ground_planar, ctx.aerial_metric, w)
+    t = s["q_bar"] - s["scale"] * (rotation_matrix(s["theta"]) @ s["p_bar"])
+    _, d_theta, d_t = gradcheck._vce_partials(s["theta"], t, ctx.truth, ctx.virtual_points)
+    d_probs = np.zeros_like(ext)
+    d_probs[pairs] = gradcheck.pose_weight_gradients(
+        ctx.ground_planar, ctx.aerial_metric, w, d_theta, 0.0, d_t
+    )
+    d_row = ra * (d_probs * cb - (ra * d_probs * cb).sum(axis=1, keepdims=True))
+    d_col = cb * (d_probs * ra - (cb * d_probs * ra).sum(axis=0, keepdims=True))
+    d_ext = d_row + d_col
+    d_scores = d_ext[:-1, :-1]
+    coef = ctx.beta / 2.0
+    for n, target in zip(ctx.g2s_pairs, ctx.g2s_targets):
+        col = ctx.ground_flat[n]
+        g = _softmax(scores[:, col])
+        g[target] -= 1.0
+        d_scores[:, col] += coef / len(ctx.g2s_pairs) * g
+    for n, row in enumerate(ctx.aerial_flat):
+        cand = np.flatnonzero(ctx.s2g_keep[n])
+        g = _softmax(scores[row, ctx.ground_flat[cand]])
+        g[np.searchsorted(cand, ctx.s2g_pos[n])] -= 1.0
+        np.add.at(d_scores[row], ctx.ground_flat[cand], coef / len(ctx.aerial_flat) * g)
+    d_z = d_ext[-1, :].sum() + d_ext[:-1, -1].sum()
+    return np.append(d_scores.ravel(), d_z)
+
+
+@given(
+    seed=st.integers(0, 5),
+    mask_bits=st.integers(1, 2**32 - 1),
+    pick=st.integers(0, 2**16),
+)
+@example(seed=0, mask_bits=2**32 - 1, pick=0)  # every column valid
+@example(seed=1, mask_bits=1 << 5, pick=1)  # a single valid column
+def test_compacted_gradient_equals_masked_chain(seed, mask_bits, pick):
+    """On any valid-column mask, with the selected pairs moved onto distinct
+    entries of the valid columns, the compacted gradient equals the masked
+    full-matrix chain and is exactly 0 on masked columns."""
+    base = small_context(seed, "score")
+    valid = (mask_bits >> np.arange(base.n_ground)) & 1 == 1
+    cols = np.flatnonzero(valid)
+    rng = np.random.default_rng(pick)
+    n_pairs = len(base.aerial_flat)
+    entries = rng.choice(base.n_aerial * len(cols), size=n_pairs, replace=False)
+    aerial_flat, sel = np.divmod(entries, len(cols))
+    ctx = dataclasses.replace(
+        base, valid=valid, aerial_flat=aerial_flat, ground_flat=cols[sel]
+    )
+    params = ctx.params0 + rng.normal(scale=0.1, size=ctx.params0.shape)
+    grad = gradcheck.backward(ctx, params)
+    reference = masked_chain_gradient(ctx, params)
+    scale = max(1.0, np.abs(reference).max())
+    np.testing.assert_allclose(grad, reference, rtol=0.0, atol=1e-12 * scale)
+    entries = grad[:-1].reshape(ctx.n_aerial, ctx.n_ground)
+    assert (entries[:, ~valid] == 0.0).all()
+
+
 def test_uniform_shift_direction_has_zero_derivative():
     """Adding one constant to every score and the dustbin leaves the whole
     loss unchanged, so the gradient must sum to zero."""
@@ -260,12 +366,10 @@ def test_gradient_vanishes_at_constructed_minimum():
     """When the supervision pose is exactly the solved pose, the pose loss
     sits at the bottom of its cone and the whole gradient vanishes."""
     ctx = small_context(9, "score", beta=0.0)
-    scores, z = gradcheck._unpack(ctx, ctx.params0)
-    masked = gradcheck._masked_matrix(ctx, scores)
-    probs = gradcheck.drop_dustbin(
-        gradcheck.dual_softmax(gradcheck.augment_dustbin(masked.scores, z))
-    )
-    w = gradcheck._selected_weights(ctx, probs)
+    cols, sel = gradcheck._valid_columns(ctx)
+    scores = gradcheck._valid_scores(ctx, ctx.params0, cols, np.float64)
+    z = np.float64(ctx.params0[-1])
+    w = gradcheck._dual_softmax_at(scores, z, ctx.aerial_flat, sel)
     s = gradcheck._solver_internals(ctx.ground_planar, ctx.aerial_metric, w)
     rot = np.array(
         [[math.cos(s["theta"]), -math.sin(s["theta"])],
@@ -331,6 +435,21 @@ def test_degenerate_configuration_surfaces_in_report():
     assert d["max_abs_err"] is None and d["max_rel_err"] is None
 
 
+def test_missing_contrastive_targets_surface_in_report():
+    """With no ground-to-aerial target in coverage the contrastive loss is
+    undefined: the fused pass raises, as ``forward`` does, and ``check``
+    reports it."""
+    ctx = small_context(2, "projection")
+    bare = dataclasses.replace(
+        ctx, g2s_pairs=ctx.g2s_pairs[:0], g2s_targets=ctx.g2s_targets[:0]
+    )
+    with pytest.raises(NoValidTargets):
+        gradcheck.value_and_grad(bare, bare.params0)
+    report = gradcheck.check(bare)
+    assert not report.passed
+    assert "NoValidTargets" in report.error
+
+
 def test_boundary_tie_raises_non_differentiable():
     ctx = small_context(0, "score")
     flat_params = np.zeros_like(ctx.params0)  # all probabilities equal
@@ -339,6 +458,19 @@ def test_boundary_tie_raises_non_differentiable():
     report = gradcheck.check(ctx, flat_params)
     assert not report.passed
     assert "NonDifferentiablePoint" in report.error
+    # with every valid entry selected, the masked columns' entries (exactly
+    # 0) are the only unselected ones: a selected entry at 0 ties with them
+    col = ctx.ground_flat[0]
+    every = dataclasses.replace(
+        ctx,
+        valid=np.arange(ctx.n_ground) == col,
+        aerial_flat=np.arange(ctx.n_aerial),
+        ground_flat=np.full(ctx.n_aerial, col),
+    )
+    params = ctx.params0.copy()
+    params[col] = -1.0e9  # entry (0, col)
+    with pytest.raises(NonDifferentiablePoint):
+        gradcheck.backward(every, params)
 
 
 def test_report_serializes():

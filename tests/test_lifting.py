@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from crossloc.errors import InvalidDepth, OutOfRange
 from crossloc.lifting import (
@@ -17,6 +19,7 @@ from crossloc.lifting import (
     lift_ground_cell,
     lift_ground_cells,
     metric_to_aerial_cell,
+    metric_to_aerial_cells,
     planar_projection,
     topmost_selection,
 )
@@ -142,6 +145,46 @@ def test_metric_to_cell_nearest_and_tie_rule():
     assert metric_to_aerial_cell(np.array([100.0, 100.0]), meta, shape) == (0, 4)
 
 
+@given(
+    rows=st.integers(1, 12),
+    cols=st.integers(1, 12),
+    meters=st.floats(0.05, 20.0),
+    offset=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+)
+def test_cell_centers_map_back_to_their_cells(rows, cols, meters, offset):
+    meta = AerialMeta(meters_per_cell=meters, center_offset=np.array(offset))
+    cells = np.array([(r, c) for r in range(rows) for c in range(cols)])
+    centers = aerial_cells_to_metric(cells, meta, (rows, cols))
+    np.testing.assert_array_equal(metric_to_aerial_cells(centers, meta, (rows, cols)), cells)
+    for cell, center in zip(cells, centers):
+        assert metric_to_aerial_cell(center, meta, (rows, cols)) == tuple(cell)
+
+
+def test_vectorized_metric_to_cell_equals_scalar_at_half_cell_ties():
+    meta = AerialMeta(meters_per_cell=1.0, center_offset=np.array([0.25, -0.75]))
+    shape = (5, 6)
+    # every half-cell boundary in x and y, plus points clamped from outside
+    xs = np.arange(-4.0, 4.5, 0.5) + 0.25
+    ys = np.arange(-4.0, 4.5, 0.5) - 0.75
+    pts = np.array([(x, y) for x in xs for y in ys])
+    cells = metric_to_aerial_cells(pts, meta, shape)
+    assert cells.shape == (len(pts), 2)
+    for pt, cell in zip(pts, cells):
+        assert metric_to_aerial_cell(pt, meta, shape) == tuple(cell)
+    # the grid center is a column tie (2 | 3), half a cell up a row tie (1 | 2)
+    ties = np.array([[0.25, -0.75], [0.25, -0.25]])
+    np.testing.assert_array_equal(metric_to_aerial_cells(ties, meta, shape), [[2, 2], [1, 2]])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_metric_to_cell_rejects_non_finite_points(bad):
+    meta = AerialMeta(meters_per_cell=1.0)
+    with pytest.raises(OutOfRange):
+        metric_to_aerial_cell(np.array([bad, 0.0]), meta, (5, 5))
+    with pytest.raises(OutOfRange):
+        metric_to_aerial_cells(np.array([[0.0, 0.0], [0.0, bad]]), meta, (5, 5))
+
+
 def test_aerial_coverage_mask():
     meta = AerialMeta(meters_per_cell=2.0)
     shape = (10, 10)  # footprint spans [-10, 10] in x and y
@@ -194,6 +237,26 @@ def test_lift_vectorized_matches_scalar():
 
 
 # --- validity mask ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(max_depth=-1.0),
+        dict(max_depth=0.0),
+        dict(max_depth=math.nan),
+        dict(max_depth=math.inf),
+        dict(initial_scale=0.0),
+        dict(initial_scale=-2.0),
+        dict(initial_scale=math.nan),
+        dict(initial_scale=math.inf),
+        dict(projection_mode="highest"),
+    ],
+    ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
+)
+def test_invalid_lift_config_is_rejected(kwargs):
+    with pytest.raises(OutOfRange):
+        LiftConfig(**kwargs)
 
 
 def test_depth_valid_mask_threshold_inclusive():

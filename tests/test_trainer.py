@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from crossloc import gradcheck, trainer
 from crossloc.errors import DivergenceDetected, EmptyInput, OutOfRange
 from crossloc.estimator import PipelineConfig
 from crossloc.gradcheck import build_context
@@ -159,6 +160,27 @@ def test_fd_gradient_mode_matches_analytic_steps():
     pf = fd.weights.as_params()
     rel = np.abs(pa - pf) / np.maximum(np.maximum(np.abs(pa), np.abs(pf)), 1e-8)
     assert rel.max() < 1e-4
+
+
+def test_analytic_mode_runs_one_fused_pass_per_scene_step(monkeypatch):
+    """Each scene of each step costs one value_and_grad call and no separate
+    forward or backward pass."""
+    calls = {"value_and_grad": 0, "forward": 0, "backward": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in calls:
+        original = getattr(gradcheck, name)
+        monkeypatch.setattr(trainer, name, counting(name, original), raising=False)
+        monkeypatch.setattr(gradcheck, name, counting(name, original))
+    cfg = TrainConfig(lr=1e-2, steps=3, holdout=1, init_jitter=0.05, seed=1)
+    train(small_scenes(3), cfg, SMALL_PIPE)
+    assert calls == {"value_and_grad": 3 * 2, "forward": 0, "backward": 0}
 
 
 def test_divergence_detected_at_huge_learning_rate():
