@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -79,22 +80,38 @@ def _load_json(path) -> dict:
         return json.load(f)
 
 
-def _scene_config(doc: dict) -> SceneConfig:
-    known = {f.name for f in dataclasses.fields(SceneConfig)}
-    extra = set(doc) - known
-    if extra:
-        raise OutOfRange(f"unknown scene config keys {sorted(extra)}")
-    if "scale_bounds" in doc:
-        doc = {**doc, "scale_bounds": tuple(doc["scale_bounds"])}
-    return SceneConfig(**doc)
-
-
 def _from_args(build, *args, **kwargs):
     """``build(*args, **kwargs)``, with OutOfRange raised as a UsageError."""
     try:
         return build(*args, **kwargs)
     except OutOfRange as e:
         raise UsageError(str(e)) from None
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value can stand for a field annotated ``hint``."""
+    if typing.get_origin(hint) is typing.Union:
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if hint is tuple:
+        return isinstance(value, list) and all(_fits(v, float) for v in value)
+    kinds = (int, float) if hint is float else hint
+    return isinstance(value, kinds) and isinstance(value, bool) == (hint is bool)
+
+
+def _from_config(build, doc, what: str):
+    """``build(**doc)`` for a JSON config object (lists become tuples); an
+    unknown key, a value of the wrong type, or a value that ``build``
+    rejects as OutOfRange is a UsageError naming the key."""
+    if not isinstance(doc, dict):
+        raise UsageError(f"{what} config must be a JSON object, got {doc!r}")
+    hints = typing.get_type_hints(build)
+    for key, value in doc.items():
+        if key not in hints:
+            raise UsageError(f"unknown {what} config key {key!r}")
+        if not _fits(value, hints[key]):
+            raise UsageError(f"{what} config key {key!r} cannot be {value!r}")
+    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
+    return _from_args(build, **kwargs)
 
 
 def _pipeline_from_args(args) -> PipelineConfig:
@@ -149,7 +166,7 @@ def _truth_from_results(doc: dict):
 
 
 def cmd_simulate(args) -> int:
-    cfg = _scene_config(_load_json(args.config) if args.config else {})
+    cfg = _from_config(SceneConfig, _load_json(args.config) if args.config else {}, "scene")
     os.makedirs(args.out, exist_ok=True)
     for seed in parse_seed_range(args.seeds):
         scene = generate(dataclasses.replace(cfg, seed=seed))
@@ -255,7 +272,7 @@ ABLATION_MODES = ("top-points", "no-scale", "N", "grid")
 
 
 def cmd_ablate(args) -> int:
-    base_doc = _load_json(args.config) if args.config else {}
+    base = _from_config(SceneConfig, _load_json(args.config) if args.config else {}, "scene")
     seeds = parse_seed_range(args.seeds)
     values = (
         [_parse_number(v, int, "--values") for v in args.values.split(",")]
@@ -267,8 +284,7 @@ def cmd_ablate(args) -> int:
     for name, scene_patch, pipe in variants:
         samples = []
         for seed in seeds:
-            cfg = _scene_config({**base_doc, **scene_patch})
-            scene = generate(dataclasses.replace(cfg, seed=seed))
+            scene = generate(dataclasses.replace(base, **scene_patch, seed=seed))
             est = estimate_pose(scene.aerial, scene.ground, scene.depth, scene.rays, pipe)
             samples.append(
                 pose_errors(est.transform, scene.truth, heading=scene.truth.theta)
@@ -317,13 +333,9 @@ def cmd_train(args) -> int:
     # With no --config the pinned reference configuration runs end to end;
     # config fields not given fall back to the TrainConfig defaults.
     doc = _load_json(args.config) if args.config else {}
-    data_doc = doc.pop("dataset", {})
-    known = {f.name for f in dataclasses.fields(TrainConfig)}
-    extra = set(doc) - known
-    if extra:
-        raise OutOfRange(f"unknown train config keys {sorted(extra)}")
-    cfg = TrainConfig(**doc) if doc else REFERENCE_TRAIN
-    scenes = reference_dataset(**data_doc)
+    data_doc = doc.pop("dataset", {}) if isinstance(doc, dict) else {}
+    cfg = REFERENCE_TRAIN if doc == {} else _from_config(TrainConfig, doc, "train")
+    scenes = _from_config(reference_dataset, data_doc, "dataset")
     result = train(
         scenes, cfg, reference_pipeline(), eval_pipe=reference_eval_pipeline()
     )

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateConfiguration, LengthMismatch, ZeroWeightSum
+from .errors import DegenerateConfiguration, LengthMismatch, OutOfRange, ZeroWeightSum
 
 __all__ = [
     "SimilarityTransform2D",
@@ -150,9 +150,13 @@ def _solve(p, q, w, with_scale: bool) -> SimilarityTransform2D:
     """``svd2x2``'s route on scalars: R = V diag(1, det_sign) U^T, with
     det_sign = -1 exactly in the reflection case (s2 < 0), is R(psi - phi)
     either way, and the sign-corrected singular value sum is s1 + s2.  The
-    two point sets are centered side by side, as one (N, 4) array."""
+    two point sets are centered side by side, as one (N, 4) array; a
+    non-finite point or weight leaves the sum or a centroid non-finite."""
     p, q, w = _check_pairs(p, q, w)
-    positive = int(np.count_nonzero(w > 0.0))
+    low = float(w.min(initial=math.inf))
+    if low < 0.0:
+        raise OutOfRange("weights must be >= 0")
+    positive = len(w) if low > 0.0 else int(np.count_nonzero(w > 0.0))
     if positive < 2:
         raise DegenerateConfiguration(
             f"need >= 2 positively weighted pairs, got {positive}"
@@ -164,6 +168,9 @@ def _solve(p, q, w, with_scale: bool) -> SimilarityTransform2D:
     w_col = w[:, None]
     pq = np.concatenate((p, q), axis=1)
     bar = (w_col * pq).sum(axis=0) / total
+    p_x, p_y, q_x, q_y = bar.tolist()
+    if not math.isfinite(total + p_x + p_y + q_x + q_y):
+        raise OutOfRange("points and weights must be finite")
     centered = pq - bar
     p_c = centered[:, :2]
     spread = float((w * (p_c**2).sum(axis=1)).sum())
@@ -177,7 +184,6 @@ def _solve(p, q, w, with_scale: bool) -> SimilarityTransform2D:
     theta = wrap_angle(psi - phi)
     scale = (s1 + s2) / spread if with_scale else 1.0
     cos_t, sin_t = math.cos(theta), math.sin(theta)
-    p_x, p_y, q_x, q_y = bar.tolist()
     t = np.array([
         q_x - scale * (cos_t * p_x - sin_t * p_y),
         q_y - scale * (sin_t * p_x + cos_t * p_y),
@@ -196,7 +202,8 @@ def solve_similarity(p: np.ndarray, q: np.ndarray, w: np.ndarray) -> SimilarityT
     the centroids.
 
     Raises DegenerateConfiguration for fewer than two positively weighted
-    pairs or when all positively weighted source points coincide.
+    pairs or when all positively weighted source points coincide, and
+    OutOfRange for a negative weight or a non-finite point or weight.
     """
     return _solve(p, q, w, with_scale=True)
 

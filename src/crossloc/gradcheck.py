@@ -4,37 +4,30 @@ The pipeline from scores to pose is differentiable once the discrete top-N
 selection is frozen: gradients flow through the selected entries' soft
 weights, not through which entries were selected (the usual straight-through
 treatment of hard selection).  This module builds that frozen view of a
-scene, evaluates the training loss through the *production* code paths
-(``forward``: SVD-based alignment solver, loss module), and computes the
-loss and its gradient in one reverse sweep through an independent
-closed-form route (``value_and_grad``; ``backward`` is its gradient):
+scene and writes the training loss once, as one chain of elementwise numpy
+operations in any float type (``forward_value``), recorded in two stages:
 
-* dual softmax with dustbin -- one row and one column softmax of the
-  augmented matrix, shared by the match weights and their vector-Jacobian
-  product;
+* scores and the dual softmax with dustbin -- one row and one column
+  softmax of the augmented matrix, giving the selected pairs' weights;
 * weighted scale-aware alignment -- the optimal angle in 2-D has the closed
   form theta* = atan2(C01 - C10, C00 + C11) over the weighted covariance C,
   and the optimal scale is hypot of the same two invariants over the
-  weighted ground spread, so no SVD differentiation is needed;
-* contrastive losses -- softmax cross-entropy values and gradients on the
-  raw score entries, one log-sum-exp per term.
+  weighted ground spread, so no SVD is needed -- then the pose loss and
+  the contrastive cross-entropies, one log-sum-exp per term.
 
-``forward`` (SVD) vs ``value_and_grad`` (closed-form angle) vs the
-long-double FD oracle is a genuine consistency test, not a tautology, and
-it certifies the very pass the trainer runs.
+``value_and_grad`` runs the chain in float64 and makes one reverse sweep
+over the values it recorded (``backward`` is its gradient; the trainer
+calls it once per scene-step).  The finite-difference oracle runs the same
+chain in extended precision (``np.longdouble``): float64 rounding of an
+O(1) loss leaves ~1e-10 of noise in a central difference at step 1e-5,
+which would swamp honest gradient entries near the relative-error floor.
+``forward`` is the independent route: the production SVD solver and the
+``losses`` module, held to the chain's loss by the tests.
 
-The FD oracle evaluates the loss in extended precision (``np.longdouble``):
-float64 rounding of an O(1) loss leaves ~1e-10 of noise in a central
-difference at step 1e-5, which would swamp honest gradient entries near the
-relative-error floor.  The extended-precision path is a dtype-parameterized
-twin of the forward computation; its float64 instantiation is tested to
-match the production forward to machine precision.
-
-Every route, float64 and long double, scores only the depth-valid ground
-columns plus the dustbin: masked columns carry exactly 0 probability to
-real pairs, and most ground columns are masked in typical scenes (in
-``np.longdouble`` an ``exp`` that underflows costs several times a normal
-one).  The oracle is also batched: ``forward_value`` accepts a leading
+The chain scores only the depth-valid ground columns plus the dustbin:
+masked columns carry exactly 0 probability to real pairs, and most ground
+columns are masked in typical scenes (in ``np.longdouble`` an ``exp`` that
+underflows costs several times a normal one).  It also takes a leading
 batch axis (``(P,)`` -> scalar, ``(K, P)`` -> ``(K,)``), so ``fd_gradient``
 evaluates the + and - rows of ``FD_BLOCK`` coordinates per call instead of
 two calls per coordinate.  The scalar ``finite_difference`` stays as the
@@ -54,6 +47,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -62,7 +56,7 @@ import numpy as np
 from .errors import DegenerateConfiguration, NonDifferentiablePoint
 from .errors import NoValidTargets, OutOfRange
 from .estimator import PipelineConfig, build_correspondences
-from .geometry import rotation_matrix, solve_similarity
+from .geometry import solve_similarity
 from .lifting import aerial_coverage_mask, depth_valid_mask, metric_to_aerial_cells
 from .losses import (
     NegativeRule,
@@ -78,11 +72,9 @@ from .matching import (
     FeatureGrid,
     ScoreMatrix,
     augment_dustbin,
-    col_softmax,
     drop_dustbin,
     dual_softmax,
     normalize_features,
-    row_softmax,
     score_matrix,
 )
 
@@ -301,32 +293,31 @@ def _valid_columns(ctx: GradContext):
     return cols, np.searchsorted(cols, ctx.ground_flat)
 
 
-def _compact_features(ctx: GradContext, params: np.ndarray, cols: np.ndarray, dtype):
-    """Raw aerial features and raw features of the ground columns ``cols``
-    (feature and projection leaves), with any leading batch axis kept."""
-    batch = params.shape[:-1]
-    na, ng, d = ctx.n_aerial, ctx.n_ground, ctx.dim
-    if ctx.mode == "features":
-        a_raw = params[..., : na * d].reshape(batch + (na, d)).astype(dtype)
-        g_raw = params[..., na * d : (na + ng) * d].reshape(batch + (ng, d))
-        return a_raw, g_raw[..., cols, :].astype(dtype)
-    mat_t = params[..., : d * d].reshape(batch + (d, d)).astype(dtype).swapaxes(-1, -2)
-    return ctx.aerial_raw.astype(dtype) @ mat_t, ctx.ground_raw[cols].astype(dtype) @ mat_t
-
-
 def _valid_scores(ctx: GradContext, params: np.ndarray, cols: np.ndarray, dtype):
-    """Raw scores of the ground columns ``cols``, ``(..., n_aerial, len(cols))``.
+    """Raw scores of the ground columns ``cols``, ``(..., n_aerial, len(cols))``,
+    and the features they came from: ``(a_raw, g_raw, a_hat, g_hat)`` with
+    the ground rows of ``cols`` for feature and projection leaves, ``None``
+    for score leaves.  Any leading batch axis is kept.
 
     Leaves are gathered before they are widened to ``dtype``, so leaves of
     other columns are never converted or copied.
     """
+    batch = params.shape[:-1]
+    na, ng, d = ctx.n_aerial, ctx.n_ground, ctx.dim
     if ctx.mode == "score":
-        shape = params.shape[:-1] + (ctx.n_aerial, len(cols))
-        entries = (np.arange(ctx.n_aerial)[:, None] * ctx.n_ground + cols).ravel()
-        return params[..., entries].reshape(shape).astype(dtype)
-    a_raw, g_raw = _compact_features(ctx, params, cols, dtype)
+        entries = (np.arange(na)[:, None] * ng + cols).ravel()
+        return params[..., entries].reshape(batch + (na, len(cols))).astype(dtype), None
+    if ctx.mode == "features":
+        a_raw = params[..., : na * d].reshape(batch + (na, d)).astype(dtype)
+        g_raw = params[..., na * d : (na + ng) * d].reshape(batch + (ng, d))
+        g_raw = g_raw[..., cols, :].astype(dtype)
+    else:
+        mat_t = params[..., : d * d].reshape(batch + (d, d)).astype(dtype).swapaxes(-1, -2)
+        a_raw = ctx.aerial_raw.astype(dtype) @ mat_t
+        g_raw = ctx.ground_raw[cols].astype(dtype) @ mat_t
     a_hat, g_hat = normalize_features(a_raw), normalize_features(g_raw)
-    return (a_hat @ g_hat.swapaxes(-1, -2)) / dtype(ctx.tau)
+    scores = (a_hat @ g_hat.swapaxes(-1, -2)) / dtype(ctx.tau)
+    return scores, (a_raw, g_raw, a_hat, g_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +333,7 @@ def forward(ctx: GradContext, params: np.ndarray) -> float:
     """
     params = _float_leaves(ctx, params)
     cols, sel = _valid_columns(ctx)
-    scores = _valid_scores(ctx, params, cols, np.float64)
+    scores, _ = _valid_scores(ctx, params, cols, np.float64)
     m = ScoreMatrix(scores, ctx.tau, ctx.aerial_shape, (1, len(cols)))
     probs = drop_dustbin(dual_softmax(augment_dustbin(scores, params[-1])))
     estimate = solve_similarity(
@@ -358,198 +349,197 @@ def forward(ctx: GradContext, params: np.ndarray) -> float:
     return total_loss(vce, g2s, s2g, ctx.beta).total
 
 
-def _dual_softmax_at(scores: np.ndarray, z, rows: np.ndarray, cols: np.ndarray):
-    """Dual-softmax probabilities of the entries ``(rows, cols)`` of
-    ``scores`` with a dustbin row and column of score ``z`` appended."""
+# ---------------------------------------------------------------------------
+# the loss chain: one forward pass in two stages, in any float type, with an
+# optional leading batch axis, recording what the reverse sweep reads.  Stage
+# one: the valid columns' scores (and features), the row- and column-shifted
+# exponentials of the extended matrix with their sums, and the selected
+# pairs' weights.  Stage two: the loss, the alignment, the virtual-point
+# offsets and, with the contrastive terms on, each term's (logits, lse).
+
+_Weights = namedtuple("_Weights", "cols sel scores features er ec er_sum ec_sum w")
+_Alignment = namedtuple(
+    "_Alignment", "total p_bar pt qt cross dot pp g h r spp theta scale cos_t sin_t t_x t_y"
+)
+_Tape = namedtuple("_Tape", "loss align offsets g2s s2g", defaults=(None, None))
+
+
+def _weights(ctx: GradContext, params: np.ndarray, dtype) -> _Weights:
+    """Stage one: valid-column scores plus a dustbin of score
+    ``params[..., -1]``, through both softmaxes to the selected weights."""
+    cols, sel = _valid_columns(ctx)
+    scores, features = _valid_scores(ctx, params, cols, dtype)
+    z = params[..., -1].astype(dtype)
     na, nc = scores.shape[-2:]
-    extended = np.empty(scores.shape[:-2] + (na + 1, nc + 1), dtype=scores.dtype)
+    extended = np.empty(scores.shape[:-2] + (na + 1, nc + 1), dtype=dtype)
     extended[..., :-1, :-1] = scores
     extended[..., -1, :] = z[..., None]
     extended[..., :-1, -1] = z[..., None]
     er = np.exp(extended - extended.max(axis=-1, keepdims=True))
     ec = np.exp(extended - extended.max(axis=-2, keepdims=True))
-    return (er[..., rows, cols] / er.sum(axis=-1)[..., rows]) * (
-        ec[..., rows, cols] / ec.sum(axis=-2)[..., cols]
-    )
+    er_sum, ec_sum = er.sum(axis=-1), ec.sum(axis=-2)
+    rows = ctx.aerial_flat
+    w = (er[..., rows, sel] / er_sum[..., rows]) * (ec[..., rows, sel] / ec_sum[..., sel])
+    return _Weights(cols, sel, scores, features, er, ec, er_sum, ec_sum, w)
 
 
-def forward_value(ctx: GradContext, params: np.ndarray, dtype=np.longdouble):
-    """The same scalar as ``forward``, computed in a chosen float type.
+def _align(p, q, w, strict: bool = False) -> _Alignment:
+    """Weighted similarity mapping ``p`` onto ``q`` (``w`` may be batched).
 
-    A dtype-parameterized twin of the loss chain built from elementwise
-    numpy operations only (the alignment step uses the closed-form angle
-    solution instead of an SVD, which LAPACK cannot run in extended
-    precision).  The finite-difference oracle evaluates this in
-    ``np.longdouble`` so that arithmetic rounding stays far below the
-    gradient entries being resolved; with ``np.float64`` it reproduces
-    ``forward`` to machine precision, which is tested.
-
-    ``params`` may carry one leading batch axis: a ``(P,)`` leaf vector
-    gives a scalar, a ``(K, P)`` stack of leaf vectors gives ``(K,)``
-    values, row ``k`` equal to the single-vector call on ``params[k]``.
-
-    Only the depth-valid ground columns (plus the dustbin) are scored:
-    masked to ``MASK_SCORE`` they would carry exactly 0 probability after
-    the softmax, and their dustbin-row entries are dropped with the
-    dustbin, so the loss does not depend on them.
+    The optimal angle maximizes h cos(theta) + g sin(theta), where g and h
+    are the antisymmetric and symmetric invariants of the weighted
+    covariance; the optimal scale is hypot(g, h) over the weighted ground
+    spread.  With ``strict`` (one weight vector) a degenerate alignment
+    raises DegenerateConfiguration before anything is divided by zero.
     """
-    params = np.asarray(params)
-    cols, sel = _valid_columns(ctx)
-    scores = _valid_scores(ctx, params, cols, dtype)
-    w = _dual_softmax_at(scores, params[..., -1].astype(dtype), ctx.aerial_flat, sel)
-
-    p = ctx.ground_planar.astype(dtype)
-    q = ctx.aerial_metric.astype(dtype)
     total = w.sum(axis=-1)
+    if strict and total <= 0.0:
+        raise DegenerateConfiguration("weights sum to zero")
     p_bar = (w[..., None] * p).sum(axis=-2) / total[..., None]
     q_bar = (w[..., None] * q).sum(axis=-2) / total[..., None]
     pt = p - p_bar[..., None, :]
     qt = q - q_bar[..., None, :]
-    g = (w * (pt[..., 0] * qt[..., 1] - pt[..., 1] * qt[..., 0])).sum(axis=-1)
-    h = (w * (pt * qt).sum(axis=-1)).sum(axis=-1)
+    cross = pt[..., 0] * qt[..., 1] - pt[..., 1] * qt[..., 0]
+    dot = (pt * qt).sum(axis=-1)
+    pp = (pt**2).sum(axis=-1)
+    g = (w * cross).sum(axis=-1)
+    h = (w * dot).sum(axis=-1)
+    r = np.hypot(g, h)
+    spp = (w * pp).sum(axis=-1)
+    if strict and spp <= 0.0:
+        raise DegenerateConfiguration("ground points have no weighted spread")
+    if strict and r == 0.0:
+        raise DegenerateConfiguration("zero covariance leaves the angle undefined")
     theta = np.arctan2(g, h)
-    scale = np.hypot(g, h) / (w * (pt**2).sum(axis=-1)).sum(axis=-1)
+    scale = r / spp
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     t_x = q_bar[..., 0] - scale * (cos_t * p_bar[..., 0] - sin_t * p_bar[..., 1])
     t_y = q_bar[..., 1] - scale * (sin_t * p_bar[..., 0] + cos_t * p_bar[..., 1])
-
-    v = ctx.virtual_points.astype(dtype)
-    gt_theta = dtype(ctx.truth.theta)
-    rot_gt = np.array(
-        [
-            [np.cos(gt_theta), -np.sin(gt_theta)],
-            [np.sin(gt_theta), np.cos(gt_theta)],
-        ],
-        dtype=dtype,
+    return _Alignment(
+        total, p_bar, pt, qt, cross, dot, pp, g, h, r, spp, theta, scale, cos_t, sin_t, t_x, t_y
     )
-    v_gt = v @ rot_gt.T + ctx.truth.t.astype(dtype)  # (V, 2)
+
+
+def _vce(truth, points: np.ndarray, cos_t, sin_t, t_x, t_y, dtype):
+    """(vce, (dx, dy, norms)): the mean norm of the virtual-point offsets
+    ``truth - solved``, the offsets and their norms.  Both poses map the
+    points by the same arithmetic, so equal poses give offsets of exactly 0.
+    """
+    v_x, v_y = points.astype(dtype).T
+    c, s = np.cos(dtype(truth.theta)), np.sin(dtype(truth.theta))
+    gt_x, gt_y = truth.t.astype(dtype)
     cos_t, sin_t = cos_t[..., None], sin_t[..., None]
-    dx = v_gt[:, 0] - (cos_t * v[:, 0] - sin_t * v[:, 1] + t_x[..., None])
-    dy = v_gt[:, 1] - (sin_t * v[:, 0] + cos_t * v[:, 1] + t_y[..., None])
-    vce = np.sqrt(dx**2 + dy**2).mean(axis=-1)
+    dx = (c * v_x - s * v_y + gt_x) - (cos_t * v_x - sin_t * v_y + t_x[..., None])
+    dy = (s * v_x + c * v_y + gt_y) - (sin_t * v_x + cos_t * v_y + t_y[..., None])
+    norms = np.sqrt(dx**2 + dy**2)
+    return norms.mean(axis=-1), (dx, dy, norms)
+
+
+def _logsumexp(x: np.ndarray) -> np.ndarray:
+    m = x.max(axis=-1, keepdims=True)
+    return m[..., 0] + np.log(np.exp(x - m).sum(axis=-1))
+
+
+def _loss(ctx: GradContext, weights: _Weights, dtype, strict: bool = False) -> _Tape:
+    """Stage two: the alignment, the pose loss and the contrastive terms
+    (NoValidTargets when they are on and no ground-to-aerial target is in
+    coverage); ``strict`` is ``_align``'s."""
+    p, q = ctx.ground_planar.astype(dtype), ctx.aerial_metric.astype(dtype)
+    al = _align(p, q, weights.w, strict)
+    vce, offsets = _vce(
+        ctx.truth, ctx.virtual_points, al.cos_t, al.sin_t, al.t_x, al.t_y, dtype
+    )
     if ctx.beta == 0.0:
-        return vce
-
-    def logsumexp(x):
-        m = x.max(axis=-1, keepdims=True)
-        return m[..., 0] + np.log(np.exp(x - m).sum(axis=-1))
-
+        return _Tape(vce, al, offsets)
+    if len(ctx.g2s_pairs) == 0:
+        raise NoValidTargets("every ground-to-aerial target left the aerial coverage")
+    scores, sel = weights.scores, weights.sel
     # ground -> aerial: each in-coverage pair's whole score column
     g2s_sel = sel[ctx.g2s_pairs]
-    g2s_lse = logsumexp(scores[..., g2s_sel].swapaxes(-1, -2))  # over (..., T, A)
+    g2s_logits = scores[..., g2s_sel].swapaxes(-1, -2)
+    g2s_lse = _logsumexp(g2s_logits)
     g2s_pos = scores[..., ctx.g2s_targets, g2s_sel]
     g2s = -(g2s_pos - g2s_lse).sum(axis=-1) / len(g2s_sel)
     # aerial -> ground: each pair's row over its candidate pairs' columns
     block = scores[..., ctx.aerial_flat[:, None], sel[None, :]]  # (..., N, N)
-    s2g_lse = logsumexp(np.where(ctx.s2g_keep, block, dtype(-np.inf)))
+    s2g_logits = np.where(ctx.s2g_keep, block, dtype(-np.inf))
+    s2g_lse = _logsumexp(s2g_logits)
     s2g_pos = scores[..., ctx.aerial_flat, sel[ctx.s2g_pos]]
     s2g = -(s2g_pos - s2g_lse).sum(axis=-1) / len(sel)
-    return vce + dtype(ctx.beta) * (g2s + s2g) / dtype(2.0)
+    loss = vce + dtype(ctx.beta) * (g2s + s2g) / dtype(2.0)
+    return _Tape(loss, al, offsets, (g2s_logits, g2s_lse), (s2g_logits, s2g_lse))
+
+
+def forward_value(ctx: GradContext, params: np.ndarray, dtype=np.longdouble):
+    """The loss chain: the same scalar as ``forward``, in a chosen float type.
+
+    Elementwise numpy operations only, so it runs in ``np.longdouble``,
+    which LAPACK's SVD cannot.  ``params`` may carry one leading batch axis:
+    a ``(P,)`` leaf vector gives a scalar, a ``(K, P)`` stack gives ``(K,)``
+    values, row ``k`` equal to the single-vector call on ``params[k]``.
+    Only the depth-valid ground columns (plus the dustbin) are scored:
+    masked to ``MASK_SCORE`` they would carry exactly 0 probability after
+    the softmax, so the loss does not depend on them.
+    """
+    params = np.asarray(params)
+    return _loss(ctx, _weights(ctx, params, dtype), dtype).loss
 
 
 # ---------------------------------------------------------------------------
-# backward: closed-form chain rule
+# the reverse sweep
 
 
-def _solver_internals(p: np.ndarray, q: np.ndarray, w: np.ndarray) -> dict:
-    """Weighted-alignment byproducts needed by the chain rule.
+def _align_vjp(al: _Alignment, d_theta, d_scale, d_t) -> np.ndarray:
+    """Per-weight gradient of a scalar with the given partials in the
+    solved angle, scale and translation, for one unbatched alignment.
 
-    The optimal angle maximizes the weighted correlation
-    c(theta) = h cos(theta) + g sin(theta), where g and h are the
-    antisymmetric and symmetric invariants of the weighted covariance;
-    the optimal scale is hypot(g, h) over the weighted ground spread.
+    Centering makes the centroid-shift terms vanish in the covariance
+    derivatives, so each weight's contribution reduces to its centered pair.
     """
-    total = float(w.sum())
-    if total <= 0.0:
-        raise DegenerateConfiguration("weights sum to zero")
-    p_bar = (w[:, None] * p).sum(axis=0) / total
-    q_bar = (w[:, None] * q).sum(axis=0) / total
-    pt = p - p_bar
-    qt = q - q_bar
-    g = float((w * (pt[:, 0] * qt[:, 1] - pt[:, 1] * qt[:, 0])).sum())
-    h = float((w * (pt * qt).sum(axis=1)).sum())
-    r = math.hypot(g, h)
-    spp = float((w * (pt**2).sum(axis=1)).sum())
-    if spp <= 0.0:
-        raise DegenerateConfiguration("ground points have no weighted spread")
-    if r == 0.0:
-        raise DegenerateConfiguration("zero covariance leaves the angle undefined")
-    theta = math.atan2(g, h)
-    scale = r / spp
-    return {
-        "total": total, "p_bar": p_bar, "q_bar": q_bar, "pt": pt, "qt": qt,
-        "g": g, "h": h, "r": r, "spp": spp, "theta": theta, "scale": scale,
-    }
-
-
-def pose_weight_gradients(
-    p: np.ndarray,
-    q: np.ndarray,
-    w: np.ndarray,
-    d_theta: float,
-    d_scale: float,
-    d_t: np.ndarray,
-) -> np.ndarray:
-    """Gradient of a scalar through the weighted alignment, per weight.
-
-    Given the scalar's partials with respect to the solved angle, scale, and
-    translation, returns dE/dw for every correspondence weight.  Centering
-    makes the centroid-shift terms vanish in the covariance derivatives, so
-    each weight's contribution reduces to its centered pair.
-    """
-    s = _solver_internals(np.asarray(p, float), np.asarray(q, float), np.asarray(w, float))
-    pt, qt = s["pt"], s["qt"]
-    cross = pt[:, 0] * qt[:, 1] - pt[:, 1] * qt[:, 0]  # dg/dw_n
-    dot = (pt * qt).sum(axis=1)  # dh/dw_n
-    pp = (pt**2).sum(axis=1)  # dSpp/dw_n
-    r2 = s["r"] ** 2
-    dtheta_dw = (s["h"] * cross - s["g"] * dot) / r2
-    dscale_dw = (s["g"] * cross + s["h"] * dot) / (s["r"] * s["spp"]) - s[
-        "scale"
-    ] * pp / s["spp"]
-    rot = rotation_matrix(s["theta"])
-    rot_p = rotation_matrix(s["theta"] + math.pi / 2)  # dR/dtheta
-    rp = rot @ s["p_bar"]
-    rpp = rot_p @ s["p_bar"]
+    g, h, r, spp = float(al.g), float(al.h), float(al.r), float(al.spp)
+    scale, c, s = float(al.scale), float(al.cos_t), float(al.sin_t)
+    dtheta_dw = (h * al.cross - g * al.dot) / r**2
+    dscale_dw = (g * al.cross + h * al.dot) / (r * spp) - scale * al.pp / spp
+    rot = np.array([[c, -s], [s, c]])
+    rot_p = np.array([[-s, -c], [c, -s]])  # dR/dtheta
     # t = q_bar - scale * R p_bar, totally differentiated in w_n
     dt_dw = (
-        (qt - s["scale"] * (pt @ rot.T)) / s["total"]
-        - np.outer(dscale_dw, rp)
-        - s["scale"] * np.outer(dtheta_dw, rpp)
+        (al.qt - scale * (al.pt @ rot.T)) / float(al.total)
+        - np.outer(dscale_dw, rot @ al.p_bar)
+        - scale * np.outer(dtheta_dw, rot_p @ al.p_bar)
     )
     return d_theta * dtheta_dw + d_scale * dscale_dw + dt_dw @ np.asarray(d_t, float)
 
 
-def _vce_partials(theta: float, t: np.ndarray, truth, points: np.ndarray):
-    """(vce, dvce/dtheta, dvce/dt) for the mean virtual-point offset norm.
+def pose_weight_gradients(p, q, w, d_theta: float, d_scale: float, d_t) -> np.ndarray:
+    """dE/dw for every correspondence weight, given a scalar E's partials in
+    the angle, scale and translation that the weighted alignment solves."""
+    p, q, w = (np.asarray(x, float) for x in (p, q, w))
+    return _align_vjp(_align(p, q, w, strict=True), d_theta, d_scale, d_t)
+
+
+def _vce_vjp(points: np.ndarray, cos_t, sin_t, offsets):
+    """(dvce/dtheta, dvce/dt) of ``_vce`` for one unbatched pose.
 
     Offsets that are exactly zero contribute nothing (the minimum of the
     cone; its symmetric subgradient).
     """
-    r_est = rotation_matrix(theta)
-    r_gt = rotation_matrix(truth.theta)
-    delta = (points @ r_gt.T + truth.t) - (points @ r_est.T + t)
-    norms = np.linalg.norm(delta, axis=1)
-    unit = np.zeros_like(delta)
-    nz = norms > 0.0
-    unit[nz] = delta[nz] / norms[nz, None]
-    rot_p = rotation_matrix(theta + math.pi / 2)
+    dx, dy, norms = offsets
+    delta, norms = np.stack([dx, dy], axis=1), norms[:, None]
+    unit = np.divide(delta, norms, out=np.zeros_like(delta), where=norms > 0.0)
+    c, s = float(cos_t), float(sin_t)
+    rot_p = np.array([[-s, -c], [c, -s]])  # dR/dtheta
     d_theta = -float((unit * (points @ rot_p.T)).sum() / len(points))
     d_t = -unit.sum(axis=0) / len(points)
-    return float(norms.mean()), d_theta, d_t
+    return d_theta, d_t
 
 
-def _cross_entropy(logits: np.ndarray, targets: np.ndarray):
-    """Mean softmax cross-entropy of the rows of ``logits`` against their
-    ``targets`` columns (``-inf`` entries are left out), and its gradient,
-    from one log-sum-exp per row."""
-    top = logits.max(axis=1, keepdims=True)
-    lse = top + np.log(np.exp(logits - top).sum(axis=1, keepdims=True))
-    rows = np.arange(len(targets))
-    grad = np.exp(logits - lse)
-    grad[rows, targets] -= 1.0
-    loss = -(logits[rows, targets] - lse[:, 0]).sum() / len(targets)
-    return float(loss), grad / len(targets)
+def _cross_entropy_vjp(logits: np.ndarray, lse: np.ndarray, targets: np.ndarray):
+    """Gradient of the mean softmax cross-entropy of the rows of ``logits``
+    against their ``targets`` columns, from the rows' log-sum-exps."""
+    grad = np.exp(logits - lse[:, None])
+    grad[np.arange(len(targets)), targets] -= 1.0
+    return grad / len(targets)
 
 
 def _check_selection_boundary(ctx: GradContext, probs: np.ndarray, sel: np.ndarray):
@@ -570,43 +560,29 @@ def _check_selection_boundary(ctx: GradContext, probs: np.ndarray, sel: np.ndarr
 
 
 def value_and_grad(ctx: GradContext, params: np.ndarray):
-    """(loss, gradient) at ``params`` in one compacted reverse sweep.
+    """(loss, gradient) at ``params``: ``forward_value``'s chain in float64,
+    so the loss is ``forward_value(ctx, params, np.float64)`` exactly, then
+    one reverse sweep over the values it recorded.
 
-    Scores only the depth-valid ground columns plus the dustbin, and takes
-    one row softmax and one column softmax of that extended matrix for both
-    the match weights and their vector-Jacobian product.  The pose enters
-    through the closed-form angle route and each contrastive term through
-    one log-sum-exp, so the loss equals ``forward``'s up to summation
-    order.  Entries of masked ground columns, and of masked ground feature
-    rows, are exactly 0 in the gradient.
+    A selection-boundary tie, checked between the chain's two stages,
+    raises NonDifferentiablePoint before the alignment runs, then come
+    DegenerateConfiguration and NoValidTargets.  Entries of masked ground
+    columns and feature rows are exactly 0 in the gradient.
     """
     params = _float_leaves(ctx, params)
-    cols, sel = _valid_columns(ctx)
-    if ctx.mode == "score":
-        scores = _valid_scores(ctx, params, cols, np.float64)
-    else:
-        a_raw, g_raw = _compact_features(ctx, params, cols, np.float64)
-        a_hat, g_hat = normalize_features(a_raw), normalize_features(g_raw)
-        scores = (a_hat @ g_hat.T) / ctx.tau
-    extended = augment_dustbin(scores, params[-1])
-    ra, cb = row_softmax(extended), col_softmax(extended)
-    probs = ra[:-1, :-1] * cb[:-1, :-1]
-    _check_selection_boundary(ctx, probs, sel)
-    w = probs[ctx.aerial_flat, sel]
+    sw = _weights(ctx, params, np.float64)
+    ra = sw.er / sw.er_sum[:, None]  # row softmax of the extended matrix
+    cb = sw.ec / sw.ec_sum  # column softmax
+    _check_selection_boundary(ctx, ra[:-1, :-1] * cb[:-1, :-1], sw.sel)
+    tape = _loss(ctx, sw, np.float64, strict=True)
+    al = tape.align
 
-    internals = _solver_internals(ctx.ground_planar, ctx.aerial_metric, w)
-    rot = rotation_matrix(internals["theta"])
-    t_est = internals["q_bar"] - internals["scale"] * (rot @ internals["p_bar"])
-    loss, d_theta, d_t = _vce_partials(
-        internals["theta"], t_est, ctx.truth, ctx.virtual_points
-    )
-    de_dw = pose_weight_gradients(
-        ctx.ground_planar, ctx.aerial_metric, w, d_theta, 0.0, d_t
-    )
+    d_theta, d_t = _vce_vjp(ctx.virtual_points, al.cos_t, al.sin_t, tape.offsets)
+    de_dw = _align_vjp(al, d_theta, 0.0, d_t)
 
     # VJP of row_softmax(E) * col_softmax(E); the selected entries are distinct
-    d_probs = np.zeros_like(extended)
-    d_probs[ctx.aerial_flat, sel] = de_dw
+    d_probs = np.zeros_like(ra)
+    d_probs[ctx.aerial_flat, sw.sel] = de_dw
     u = d_probs * cb
     v = d_probs * ra
     d_extended = ra * (u - (ra * u).sum(axis=1, keepdims=True)) + cb * (
@@ -615,27 +591,21 @@ def value_and_grad(ctx: GradContext, params: np.ndarray):
     d_scores = d_extended[:-1, :-1]
     d_z = float(d_extended[-1, :].sum() + d_extended[:-1, -1].sum())
 
-    if ctx.beta != 0.0:
-        if len(ctx.g2s_pairs) == 0:
-            raise NoValidTargets("every ground-to-aerial target left the aerial coverage")
+    if tape.g2s is not None:
         coef = ctx.beta / 2.0
-        # ground -> aerial: each in-coverage pair's whole score column
-        g2s_cols = sel[ctx.g2s_pairs]
-        g2s, d_g2s = _cross_entropy(scores[:, g2s_cols].T, ctx.g2s_targets)
-        np.add.at(d_scores, (slice(None), g2s_cols), coef * d_g2s.T)
-        # aerial -> ground: each pair's row over its candidate pairs' columns
-        rows, cand = ctx.aerial_flat[:, None], sel[None, :]
-        block = np.where(ctx.s2g_keep, scores[rows, cand], -np.inf)
-        s2g, d_s2g = _cross_entropy(block, ctx.s2g_pos)
-        np.add.at(d_scores, (rows, cand), coef * d_s2g)
-        loss = loss + ctx.beta * (g2s + s2g) / 2.0
+        d_g2s = _cross_entropy_vjp(*tape.g2s, ctx.g2s_targets)
+        np.add.at(d_scores, (slice(None), sw.sel[ctx.g2s_pairs]), coef * d_g2s.T)
+        d_s2g = _cross_entropy_vjp(*tape.s2g, ctx.s2g_pos)
+        np.add.at(d_scores, (ctx.aerial_flat[:, None], sw.sel[None, :]), coef * d_s2g)
 
+    loss, cols = float(tape.loss), sw.cols
     if ctx.mode == "score":
         grad = np.zeros((ctx.n_aerial, ctx.n_ground))
         grad[:, cols] = d_scores
         return loss, np.append(grad.ravel(), d_z)
 
     # chain through the cosine scores and the normalization into raw features
+    a_raw, g_raw, a_hat, g_hat = sw.features
     d_a_hat = (d_scores @ g_hat) / ctx.tau
     d_g_hat = (d_scores.T @ a_hat) / ctx.tau
     a_norm = np.linalg.norm(a_raw, axis=1, keepdims=True)

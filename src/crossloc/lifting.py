@@ -23,7 +23,6 @@ __all__ = [
     "RayModel",
     "DepthMap",
     "LiftConfig",
-    "aerial_cell_to_metric",
     "aerial_cells_to_metric",
     "metric_to_aerial_cell",
     "metric_to_aerial_cells",
@@ -32,7 +31,6 @@ __all__ = [
     "lift_ground_cells",
     "depth_valid_mask",
     "topmost_selection",
-    "planar_projection",
 ]
 
 
@@ -184,18 +182,14 @@ class LiftConfig:
 # --- aerial grid geometry ---------------------------------------------------
 
 
-def aerial_cell_to_metric(cell: tuple, meta: AerialMeta, shape: tuple) -> np.ndarray:
-    """Metric BEV coordinates of an aerial cell center.
+def aerial_cells_to_metric(cells: np.ndarray, meta: AerialMeta, shape: tuple) -> np.ndarray:
+    """Metric BEV coordinates of aerial cell centers; ``cells`` is (N, 2) of
+    (row, col).
 
     x grows with column index, y grows toward smaller row index, and the
     grid center sits at ``meta.center_offset``:
     x = (col - (cols-1)/2) * m, y = ((rows-1)/2 - row) * m.
     """
-    return aerial_cells_to_metric(np.array([cell]), meta, shape)[0]
-
-
-def aerial_cells_to_metric(cells: np.ndarray, meta: AerialMeta, shape: tuple) -> np.ndarray:
-    """Vectorized cell-center conversion; ``cells`` is (N, 2) of (row, col)."""
     cells = np.asarray(cells, dtype=float)
     rows, cols = shape
     m = meta.meters_per_cell
@@ -297,20 +291,3 @@ def topmost_selection(points: np.ndarray, bucket_size: float) -> np.ndarray:
             best[key] = i
     return np.array(sorted(best.values()), dtype=int)
 
-
-def planar_projection(
-    points: np.ndarray, mode: str = "all", bucket_size: Optional[float] = None
-) -> np.ndarray:
-    """Project 3-D BEV points to the plane by dropping z.
-
-    mode "all" keeps every point; "topmost" keeps only the highest point in
-    each bucket_size x bucket_size planar bucket (bucket_size required).
-    """
-    points = np.asarray(points, dtype=float)
-    if mode == "all":
-        return points[:, :2].copy()
-    if mode == "topmost":
-        if bucket_size is None:
-            raise OutOfRange("topmost projection requires a bucket size")
-        return points[topmost_selection(points, bucket_size), :2].copy()
-    raise OutOfRange(f"unknown projection mode {mode!r}")

@@ -58,7 +58,6 @@ class SceneConfig:
     feature_dim: int = 24
     noise_sigma: float = 0.0  # stddev of per-cell feature noise
     clutter_fraction: float = 0.3  # fraction of empty aerial cells with clutter
-    outlier_fraction: float = 0.0  # used by contaminate()
     camera: str = "panorama"  # "panorama" | "pinhole"
     fov_deg: float = 90.0  # pinhole horizontal field of view
     pose_prior: str = "full"  # "full" (+-180deg) | "narrow" (+-10deg) | "fixed"

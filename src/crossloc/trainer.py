@@ -5,8 +5,10 @@ feature vectors of *both* grids before normalization, plus the dustbin
 score.  Optimization is plain full-batch gradient descent on the combined
 alignment-plus-contrastive loss; each step rebuilds the frozen pipeline
 view (selection, targets) under the current weights and takes each scene's
-loss and gradient from one compacted pass (``gradcheck.value_and_grad``:
-one dual softmax, one closed-form reverse sweep).  No momentum, no adaptive
+loss and gradient from ``gradcheck.value_and_grad``: the package's one loss
+chain run once in float64, then one reverse sweep over what it recorded.
+Gate 05 certifies that gradient against the long-double FD oracle, which
+evaluates the same chain.  No momentum, no adaptive
 scaling: the point is to demonstrate that pose supervision alone moves the
 projection toward better matching, not to engineer an optimizer.
 
@@ -32,7 +34,7 @@ import numpy as np
 from .errors import DivergenceDetected, EmptyInput, OutOfRange
 from .estimator import PipelineConfig, estimate_pose
 from .geometry import wrap_angle
-from .gradcheck import build_context, fd_gradient, forward, value_and_grad
+from .gradcheck import build_context, value_and_grad
 from .lifting import LiftConfig
 from .matching import FeatureGrid
 from .simulator import SceneConfig, generate
@@ -96,9 +98,9 @@ class ProjectionWeights:
 class TrainConfig:
     """Gradient-descent schedule and loss selection.
 
-    ``lr`` may be zero (useful for verifying that the loss curve is then
-    exactly constant) but not negative.  ``batch=None`` uses every training
-    scene each step; smaller values cycle through the dataset in order.
+    ``lr`` must be finite and may be zero (useful for verifying that the
+    loss curve is then exactly constant) but not negative.  ``batch=None``
+    uses every training scene each step; smaller values cycle in order.
     """
 
     lr: float = 1e-4
@@ -109,18 +111,15 @@ class TrainConfig:
     seed: int = 0
     holdout: int = 2  # trailing scenes reserved for evaluation
     init_jitter: float = 0.0  # stddev of the identity-offset initialization
-    gradient_mode: str = "analytic"  # "analytic" | "fd" (slow oracle route)
     divergence_factor: float = 1e3
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise OutOfRange(f"learning rate must be >= 0, got {self.lr}")
+        if not 0.0 <= self.lr < math.inf:
+            raise OutOfRange(f"lr must be finite and >= 0, got {self.lr}")
         if self.steps < 1:
             raise OutOfRange(f"steps must be >= 1, got {self.steps}")
         if self.loss_mode not in LOSS_MODES:
-            raise OutOfRange(f"unknown loss mode {self.loss_mode!r}")
-        if self.gradient_mode not in ("analytic", "fd"):
-            raise OutOfRange(f"unknown gradient mode {self.gradient_mode!r}")
+            raise OutOfRange(f"unknown loss_mode {self.loss_mode!r}")
         if self.batch is not None and self.batch < 1:
             raise OutOfRange(f"batch must be >= 1, got {self.batch}")
         if self.holdout < 0:
@@ -207,8 +206,7 @@ def train(
     used only for the before/after estimator evaluation (with no holdout the
     evaluation falls back to the training scenes).  Each step rebuilds every
     batch scene's frozen pipeline view at the current weights, takes the
-    scene's loss and gradient from one ``value_and_grad`` pass (or
-    ``forward`` plus the FD oracle when ``gradient_mode="fd"``), averages
+    scene's loss and gradient from one ``value_and_grad`` pass, averages
     them in dataset order, and takes one descent step.
     Raises DivergenceDetected as soon as the batch loss exceeds
     ``divergence_factor`` times its step-0 value.
@@ -264,10 +262,7 @@ def train(
                 projection=(matrix, dustbin),
                 target_scale=target_scale,
             )
-            if cfg.gradient_mode == "analytic":
-                value, grad = value_and_grad(ctx, ctx.params0)
-            else:
-                value, grad = forward(ctx, ctx.params0), fd_gradient(ctx, ctx.params0)
+            value, grad = value_and_grad(ctx, ctx.params0)
             loss_sum += value
             grad_sum += grad
 

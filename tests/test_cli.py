@@ -13,6 +13,8 @@ from crossloc.errors import OutOfRange
 from crossloc.estimator import PipelineConfig, estimate_pose
 from crossloc.io import read_depth_map, read_feature_grid, read_results
 from crossloc.lifting import LiftConfig, lift_ground_cells
+from crossloc.simulator import SceneConfig
+from crossloc.trainer import TrainConfig
 
 SCENE = dict(
     extent=20.0,
@@ -305,6 +307,62 @@ def test_gradcheck_failure_writes_valid_json(tmp_path, monkeypatch, capsys):
     assert report["passed"] is False
     assert report["max_abs_err"] is None and report["max_rel_err"] is None
     assert "DegenerateConfiguration" in report["error"]
+
+
+CONFIG_ARGV = {
+    "train": ["train"],
+    "simulate": ["simulate", "--seeds", "0"],
+    "ablate": ["ablate", "--mode", "no-scale", "--seeds", "0"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, doc, named",
+    [
+        ("train", {"steps": "ten"}, "'steps'"),
+        ("train", {"dataset": {"bogus": 1}}, "'bogus'"),
+        ("train", {"dataset": {"n_scenes": 2.5}}, "'n_scenes'"),
+        ("train", {"lr": -1}, "lr"),
+        ("train", {"gradient_mode": "fd"}, "'gradient_mode'"),
+        ("train", {"batch": True}, "'batch'"),
+        ("train", [1, 2], "JSON object"),
+        ("simulate", {"landmark_count": "many"}, "'landmark_count'"),
+        ("simulate", {"outlier_fraction": 0.1}, "'outlier_fraction'"),
+        ("ablate", {"scale_bounds": ["a", 1]}, "'scale_bounds'"),
+        ("ablate", {"camera": None}, "'camera'"),
+    ],
+    ids=[
+        "non-numeric-steps",
+        "unknown-dataset-key",
+        "fractional-scene-count",
+        "negative-lr",
+        "deleted-gradient-mode",
+        "bool-batch",
+        "not-an-object",
+        "non-numeric-landmarks",
+        "deleted-outlier-fraction",
+        "non-numeric-bounds",
+        "null-camera",
+    ],
+)
+def test_invalid_config_files_are_usage_errors(command, doc, named, tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "never"
+    argv = CONFIG_ARGV[command] + ["--config", str(cfg_path), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and named in err
+    assert not out.exists()
+
+
+def test_config_values_of_the_annotated_types_are_accepted():
+    scene = cli._from_config(
+        SceneConfig, {"extent": 20, "scale_bounds": [0.5, 2], "ray_tolerance": None}, "scene"
+    )
+    assert scene.extent == 20 and scene.scale_bounds == (0.5, 2.0)
+    cfg = cli._from_config(TrainConfig, {"lr": 0, "batch": None, "beta": 0.5}, "train")
+    assert cfg == TrainConfig(lr=0.0, batch=None, beta=0.5)
 
 
 def test_runtime_failure_gives_exit_one(tmp_path, capsys):

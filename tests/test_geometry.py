@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crossloc.errors import DegenerateConfiguration, LengthMismatch, ZeroWeightSum
+from crossloc.errors import DegenerateConfiguration, LengthMismatch, OutOfRange
+from crossloc.errors import ZeroWeightSum
 from crossloc.estimator import count_inliers
 from crossloc.geometry import (
     SimilarityTransform2D,
@@ -271,6 +272,30 @@ def test_solve_similarity_degenerate_inputs():
         solve_similarity(target, target, np.array([1.0, 0.0, 0.0, 0.0]))
     with pytest.raises(LengthMismatch):
         solve_similarity(target, target[:3], np.ones(4))
+
+
+def _bad_input(kind):
+    rng = np.random.default_rng(11)
+    p, q, w = rng.normal(size=(3, 2)), rng.normal(size=(3, 2)), np.ones(3)
+    if kind == "negative-weight":
+        w[1] = -0.5
+    elif kind == "nan-weight":
+        w[1] = np.nan
+    elif kind == "inf-point":
+        p[1, 0] = np.inf
+    elif kind == "nan-point":
+        q[2, 1] = np.nan
+    return p, q, w
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("solver", [solve_similarity, solve_orthogonal])
+@pytest.mark.parametrize("kind", ["negative-weight", "nan-weight", "inf-point", "nan-point"])
+def test_solver_rejects_negative_or_non_finite_input(solver, kind):
+    """A negative weight, or a non-finite point or weight, is OutOfRange
+    (not a reflected fit or a NaN transform), without a RuntimeWarning."""
+    with pytest.raises(OutOfRange):
+        solver(*_bad_input(kind))
 
 
 def test_trace_identity_at_unit_scale():

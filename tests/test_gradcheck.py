@@ -7,7 +7,6 @@ held to the FD oracle.
 """
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -18,12 +17,7 @@ from crossloc import gradcheck
 from crossloc.errors import DegenerateConfiguration, NonDifferentiablePoint
 from crossloc.errors import NoValidTargets, OutOfRange
 from crossloc.estimator import PipelineConfig, build_correspondences
-from crossloc.geometry import (
-    SimilarityTransform2D,
-    rotation_matrix,
-    solve_similarity,
-    wrap_angle,
-)
+from crossloc.geometry import SimilarityTransform2D, solve_similarity, wrap_angle
 from crossloc.lifting import LiftConfig
 from crossloc.losses import vce_loss, virtual_point_grid
 from crossloc.matching import (
@@ -55,6 +49,16 @@ def small_context(seed, mode, beta=0.1, **scene_kwargs):
     cfg.update(scene_kwargs)
     scene = generate(SceneConfig(seed=seed, **cfg))
     return gradcheck.build_context(scene, SMALL_PIPE, mode=mode, beta=beta)
+
+
+def vce_partials(theta, t, truth, points):
+    """(vce, dvce/dtheta, dvce/dt) from the chain's pose-loss stage and its
+    reverse sweep, at one float64 pose."""
+    cos_t, sin_t = np.cos(np.float64(theta)), np.sin(np.float64(theta))
+    t_x, t_y = np.asarray(t, dtype=float)
+    vce, offsets = gradcheck._vce(truth, points, cos_t, sin_t, t_x, t_y, np.float64)
+    d_theta, d_t = gradcheck._vce_vjp(points, cos_t, sin_t, offsets)
+    return float(vce), d_theta, d_t
 
 
 # ---------------------------------------------------------------------------
@@ -99,9 +103,9 @@ def test_angle_solver_matches_svd_solver():
         q = truth.apply(p) + rng.normal(scale=1.0, size=(n, 2))
         w = rng.uniform(0.05, 1.0, size=n)
         svd_est = solve_similarity(p, q, w)
-        internals = gradcheck._solver_internals(p, q, w)
-        assert abs(wrap_angle(internals["theta"] - svd_est.theta)) < 1e-12
-        assert abs(internals["scale"] - svd_est.scale) < 1e-12 * svd_est.scale
+        internals = gradcheck._align(p, q, w)
+        assert abs(wrap_angle(internals.theta - svd_est.theta)) < 1e-12
+        assert abs(internals.scale - svd_est.scale) < 1e-12 * svd_est.scale
 
 
 def test_pose_weight_gradients_match_fd_of_svd_route():
@@ -147,7 +151,7 @@ def test_vce_partials_equal_rotation_closed_form():
     truth = SimilarityTransform2D(1.0, 0.3, np.array([3.0, 4.0]))
     t_est = np.array([0.0, 0.0])
     points = virtual_point_grid(5, 4.0)
-    vce, d_theta, d_t = gradcheck._vce_partials(0.3, t_est, truth, points)
+    vce, d_theta, d_t = vce_partials(0.3, t_est, truth, points)
     np.testing.assert_allclose(d_t, -np.array([3.0, 4.0]) / 5.0, atol=1e-12)
 
     est = SimilarityTransform2D(1.0, 0.3, t_est)
@@ -162,7 +166,7 @@ def test_vce_partials_theta_matches_fd():
     truth = SimilarityTransform2D(1.0, -0.4, np.array([1.0, -2.0]))
     points = virtual_point_grid(6, 5.0)
     t_est = np.array([0.5, 0.5])
-    _, d_theta, _ = gradcheck._vce_partials(0.2, t_est, truth, points)
+    _, d_theta, _ = vce_partials(0.2, t_est, truth, points)
     fd = gradcheck.finite_difference(
         lambda th: vce_loss(
             SimilarityTransform2D(1.0, float(th[0]), t_est), truth, points
@@ -266,8 +270,13 @@ def test_batched_fd_matches_scalar_reference(seed, mode):
     [(0, "score", 0.1), (1, "features", 0.1), (2, "projection", 0.1), (3, "projection", 0.0)],
 )
 def test_value_and_grad_equals_forward_and_passes_check(seed, mode, beta):
+    """The loss is the oracle's chain run in float64, bit for bit (also away
+    from ``params0``), and agrees with the independent SVD route."""
     ctx = small_context(seed, mode, beta=beta)
     loss, grad = gradcheck.value_and_grad(ctx, ctx.params0)
+    assert loss == gradcheck.forward_value(ctx, ctx.params0, np.float64)
+    away = ctx.params0 + np.random.default_rng(seed).normal(scale=1e-2, size=grad.shape)
+    assert gradcheck.value_and_grad(ctx, away)[0] == gradcheck.forward_value(ctx, away, np.float64)
     f = gradcheck.forward(ctx, ctx.params0)
     assert abs(loss - f) < 1e-12 * max(1.0, abs(f))
     np.testing.assert_array_equal(grad, gradcheck.backward(ctx, ctx.params0))
@@ -295,9 +304,9 @@ def masked_chain_gradient(ctx, params):
     ra, cb = row_softmax(ext), col_softmax(ext)
     pairs = (ctx.aerial_flat, ctx.ground_flat)
     w = (ra * cb)[pairs]
-    s = gradcheck._solver_internals(ctx.ground_planar, ctx.aerial_metric, w)
-    t = s["q_bar"] - s["scale"] * (rotation_matrix(s["theta"]) @ s["p_bar"])
-    _, d_theta, d_t = gradcheck._vce_partials(s["theta"], t, ctx.truth, ctx.virtual_points)
+    s = gradcheck._align(ctx.ground_planar, ctx.aerial_metric, w)
+    t = (s.t_x, s.t_y)
+    _, d_theta, d_t = vce_partials(s.theta, t, ctx.truth, ctx.virtual_points)
     d_probs = np.zeros_like(ext)
     d_probs[pairs] = gradcheck.pose_weight_gradients(
         ctx.ground_planar, ctx.aerial_metric, w, d_theta, 0.0, d_t
@@ -366,17 +375,10 @@ def test_gradient_vanishes_at_constructed_minimum():
     """When the supervision pose is exactly the solved pose, the pose loss
     sits at the bottom of its cone and the whole gradient vanishes."""
     ctx = small_context(9, "score", beta=0.0)
-    cols, sel = gradcheck._valid_columns(ctx)
-    scores = gradcheck._valid_scores(ctx, ctx.params0, cols, np.float64)
-    z = np.float64(ctx.params0[-1])
-    w = gradcheck._dual_softmax_at(scores, z, ctx.aerial_flat, sel)
-    s = gradcheck._solver_internals(ctx.ground_planar, ctx.aerial_metric, w)
-    rot = np.array(
-        [[math.cos(s["theta"]), -math.sin(s["theta"])],
-         [math.sin(s["theta"]), math.cos(s["theta"])]]
-    )
-    t_est = s["q_bar"] - s["scale"] * (rot @ s["p_bar"])
-    fitted = SimilarityTransform2D(1.0, s["theta"], t_est)
+    w = gradcheck._weights(ctx, ctx.params0, np.float64).w
+    s = gradcheck._align(ctx.ground_planar, ctx.aerial_metric, w)
+    t_est = np.array([s.t_x, s.t_y])
+    fitted = SimilarityTransform2D(1.0, float(s.theta), t_est)
     at_min = dataclasses.replace(ctx, truth=fitted)
     grad = gradcheck.backward(at_min, at_min.params0)
     assert np.linalg.norm(grad) < 1e-6
@@ -420,6 +422,7 @@ def test_corrupted_gradient_fails_comparison():
     assert rel > 1.0
 
 
+@pytest.mark.filterwarnings("error")
 def test_degenerate_configuration_surfaces_in_report():
     ctx = small_context(11, "score")
     collapsed = dataclasses.replace(
@@ -435,6 +438,7 @@ def test_degenerate_configuration_surfaces_in_report():
     assert d["max_abs_err"] is None and d["max_rel_err"] is None
 
 
+@pytest.mark.filterwarnings("error")
 def test_missing_contrastive_targets_surface_in_report():
     """With no ground-to-aerial target in coverage the contrastive loss is
     undefined: the fused pass raises, as ``forward`` does, and ``check``
@@ -450,6 +454,7 @@ def test_missing_contrastive_targets_surface_in_report():
     assert "NoValidTargets" in report.error
 
 
+@pytest.mark.filterwarnings("error")
 def test_boundary_tie_raises_non_differentiable():
     ctx = small_context(0, "score")
     flat_params = np.zeros_like(ctx.params0)  # all probabilities equal

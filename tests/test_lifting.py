@@ -12,7 +12,6 @@ from crossloc.lifting import (
     DepthMap,
     LiftConfig,
     RayModel,
-    aerial_cell_to_metric,
     aerial_cells_to_metric,
     aerial_coverage_mask,
     depth_valid_mask,
@@ -20,10 +19,11 @@ from crossloc.lifting import (
     lift_ground_cells,
     metric_to_aerial_cell,
     metric_to_aerial_cells,
-    planar_projection,
     topmost_selection,
 )
+from crossloc.estimator import PipelineConfig, build_correspondences
 from crossloc.matching import AerialMeta
+from crossloc.simulator import SceneConfig, generate
 
 TIGHT = 1e-9
 
@@ -114,10 +114,11 @@ def test_canonical_directions_reproduce_constructor_table():
 def test_aerial_cell_to_metric_hand_values():
     meta = AerialMeta(meters_per_cell=1.75)
     shape = (41, 41)
-    assert np.allclose(aerial_cell_to_metric((20, 20), meta, shape), [0.0, 0.0], atol=0)
-    assert np.allclose(aerial_cell_to_metric((20, 40), meta, shape), [35.0, 0.0], atol=TIGHT)
-    assert np.allclose(aerial_cell_to_metric((0, 20), meta, shape), [0.0, 35.0], atol=TIGHT)
-    assert np.allclose(aerial_cell_to_metric((40, 0), meta, shape), [-35.0, -35.0], atol=TIGHT)
+    pts = aerial_cells_to_metric([(20, 20), (20, 40), (0, 20), (40, 0)], meta, shape)
+    assert np.allclose(pts[0], [0.0, 0.0], atol=0)
+    assert np.allclose(pts[1], [35.0, 0.0], atol=TIGHT)
+    assert np.allclose(pts[2], [0.0, 35.0], atol=TIGHT)
+    assert np.allclose(pts[3], [-35.0, -35.0], atol=TIGHT)
 
 
 def test_aerial_metric_roundtrip_all_cells():
@@ -128,7 +129,7 @@ def test_aerial_metric_roundtrip_all_cells():
     for cell, pt in zip(cells, pts):
         assert metric_to_aerial_cell(pt, meta, shape) == tuple(cell)
         # every point within half a cell diagonal of its center
-        back = aerial_cell_to_metric(tuple(cell), meta, shape)
+        back = aerial_cells_to_metric([cell], meta, shape)[0]
         assert np.linalg.norm(back - pt) < 0.8 / math.sqrt(2)
 
 
@@ -288,9 +289,14 @@ def test_mask_commutes_with_scaling_depth_and_threshold():
 
 
 def test_planar_projection_all_drops_z():
-    rng = np.random.default_rng(3)
-    pts = rng.normal(size=(20, 3))
-    flat = planar_projection(pts, "all")
+    """In "all" mode the solver's BEV points are the lifted points without z."""
+    scene = generate(SceneConfig(seed=3))
+    cfg = PipelineConfig(num_correspondences=20)
+    corr = build_correspondences(
+        scene.aerial, scene.ground, scene.depth, scene.rays, cfg
+    )
+    pts, flat = corr.ground_points3, corr.ground_planar
+    assert len(pts) == 20
     assert np.array_equal(flat, pts[:, :2])
 
 
@@ -305,7 +311,7 @@ def test_topmost_keeps_highest_per_bucket():
     )
     keep = topmost_selection(pts, bucket_size=1.0)
     assert keep.tolist() == [1, 3]
-    flat = planar_projection(pts, "topmost", bucket_size=1.0)
+    flat = pts[topmost_selection(pts, bucket_size=1.0), :2]
     assert np.allclose(flat, [[0.3, 0.1], [1.5, 0.2]], atol=0)
 
 
@@ -322,9 +328,5 @@ def test_topmost_all_identical_buckets_reduces_to_one():
 
 def test_projection_errors():
     pts = np.zeros((3, 3))
-    with pytest.raises(OutOfRange):
-        planar_projection(pts, "topmost")
-    with pytest.raises(OutOfRange):
-        planar_projection(pts, "sideways")
     with pytest.raises(OutOfRange):
         topmost_selection(pts, 0.0)
