@@ -132,6 +132,13 @@ def build_correspondences(
         raise InsufficientMatches("only 0 correspondences: no ground cell has valid depth")
     valid_ground = FeatureGrid(ground.flat()[valid][None], "ground")  # one row
     probs = match_probabilities(score_matrix(aerial, valid_ground, cfg.tau), cfg.dustbin_z)
+    return _lift_top_n(probs, valid, aerial, ground, depth, rays, cfg)
+
+
+def _lift_top_n(probs, valid, aerial, ground, depth, rays, cfg) -> CorrespondenceSet:
+    """``build_correspondences`` from the aerial-by-``valid``-ground
+    probabilities on (``gradcheck.build_context`` selects through it too).
+    Private: a tracer of public functions sees its calls as the caller's."""
     matches = sample_correspondences(probs, cfg.num_correspondences)
     keep = matches.weights > 0.0
     # the matrix columns index the valid cells: map them back to ground cells

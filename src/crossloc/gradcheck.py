@@ -3,19 +3,22 @@
 The pipeline from scores to pose is differentiable once the discrete top-N
 selection is frozen: gradients flow through the selected entries' soft
 weights, not through which entries were selected (the usual straight-through
-treatment of hard selection).  This module builds that frozen view of a
-scene and writes the training loss once, as one chain of elementwise numpy
-operations in any float type (``forward_value``), recorded in two stages:
+treatment of hard selection).  This module writes the training loss once,
+as one chain of elementwise numpy operations in any float type
+(``forward_value``), recorded in two stages:
 
-* scores and the dual softmax with dustbin -- one row and one column
-  softmax of the augmented matrix, giving the selected pairs' weights;
+* scores and the dual softmax with dustbin -- the row- and column-shifted
+  exponentials of the augmented matrix and their sums (no selection yet);
 * weighted scale-aware alignment -- the optimal angle in 2-D has the closed
   form theta* = atan2(C01 - C10, C00 + C11) over the weighted covariance C,
   and the optimal scale is hypot of the same two invariants over the
-  weighted ground spread, so no SVD is needed -- then the pose loss and
-  the contrastive cross-entropies, one log-sum-exp per term.
+  weighted ground spread, so no SVD is needed -- then the selected pairs'
+  weights, the pose loss and the contrastive cross-entropies.
 
-``value_and_grad`` runs the chain in float64 and makes one reverse sweep
+``build_context`` runs stage one once at the leaf vector ``params0`` and
+freezes the top-N of its probabilities, so the loss differentiates the
+very matching it selected from.  ``value_and_grad`` runs the chain in
+float64, reusing that stage at ``params0``, and makes one reverse sweep
 over the values it recorded (``backward`` is its gradient; the trainer
 calls it once per scene-step).  The finite-difference oracle runs the same
 chain in extended precision (``np.longdouble``): float64 rounding of an
@@ -45,17 +48,16 @@ Leaf parameterizations:
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DegenerateConfiguration, NonDifferentiablePoint
 from .errors import NoValidTargets, OutOfRange
-from .estimator import PipelineConfig, build_correspondences
+from .estimator import PipelineConfig, _lift_top_n
 from .geometry import solve_similarity
 from .lifting import aerial_coverage_mask, depth_valid_mask, metric_to_aerial_cells
 from .losses import (
@@ -69,7 +71,6 @@ from .losses import (
     virtual_point_grid,
 )
 from .matching import (
-    FeatureGrid,
     ScoreMatrix,
     augment_dustbin,
     drop_dustbin,
@@ -95,6 +96,10 @@ __all__ = [
 
 REL_FLOOR = 1.0e-8
 
+# the pose loss's lattice of virtual points, shared by every context
+_VIRTUAL_POINTS = virtual_point_grid(8, 5.0)
+_VIRTUAL_POINTS.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class GradContext:
@@ -110,15 +115,13 @@ class GradContext:
     aerial_metric: np.ndarray  # (N, 2) matched aerial points (fixed)
     truth: object  # SimilarityTransform2D supervision pose
     target_scale: float  # scale used for contrastive targets (frozen)
-    virtual_points: np.ndarray  # (V, 2) lattice for the pose loss
     beta: float
-    rule: NegativeRule
     aerial_meta: object
     aerial_shape: tuple
     ground_shape: tuple
     aerial_raw: np.ndarray  # (n_aerial, dim) unnormalized features
     ground_raw: np.ndarray  # (n_ground, dim) unnormalized features
-    params0: np.ndarray  # flat leaf vector matching the scene as rendered
+    params0: np.ndarray  # (P,) read-only leaf vector the selection is frozen at
     # frozen contrastive structure as index arrays over the N selected pairs:
     # positives and negative sets are fixed functions of the (fixed)
     # geometry, captured once at construction
@@ -126,6 +129,9 @@ class GradContext:
     g2s_targets: np.ndarray  # (T,) positive aerial flat cell of each such pair
     s2g_keep: np.ndarray  # (N, N) bool: pair m is a candidate for row of pair n
     s2g_pos: np.ndarray  # (N,) the positive candidate pair of each row
+    stage0: tuple  # the chain's stage one at params0 (``_Stage``)
+    virtual_points: np.ndarray = field(default_factory=lambda: _VIRTUAL_POINTS)
+    rule: NegativeRule = NegativeRule()
 
     @property
     def n_aerial(self) -> int:
@@ -179,42 +185,49 @@ def build_context(
     cfg: PipelineConfig = None,
     mode: str = "score",
     beta: float = 0.1,
-    virtual_side: int = 8,
-    virtual_extent: float = 5.0,
-    rule: NegativeRule = NegativeRule(),
-    projection: Optional[tuple] = None,
+    params0: Optional[np.ndarray] = None,
     target_scale: Optional[float] = None,
 ) -> GradContext:
     """Freeze one scene's pipeline state into a differentiable view.
 
-    Runs the production matching/lifting once, records the selected pairs
-    and their fixed geometry, and captures the contrastive-target scale
-    (the true scale when depths are metric, otherwise the solver's estimate
-    at the frozen weights -- the stop-gradient treatment the trainer uses;
-    pass ``target_scale`` to override either).
-
-    ``projection`` supplies (matrix, dustbin z) applied to both feature
-    grids before matching, so the frozen selection reflects the current
-    trainable weights; it also becomes ``params0`` in projection mode.
+    Runs the chain's stage one once at the leaf vector ``params0`` (of
+    ``mode``'s layout; by default the scene as rendered: its scores, its
+    raw features or the identity projection, with ``cfg.dustbin_z``) and
+    records it.  The selection is the top-N of its probabilities, lifted
+    as ``estimator.build_correspondences`` lifts its own.  Also captures
+    the contrastive-target scale (the true scale when depths are metric,
+    otherwise the solver's estimate at the frozen weights -- the
+    stop-gradient treatment the trainer uses; pass ``target_scale`` to
+    override either).
     """
     if mode not in ("score", "features", "projection"):
         raise OutOfRange(f"unknown leaf mode {mode!r}")
     if cfg is None:
         cfg = PipelineConfig(num_correspondences=8)
-    aerial_view, ground_view = scene.aerial, scene.ground
-    if projection is not None:
-        proj_mat, proj_z = projection
-        proj_mat = np.asarray(proj_mat, dtype=float)
-        aerial_view = FeatureGrid(
-            scene.aerial.data @ proj_mat.T, "aerial", scene.aerial.meta
-        )
-        ground_view = FeatureGrid(
-            scene.ground.data @ proj_mat.T, "ground", scene.ground.meta
-        )
-        cfg = dataclasses.replace(cfg, dustbin_z=float(proj_z))
-    corr = build_correspondences(aerial_view, ground_view, scene.depth, scene.rays, cfg)
+    aerial_raw = scene.aerial.flat().astype(float).copy()
+    ground_raw = scene.ground.flat().astype(float).copy()
+    (na, dim), ng = aerial_raw.shape, ground_raw.shape[0]
+    if params0 is None:
+        if mode == "score":
+            base = score_matrix(scene.aerial, scene.ground, cfg.tau).scores
+        elif mode == "features":
+            base = np.concatenate([aerial_raw.ravel(), ground_raw.ravel()])
+        else:  # projection
+            base = np.eye(dim)
+        params0 = np.append(base.ravel(), cfg.dustbin_z)
+    else:
+        params0 = np.array(params0, dtype=float)
+        n = {"score": na * ng, "features": (na + ng) * dim, "projection": dim * dim}[mode]
+        if params0.shape != (n + 1,):
+            raise OutOfRange(f"expected {n + 1} {mode} leaves, got shape {params0.shape}")
+    params0.flags.writeable = False  # value_and_grad reuses stage0 by identity
 
     valid = depth_valid_mask(scene.depth, cfg.lift).ravel()
+    leaves = _Leaves(mode, cfg.tau, valid, aerial_raw, ground_raw)
+    stage0 = _stage_one(leaves, params0, np.float64)
+    ra, cb = _softmaxes(stage0)
+    corr = _lift_top_n(ra[:-1, :-1] * cb[:-1, :-1], np.flatnonzero(valid), scene.aerial,
+                       scene.ground, scene.depth, scene.rays, cfg)
 
     if target_scale is None:
         if scene.depth.kind == "metric":
@@ -232,22 +245,8 @@ def build_context(
     p_hat = gt_ground_targets(corr.aerial_metric, scene.truth, target_scale)
     dist = np.linalg.norm(corr.ground_planar[None, :, :] - p_hat[:, None, :], axis=2)
     s2g_pos = np.argmin(dist, axis=1)  # ties keep the earliest candidate
-    s2g_keep = dist > rule.radius
+    s2g_keep = dist > GradContext.rule.radius  # the field's default rule
     s2g_keep[np.arange(len(s2g_pos)), s2g_pos] = True
-
-    aerial_raw = scene.aerial.flat().astype(float).copy()
-    ground_raw = scene.ground.flat().astype(float).copy()
-    if mode == "score":
-        scores0 = score_matrix(aerial_view, ground_view, cfg.tau).scores
-        params0 = np.append(scores0.ravel(), cfg.dustbin_z)
-    elif mode == "features":
-        params0 = np.concatenate(
-            [aerial_raw.ravel(), ground_raw.ravel(), [cfg.dustbin_z]]
-        )
-    else:  # projection
-        dim = aerial_raw.shape[1]
-        base = np.eye(dim) if projection is None else proj_mat
-        params0 = np.append(base.ravel(), cfg.dustbin_z)
 
     return GradContext(
         mode=mode,
@@ -259,9 +258,7 @@ def build_context(
         aerial_metric=corr.aerial_metric.copy(),
         truth=scene.truth,
         target_scale=float(target_scale),
-        virtual_points=virtual_point_grid(virtual_side, virtual_extent),
         beta=float(beta),
-        rule=rule,
         aerial_meta=scene.aerial.meta,
         aerial_shape=aerial_shape,
         ground_shape=(scene.ground.rows, scene.ground.cols),
@@ -272,6 +269,7 @@ def build_context(
         g2s_targets=g2s_targets,
         s2g_keep=s2g_keep,
         s2g_pos=s2g_pos,
+        stage0=stage0,
     )
 
 
@@ -287,8 +285,7 @@ def _float_leaves(ctx: GradContext, params: np.ndarray) -> np.ndarray:
 
 def _valid_columns(ctx: GradContext):
     """The depth-valid ground columns, and each selected pair's column among
-    them (build_correspondences scores only valid columns, so it never
-    selects a masked one)."""
+    them (the selection is made over valid columns only)."""
     cols = np.flatnonzero(ctx.valid)
     return cols, np.searchsorted(cols, ctx.ground_flat)
 
@@ -303,7 +300,7 @@ def _valid_scores(ctx: GradContext, params: np.ndarray, cols: np.ndarray, dtype)
     other columns are never converted or copied.
     """
     batch = params.shape[:-1]
-    na, ng, d = ctx.n_aerial, ctx.n_ground, ctx.dim
+    (na, d), ng = ctx.aerial_raw.shape, ctx.ground_raw.shape[0]
     if ctx.mode == "score":
         entries = (np.arange(na)[:, None] * ng + cols).ravel()
         return params[..., entries].reshape(batch + (na, len(cols))).astype(dtype), None
@@ -353,22 +350,24 @@ def forward(ctx: GradContext, params: np.ndarray) -> float:
 # the loss chain: one forward pass in two stages, in any float type, with an
 # optional leading batch axis, recording what the reverse sweep reads.  Stage
 # one: the valid columns' scores (and features), the row- and column-shifted
-# exponentials of the extended matrix with their sums, and the selected
-# pairs' weights.  Stage two: the loss, the alignment, the virtual-point
-# offsets and, with the contrastive terms on, each term's (logits, lse).
+# exponentials of the extended matrix with their sums.  Stage two: the
+# selected pairs' weights, the loss, the alignment, the virtual-point offsets
+# and, with the contrastive terms on, each term's (logits, lse).
 
-_Weights = namedtuple("_Weights", "cols sel scores features er ec er_sum ec_sum w")
+# the leaf layout, the only fields of a GradContext that stage one reads
+_Leaves = namedtuple("_Leaves", "mode tau valid aerial_raw ground_raw")
+_Stage = namedtuple("_Stage", "params scores features er ec er_sum ec_sum")
 _Alignment = namedtuple(
     "_Alignment", "total p_bar pt qt cross dot pp g h r spp theta scale cos_t sin_t t_x t_y"
 )
 _Tape = namedtuple("_Tape", "loss align offsets g2s s2g", defaults=(None, None))
 
 
-def _weights(ctx: GradContext, params: np.ndarray, dtype) -> _Weights:
-    """Stage one: valid-column scores plus a dustbin of score
-    ``params[..., -1]``, through both softmaxes to the selected weights."""
-    cols, sel = _valid_columns(ctx)
-    scores, features = _valid_scores(ctx, params, cols, dtype)
+def _stage_one(ctx, params: np.ndarray, dtype) -> _Stage:
+    """Stage one, which needs no selection: valid-column scores plus a
+    dustbin of score ``params[..., -1]``, exponentiated along both axes.
+    ``ctx`` may be just the ``_Leaves``."""
+    scores, features = _valid_scores(ctx, params, np.flatnonzero(ctx.valid), dtype)
     z = params[..., -1].astype(dtype)
     na, nc = scores.shape[-2:]
     extended = np.empty(scores.shape[:-2] + (na + 1, nc + 1), dtype=dtype)
@@ -377,10 +376,13 @@ def _weights(ctx: GradContext, params: np.ndarray, dtype) -> _Weights:
     extended[..., :-1, -1] = z[..., None]
     er = np.exp(extended - extended.max(axis=-1, keepdims=True))
     ec = np.exp(extended - extended.max(axis=-2, keepdims=True))
-    er_sum, ec_sum = er.sum(axis=-1), ec.sum(axis=-2)
-    rows = ctx.aerial_flat
-    w = (er[..., rows, sel] / er_sum[..., rows]) * (ec[..., rows, sel] / ec_sum[..., sel])
-    return _Weights(cols, sel, scores, features, er, ec, er_sum, ec_sum, w)
+    return _Stage(params, scores, features, er, ec, er.sum(axis=-1), ec.sum(axis=-2))
+
+
+def _softmaxes(stage: _Stage):
+    """Row and column softmax of one unbatched extended matrix; their
+    product without the dustbin is the dual-softmax match probability."""
+    return stage.er / stage.er_sum[:, None], stage.ec / stage.ec_sum
 
 
 def _align(p, q, w, strict: bool = False) -> _Alignment:
@@ -440,12 +442,17 @@ def _logsumexp(x: np.ndarray) -> np.ndarray:
     return m[..., 0] + np.log(np.exp(x - m).sum(axis=-1))
 
 
-def _loss(ctx: GradContext, weights: _Weights, dtype, strict: bool = False) -> _Tape:
-    """Stage two: the alignment, the pose loss and the contrastive terms
-    (NoValidTargets when they are on and no ground-to-aerial target is in
-    coverage); ``strict`` is ``_align``'s."""
+def _loss(ctx: GradContext, stage: _Stage, sel, dtype, strict: bool = False) -> _Tape:
+    """Stage two: the weights of the selected pairs (``sel`` holds their
+    columns among the valid ones), the alignment, the pose loss and the
+    contrastive terms (NoValidTargets when they are on and no
+    ground-to-aerial target is in coverage); ``strict`` is ``_align``'s."""
+    rows, er, ec = ctx.aerial_flat, stage.er, stage.ec
+    w = (er[..., rows, sel] / stage.er_sum[..., rows]) * (
+        ec[..., rows, sel] / stage.ec_sum[..., sel]
+    )
     p, q = ctx.ground_planar.astype(dtype), ctx.aerial_metric.astype(dtype)
-    al = _align(p, q, weights.w, strict)
+    al = _align(p, q, w, strict)
     vce, offsets = _vce(
         ctx.truth, ctx.virtual_points, al.cos_t, al.sin_t, al.t_x, al.t_y, dtype
     )
@@ -453,7 +460,7 @@ def _loss(ctx: GradContext, weights: _Weights, dtype, strict: bool = False) -> _
         return _Tape(vce, al, offsets)
     if len(ctx.g2s_pairs) == 0:
         raise NoValidTargets("every ground-to-aerial target left the aerial coverage")
-    scores, sel = weights.scores, weights.sel
+    scores = stage.scores
     # ground -> aerial: each in-coverage pair's whole score column
     g2s_sel = sel[ctx.g2s_pairs]
     g2s_logits = scores[..., g2s_sel].swapaxes(-1, -2)
@@ -481,8 +488,8 @@ def forward_value(ctx: GradContext, params: np.ndarray, dtype=np.longdouble):
     masked to ``MASK_SCORE`` they would carry exactly 0 probability after
     the softmax, so the loss does not depend on them.
     """
-    params = np.asarray(params)
-    return _loss(ctx, _weights(ctx, params, dtype), dtype).loss
+    stage = _stage_one(ctx, np.asarray(params), dtype)
+    return _loss(ctx, stage, _valid_columns(ctx)[1], dtype).loss
 
 
 # ---------------------------------------------------------------------------
@@ -559,22 +566,25 @@ def _check_selection_boundary(ctx: GradContext, probs: np.ndarray, sel: np.ndarr
         )
 
 
-def value_and_grad(ctx: GradContext, params: np.ndarray):
-    """(loss, gradient) at ``params``: ``forward_value``'s chain in float64,
-    so the loss is ``forward_value(ctx, params, np.float64)`` exactly, then
-    one reverse sweep over the values it recorded.
+def value_and_grad(ctx: GradContext, params: np.ndarray = None):
+    """(loss, gradient) at ``params`` (default ``ctx.params0``):
+    ``forward_value``'s chain in float64, so the loss is
+    ``forward_value(ctx, params, np.float64)`` exactly, then one reverse
+    sweep over the values it recorded.  At ``ctx.params0`` itself stage one
+    is the one ``build_context`` recorded, not a recomputation; any other
+    array, a copy of ``params0`` included, runs the whole chain.
 
     A selection-boundary tie, checked between the chain's two stages,
     raises NonDifferentiablePoint before the alignment runs, then come
     DegenerateConfiguration and NoValidTargets.  Entries of masked ground
     columns and feature rows are exactly 0 in the gradient.
     """
-    params = _float_leaves(ctx, params)
-    sw = _weights(ctx, params, np.float64)
-    ra = sw.er / sw.er_sum[:, None]  # row softmax of the extended matrix
-    cb = sw.ec / sw.ec_sum  # column softmax
-    _check_selection_boundary(ctx, ra[:-1, :-1] * cb[:-1, :-1], sw.sel)
-    tape = _loss(ctx, sw, np.float64, strict=True)
+    params = _float_leaves(ctx, ctx.params0 if params is None else params)
+    stage = ctx.stage0 if params is ctx.stage0.params else _stage_one(ctx, params, np.float64)
+    cols, sel = _valid_columns(ctx)
+    ra, cb = _softmaxes(stage)
+    _check_selection_boundary(ctx, ra[:-1, :-1] * cb[:-1, :-1], sel)
+    tape = _loss(ctx, stage, sel, np.float64, strict=True)
     al = tape.align
 
     d_theta, d_t = _vce_vjp(ctx.virtual_points, al.cos_t, al.sin_t, tape.offsets)
@@ -582,7 +592,7 @@ def value_and_grad(ctx: GradContext, params: np.ndarray):
 
     # VJP of row_softmax(E) * col_softmax(E); the selected entries are distinct
     d_probs = np.zeros_like(ra)
-    d_probs[ctx.aerial_flat, sw.sel] = de_dw
+    d_probs[ctx.aerial_flat, sel] = de_dw
     u = d_probs * cb
     v = d_probs * ra
     d_extended = ra * (u - (ra * u).sum(axis=1, keepdims=True)) + cb * (
@@ -594,18 +604,18 @@ def value_and_grad(ctx: GradContext, params: np.ndarray):
     if tape.g2s is not None:
         coef = ctx.beta / 2.0
         d_g2s = _cross_entropy_vjp(*tape.g2s, ctx.g2s_targets)
-        np.add.at(d_scores, (slice(None), sw.sel[ctx.g2s_pairs]), coef * d_g2s.T)
+        np.add.at(d_scores, (slice(None), sel[ctx.g2s_pairs]), coef * d_g2s.T)
         d_s2g = _cross_entropy_vjp(*tape.s2g, ctx.s2g_pos)
-        np.add.at(d_scores, (ctx.aerial_flat[:, None], sw.sel[None, :]), coef * d_s2g)
+        np.add.at(d_scores, (ctx.aerial_flat[:, None], sel[None, :]), coef * d_s2g)
 
-    loss, cols = float(tape.loss), sw.cols
+    loss = float(tape.loss)
     if ctx.mode == "score":
         grad = np.zeros((ctx.n_aerial, ctx.n_ground))
         grad[:, cols] = d_scores
         return loss, np.append(grad.ravel(), d_z)
 
     # chain through the cosine scores and the normalization into raw features
-    a_raw, g_raw, a_hat, g_hat = sw.features
+    a_raw, g_raw, a_hat, g_hat = stage.features
     d_a_hat = (d_scores @ g_hat) / ctx.tau
     d_g_hat = (d_scores.T @ a_hat) / ctx.tau
     a_norm = np.linalg.norm(a_raw, axis=1, keepdims=True)

@@ -21,7 +21,6 @@ __all__ = [
     "GroundMeta",
     "FeatureGrid",
     "ScoreMatrix",
-    "MatchProbabilities",
     "Matches",
     "normalize_features",
     "score_matrix",
@@ -88,15 +87,6 @@ class ScoreMatrix:
 
     scores: np.ndarray  # (n_aerial, n_ground)
     tau: float
-    aerial_shape: tuple
-    ground_shape: tuple
-
-
-@dataclass(frozen=True)
-class MatchProbabilities:
-    """Dual-softmax probabilities with the dustbin already removed."""
-
-    probs: np.ndarray  # (n_aerial, n_ground)
     aerial_shape: tuple
     ground_shape: tuple
 
@@ -204,11 +194,10 @@ def mask_ground_columns(m: ScoreMatrix, valid: np.ndarray) -> ScoreMatrix:
     return ScoreMatrix(scores, m.tau, m.aerial_shape, m.ground_shape)
 
 
-def match_probabilities(m: ScoreMatrix, z: float = 0.0) -> MatchProbabilities:
-    """Full soft-assignment chain: dustbin augment, dual softmax, dustbin drop."""
-    extended = augment_dustbin(m.scores, z)
-    probs = drop_dustbin(dual_softmax(extended))
-    return MatchProbabilities(probs, m.aerial_shape, m.ground_shape)
+def match_probabilities(m: ScoreMatrix, z: float = 0.0) -> np.ndarray:
+    """Full soft-assignment chain: dustbin augment, dual softmax, dustbin
+    drop; returns the (n_aerial, n_ground) real-pair probabilities."""
+    return drop_dustbin(dual_softmax(augment_dustbin(m.scores, z)))
 
 
 def top_n_flat_indices(flat_probs: np.ndarray, n: int) -> np.ndarray:
@@ -225,7 +214,7 @@ def top_n_flat_indices(flat_probs: np.ndarray, n: int) -> np.ndarray:
     return candidates[np.argsort(key[candidates], kind="stable")[:take]]
 
 
-def sample_correspondences(probs: MatchProbabilities, n: int) -> Matches:
+def sample_correspondences(probs: np.ndarray, n: int) -> Matches:
     """Deterministic top-N entries of the probability matrix as matches.
 
     Entries are ordered by descending probability; exact ties are broken by
@@ -235,7 +224,7 @@ def sample_correspondences(probs: MatchProbabilities, n: int) -> Matches:
     """
     if n <= 0:
         raise OutOfRange(f"sample count must be positive, got {n}")
-    flat = probs.probs.ravel()
+    flat = probs.ravel()
     order = top_n_flat_indices(flat, n)
-    aerial, ground = np.divmod(order, probs.probs.shape[1])
+    aerial, ground = np.divmod(order, probs.shape[1])
     return Matches(aerial, ground, flat[order])

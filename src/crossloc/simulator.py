@@ -70,6 +70,36 @@ class SceneConfig:
     ray_tolerance: Optional[float] = None  # radians; None = one cell footprint
     seed: int = 0
 
+    def __post_init__(self):
+        def require(ok, name, what):
+            if not ok:
+                raise OutOfRange(f"{name} must be {what}, got {getattr(self, name)!r}")
+
+        for name in ("aerial_cells", "landmark_count", "ground_rows", "ground_cols",
+                     "feature_dim"):
+            require(getattr(self, name) >= 1, name, ">= 1")
+        for name in ("min_visible", "seed"):
+            require(getattr(self, name) >= 0, name, ">= 0")
+        cells = self.aerial_cells**2
+        require(self.landmark_count <= cells, "landmark_count", f"<= {cells} aerial cells")
+        for name in ("extent", "visibility_range"):
+            require(0.0 < getattr(self, name) < math.inf, name, "finite and > 0")
+        for name in ("noise_sigma", "max_height", "min_clearance"):
+            require(0.0 <= getattr(self, name) < math.inf, name, "finite and >= 0")
+        require(0.0 <= self.clutter_fraction <= 1.0, "clutter_fraction", "in [0, 1]")
+        require(0.0 < self.fov_deg < 180.0, "fov_deg", "in (0, 180)")
+        tol = self.ray_tolerance
+        require(tol is None or 0.0 < tol < math.inf, "ray_tolerance", "None or finite and > 0")
+        bounds = self.scale_bounds
+        require(
+            len(bounds) == 2 and 0.0 < bounds[0] <= bounds[1] < math.inf,
+            "scale_bounds", "a finite (lo, hi) with 0 < lo <= hi",
+        )
+        for name, kinds in (("camera", ("panorama", "pinhole")),
+                            ("pose_prior", ("full", "narrow", "fixed")),
+                            ("depth_kind", ("metric", "relative"))):
+            require(getattr(self, name) in kinds, name, f"one of {kinds}")
+
     @property
     def meters_per_cell(self) -> float:
         return self.extent / self.aerial_cells
@@ -109,10 +139,6 @@ def generate(cfg: SceneConfig) -> SyntheticScene:
     with none closer than the clearance.  Raises PlacementFailure when no
     acceptable pose is found in a bounded number of attempts.
     """
-    if cfg.landmark_count > cfg.aerial_cells**2:
-        raise OutOfRange(
-            f"{cfg.landmark_count} landmarks exceed {cfg.aerial_cells ** 2} aerial cells"
-        )
     rng = _stream(cfg, 0)
     n_cells = cfg.aerial_cells**2
     flat = rng.choice(n_cells, size=cfg.landmark_count, replace=False)
@@ -127,10 +153,8 @@ def generate(cfg: SceneConfig) -> SyntheticScene:
         theta = 0.0
     elif cfg.pose_prior == "narrow":
         theta = float(rng.uniform(-math.radians(10), math.radians(10)))
-    elif cfg.pose_prior == "full":
+    else:  # "full"
         theta = float(rng.uniform(-math.pi, math.pi))
-    else:
-        raise OutOfRange(f"unknown pose prior {cfg.pose_prior!r}")
 
     half = cfg.extent / 2.0
     t = None
@@ -156,11 +180,9 @@ def generate(cfg: SceneConfig) -> SyntheticScene:
 
     if cfg.depth_kind == "metric":
         scale_gt = 1.0
-    elif cfg.depth_kind == "relative":
+    else:  # "relative"
         lo, hi = cfg.scale_bounds
         scale_gt = float(math.exp(rng.uniform(math.log(lo), math.log(hi))))
-    else:
-        raise OutOfRange(f"unknown depth kind {cfg.depth_kind!r}")
 
     scene = SyntheticScene(
         config=cfg,
@@ -230,11 +252,9 @@ def render_ground(scene: SyntheticScene):
     if cfg.camera == "panorama":
         canonical = RayModel.equirectangular(rows, cols)
         cell_angle = 2 * math.pi / cols
-    elif cfg.camera == "pinhole":
+    else:  # "pinhole"
         canonical = RayModel.pinhole_from_fov(rows, cols, cfg.fov_deg)
         cell_angle = math.radians(cfg.fov_deg) / cols
-    else:
-        raise OutOfRange(f"unknown camera kind {cfg.camera!r}")
     tol = cfg.ray_tolerance if cfg.ray_tolerance is not None else cell_angle * 1.2
 
     directions = canonical.directions.copy()

@@ -3,10 +3,11 @@
 The trainable parameters are a single dim x dim matrix applied to the raw
 feature vectors of *both* grids before normalization, plus the dustbin
 score.  Optimization is plain full-batch gradient descent on the combined
-alignment-plus-contrastive loss; each step rebuilds the frozen pipeline
-view (selection, targets) under the current weights and takes each scene's
-loss and gradient from ``gradcheck.value_and_grad``: the package's one loss
-chain run once in float64, then one reverse sweep over what it recorded.
+alignment-plus-contrastive loss; each step freezes every scene's selection
+and targets at the current weights (``gradcheck.build_context`` runs the
+loss chain's matching stage once) and takes the scene's loss and gradient
+from ``gradcheck.value_and_grad``, which reuses that stage, finishes the
+chain in float64 and sweeps back once over what it recorded.
 Gate 05 certifies that gradient against the long-double FD oracle, which
 evaluates the same chain.  No momentum, no adaptive
 scaling: the point is to demonstrate that pose supervision alone moves the
@@ -33,10 +34,10 @@ import numpy as np
 
 from .errors import DivergenceDetected, EmptyInput, OutOfRange
 from .estimator import PipelineConfig, estimate_pose
-from .geometry import wrap_angle
 from .gradcheck import build_context, value_and_grad
 from .lifting import LiftConfig
 from .matching import FeatureGrid
+from .metrics import pose_errors
 from .simulator import SceneConfig, generate
 
 __all__ = [
@@ -124,6 +125,11 @@ class TrainConfig:
             raise OutOfRange(f"batch must be >= 1, got {self.batch}")
         if self.holdout < 0:
             raise OutOfRange(f"holdout must be >= 0, got {self.holdout}")
+        for name in ("beta", "init_jitter"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise OutOfRange(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if not self.divergence_factor > 0.0:
+            raise OutOfRange(f"divergence_factor must be > 0, got {self.divergence_factor}")
 
 
 @dataclass(frozen=True)
@@ -162,7 +168,8 @@ def smoothed_curve(curve: np.ndarray, window: int = 20) -> np.ndarray:
 
 
 def evaluate_projection(weights: ProjectionWeights, scenes, pipe: PipelineConfig) -> dict:
-    """Run the estimator on projected features and summarize pose errors."""
+    """Run the estimator on projected features and summarize the
+    ``metrics.pose_errors`` of each scene (orientation in radians)."""
     if not scenes:
         return {"count": 0}
     loc, ori = [], []
@@ -174,8 +181,9 @@ def evaluate_projection(weights: ProjectionWeights, scenes, pipe: PipelineConfig
             scene.rays,
             pipe,
         )
-        loc.append(float(np.linalg.norm(est.transform.t - scene.truth.t)))
-        ori.append(abs(wrap_angle(est.transform.theta - scene.truth.theta)))
+        sample = pose_errors(est.transform, scene.truth, heading=scene.truth.theta)
+        loc.append(sample.loc_error)
+        ori.append(math.radians(sample.ori_error))
     return {
         "count": len(scenes),
         "median_loc_error": float(np.median(loc)),
@@ -205,9 +213,10 @@ def train(
     The trailing ``cfg.holdout`` scenes are excluded from gradient steps and
     used only for the before/after estimator evaluation (with no holdout the
     evaluation falls back to the training scenes).  Each step rebuilds every
-    batch scene's frozen pipeline view at the current weights, takes the
-    scene's loss and gradient from one ``value_and_grad`` pass, averages
-    them in dataset order, and takes one descent step.
+    batch scene's frozen pipeline view at the current weights (in the
+    ``ProjectionWeights.as_params`` layout), takes the scene's loss and
+    gradient from one ``value_and_grad`` pass, averages them in dataset
+    order, and takes one descent step.
     Raises DivergenceDetected as soon as the batch loss exceeds
     ``divergence_factor`` times its step-0 value.
 
@@ -232,11 +241,9 @@ def train(
     dim = train_scenes[0].aerial.dim
     rng = np.random.default_rng(cfg.seed)
     matrix = np.eye(dim) + cfg.init_jitter * rng.standard_normal((dim, dim))
-    dustbin = pipe.dustbin_z
-
-    eval_before = evaluate_projection(
-        ProjectionWeights(matrix, dustbin), held_scenes, eval_pipe
-    )
+    initial_weights = ProjectionWeights(matrix, pipe.dustbin_z)
+    eval_before = evaluate_projection(initial_weights, held_scenes, eval_pipe)
+    params = initial_weights.as_params()
 
     n_train = len(train_scenes)
     batch = n_train if cfg.batch is None else min(cfg.batch, n_train)
@@ -251,7 +258,7 @@ def train(
             batch_scenes = [train_scenes[i] for i in idx]
 
         loss_sum = 0.0
-        grad_sum = np.zeros(dim * dim + 1)
+        grad_sum = np.zeros_like(params)
         for scene in batch_scenes:
             target_scale, beta = _target_scale_and_beta(cfg, scene, pipe)
             ctx = build_context(
@@ -259,10 +266,10 @@ def train(
                 pipe,
                 mode="projection",
                 beta=beta,
-                projection=(matrix, dustbin),
+                params0=params,
                 target_scale=target_scale,
             )
-            value, grad = value_and_grad(ctx, ctx.params0)
+            value, grad = value_and_grad(ctx)
             loss_sum += value
             grad_sum += grad
 
@@ -276,11 +283,9 @@ def train(
                 f"{cfg.divergence_factor:g}x the initial {initial:.3e}"
             )
 
-        grad = grad_sum / batch
-        matrix = matrix - cfg.lr * grad[:-1].reshape(dim, dim)
-        dustbin = dustbin - cfg.lr * grad[-1]
+        params = params - cfg.lr * (grad_sum / batch)
 
-    weights = ProjectionWeights(matrix, dustbin)
+    weights = ProjectionWeights(params[:-1].reshape(dim, dim), params[-1])
     eval_after = evaluate_projection(weights, held_scenes, eval_pipe)
     return TrainResult(weights, curve, eval_before, eval_after)
 

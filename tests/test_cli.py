@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -326,8 +327,14 @@ CONFIG_ARGV = {
         ("train", {"gradient_mode": "fd"}, "'gradient_mode'"),
         ("train", {"batch": True}, "'batch'"),
         ("train", [1, 2], "JSON object"),
+        (
+            "train",
+            {"beta": math.nan, "steps": 2, "holdout": 1, "dataset": {"n_scenes": 3}},
+            "beta",
+        ),
         ("simulate", {"landmark_count": "many"}, "'landmark_count'"),
         ("simulate", {"outlier_fraction": 0.1}, "'outlier_fraction'"),
+        ("simulate", {"landmark_count": -3}, "landmark_count"),
         ("ablate", {"scale_bounds": ["a", 1]}, "'scale_bounds'"),
         ("ablate", {"camera": None}, "'camera'"),
     ],
@@ -339,8 +346,10 @@ CONFIG_ARGV = {
         "deleted-gradient-mode",
         "bool-batch",
         "not-an-object",
+        "nan-beta",
         "non-numeric-landmarks",
         "deleted-outlier-fraction",
+        "negative-landmarks",
         "non-numeric-bounds",
         "null-camera",
     ],

@@ -21,6 +21,7 @@ from crossloc.geometry import SimilarityTransform2D, solve_similarity, wrap_angl
 from crossloc.lifting import LiftConfig
 from crossloc.losses import vce_loss, virtual_point_grid
 from crossloc.matching import (
+    FeatureGrid,
     ScoreMatrix,
     augment_dustbin,
     col_softmax,
@@ -284,6 +285,76 @@ def test_value_and_grad_equals_forward_and_passes_check(seed, mode, beta):
     assert rep.passed, f"rel {rep.max_rel_err:.2e}"
 
 
+@pytest.mark.parametrize("beta", [0.0, 0.7])
+@pytest.mark.parametrize("seed, mode", LEAF_CONTEXTS)
+def test_value_and_grad_at_params0_reuses_the_recorded_stage(seed, mode, beta, monkeypatch):
+    """At ``ctx.params0`` the chain's stage one is the one build_context
+    recorded; a copy of ``params0`` recomputes it, to the same bits."""
+    ctx = small_context(seed, mode, beta=beta)
+    loss, grad = gradcheck.value_and_grad(ctx, ctx.params0.copy())
+    stage_one = gradcheck._stage_one
+    calls = []
+    monkeypatch.setattr(
+        gradcheck, "_stage_one", lambda *args: calls.append(args) or stage_one(*args)
+    )
+    reused = gradcheck.value_and_grad(ctx)
+    assert calls == []
+    assert reused[0] == loss
+    np.testing.assert_array_equal(reused[1], grad)
+
+
+def inference_route(scene, pipe, params0=None):
+    """The selection as the inference path makes it: build_correspondences
+    on the grids projected through ``params0``'s matrix, with its dustbin
+    score (on the grids as rendered when ``params0`` is None)."""
+    aerial, ground = scene.aerial, scene.ground
+    if params0 is not None:
+        dim = aerial.dim
+        matrix = params0[:-1].reshape(dim, dim)
+        aerial = FeatureGrid(aerial.data @ matrix.T, "aerial", aerial.meta)
+        ground = FeatureGrid(ground.data @ matrix.T, "ground", ground.meta)
+        pipe = dataclasses.replace(pipe, dustbin_z=float(params0[-1]))
+    return build_correspondences(aerial, ground, scene.depth, scene.rays, pipe)
+
+
+def test_selection_is_the_inference_paths_top_n():
+    """build_context selects from the chain's own stage one and gets the
+    pairs build_correspondences gets: on gate 05's 50 scenes as rendered,
+    and at jittered projection weights on metric and relative-depth
+    scenes, where the contrastive target scale is the solver's estimate
+    on those pairs."""
+    modes = ("score", "features", "projection")
+    dim = SMALL_SCENE["feature_dim"]
+    rng = np.random.default_rng(0)
+    for seed in range(50):
+        for kind in ("metric", "relative"):
+            scene = generate(SceneConfig(
+                seed=seed, depth_kind=kind, scale_bounds=(0.8, 1.25), **SMALL_SCENE
+            ))
+            params0 = np.append(np.eye(dim) + 0.2 * rng.standard_normal((dim, dim)),
+                                rng.normal())
+            contexts = [(gradcheck.build_context(scene, SMALL_PIPE, "projection",
+                                                 params0=params0), params0)]
+            if kind == "metric":
+                contexts.append((gradcheck.build_context(scene, SMALL_PIPE, modes[seed % 3]),
+                                 None))
+            for ctx, leaves in contexts:
+                corr = inference_route(scene, SMALL_PIPE, leaves)
+                np.testing.assert_array_equal(ctx.aerial_flat, corr.matches.aerial)
+                np.testing.assert_array_equal(ctx.ground_flat, corr.matches.ground)
+                np.testing.assert_array_equal(ctx.ground_planar, corr.ground_planar)
+                np.testing.assert_array_equal(ctx.aerial_metric, corr.aerial_metric)
+                if kind == "relative":
+                    est = solve_similarity(corr.ground_planar, corr.aerial_metric, corr.weights)
+                    assert ctx.target_scale == est.scale
+
+
+def test_build_context_rejects_a_params0_of_another_layout():
+    scene = generate(SceneConfig(seed=0, **SMALL_SCENE))
+    with pytest.raises(OutOfRange, match="65 projection leaves"):
+        gradcheck.build_context(scene, SMALL_PIPE, "projection", params0=np.zeros(64))
+
+
 def _softmax(x):
     e = np.exp(x - x.max())
     return e / e.sum()
@@ -375,8 +446,8 @@ def test_gradient_vanishes_at_constructed_minimum():
     """When the supervision pose is exactly the solved pose, the pose loss
     sits at the bottom of its cone and the whole gradient vanishes."""
     ctx = small_context(9, "score", beta=0.0)
-    w = gradcheck._weights(ctx, ctx.params0, np.float64).w
-    s = gradcheck._align(ctx.ground_planar, ctx.aerial_metric, w)
+    sel = gradcheck._valid_columns(ctx)[1]
+    s = gradcheck._loss(ctx, ctx.stage0, sel, np.float64).align
     t_est = np.array([s.t_x, s.t_y])
     fitted = SimilarityTransform2D(1.0, float(s.theta), t_est)
     at_min = dataclasses.replace(ctx, truth=fitted)

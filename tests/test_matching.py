@@ -181,7 +181,7 @@ def test_mask_ground_columns_zeroes_probability():
     assert (masked.scores[:, ~valid] == MASK_SCORE).all()
     assert np.array_equal(masked.scores[:, valid], m.scores[:, valid])
     probs = match_probabilities(masked, z=0.0)
-    assert (probs.probs[:, ~valid] == 0.0).all()
+    assert (probs[:, ~valid] == 0.0).all()
 
 
 def test_masked_columns_never_sampled_while_unmasked_remain():
@@ -198,17 +198,14 @@ def test_masked_columns_never_sampled_while_unmasked_remain():
 def test_all_columns_masked_gives_zero_probability_everywhere():
     m = ScoreMatrix(np.ones((3, 4)), 0.1, (3, 1), (2, 2))
     probs = match_probabilities(mask_ground_columns(m, np.zeros(4, bool)), z=0.0)
-    assert (probs.probs == 0.0).all()
+    assert (probs == 0.0).all()
 
 
 # --- sampling ---------------------------------------------------------------
 
 
 def test_sample_correspondences_orders_by_probability():
-    probs_mat = np.array([[0.5, 0.1], [0.3, 0.9]])
-    from crossloc.matching import MatchProbabilities
-
-    probs = MatchProbabilities(probs_mat, (2, 1), (1, 2))
+    probs = np.array([[0.5, 0.1], [0.3, 0.9]])
     corrs = sample_correspondences(probs, 3)
     assert corrs.weights.tolist() == [0.9, 0.5, 0.3]
     # flat cells: aerial (1, 0) of a 2x1 grid, ground (0, 1) of a 1x2 grid
@@ -217,10 +214,7 @@ def test_sample_correspondences_orders_by_probability():
 
 def test_sample_correspondences_tie_break_row_major():
     """All-equal probabilities fall back to row-major entry order."""
-    probs_mat = np.full((2, 2), 0.25)
-    from crossloc.matching import MatchProbabilities
-
-    probs = MatchProbabilities(probs_mat, (1, 2), (2, 1))
+    probs = np.full((2, 2), 0.25)
     corrs = sample_correspondences(probs, 3)
     # flat cells of a 1x2 aerial and a 2x1 ground grid
     assert list(zip(corrs.aerial.tolist(), corrs.ground.tolist())) == [
@@ -231,9 +225,7 @@ def test_sample_correspondences_tie_break_row_major():
 
 
 def test_sample_correspondences_short_matrix_and_bad_n():
-    from crossloc.matching import MatchProbabilities
-
-    probs = MatchProbabilities(np.array([[0.1, 0.2]]), (1, 1), (1, 2))
+    probs = np.array([[0.1, 0.2]])
     assert len(sample_correspondences(probs, 10)) == 2
     with pytest.raises(OutOfRange):
         sample_correspondences(probs, 0)
@@ -247,7 +239,7 @@ def test_pipeline_weights_match_manual_chain():
     m = score_matrix(a, g, tau=0.2)
     manual = drop_dustbin(dual_softmax(augment_dustbin(m.scores, z=0.7)))
     composed = match_probabilities(m, z=0.7)
-    assert np.array_equal(manual, composed.probs)
+    assert np.array_equal(manual, composed)
 
 
 # --- properties -------------------------------------------------------------
@@ -290,10 +282,10 @@ def test_compacted_probabilities_equal_masked_chain(seed, n_ground, mask_bits, m
     full = match_probabilities(mask_ground_columns(score_matrix(a, g, 0.1), valid), z)
     valid_ground = FeatureGrid(g.flat()[cols][None], "ground")  # as the estimator does
     compact = match_probabilities(score_matrix(a, valid_ground, 0.1), z)
-    np.testing.assert_allclose(compact.probs, full.probs[:, cols], rtol=0, atol=1e-15)
-    assert (full.probs[:, ~valid] == 0.0).all()
+    np.testing.assert_allclose(compact, full[:, cols], rtol=0, atol=1e-15)
+    assert (full[:, ~valid] == 0.0).all()
 
-    n = full.probs.size
+    n = full.size
     full_m, compact_m = (sample_correspondences(p, n) for p in (full, compact))
     full_pos, compact_pos = full_m.weights > 0.0, compact_m.weights > 0.0
     np.testing.assert_array_equal(full_m.aerial[full_pos], compact_m.aerial[compact_pos])

@@ -72,6 +72,34 @@ def test_too_many_landmarks_rejected():
         generate(SceneConfig(aerial_cells=5, landmark_count=26))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("landmark_count", -3),
+        ("aerial_cells", 0),
+        ("ground_rows", 0),
+        ("feature_dim", 0),
+        ("min_visible", -1),
+        ("seed", -1),
+        ("extent", math.nan),
+        ("visibility_range", 0.0),
+        ("noise_sigma", -0.1),
+        ("max_height", math.inf),
+        ("clutter_fraction", 1.5),
+        ("fov_deg", 180.0),
+        ("ray_tolerance", 0.0),
+        ("scale_bounds", (2.0, 1.0)),
+        ("scale_bounds", (0.0, 1.0)),
+        ("scale_bounds", (1.0,)),
+        ("camera", "fisheye"),
+        ("depth_kind", "absolute"),
+    ],
+)
+def test_scene_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(OutOfRange, match=field):
+        SceneConfig(**{field: value})
+
+
 def test_pose_prior_modes():
     assert generate(SceneConfig(seed=1, pose_prior="fixed")).truth.theta == 0.0
     narrow = generate(SceneConfig(seed=1, pose_prior="narrow")).truth.theta

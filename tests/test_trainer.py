@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from crossloc import gradcheck, trainer
+from crossloc import estimator, gradcheck, matching, trainer
 from crossloc.errors import DivergenceDetected, EmptyInput, OutOfRange
 from crossloc.estimator import PipelineConfig
 from crossloc.gradcheck import build_context
@@ -67,9 +67,7 @@ def test_weights_param_layout_matches_gradcheck():
     scene = small_scenes(1)[0]
     rng = np.random.default_rng(0)
     w = ProjectionWeights(np.eye(8) + 0.1 * rng.standard_normal((8, 8)), 0.25)
-    ctx = build_context(
-        scene, SMALL_PIPE, mode="projection", projection=(w.matrix, w.dustbin_z)
-    )
+    ctx = build_context(scene, SMALL_PIPE, mode="projection", params0=w.as_params())
     np.testing.assert_array_equal(ctx.params0, w.as_params())
 
 
@@ -87,7 +85,13 @@ def test_train_config_validation():
         TrainConfig(loss_mode="nonsense")
     with pytest.raises(OutOfRange):
         TrainConfig(batch=0)
+    for bad in ({"beta": float("nan")}, {"beta": -0.1}, {"beta": float("inf")},
+                {"init_jitter": -1.0}, {"init_jitter": float("nan")},
+                {"divergence_factor": 0.0}, {"divergence_factor": float("nan")}):
+        with pytest.raises(OutOfRange, match=next(iter(bad))):
+            TrainConfig(**bad)
     TrainConfig(lr=0.0)  # explicitly allowed: freezes the weights
+    TrainConfig(beta=0.0, init_jitter=0.0)
 
 
 def test_empty_dataset_raises():
@@ -166,17 +170,17 @@ def test_training_contexts_pass_gradient_check(loss_mode):
             SMALL_PIPE,
             mode="projection",
             beta=beta,
-            projection=(matrix, SMALL_PIPE.dustbin_z),
+            params0=ProjectionWeights(matrix, SMALL_PIPE.dustbin_z).as_params(),
             target_scale=target_scale,
         )
         report = gradcheck.check(ctx)
         assert report.passed, f"{loss_mode}: rel {report.max_rel_err:.2e}"
 
 
-def test_analytic_mode_runs_one_fused_pass_per_scene_step(monkeypatch):
-    """Each scene of each step costs one value_and_grad call and no separate
-    forward or backward pass."""
-    calls = {"value_and_grad": 0, "forward": 0, "backward": 0}
+def count_calls(monkeypatch, *names):
+    """Count the calls of each named function through every binding of it
+    in the trainer, gradcheck, estimator and matching modules."""
+    calls = dict.fromkeys(names, 0)
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -185,13 +189,31 @@ def test_analytic_mode_runs_one_fused_pass_per_scene_step(monkeypatch):
 
         return wrapped
 
-    for name in calls:
-        original = getattr(gradcheck, name)
-        monkeypatch.setattr(trainer, name, counting(name, original), raising=False)
-        monkeypatch.setattr(gradcheck, name, counting(name, original))
+    for name in names:
+        for module in (trainer, gradcheck, estimator, matching):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls
+
+
+def test_analytic_mode_runs_one_fused_pass_per_scene_step(monkeypatch):
+    """Each scene of each step costs one value_and_grad call and no separate
+    forward or backward pass."""
+    calls = count_calls(monkeypatch, "value_and_grad", "forward", "backward")
     cfg = TrainConfig(lr=1e-2, steps=3, holdout=1, init_jitter=0.05, seed=1)
     train(small_scenes(3), cfg, SMALL_PIPE)
     assert calls == {"value_and_grad": 3 * 2, "forward": 0, "backward": 0}
+
+
+def test_training_step_matches_once_in_the_loss_chain(monkeypatch):
+    """Each scene-step runs the chain's stage one once (build_context
+    records it, value_and_grad reuses it); the inference path's matching
+    runs only in the before/after evaluations, one held-out scene each."""
+    names = ("build_correspondences", "match_probabilities", "_stage_one")
+    calls = count_calls(monkeypatch, *names)
+    cfg = TrainConfig(lr=1e-2, steps=3, holdout=1, init_jitter=0.05, seed=1)
+    train(small_scenes(3), cfg, SMALL_PIPE)
+    assert calls == {"build_correspondences": 2, "match_probabilities": 2, "_stage_one": 3 * 2}
 
 
 def test_divergence_detected_at_huge_learning_rate():
