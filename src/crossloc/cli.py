@@ -54,13 +54,17 @@ def _parse_number(text: str, kind, what: str):
 
 
 def parse_seed_range(text: str):
-    """'A..B' -> inclusive list of seeds; a single integer is a one-seed list."""
+    """'A..B' -> inclusive list of seeds; a single integer is a one-seed list.
+    Seeds are non-negative."""
     if ".." in text:
         lo, hi = (_parse_number(v, int, "seed range") for v in text.split("..", 1))
         if hi < lo:
             raise UsageError(f"empty seed range {text!r}")
-        return list(range(lo, hi + 1))
-    return [_parse_number(text, int, "seed")]
+    else:
+        lo = hi = _parse_number(text, int, "seed")
+    if lo < 0:
+        raise UsageError(f"seeds must be >= 0, got {text!r}")
+    return list(range(lo, hi + 1))
 
 
 def parse_factor_range(text: str, steps: int):
@@ -167,8 +171,9 @@ def _truth_from_results(doc: dict):
 
 def cmd_simulate(args) -> int:
     cfg = _from_config(SceneConfig, _load_json(args.config) if args.config else {}, "scene")
+    seeds = parse_seed_range(args.seeds)
     os.makedirs(args.out, exist_ok=True)
-    for seed in parse_seed_range(args.seeds):
+    for seed in seeds:
         scene = generate(dataclasses.replace(cfg, seed=seed))
         stem = os.path.join(args.out, f"scene_{seed:04d}")
         write_feature_grid(scene.aerial, stem + "_aerial.fgrd")
@@ -280,11 +285,12 @@ def cmd_ablate(args) -> int:
         else None
     )
     variants = _from_args(_ablation_variants, args.mode, values)
+    configs = [_from_args(dataclasses.replace, base, **patch) for _, patch, _ in variants]
     results = {}
-    for name, scene_patch, pipe in variants:
+    for (name, _, pipe), scene_cfg in zip(variants, configs):
         samples = []
         for seed in seeds:
-            scene = generate(dataclasses.replace(base, **scene_patch, seed=seed))
+            scene = generate(dataclasses.replace(scene_cfg, seed=seed))
             est = estimate_pose(scene.aerial, scene.ground, scene.depth, scene.rays, pipe)
             samples.append(
                 pose_errors(est.transform, scene.truth, heading=scene.truth.theta)
@@ -373,6 +379,8 @@ GRADCHECK_SCENE = SceneConfig(
 
 
 def cmd_gradcheck(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise UsageError(f"--tol must be finite and positive, got {args.tol}")
     modes = ("score", "features", "projection") if args.mode == "all" else (args.mode,)
     pipe = PipelineConfig(num_correspondences=8, lift=LiftConfig(max_depth=15.0))
     reports = []

@@ -115,7 +115,7 @@ class MetadataMissing(FormatError):
 
 
 class NonFiniteValue(FormatError):
-    """A results document holds NaN or infinity, which JSON cannot encode."""
+    """A results document or a feature grid holds NaN or infinity."""
 
 
 # --- command line -----------------------------------------------------------

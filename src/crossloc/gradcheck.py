@@ -30,11 +30,16 @@ which would swamp honest gradient entries near the relative-error floor.
 The chain scores only the depth-valid ground columns plus the dustbin:
 masked columns carry exactly 0 probability to real pairs, and most ground
 columns are masked in typical scenes (in ``np.longdouble`` an ``exp`` that
-underflows costs several times a normal one).  It also takes a leading
-batch axis (``(P,)`` -> scalar, ``(K, P)`` -> ``(K,)``), so ``fd_gradient``
-evaluates the + and - rows of ``FD_BLOCK`` coordinates per call instead of
-two calls per coordinate.  The scalar ``finite_difference`` stays as the
-generic reference.
+underflows costs several times a normal one).  For the same reason
+``fd_gradient`` perturbs only the leaves the chain reads (``_read_leaves``:
+the valid columns' scores, or every aerial feature and the valid cells'
+ground feature rows, or every projection entry; plus the dustbin) and
+writes an exact +0.0 for the others, whose central differences are two
+equal losses.  The chain also takes a leading batch axis (``(P,)`` ->
+scalar, ``(K, P)`` -> ``(K,)``), so ``fd_gradient`` evaluates the + and -
+rows of ``FD_BLOCK`` read leaves per call instead of two calls per leaf.
+The scalar, every-leaf ``finite_difference`` stays as the generic
+reference.
 
 Leaf parameterizations:
 
@@ -290,6 +295,30 @@ def _valid_columns(ctx: GradContext):
     return cols, np.searchsorted(cols, ctx.ground_flat)
 
 
+def _score_leaves(ctx, cols: np.ndarray) -> np.ndarray:
+    """Flat indices of the score leaves of the ground columns ``cols``,
+    row-major over ``(n_aerial, len(cols))`` (ascending for sorted ``cols``)."""
+    na, ng = ctx.aerial_raw.shape[0], ctx.ground_raw.shape[0]
+    return (np.arange(na)[:, None] * ng + cols).ravel()
+
+
+def _read_leaves(ctx: GradContext) -> np.ndarray:
+    """Ascending indices of the leaves ``_valid_scores`` gathers, plus the
+    dustbin: the only leaves ``forward_value`` reads.  Score leaves of
+    masked columns and ground feature rows of masked cells are never read;
+    projection mode reads every leaf."""
+    cols = np.flatnonzero(ctx.valid)
+    (na, d), n = ctx.aerial_raw.shape, ctx.params0.shape[0]
+    if ctx.mode == "score":
+        read = _score_leaves(ctx, cols)
+    elif ctx.mode == "features":
+        ground = na * d + (cols[:, None] * d + np.arange(d)).ravel()
+        read = np.concatenate([np.arange(na * d), ground])
+    else:
+        return np.arange(n)
+    return np.append(read, n - 1)
+
+
 def _valid_scores(ctx: GradContext, params: np.ndarray, cols: np.ndarray, dtype):
     """Raw scores of the ground columns ``cols``, ``(..., n_aerial, len(cols))``,
     and the features they came from: ``(a_raw, g_raw, a_hat, g_hat)`` with
@@ -302,7 +331,7 @@ def _valid_scores(ctx: GradContext, params: np.ndarray, cols: np.ndarray, dtype)
     batch = params.shape[:-1]
     (na, d), ng = ctx.aerial_raw.shape, ctx.ground_raw.shape[0]
     if ctx.mode == "score":
-        entries = (np.arange(na)[:, None] * ng + cols).ravel()
+        entries = _score_leaves(ctx, cols)
         return params[..., entries].reshape(batch + (na, len(cols))).astype(dtype), None
     if ctx.mode == "features":
         a_raw = params[..., : na * d].reshape(batch + (na, d)).astype(dtype)
@@ -639,12 +668,16 @@ def backward(ctx: GradContext, params: np.ndarray) -> np.ndarray:
 # finite differences and the comparison report
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise OutOfRange(f"epsilon must be finite and positive, got {epsilon}")
+
+
 def finite_difference(
     f: Callable[[np.ndarray], float], params: np.ndarray, epsilon: float = 1.0e-5
 ) -> np.ndarray:
     """Central differences (f(p + eps e_i) - f(p - eps e_i)) / (2 eps)."""
-    if epsilon <= 0:
-        raise OutOfRange(f"epsilon must be positive, got {epsilon}")
+    _check_epsilon(epsilon)
     params = np.asarray(params, dtype=float)
     grad = np.empty_like(params)
     for i in range(params.size):
@@ -667,15 +700,19 @@ def fd_gradient(
 
     The same differences as ``finite_difference(lambda p: forward_value(ctx,
     p), params, epsilon)`` -- each perturbed vector is formed in float64 and
-    evaluated in long double -- but the + and - rows of ``FD_BLOCK``
-    coordinates at a time go through one batched ``forward_value`` call.
+    evaluated in long double -- but only for the leaves the chain reads
+    (``_read_leaves``: the valid columns' scores or ground feature rows,
+    every aerial feature or projection entry, and the dustbin), and the + and
+    - rows of ``FD_BLOCK`` of them at a time go through one batched
+    ``forward_value`` call.  Every other leaf gets an exact +0.0, the value
+    its central difference of two equal losses would give.
     """
-    if epsilon <= 0:
-        raise OutOfRange(f"epsilon must be positive, got {epsilon}")
-    params = np.asarray(params, dtype=float)
-    grad = np.empty_like(params)
-    for start in range(0, params.size, FD_BLOCK):
-        idx = np.arange(start, min(start + FD_BLOCK, params.size))
+    _check_epsilon(epsilon)
+    params = _float_leaves(ctx, params)
+    grad = np.zeros_like(params)
+    read = _read_leaves(ctx)
+    for start in range(0, read.size, FD_BLOCK):
+        idx = read[start : start + FD_BLOCK]
         k = len(idx)
         rows = np.tile(params, (2 * k, 1))
         rows[np.arange(k), idx] += epsilon

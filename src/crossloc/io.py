@@ -152,7 +152,12 @@ def _meta_to_json(grid: FeatureGrid) -> dict:
 
 
 def read_feature_grid(path) -> FeatureGrid:
-    """Parse a binary grid and rebuild its calibration from the sidecar."""
+    """Parse a binary grid and rebuild its calibration from the sidecar.
+
+    A NaN or infinite feature raises NonFiniteValue; a sidecar of the other
+    grid kind, or a malformed, out-of-bounds or non-finite ray override,
+    raises FormatError.
+    """
     with open(path, "rb") as f:
         blob = f.read()
     rows, cols, dim, kind = _read_header(blob, b"FGRD", path)
@@ -164,18 +169,22 @@ def read_feature_grid(path) -> FeatureGrid:
         .reshape(rows, cols, dim)
         .astype(float)
     )
-    meta = _meta_from_json(path, rows, cols)
+    if not np.isfinite(data).all():
+        raise NonFiniteValue(f"{path}: payload holds NaN or infinite features")
+    meta = _meta_from_json(path, rows, cols, _GRID_KINDS[kind])
     return FeatureGrid(data, _GRID_KINDS[kind], meta)
 
 
-def _meta_from_json(path, rows: int, cols: int):
+def _meta_from_json(path, rows: int, cols: int, kind: str):
     side = sidecar_path(path)
     if not os.path.exists(side):
         raise MetadataMissing(f"{path}: sidecar {side} not found")
     with open(side, "r") as f:
         doc = json.load(f)
     try:
-        if doc["grid"] == "aerial":
+        if doc["grid"] != kind:
+            raise FormatError(f"{side}: grid {doc['grid']!r}, but {path} holds a {kind} grid")
+        if kind == "aerial":
             return AerialMeta(
                 float(doc["meters_per_cell"]),
                 np.array(doc["center_offset"], dtype=float),
@@ -188,13 +197,36 @@ def _meta_from_json(path, rows: int, cols: int):
         else:
             raise MetadataMissing(f"{side}: unknown camera kind {camera['kind']!r}")
         if doc.get("ray_overrides"):
-            directions = rays.directions.copy()
-            for r, c, vec in doc["ray_overrides"]:
-                directions[r, c] = vec
+            directions = _override_rays(side, doc["ray_overrides"], rays.directions)
             rays = RayModel(directions, rays.kind, rays.params)
         return GroundMeta(rays)
     except KeyError as missing:
         raise MetadataMissing(f"{side}: missing key {missing}") from None
+
+
+def _override_rays(side, overrides, canonical: np.ndarray) -> np.ndarray:
+    """``canonical`` with each ``[row, col, [x, y, z]]`` override written in;
+    a malformed, out-of-bounds or non-finite entry is a FormatError."""
+    rows, cols, width = canonical.shape
+    try:
+        if not isinstance(overrides, list):
+            raise TypeError
+        cells = [(r, c) for r, c, _ in overrides]
+        vecs = np.array([vec for _, _, vec in overrides], dtype=float)
+        if vecs.shape != (len(cells), width) or not np.isfinite(vecs).all():
+            raise ValueError
+        for r, c in cells:
+            if not (type(r) is int and type(c) is int and 0 <= r < rows and 0 <= c < cols):
+                raise ValueError
+    except (TypeError, ValueError):
+        raise FormatError(
+            f"{side}: ray_overrides must be [row, col, [x, y, z]] entries naming "
+            f"cells of the {rows}x{cols} grid, with {width} finite components"
+        ) from None
+    directions = canonical.copy()
+    for (r, c), vec in zip(cells, vecs):
+        directions[r, c] = vec
+    return directions
 
 
 # --- depth maps -------------------------------------------------------------

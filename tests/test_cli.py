@@ -10,7 +10,7 @@ import pytest
 
 from crossloc import cli
 from crossloc.cli import main, parse_factor_range, parse_seed_range
-from crossloc.errors import OutOfRange
+from crossloc.errors import OutOfRange, UsageError
 from crossloc.estimator import PipelineConfig, estimate_pose
 from crossloc.io import read_depth_map, read_feature_grid, read_results
 from crossloc.lifting import LiftConfig, lift_ground_cells
@@ -288,6 +288,35 @@ def test_malformed_argument_values_are_usage_errors(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_seed_ranges_reject_negative_seeds():
+    for text in ("-1", "-2..3"):
+        with pytest.raises(UsageError):
+            parse_seed_range(text)
+    assert parse_seed_range("0..1") == [0, 1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--seeds", "-1"],
+        ["ablate", "--mode", "grid", "--values", "5", "--seeds", "0"],
+        ["gradcheck", "--seeds", "0", "--tol", "nan"],
+        ["gradcheck", "--seeds", "0", "--tol", "inf"],
+        ["gradcheck", "--seeds", "0", "--tol", "0"],
+        ["gradcheck", "--seeds", "0", "--tol=-0.5"],
+    ],
+    ids=["negative-seed", "too-small-grid", "nan-tol", "inf-tol", "zero-tol", "negative-tol"],
+)
+def test_settings_checked_after_parsing_are_usage_errors_before_any_scene(
+    argv, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(cli, "generate", lambda cfg: pytest.fail("a scene was generated"))
+    out = tmp_path / "never"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert not out.exists()
+
+
 def test_gradcheck_failure_writes_valid_json(tmp_path, monkeypatch, capsys):
     """A failed check carries infinite errors; --out must still be strict
     JSON (null, not a bare Infinity token), and the command exits 1."""
@@ -424,6 +453,23 @@ def test_invalid_solver_settings_are_usage_errors(flags, scene_dir, tmp_path, ca
     ]
     assert main(argv + flags) == 2
     assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_reports_a_bad_ray_override_as_a_format_error(scene_dir, tmp_path, capsys):
+    """A malformed sidecar ends in exit 1 and a one-line error, not a
+    traceback."""
+    files = scene_files(scene_dir, 7)
+    side = files["ground"] + ".json"
+    doc = json.loads(open(side).read())
+    doc["ray_overrides"] = [[99, 0, [1.0, 0.0, 0.0]]]
+    with open(side, "w") as f:
+        json.dump(doc, f)
+    out = tmp_path / "never.json"
+    argv = ["solve", "--aerial", files["aerial"], "--ground", files["ground"],
+            "--depth", files["depth"], "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
 
 

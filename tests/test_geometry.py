@@ -221,6 +221,26 @@ def test_solve_similarity_weight_rescale_invariance():
         assert np.allclose(est.t, base.t, atol=1e-8)
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 12),
+    log10_k=st.floats(-6.0, 6.0),
+    data=st.data(),
+)
+def test_solve_similarity_invariant_to_pair_order_and_weight_scale(seed, n, log10_k, data):
+    """Permuting the pairs, or scaling every weight by one positive factor,
+    gives the same transform up to the rounding of reordered sums."""
+    p, q, w, _ = random_instance(np.random.default_rng(seed), n, noise=0.5)
+    order = np.array(data.draw(st.permutations(range(n))))
+    base = solve_similarity(p, q, w)
+    size = 1.0 + base.scale * np.abs(p).max() + np.abs(q).max()
+    for est in (solve_similarity(p[order], q[order], w[order]),
+                solve_similarity(p, q, 10.0**log10_k * w)):
+        assert abs(est.scale - base.scale) <= TIGHT * base.scale
+        assert abs(wrap_angle(est.theta - base.theta)) <= TIGHT
+        assert np.abs(est.t - base.t).max() <= TIGHT * size
+
+
 def test_solve_similarity_local_optimality():
     """Solution beats thousands of random perturbed transforms."""
     rng = np.random.default_rng(7)

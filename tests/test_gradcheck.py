@@ -87,6 +87,18 @@ def test_finite_difference_rejects_bad_epsilon():
         gradcheck.fd_gradient(ctx, ctx.params0, epsilon=0.0)
 
 
+@pytest.mark.parametrize("epsilon", [np.nan, np.inf, -np.inf, -1e-5])
+def test_fd_rejects_a_non_finite_or_negative_epsilon_before_evaluating(epsilon):
+    def never(x):
+        pytest.fail("the oracle evaluated the function")
+
+    with pytest.raises(OutOfRange):
+        gradcheck.finite_difference(never, np.zeros(2), epsilon)
+    ctx = small_context(2, "projection")
+    with pytest.raises(OutOfRange):
+        gradcheck.fd_gradient(ctx, ctx.params0, epsilon)
+
+
 # ---------------------------------------------------------------------------
 # angle-form solver equals the SVD solver
 
@@ -264,6 +276,51 @@ def test_batched_fd_matches_scalar_reference(seed, mode):
     )
     batched = gradcheck.fd_gradient(ctx, ctx.params0, 1e-5)
     np.testing.assert_allclose(batched, reference, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("seed, mode", LEAF_CONTEXTS)
+def test_read_leaves_are_the_valid_columns_and_the_dustbin(seed, mode):
+    """The oracle's read set, spelled out from the leaf layout: every score
+    of a valid column (score mode), every aerial feature and each valid
+    cell's ground feature row (features mode), every projection entry, and
+    the dustbin."""
+    ctx = small_context(seed, mode)
+    na, ng, d = ctx.n_aerial, ctx.n_ground, ctx.dim
+    if mode == "score":
+        read = np.tile(ctx.valid, na)
+    elif mode == "features":
+        read = np.concatenate([np.ones(na * d, bool), np.repeat(ctx.valid, d)])
+    else:
+        read = np.ones(d * d, bool)
+    expected = np.flatnonzero(np.append(read, True))
+    np.testing.assert_array_equal(gradcheck._read_leaves(ctx), expected)
+    if mode == "projection":
+        assert len(expected) == len(ctx.params0)
+
+
+@pytest.mark.parametrize("seed, mode", LEAF_CONTEXTS[:2])
+def test_leaves_the_oracle_skips_never_move_the_loss(seed, mode):
+    """Perturbing leaves outside the read set -- a sample one at a time by
+    +-eps, and all of them at once by +-eps and by large amounts -- leaves
+    ``forward_value`` bit-unchanged, so their exact +0.0 in ``fd_gradient``
+    is the central difference the full oracle would take."""
+    ctx = small_context(seed, mode)
+    skipped = np.setdiff1d(np.arange(len(ctx.params0)), gradcheck._read_leaves(ctx))
+    assert len(skipped) > 0  # the scene must have masked ground cells
+    rng = np.random.default_rng(seed)
+    base = gradcheck.forward_value(ctx, ctx.params0)
+    sample = rng.choice(skipped, size=min(16, len(skipped)), replace=False)
+    rows = np.tile(ctx.params0, (2 * len(sample) + 4, 1))
+    rows[np.arange(len(sample)), sample] += 1e-5
+    rows[np.arange(len(sample), 2 * len(sample)), sample] -= 1e-5
+    for row, delta in zip(rows[-4:], (1e-5, -1e-5, 1e3, -1e6)):
+        row[skipped] += delta * rng.uniform(0.5, 1.0, size=len(skipped))
+    values = gradcheck.forward_value(ctx, rows)
+    assert (values == gradcheck.forward_value(ctx, np.tile(ctx.params0, (len(rows), 1)))).all()
+    for row in rows[-4:]:
+        assert gradcheck.forward_value(ctx, row) == base
+    fd = gradcheck.fd_gradient(ctx, ctx.params0)
+    assert not np.signbit(fd[skipped]).any() and (fd[skipped] == 0.0).all()
 
 
 @pytest.mark.parametrize(

@@ -3,9 +3,13 @@
 import json
 import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from crossloc.errors import (
     BadMagic,
@@ -199,6 +203,117 @@ def test_bad_kind_flag_raises(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(FormatError):
         read_feature_grid(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_feature_payload_raises(tmp_path, bad):
+    rng = np.random.default_rng(11)
+    grid = random_ground(rng)
+    grid.data[1, 2, 0] = bad
+    path = tmp_path / "g.fgrd"
+    write_feature_grid(grid, path)
+    with pytest.raises(NonFiniteValue):
+        read_feature_grid(path)
+
+
+@pytest.mark.parametrize("kind", ["aerial", "ground"])
+def test_sidecar_of_the_other_grid_kind_raises(tmp_path, kind):
+    """The sidecar's ``grid`` must name the kind the header's flag gives."""
+    rng = np.random.default_rng(12)
+    grid, other = random_aerial(rng), random_ground(rng)
+    if kind == "ground":
+        grid, other = other, grid
+    path, decoy = tmp_path / "g.fgrd", tmp_path / "other.fgrd"
+    write_feature_grid(grid, path)
+    write_feature_grid(other, decoy)
+    os.replace(sidecar_path(decoy), sidecar_path(path))
+    with pytest.raises(FormatError) as caught:
+        read_feature_grid(path)
+    assert type(caught.value) is FormatError and kind in str(caught.value)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        [[0, 3]],
+        [7],
+        ["abc"],
+        [[0, 3, "up"]],
+        [[0, 3, [1.0, 0.0]]],
+        [[0, 3, [[1.0, 0.0, 0.0]]]],
+        [[4, 0, [1.0, 0.0, 0.0]]],
+        [[0, 9, [1.0, 0.0, 0.0]]],
+        [[-1, 0, [1.0, 0.0, 0.0]]],
+        [[0.5, 0, [1.0, 0.0, 0.0]]],
+        [[True, 0, [1.0, 0.0, 0.0]]],
+        [[0, 3, [float("nan"), 0.0, 0.0]]],
+        [[0, 3, [0.0, float("inf"), 0.0]]],
+        {"0": [1.0, 0.0, 0.0]},
+    ],
+    ids=[
+        "short-entry", "bare-number", "string-entry", "string-vector", "two-components",
+        "nested-vector", "row-out-of-bounds", "col-out-of-bounds", "negative-row",
+        "fractional-row", "bool-row", "nan-component", "inf-component", "not-a-list",
+    ],
+)
+def test_bad_ray_override_raises_format_error(tmp_path, overrides):
+    rng = np.random.default_rng(13)
+    path = tmp_path / "g.fgrd"
+    write_feature_grid(random_ground(rng), path)  # 4 x 9 cells
+    side = sidecar_path(path)
+    doc = json.loads(open(side).read())
+    doc["ray_overrides"] = overrides
+    with open(side, "w") as f:
+        json.dump(doc, f)
+    with pytest.raises(FormatError) as caught:
+        read_feature_grid(path)
+    assert type(caught.value) is FormatError
+
+
+GRID_SHAPES = array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=6)
+FINITE32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
+@given(
+    data=arrays(np.float32, GRID_SHAPES, elements=FINITE32),
+    kind=st.sampled_from(["aerial", "ground"]),
+    cell=st.floats(1e-3, 1e3),
+    offset=st.tuples(FINITE32, FINITE32),
+)
+def test_feature_grid_round_trip_is_bit_exact_for_any_shape(data, kind, cell, offset):
+    rows, cols, _ = data.shape
+    if kind == "aerial":
+        meta = AerialMeta(cell, np.array(offset, dtype=float))
+    else:
+        meta = GroundMeta(RayModel.equirectangular(rows, cols))
+    grid = FeatureGrid(data.astype(float), kind, meta)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.fgrd")
+        write_feature_grid(grid, path)
+        back = read_feature_grid(path)
+    assert back.kind == kind
+    assert back.data.tobytes() == grid.data.tobytes()
+    if kind == "aerial":
+        assert back.meta.meters_per_cell == cell
+        assert back.meta.center_offset.tobytes() == meta.center_offset.tobytes()
+    else:
+        assert back.meta.rays.directions.tobytes() == meta.rays.directions.tobytes()
+
+
+@given(
+    depth=arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=8)),
+    kind=st.sampled_from(["metric", "relative"]),
+)
+def test_depth_round_trip_is_bit_exact_for_any_shape(depth, kind):
+    """Every float64 bit pattern survives, NaN and infinity included (the
+    lifting step, not the reader, treats those cells as invalid)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.dpth")
+        write_depth_map(DepthMap(depth, kind), path)
+        back = read_depth_map(path)
+    assert back.kind == kind
+    assert back.depth.shape == depth.shape
+    assert back.depth.tobytes() == depth.tobytes()
 
 
 # --- depth maps -------------------------------------------------------------

@@ -138,6 +138,20 @@ def test_dual_softmax_shift_invariance():
         assert np.allclose(dual_softmax(m + c), base, atol=1e-12)
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 10), st.integers(1, 10)),
+    spread=st.floats(0.0, 50.0),
+    shift=st.floats(-1e3, 1e3),
+)
+def test_dual_softmax_shift_invariance_on_random_matrices(seed, shape, spread, shift):
+    """Adding one constant to every entry changes each probability only by
+    the rounding of the shifted entries (relative, or at the underflow
+    floor for products of two tiny factors)."""
+    m = np.random.default_rng(seed).normal(scale=spread, size=shape)
+    np.testing.assert_allclose(dual_softmax(m + shift), dual_softmax(m), rtol=1e-10, atol=1e-300)
+
+
 def test_dual_softmax_probability_range_and_factor_sums():
     rng = np.random.default_rng(6)
     m = rng.normal(size=(10, 14)) * 5
