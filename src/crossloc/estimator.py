@@ -205,11 +205,16 @@ def count_inliers(
     """Correspondences whose transformed ground point lands within
     ``threshold`` meters of its aerial point (at exactly ``threshold`` it
     counts).  Returns (count, flags).  Planar points are read as complex
-    numbers x + iy, so the transform is x -> scale * e^(i theta) * x + t."""
-    p, q = (np.ascontiguousarray(x, dtype=float).view(complex)[:, 0]
-            for x in (ground_planar, aerial_metric))
+    numbers x + iy, so the transform is x -> scale * e^(i theta) * x + t.
+    The residual is (turn * p + t) - q in that order, formed in place on one
+    temporary; the inputs are not written."""
+    p = np.ascontiguousarray(ground_planar, dtype=float).view(complex)[:, 0]
+    q = np.ascontiguousarray(aerial_metric, dtype=float).view(complex)[:, 0]
     turn = transform.scale * complex(math.cos(transform.theta), math.sin(transform.theta))
-    flags = np.abs(turn * p + complex(*transform.t) - q) <= threshold
+    residual = turn * p
+    residual += complex(*transform.t.tolist())
+    residual -= q
+    flags = np.abs(residual) <= threshold
     return int(np.count_nonzero(flags)), flags
 
 

@@ -5,10 +5,13 @@ scaled rotation plus translation,
 
     minimize  sum_n  w_n * || s * R(theta) * p_n + t - q_n ||^2 ,
 
-solved in closed form through the 2x2 singular value decomposition of the
-weighted cross-covariance.  A scale-free variant (s fixed to 1) is provided
-for ablations.  All point sets are numpy arrays of shape (N, 2); weights are
-nonnegative arrays of shape (N,).
+solved in closed form: with [[a, b], [d, e]] the weighted cross-covariance
+of the centered sets, the reflection-corrected optimum (Umeyama, TPAMI 1991,
+in 2-D) is the complex number s * e^(i theta) = ((a + e) + i (b - d)) /
+spread, so no SVD is taken (``svd2x2`` stays as a reference for the
+tests).  A scale-free variant (s fixed to 1) is provided for ablations.
+All point sets are numpy arrays of shape (N, 2); weights are nonnegative
+arrays of shape (N,).
 """
 
 from __future__ import annotations
@@ -147,13 +150,12 @@ def svd2x2(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _solve(p, q, w, with_scale: bool) -> SimilarityTransform2D:
-    """``svd2x2``'s route on scalars: R = V diag(1, det_sign) U^T, with
-    det_sign = -1 exactly in the reflection case (s2 < 0), is R(psi - phi)
-    either way, and the sign-corrected singular value sum is s1 + s2.  The
-    two point sets are centered side by side, as one (N, 4) array; a
+    """One path for every N: the pairs as one (N, 4) array, centered once
+    at the centroid ``w @ pq / total``; one weighted Gram product of it
+    holds the spread and the cross-covariance entries a, b, d, e.  A
     non-finite point or weight leaves the sum or a centroid non-finite."""
     p, q, w = _check_pairs(p, q, w)
-    low = float(w.min(initial=math.inf))
+    low = float(np.minimum.reduce(w, initial=math.inf))
     if low < 0.0:
         raise OutOfRange("weights must be >= 0")
     positive = len(w) if low > 0.0 else int(np.count_nonzero(w > 0.0))
@@ -161,28 +163,26 @@ def _solve(p, q, w, with_scale: bool) -> SimilarityTransform2D:
         raise DegenerateConfiguration(
             f"need >= 2 positively weighted pairs, got {positive}"
         )
-    total = float(w.sum())
+    total = float(np.add.reduce(w))
     if total <= 0.0:
         raise ZeroWeightSum("weights sum to zero")
 
-    w_col = w[:, None]
     pq = np.concatenate((p, q), axis=1)
-    bar = (w_col * pq).sum(axis=0) / total
+    bar = w @ pq
+    bar /= total
     p_x, p_y, q_x, q_y = bar.tolist()
     if not math.isfinite(total + p_x + p_y + q_x + q_y):
         raise OutOfRange("points and weights must be finite")
-    centered = pq - bar
-    p_c = centered[:, :2]
-    spread = float((w * (p_c**2).sum(axis=1)).sum())
+    pq -= bar
+    (xx, _, a, b), (_, yy, d, e), _, _ = ((pq.T * w) @ pq).tolist()
+    spread = xx + yy
     if spread == 0.0:
         raise DegenerateConfiguration(
             "all positively weighted source points coincide"
         )
 
-    (a, b), (d, e) = ((p_c * w_col).T @ centered[:, 2:]).tolist()
-    phi, psi, s1, s2 = _svd2x2_angles(a, b, d, e)
-    theta = wrap_angle(psi - phi)
-    scale = (s1 + s2) / spread if with_scale else 1.0
+    theta = math.atan2(b - d, a + e)
+    scale = math.hypot(a + e, b - d) / spread if with_scale else 1.0
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     t = np.array([
         q_x - scale * (cos_t * p_x - sin_t * p_y),
@@ -194,12 +194,14 @@ def _solve(p, q, w, with_scale: bool) -> SimilarityTransform2D:
 def solve_similarity(p: np.ndarray, q: np.ndarray, w: np.ndarray) -> SimilarityTransform2D:
     """Optimal weighted similarity (scale, rotation, translation) mapping p to q.
 
-    Closed-form solution: center both sets at their weighted centroids, take
-    the SVD of the weighted cross-covariance C = sum w_n outer(p_n, q_n), and
-    compose R = V diag(1, sign(det(V U^T))) U^T so the result is always a
-    proper rotation.  The scale is the (sign-corrected) trace of the singular
-    values divided by the weighted source spread, and the translation aligns
-    the centroids.
+    Closed-form solution: center both sets at their weighted centroids and
+    form the weighted cross-covariance C = sum w_n outer(p_n, q_n) =
+    [[a, b], [d, e]] and the source spread sum w_n |p_n|^2.  The complex
+    number sum w_n conj(p_n) q_n = (a + e) + i (b - d) has as its angle the
+    best proper rotation (the SVD route's R = V diag(1, sign(det(V U^T))) U^T)
+    and as its modulus the sign-corrected singular value sum, so
+    theta = atan2(b - d, a + e), scale = hypot(a + e, b - d) / spread, and
+    the translation aligns the centroids.
 
     Raises DegenerateConfiguration for fewer than two positively weighted
     pairs or when all positively weighted source points coincide, and

@@ -27,6 +27,7 @@ temp-file-then-rename so readers never observe partial files.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 
@@ -176,24 +177,47 @@ def read_feature_grid(path) -> FeatureGrid:
 
 
 def _meta_from_json(path, rows: int, cols: int, kind: str):
+    """The grid's calibration from its sidecar.  A missing key raises
+    MetadataMissing; a document that is not a JSON object, or a value of
+    the wrong type, shape or range, raises FormatError naming the key."""
     side = sidecar_path(path)
     if not os.path.exists(side):
         raise MetadataMissing(f"{path}: sidecar {side} not found")
     with open(side, "r") as f:
-        doc = json.load(f)
+        try:
+            doc = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{side}: sidecar is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise FormatError(f"{side}: sidecar must be a JSON object, got {type(doc).__name__}")
     try:
         if doc["grid"] != kind:
             raise FormatError(f"{side}: grid {doc['grid']!r}, but {path} holds a {kind} grid")
         if kind == "aerial":
+            offset = doc["center_offset"]
+            if not (isinstance(offset, list) and len(offset) == 2):
+                raise FormatError(f"{side}: center_offset must be two numbers, got {offset!r}")
             return AerialMeta(
-                float(doc["meters_per_cell"]),
-                np.array(doc["center_offset"], dtype=float),
+                _sidecar_number(side, "meters_per_cell", doc["meters_per_cell"], positive=True),
+                np.array([_sidecar_number(side, "center_offset", v) for v in offset]),
             )
         camera = doc["camera"]
+        if not isinstance(camera, dict):
+            raise FormatError(f"{side}: camera must be an object, got {camera!r}")
         if camera["kind"] == "equirectangular":
             rays = RayModel.equirectangular(rows, cols)
         elif camera["kind"] == "pinhole":
-            rays = RayModel.pinhole(rows, cols, **camera["params"])
+            params = camera["params"]
+            if not (isinstance(params, dict) and params.keys() <= {"fx", "fy", "cx", "cy"}):
+                raise FormatError(
+                    f"{side}: camera.params must be an object of fx, fy and optional "
+                    f"cx, cy, got {params!r}"
+                )
+            focal = {k: _sidecar_number(side, f"camera.params.{k}", params[k], positive=True)
+                     for k in ("fx", "fy")}
+            center = {k: _sidecar_number(side, f"camera.params.{k}", params[k])
+                      for k in ("cx", "cy") if k in params}
+            rays = RayModel.pinhole(rows, cols, **focal, **center)
         else:
             raise MetadataMissing(f"{side}: unknown camera kind {camera['kind']!r}")
         if doc.get("ray_overrides"):
@@ -202,6 +226,19 @@ def _meta_from_json(path, rows: int, cols: int, kind: str):
         return GroundMeta(rays)
     except KeyError as missing:
         raise MetadataMissing(f"{side}: missing key {missing}") from None
+
+
+def _sidecar_number(side, key: str, value, positive: bool = False) -> float:
+    """``value`` as a float when it is a finite JSON number (not a bool),
+    and > 0 when ``positive``; otherwise a FormatError naming ``key``."""
+    try:
+        number = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:  # an integer literal too large for a float
+        number = math.inf
+    if not math.isfinite(number) or (positive and number <= 0.0):
+        what = "a finite number > 0" if positive else "a finite number"
+        raise FormatError(f"{side}: {key} must be {what}, got {value!r}")
+    return number
 
 
 def _override_rays(side, overrides, canonical: np.ndarray) -> np.ndarray:

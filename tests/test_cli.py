@@ -10,7 +10,7 @@ import pytest
 
 from crossloc import cli
 from crossloc.cli import main, parse_factor_range, parse_seed_range
-from crossloc.errors import OutOfRange, UsageError
+from crossloc.errors import FormatError, OutOfRange, UsageError
 from crossloc.estimator import PipelineConfig, estimate_pose
 from crossloc.io import read_depth_map, read_feature_grid, read_results
 from crossloc.lifting import LiftConfig, lift_ground_cells
@@ -470,6 +470,67 @@ def test_solve_reports_a_bad_ray_override_as_a_format_error(scene_dir, tmp_path,
             "--depth", files["depth"], "--out", str(out)]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+PINHOLE = {"fx": 5.0, "fy": 5.0, "cx": 4.5, "cy": 1.5}
+
+
+@pytest.mark.parametrize(
+    "grid, edit, key",
+    [
+        ("aerial", {"meters_per_cell": "abc"}, "meters_per_cell"),
+        ("aerial", {"meters_per_cell": 0}, "meters_per_cell"),
+        ("aerial", {"meters_per_cell": -2.0}, "meters_per_cell"),
+        ("aerial", {"meters_per_cell": float("nan")}, "meters_per_cell"),
+        ("aerial", {"meters_per_cell": True}, "meters_per_cell"),
+        ("aerial", {"meters_per_cell": 10**400}, "meters_per_cell"),
+        ("aerial", {"center_offset": [1, 2, 3]}, "center_offset"),
+        ("aerial", {"center_offset": 4.0}, "center_offset"),
+        ("aerial", {"center_offset": [0.0, float("inf")]}, "center_offset"),
+        ("aerial", {"center_offset": ["a", 0.0]}, "center_offset"),
+        ("aerial", [1, 2], "sidecar must be a JSON object"),
+        ("aerial", "{not json", "sidecar is not valid JSON"),
+        ("ground", [1, 2], "sidecar must be a JSON object"),
+        ("ground", {"camera": ["pinhole"]}, "camera"),
+        ("ground", {"camera": {"kind": "pinhole", "params": [5.0, 5.0]}}, "camera.params"),
+        ("ground", {"camera": {"kind": "pinhole", "params": {**PINHOLE, "k1": 0.1}}},
+         "camera.params"),
+        ("ground", {"camera": {"kind": "pinhole", "params": {**PINHOLE, "fx": 0.0}}},
+         "camera.params.fx"),
+        ("ground", {"camera": {"kind": "pinhole", "params": {**PINHOLE, "fy": "5"}}},
+         "camera.params.fy"),
+        ("ground", {"camera": {"kind": "pinhole", "params": {**PINHOLE, "cx": float("nan")}}},
+         "camera.params.cx"),
+    ],
+    ids=[
+        "cell-string", "cell-zero", "cell-negative", "cell-nan", "cell-bool", "cell-huge-int",
+        "offset-three", "offset-scalar", "offset-inf", "offset-string", "aerial-list",
+        "aerial-not-json",
+        "ground-list", "camera-list", "params-list", "params-unknown-key", "fx-zero",
+        "fy-string", "cx-nan",
+    ],
+)
+def test_malformed_sidecar_is_a_format_error_with_exit_1(
+    grid, edit, key, scene_dir, tmp_path, capsys
+):
+    """A sidecar of the wrong type, shape or range raises FormatError naming
+    the sidecar and the key, and ``solve`` exits 1 with a one-line error
+    instead of a traceback or a solve on a nonsensical calibration."""
+    files = scene_files(scene_dir, 7)
+    side = files[grid] + ".json"
+    doc = edit if isinstance(edit, (list, str)) else {**json.loads(open(side).read()), **edit}
+    with open(side, "w") as f:
+        f.write(doc if isinstance(doc, str) else json.dumps(doc))
+    with pytest.raises(FormatError) as caught:
+        read_feature_grid(files[grid])
+    assert side in str(caught.value) and key in str(caught.value)
+    out = tmp_path / "never.json"
+    argv = ["solve", "--aerial", files["aerial"], "--ground", files["ground"],
+            "--depth", files["depth"], "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
     assert not out.exists()
 
 

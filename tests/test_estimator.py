@@ -269,6 +269,41 @@ def test_degenerate_redraw_does_not_burn_iterations():
     assert np.linalg.norm(est.transform.t - truth.t) < 1e-6
 
 
+# winning inlier count of the default RANSAC on each seed-0 scene of the
+# benchmark's localize variants, as the SVD-angle solver gave them; a solver
+# or consensus change that moves a winner fails here
+RANSAC_PINNED = {
+    ("panorama", 0.0): 12,
+    ("panorama", 0.1): 6,
+    ("pinhole", 0.0): 19,
+    ("pinhole", 0.1): 19,
+}
+
+
+@pytest.mark.parametrize("camera, noise", list(RANSAC_PINNED))
+def test_ransac_winners_are_pinned_and_inputs_untouched(camera, noise):
+    """Default RANSAC keeps its pinned winners, and neither it nor
+    ``count_inliers`` writes to the pair arrays it is given."""
+    scene = generate(SceneConfig(camera=camera, noise_sigma=noise, seed=0))
+    grids = (scene.aerial, scene.ground, scene.depth, scene.rays)
+    cfg = PipelineConfig(ransac=RansacConfig())
+    est = estimate_pose(*grids, cfg)
+    assert est.inlier_count == RANSAC_PINNED[camera, noise]
+    assert int(est.inlier_mask.sum()) == est.inlier_count
+
+    corr = build_correspondences(*grids, cfg)
+    pairs = (corr.ground_planar, corr.aerial_metric, corr.weights)
+    before = [x.tobytes() for x in pairs]
+    for x in pairs:
+        x.setflags(write=False)  # an in-place write raises instead of passing
+    again = ransac_estimate(*pairs, cfg.ransac)
+    count, flags = count_inliers(again.transform, *pairs[:2], cfg.ransac.inlier_threshold)
+    assert [x.tobytes() for x in pairs] == before
+    assert again.inlier_count == est.inlier_count
+    np.testing.assert_array_equal(again.inlier_mask, est.inlier_mask)
+    assert count == int(flags.sum())
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [

@@ -499,3 +499,58 @@ def test_count_inliers_threshold_is_inclusive(cells, triple, log2_scale, t):
     assert count == len(p) and flags.all()
     count, flags = count_inliers(transform, p, q, np.nextafter(float(dist), 0.0))
     assert count == 0 and not flags.any()
+
+
+def compose(a, b):
+    """The transform x -> a(b(x))."""
+    return SimilarityTransform2D(
+        a.scale * b.scale, wrap_angle(a.theta + b.theta), apply_transform(a, b.t)
+    )
+
+
+# (solver, whether the motions it is equivariant under may scale)
+SOLVERS = [(solve_similarity, True), (solve_orthogonal, False)]
+MOTION = st.tuples(
+    st.floats(-1.0, 1.0),  # log10 of the scale, used only where the solver allows it
+    st.floats(-math.pi, math.pi),
+    st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
+)
+
+
+def motion(params, scaled):
+    log10_scale, theta, t = params
+    return SimilarityTransform2D(10.0**log10_scale if scaled else 1.0, theta, np.array(t))
+
+
+@pytest.mark.parametrize("solver, scaled", SOLVERS)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 12), params=MOTION)
+def test_solver_is_equivariant_under_target_motion(solver, scaled, seed, n, params):
+    """Moving the targets by T moves the solution by T: solve(p, T q) =
+    T o solve(p, q), for a similarity T (a rigid one for the scale-pinned
+    solver), on noisy pairs."""
+    p, q, w, _ = random_instance(np.random.default_rng(seed), n, noise=0.5)
+    moved = motion(params, scaled)
+    tq = apply_transform(moved, q)
+    assert_same_solution(solver(p, tq, w), compose(moved, solver(p, q, w)), p, tq)
+
+
+@pytest.mark.parametrize("solver, scaled", SOLVERS)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 12), params=MOTION)
+def test_solver_is_equivariant_under_source_motion(solver, scaled, seed, n, params):
+    """Moving the sources by T composes the solution with T's inverse:
+    solve(T p, q) = solve(p, q) o T^-1."""
+    p, q, w, _ = random_instance(np.random.default_rng(seed), n, noise=0.5)
+    moved = motion(params, scaled)
+    tp = apply_transform(moved, p)
+    assert_same_solution(solver(tp, q, w), compose(solver(p, q, w), moved.inverse()), tp, q)
+
+
+@pytest.mark.parametrize("solver, scaled", SOLVERS)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), params=MOTION)
+def test_solver_recovers_a_planted_motion(solver, scaled, seed, n, params):
+    """Noise-free pairs q = T p give back T."""
+    rng = np.random.default_rng(seed)
+    p, w = rng.normal(scale=5.0, size=(n, 2)), rng.uniform(0.1, 2.0, size=n)
+    planted = motion(params, scaled)
+    q = apply_transform(planted, p)
+    assert_same_solution(solver(p, q, w), planted, p, q)
