@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -18,11 +17,12 @@ import typing
 
 import numpy as np
 
-from .errors import CrosslocError, OutOfRange, UsageError
+from .errors import CrosslocError, FormatError, MetadataMissing, OutOfRange, UsageError
 from .estimator import PipelineConfig, RansacConfig, estimate_pose, overlay_layout
 from .gradcheck import build_context, check
 from .io import (
     _atomic_write_bytes,
+    _json_number,
     read_depth_map,
     read_feature_grid,
     read_results,
@@ -68,7 +68,10 @@ def parse_seed_range(text: str):
 
 
 def parse_factor_range(text: str, steps: int):
-    """'0.001..1000' -> log-spaced factors, endpoints inclusive."""
+    """'0.001..1000' -> ``steps`` (>= 1) log-spaced factors, endpoints
+    inclusive."""
+    if steps < 1:
+        raise UsageError(f"--factor-steps must be >= 1, got {steps}")
     if ".." not in text:
         return [_parse_number(text, float, "factor")]
     lo, hi = (_parse_number(v, float, "factor range") for v in text.split("..", 1))
@@ -77,11 +80,6 @@ def parse_factor_range(text: str, steps: int):
             f"factor range {text!r} must be finite, positive and increasing"
         )
     return [float(f) for f in np.logspace(math.log10(lo), math.log10(hi), steps)]
-
-
-def _load_json(path) -> dict:
-    with open(path, "r") as f:
-        return json.load(f)
 
 
 def _from_args(build, *args, **kwargs):
@@ -147,22 +145,38 @@ def _solve_record(est, truth=None) -> dict:
         }
     }
     if truth is not None:
-        sample = pose_errors(est.transform, truth, heading=truth.theta)
-        record["errors"] = {
-            "loc_error": sample.loc_error,
-            "ori_error": sample.ori_error,
-            "lateral": sample.lateral,
-            "longitudinal": sample.longitudinal,
-        }
+        record["errors"] = dataclasses.asdict(
+            pose_errors(est.transform, truth, heading=truth.theta)
+        )
     return record
 
 
-def _truth_from_results(doc: dict):
+def _section(doc, key: str, fields, path) -> list:
+    """``doc[key][f]`` for each of ``fields`` in the JSON document read from
+    ``path``.  A missing key raises MetadataMissing, and a document or
+    ``doc[key]`` that is not an object FormatError, naming the file and key."""
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: must be a JSON object, got {type(doc).__name__}")
+    if key not in doc:
+        raise MetadataMissing(f"{path}: missing key {key!r}")
+    if not isinstance(doc[key], dict):
+        raise FormatError(f"{path}: {key} must be an object, got {doc[key]!r}")
+    missing = [f for f in fields if f not in doc[key]]
+    if missing:
+        raise MetadataMissing(f"{path}: {key} lacks key {missing[0]!r}")
+    return [doc[key][f] for f in fields]
+
+
+def _truth_from_results(doc, path):
     from .geometry import SimilarityTransform2D
 
-    t = doc["truth"]
+    scale, theta, t = _section(doc, "truth", ("scale", "theta", "t"), path)
+    if not (isinstance(t, list) and len(t) == 2):
+        raise FormatError(f"{path}: truth.t must be two numbers, got {t!r}")
     return SimilarityTransform2D(
-        float(t["scale"]), float(t["theta"]), np.array(t["t"], dtype=float)
+        _json_number(path, "truth.scale", scale, positive=True),
+        _json_number(path, "truth.theta", theta),
+        np.array([_json_number(path, "truth.t", v) for v in t]),
     )
 
 
@@ -170,7 +184,7 @@ def _truth_from_results(doc: dict):
 
 
 def cmd_simulate(args) -> int:
-    cfg = _from_config(SceneConfig, _load_json(args.config) if args.config else {}, "scene")
+    cfg = _from_config(SceneConfig, read_results(args.config) if args.config else {}, "scene")
     seeds = parse_seed_range(args.seeds)
     os.makedirs(args.out, exist_ok=True)
     for seed in seeds:
@@ -201,7 +215,7 @@ def cmd_solve(args) -> int:
     ground = read_feature_grid(args.ground)
     depth = read_depth_map(args.depth)
     est = estimate_pose(aerial, ground, depth, ground.meta.rays, pipe)
-    truth = _truth_from_results(_load_json(args.truth)) if args.truth else None
+    truth = _truth_from_results(read_results(args.truth), args.truth) if args.truth else None
     record = _solve_record(est, truth)
     record["config"] = _pipeline_echo(pipe)
     record["overlay"] = overlay_layout(est.ground_points3, est.transform).tolist()
@@ -277,7 +291,7 @@ ABLATION_MODES = ("top-points", "no-scale", "N", "grid")
 
 
 def cmd_ablate(args) -> int:
-    base = _from_config(SceneConfig, _load_json(args.config) if args.config else {}, "scene")
+    base = _from_config(SceneConfig, read_results(args.config) if args.config else {}, "scene")
     seeds = parse_seed_range(args.seeds)
     values = (
         [_parse_number(v, int, "--values") for v in args.values.split(",")]
@@ -338,7 +352,7 @@ def _ablation_variants(mode: str, values):
 def cmd_train(args) -> int:
     # With no --config the pinned reference configuration runs end to end;
     # config fields not given fall back to the TrainConfig defaults.
-    doc = _load_json(args.config) if args.config else {}
+    doc = read_results(args.config) if args.config else {}
     data_doc = doc.pop("dataset", {}) if isinstance(doc, dict) else {}
     cfg = REFERENCE_TRAIN if doc == {} else _from_config(TrainConfig, doc, "train")
     scenes = _from_config(reference_dataset, data_doc, "dataset")
@@ -405,16 +419,17 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    fields = [f.name for f in dataclasses.fields(ErrorSample)]
     samples = []
     for path in args.results:
         doc = read_results(path)
-        if "errors" not in doc:
-            raise OutOfRange(
+        if isinstance(doc, dict) and "errors" not in doc:
+            raise MetadataMissing(
                 f"{path} has no per-sample errors; solve it with --truth first"
             )
-        e = doc["errors"]
+        values = _section(doc, "errors", fields, path)
         samples.append(
-            ErrorSample(e["loc_error"], e["ori_error"], e["lateral"], e["longitudinal"])
+            ErrorSample(*(_json_number(path, f"errors.{f}", v) for f, v in zip(fields, values)))
         )
     summary = summarize(samples)
     write_results({"summary": summary.to_dict()}, args.out)
@@ -526,7 +541,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except (CrosslocError, OSError, json.JSONDecodeError) as e:
+    except (CrosslocError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

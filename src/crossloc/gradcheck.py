@@ -7,8 +7,9 @@ treatment of hard selection).  This module writes the training loss once,
 as one chain of elementwise numpy operations in any float type
 (``forward_value``), recorded in two stages:
 
-* scores and the dual softmax with dustbin -- the row- and column-shifted
-  exponentials of the augmented matrix and their sums (no selection yet);
+* scores and the dual softmax with dustbin -- ``matching``'s own
+  ``augment_dustbin``, ``row_softmax`` and ``col_softmax``, batched and in
+  the chain's float type (no selection yet);
 * weighted scale-aware alignment -- the optimal angle in 2-D has the closed
   form theta* = atan2(C01 - C10, C00 + C11) over the weighted covariance C,
   and the optimal scale is hypot of the same two invariants over the
@@ -24,8 +25,9 @@ calls it once per scene-step).  The finite-difference oracle runs the same
 chain in extended precision (``np.longdouble``): float64 rounding of an
 O(1) loss leaves ~1e-10 of noise in a central difference at step 1e-5,
 which would swamp honest gradient entries near the relative-error floor.
-``forward`` is the independent route: the production SVD solver and the
-``losses`` module, held to the chain's loss by the tests.
+``forward`` is the independent route: ``matching.match_probabilities``,
+the production ``solve_similarity`` (its own Gram-product closed form) and
+the ``losses`` module, held to the chain's loss by the tests.
 
 The chain scores only the depth-valid ground columns plus the dustbin:
 masked columns carry exactly 0 probability to real pairs, and most ground
@@ -76,11 +78,11 @@ from .losses import (
     virtual_point_grid,
 )
 from .matching import (
-    ScoreMatrix,
     augment_dustbin,
-    drop_dustbin,
-    dual_softmax,
+    col_softmax,
+    match_probabilities,
     normalize_features,
+    row_softmax,
     score_matrix,
 )
 
@@ -123,7 +125,6 @@ class GradContext:
     beta: float
     aerial_meta: object
     aerial_shape: tuple
-    ground_shape: tuple
     aerial_raw: np.ndarray  # (n_aerial, dim) unnormalized features
     ground_raw: np.ndarray  # (n_ground, dim) unnormalized features
     params0: np.ndarray  # (P,) read-only leaf vector the selection is frozen at
@@ -214,7 +215,7 @@ def build_context(
     (na, dim), ng = aerial_raw.shape, ground_raw.shape[0]
     if params0 is None:
         if mode == "score":
-            base = score_matrix(scene.aerial, scene.ground, cfg.tau).scores
+            base = score_matrix(scene.aerial, scene.ground, cfg.tau)
         elif mode == "features":
             base = np.concatenate([aerial_raw.ravel(), ground_raw.ravel()])
         else:  # projection
@@ -230,8 +231,8 @@ def build_context(
     valid = depth_valid_mask(scene.depth, cfg.lift).ravel()
     leaves = _Leaves(mode, cfg.tau, valid, aerial_raw, ground_raw)
     stage0 = _stage_one(leaves, params0, np.float64)
-    ra, cb = _softmaxes(stage0)
-    corr = _lift_top_n(ra[:-1, :-1] * cb[:-1, :-1], np.flatnonzero(valid), scene.aerial,
+    probs = stage0.ra[:-1, :-1] * stage0.cb[:-1, :-1]
+    corr = _lift_top_n(probs, np.flatnonzero(valid), scene.aerial,
                        scene.ground, scene.depth, scene.rays, cfg)
 
     if target_scale is None:
@@ -266,7 +267,6 @@ def build_context(
         beta=float(beta),
         aerial_meta=scene.aerial.meta,
         aerial_shape=aerial_shape,
-        ground_shape=(scene.ground.rows, scene.ground.cols),
         aerial_raw=aerial_raw,
         ground_raw=ground_raw,
         params0=params0,
@@ -353,15 +353,14 @@ def _valid_scores(ctx: GradContext, params: np.ndarray, cols: np.ndarray, dtype)
 def forward(ctx: GradContext, params: np.ndarray) -> float:
     """Total training loss at ``params`` with the context's frozen selection.
 
-    Uses the production solver and loss implementations end to end, as an
-    independent route to the loss ``value_and_grad`` returns.  Only the
-    depth-valid ground columns are scored (see ``forward_value``).
+    Uses the production matching, solver and loss implementations end to
+    end, as an independent route to the loss ``value_and_grad`` returns.
+    Only the depth-valid ground columns are scored (see ``forward_value``).
     """
     params = _float_leaves(ctx, params)
     cols, sel = _valid_columns(ctx)
     scores, _ = _valid_scores(ctx, params, cols, np.float64)
-    m = ScoreMatrix(scores, ctx.tau, ctx.aerial_shape, (1, len(cols)))
-    probs = drop_dustbin(dual_softmax(augment_dustbin(scores, params[-1])))
+    probs = match_probabilities(scores, params[-1])
     estimate = solve_similarity(
         ctx.ground_planar, ctx.aerial_metric, probs[ctx.aerial_flat, sel]
     )
@@ -370,22 +369,22 @@ def forward(ctx: GradContext, params: np.ndarray) -> float:
         return total_loss(vce, 0.0, 0.0, 0.0).total
     q_hat = gt_aerial_targets(ctx.ground_planar, ctx.truth, ctx.target_scale)
     p_hat = gt_ground_targets(ctx.aerial_metric, ctx.truth, ctx.target_scale)
-    g2s = info_nce_g2s(m, sel, q_hat, ctx.aerial_meta)
-    s2g = info_nce_s2g(m, ctx.aerial_flat, p_hat, sel, ctx.ground_planar, ctx.rule)
+    g2s = info_nce_g2s(scores, ctx.aerial_shape, sel, q_hat, ctx.aerial_meta)
+    s2g = info_nce_s2g(scores, ctx.aerial_flat, p_hat, sel, ctx.ground_planar, ctx.rule)
     return total_loss(vce, g2s, s2g, ctx.beta).total
 
 
 # ---------------------------------------------------------------------------
 # the loss chain: one forward pass in two stages, in any float type, with an
 # optional leading batch axis, recording what the reverse sweep reads.  Stage
-# one: the valid columns' scores (and features), the row- and column-shifted
-# exponentials of the extended matrix with their sums.  Stage two: the
+# one: the valid columns' scores (and features), and the row and column
+# softmaxes of the dustbin-augmented matrix, by ``matching``.  Stage two: the
 # selected pairs' weights, the loss, the alignment, the virtual-point offsets
 # and, with the contrastive terms on, each term's (logits, lse).
 
 # the leaf layout, the only fields of a GradContext that stage one reads
 _Leaves = namedtuple("_Leaves", "mode tau valid aerial_raw ground_raw")
-_Stage = namedtuple("_Stage", "params scores features er ec er_sum ec_sum")
+_Stage = namedtuple("_Stage", "params scores features ra cb")
 _Alignment = namedtuple(
     "_Alignment", "total p_bar pt qt cross dot pp g h r spp theta scale cos_t sin_t t_x t_y"
 )
@@ -394,24 +393,11 @@ _Tape = namedtuple("_Tape", "loss align offsets g2s s2g", defaults=(None, None))
 
 def _stage_one(ctx, params: np.ndarray, dtype) -> _Stage:
     """Stage one, which needs no selection: valid-column scores plus a
-    dustbin of score ``params[..., -1]``, exponentiated along both axes.
-    ``ctx`` may be just the ``_Leaves``."""
+    dustbin of score ``params[..., -1]``, and that matrix's row and column
+    softmaxes.  ``ctx`` may be just the ``_Leaves``."""
     scores, features = _valid_scores(ctx, params, np.flatnonzero(ctx.valid), dtype)
-    z = params[..., -1].astype(dtype)
-    na, nc = scores.shape[-2:]
-    extended = np.empty(scores.shape[:-2] + (na + 1, nc + 1), dtype=dtype)
-    extended[..., :-1, :-1] = scores
-    extended[..., -1, :] = z[..., None]
-    extended[..., :-1, -1] = z[..., None]
-    er = np.exp(extended - extended.max(axis=-1, keepdims=True))
-    ec = np.exp(extended - extended.max(axis=-2, keepdims=True))
-    return _Stage(params, scores, features, er, ec, er.sum(axis=-1), ec.sum(axis=-2))
-
-
-def _softmaxes(stage: _Stage):
-    """Row and column softmax of one unbatched extended matrix; their
-    product without the dustbin is the dual-softmax match probability."""
-    return stage.er / stage.er_sum[:, None], stage.ec / stage.ec_sum
+    extended = augment_dustbin(scores, params[..., -1].astype(dtype))
+    return _Stage(params, scores, features, row_softmax(extended), col_softmax(extended))
 
 
 def _align(p, q, w, strict: bool = False) -> _Alignment:
@@ -476,10 +462,7 @@ def _loss(ctx: GradContext, stage: _Stage, sel, dtype, strict: bool = False) -> 
     columns among the valid ones), the alignment, the pose loss and the
     contrastive terms (NoValidTargets when they are on and no
     ground-to-aerial target is in coverage); ``strict`` is ``_align``'s."""
-    rows, er, ec = ctx.aerial_flat, stage.er, stage.ec
-    w = (er[..., rows, sel] / stage.er_sum[..., rows]) * (
-        ec[..., rows, sel] / stage.ec_sum[..., sel]
-    )
+    w = stage.ra[..., ctx.aerial_flat, sel] * stage.cb[..., ctx.aerial_flat, sel]
     p, q = ctx.ground_planar.astype(dtype), ctx.aerial_metric.astype(dtype)
     al = _align(p, q, w, strict)
     vce, offsets = _vce(
@@ -611,7 +594,7 @@ def value_and_grad(ctx: GradContext, params: np.ndarray = None):
     params = _float_leaves(ctx, ctx.params0 if params is None else params)
     stage = ctx.stage0 if params is ctx.stage0.params else _stage_one(ctx, params, np.float64)
     cols, sel = _valid_columns(ctx)
-    ra, cb = _softmaxes(stage)
+    ra, cb = stage.ra, stage.cb
     _check_selection_boundary(ctx, ra[:-1, :-1] * cb[:-1, :-1], sel)
     tape = _loss(ctx, stage, sel, np.float64, strict=True)
     al = tape.align

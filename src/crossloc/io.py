@@ -198,8 +198,8 @@ def _meta_from_json(path, rows: int, cols: int, kind: str):
             if not (isinstance(offset, list) and len(offset) == 2):
                 raise FormatError(f"{side}: center_offset must be two numbers, got {offset!r}")
             return AerialMeta(
-                _sidecar_number(side, "meters_per_cell", doc["meters_per_cell"], positive=True),
-                np.array([_sidecar_number(side, "center_offset", v) for v in offset]),
+                _json_number(side, "meters_per_cell", doc["meters_per_cell"], positive=True),
+                np.array([_json_number(side, "center_offset", v) for v in offset]),
             )
         camera = doc["camera"]
         if not isinstance(camera, dict):
@@ -213,9 +213,9 @@ def _meta_from_json(path, rows: int, cols: int, kind: str):
                     f"{side}: camera.params must be an object of fx, fy and optional "
                     f"cx, cy, got {params!r}"
                 )
-            focal = {k: _sidecar_number(side, f"camera.params.{k}", params[k], positive=True)
+            focal = {k: _json_number(side, f"camera.params.{k}", params[k], positive=True)
                      for k in ("fx", "fy")}
-            center = {k: _sidecar_number(side, f"camera.params.{k}", params[k])
+            center = {k: _json_number(side, f"camera.params.{k}", params[k])
                       for k in ("cx", "cy") if k in params}
             rays = RayModel.pinhole(rows, cols, **focal, **center)
         else:
@@ -228,16 +228,16 @@ def _meta_from_json(path, rows: int, cols: int, kind: str):
         raise MetadataMissing(f"{side}: missing key {missing}") from None
 
 
-def _sidecar_number(side, key: str, value, positive: bool = False) -> float:
+def _json_number(path, key: str, value, positive: bool = False) -> float:
     """``value`` as a float when it is a finite JSON number (not a bool),
-    and > 0 when ``positive``; otherwise a FormatError naming ``key``."""
+    and > 0 when ``positive``; otherwise a FormatError naming the key."""
     try:
         number = float(value) if type(value) in (int, float) else math.nan
     except OverflowError:  # an integer literal too large for a float
         number = math.inf
     if not math.isfinite(number) or (positive and number <= 0.0):
         what = "a finite number > 0" if positive else "a finite number"
-        raise FormatError(f"{side}: {key} must be {what}, got {value!r}")
+        raise FormatError(f"{path}: {key} must be {what}, got {value!r}")
     return number
 
 
@@ -313,6 +313,11 @@ def write_results(data: dict, path, timestamp: str = "") -> None:
     _atomic_write_bytes(path, (text + "\n").encode())
 
 
-def read_results(path) -> dict:
+def read_results(path):
+    """The JSON document at ``path`` (results, truth or config file);
+    content that is not valid JSON raises FormatError naming the file."""
     with open(path, "r") as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise FormatError(f"{path}: not valid JSON: {exc}") from None

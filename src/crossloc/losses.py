@@ -21,7 +21,7 @@ import numpy as np
 from .errors import EmptyInput, NoValidTargets, OutOfRange
 from .geometry import SimilarityTransform2D, apply_transform, rotation_matrix
 from .lifting import aerial_coverage_mask, metric_to_aerial_cells
-from .matching import AerialMeta, ScoreMatrix
+from .matching import AerialMeta
 
 __all__ = [
     "NegativeRule",
@@ -108,15 +108,17 @@ def gt_ground_targets(
 
 
 def info_nce_g2s(
-    m: ScoreMatrix,
+    scores: np.ndarray,
+    aerial_shape: tuple,
     ground_cols: np.ndarray,
     targets: np.ndarray,
     meta: AerialMeta,
 ) -> float:
     """Ground-to-aerial contrastive loss.
 
-    For each sampled ground point (a column of the score matrix) the positive
-    is the aerial cell nearest its projected target; the denominator runs
+    For each sampled ground point (a column of the ``(n_aerial, n_ground)``
+    scores over an aerial grid of ``aerial_shape``) the positive is the
+    aerial cell nearest its projected target; the denominator runs
     over the point's entire score column.  Targets outside the aerial
     coverage are dropped from the mean.  Raises NoValidTargets when nothing
     remains.
@@ -127,20 +129,19 @@ def info_nce_g2s(
         raise OutOfRange(
             f"{len(ground_cols)} columns vs {len(targets)} targets"
         )
-    shape = m.aerial_shape
-    inside = aerial_coverage_mask(targets, meta, shape)
+    inside = aerial_coverage_mask(targets, meta, aerial_shape)
     if not inside.any():
         raise NoValidTargets("every ground-to-aerial target left the aerial coverage")
-    cells = metric_to_aerial_cells(targets[inside], meta, shape)
+    cells = metric_to_aerial_cells(targets[inside], meta, aerial_shape)
     total = 0.0
-    for col, pos in zip(ground_cols[inside], cells[:, 0] * shape[1] + cells[:, 1]):
-        column = m.scores[:, col]
+    for col, pos in zip(ground_cols[inside], cells[:, 0] * aerial_shape[1] + cells[:, 1]):
+        column = scores[:, col]
         total += -(column[pos] - _logsumexp(column))
     return total / len(cells)
 
 
 def info_nce_s2g(
-    m: ScoreMatrix,
+    scores: np.ndarray,
     aerial_rows: np.ndarray,
     targets: np.ndarray,
     ground_cols: np.ndarray,
@@ -179,7 +180,7 @@ def info_nce_s2g(
         pos = int(np.argmin(dist))  # ties keep the earliest candidate
         keep = dist > rule.radius
         keep[pos] = True
-        entries = m.scores[row, ground_cols[keep]]
+        entries = scores[row, ground_cols[keep]]
         pos_in_subset = int(keep[:pos].sum())  # kept candidates before the positive
         total += -(entries[pos_in_subset] - _logsumexp(entries))
         count += 1

@@ -5,6 +5,8 @@ and every ground cell.  A learnable dustbin row/column gives unmatched cells
 somewhere to put probability mass, and a dual softmax (row softmax times
 column softmax) turns scores into soft mutual-assignment probabilities from
 which the top-N entries are sampled as weighted ``Matches`` (index arrays).
+The dustbin and softmax steps take leading batch axes and keep the float
+type, so the training loss and its long-double FD oracle run them too.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ __all__ = [
     "AerialMeta",
     "GroundMeta",
     "FeatureGrid",
-    "ScoreMatrix",
     "Matches",
     "normalize_features",
     "score_matrix",
@@ -82,16 +83,6 @@ class FeatureGrid:
 
 
 @dataclass(frozen=True)
-class ScoreMatrix:
-    """Pairwise aerial-by-ground scores plus the grid shapes they came from."""
-
-    scores: np.ndarray  # (n_aerial, n_ground)
-    tau: float
-    aerial_shape: tuple
-    ground_shape: tuple
-
-
-@dataclass(frozen=True)
 class Matches:
     """Sampled matches as parallel arrays; ``len()`` is their number."""
 
@@ -113,7 +104,7 @@ def normalize_features(flat: np.ndarray) -> np.ndarray:
     return flat / norms[..., None]
 
 
-def score_matrix(aerial: FeatureGrid, ground: FeatureGrid, tau: float) -> ScoreMatrix:
+def score_matrix(aerial: FeatureGrid, ground: FeatureGrid, tau: float) -> np.ndarray:
     """Cosine similarity of every (aerial cell, ground cell) pair over tau.
 
     Entries lie in [-1/tau, 1/tau].  Raises DimensionMismatch when feature
@@ -127,34 +118,31 @@ def score_matrix(aerial: FeatureGrid, ground: FeatureGrid, tau: float) -> ScoreM
         )
     a = normalize_features(aerial.flat().astype(float))
     g = normalize_features(ground.flat().astype(float))
-    return ScoreMatrix(
-        scores=(a @ g.T) / tau,
-        tau=tau,
-        aerial_shape=(aerial.rows, aerial.cols),
-        ground_shape=(ground.rows, ground.cols),
-    )
+    return (a @ g.T) / tau
 
 
-def augment_dustbin(scores: np.ndarray, z: float) -> np.ndarray:
-    """Append one dustbin row and column filled with the scalar score z."""
-    n_a, n_g = scores.shape
-    out = np.full((n_a + 1, n_g + 1), float(z))
-    out[:n_a, :n_g] = scores
+def augment_dustbin(scores: np.ndarray, z) -> np.ndarray:
+    """Append one dustbin row and column filled with the score z (a scalar,
+    or one per matrix of a batch); a float ``scores`` keeps its type."""
+    n_a, n_g = scores.shape[-2:]
+    z = np.asarray(z, dtype=scores.dtype if scores.dtype.kind == "f" else float)
+    out = np.full(scores.shape[:-2] + (n_a + 1, n_g + 1), z[..., None, None])
+    out[..., :-1, :-1] = scores
     return out
 
 
 def row_softmax(m: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax over each row (max subtraction)."""
-    shifted = m - m.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Numerically stable softmax over each row (last axis; max subtraction)."""
+    e = np.exp(m - m.max(axis=-1, keepdims=True))
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def col_softmax(m: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax over each column."""
-    shifted = m - m.max(axis=0, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=0, keepdims=True)
+    """Numerically stable softmax over each column (second-to-last axis)."""
+    e = np.exp(m - m.max(axis=-2, keepdims=True))
+    e /= e.sum(axis=-2, keepdims=True)
+    return e
 
 
 def dual_softmax(extended: np.ndarray) -> np.ndarray:
@@ -173,31 +161,31 @@ def drop_dustbin(extended_probs: np.ndarray) -> np.ndarray:
     Interior entries are returned unchanged (no renormalization).  Raises
     TooSmall when the input has no dustbin to drop.
     """
-    if extended_probs.shape[0] < 2 or extended_probs.shape[1] < 2:
+    if extended_probs.shape[-2] < 2 or extended_probs.shape[-1] < 2:
         raise TooSmall(f"matrix {extended_probs.shape} has no dustbin to drop")
-    return extended_probs[:-1, :-1].copy()
+    return extended_probs[..., :-1, :-1].copy()
 
 
-def mask_ground_columns(m: ScoreMatrix, valid: np.ndarray) -> ScoreMatrix:
-    """Overwrite every score in invalid ground columns with MASK_SCORE.
+def mask_ground_columns(m: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """The scores with every entry of an invalid ground column set to
+    MASK_SCORE.
 
     ``valid`` is a boolean array over the flattened ground cells.  Masked
     columns receive an effectively minus-infinite score, so after the dual
     softmax they carry exactly zero probability.
     """
     valid = np.asarray(valid, dtype=bool)
-    if valid.shape != (m.scores.shape[1],):
+    if valid.shape != (m.shape[1],):
         raise DimensionMismatch(
-            f"valid mask length {valid.shape} vs {m.scores.shape[1]} ground cells"
+            f"valid mask length {valid.shape} vs {m.shape[1]} ground cells"
         )
-    scores = np.where(valid[None, :], m.scores, MASK_SCORE)
-    return ScoreMatrix(scores, m.tau, m.aerial_shape, m.ground_shape)
+    return np.where(valid[None, :], m, MASK_SCORE)
 
 
-def match_probabilities(m: ScoreMatrix, z: float = 0.0) -> np.ndarray:
+def match_probabilities(m: np.ndarray, z: float = 0.0) -> np.ndarray:
     """Full soft-assignment chain: dustbin augment, dual softmax, dustbin
     drop; returns the (n_aerial, n_ground) real-pair probabilities."""
-    return drop_dustbin(dual_softmax(augment_dustbin(m.scores, z)))
+    return drop_dustbin(dual_softmax(augment_dustbin(m, z)))
 
 
 def top_n_flat_indices(flat_probs: np.ndarray, n: int) -> np.ndarray:

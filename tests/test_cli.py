@@ -10,7 +10,7 @@ import pytest
 
 from crossloc import cli
 from crossloc.cli import main, parse_factor_range, parse_seed_range
-from crossloc.errors import FormatError, OutOfRange, UsageError
+from crossloc.errors import FormatError, MetadataMissing, OutOfRange, UsageError
 from crossloc.estimator import PipelineConfig, estimate_pose
 from crossloc.io import read_depth_map, read_feature_grid, read_results
 from crossloc.lifting import LiftConfig, lift_ground_cells
@@ -549,6 +549,90 @@ def test_sweep_scale_rejects_a_non_finite_scaled_max_depth(tmp_path, capsys):
     ]
     assert main(argv) == 2
     assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("steps", ["0", "-2"])
+def test_sweep_scale_rejects_non_positive_factor_steps(steps, tmp_path, capsys):
+    """A step count below 1 is a usage error, before any input file is read."""
+    out = tmp_path / "never.json"
+    argv = [
+        "sweep-scale",
+        "--aerial", str(tmp_path / "missing.fgrd"),
+        "--ground", str(tmp_path / "missing.fgrd"),
+        "--depth", str(tmp_path / "missing.dpth"),
+        "--factor-steps", steps,
+        "--out", str(out),
+    ]
+    assert main(argv) == 2
+    assert "--factor-steps" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(UsageError):
+        parse_factor_range("1", int(steps))
+
+
+def solve_argv(files, out, *extra):
+    return ["solve", "--aerial", files["aerial"], "--ground", files["ground"],
+            "--depth", files["depth"], "--num-correspondences", "8", "--max-depth", "15",
+            *extra, "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["metrics", "solve", "train"])
+def test_invalid_json_input_is_an_error_naming_the_file(command, scene_dir, tmp_path, capsys):
+    """A --results, --truth or --config file that is not JSON exits 1 with a
+    one-line error naming it, not a bare decoder message."""
+    bad = tmp_path / "bad.json"
+    bad.write_text("{bad")
+    out = tmp_path / "never.json"
+    argv = {
+        "metrics": ["metrics", "--results", str(bad), "--out", str(out)],
+        "solve": solve_argv(scene_files(scene_dir, 7), out, "--truth", str(bad)),
+        "train": ["train", "--config", str(bad), "--out", str(out)],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err and "not valid JSON" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, doc, error, named",
+    [
+        ("solve", {"config": {}}, MetadataMissing, "'truth'"),
+        ("solve", {"truth": {"scale": 1.0, "theta": 0.0}}, MetadataMissing, "'t'"),
+        ("solve", {"truth": {"scale": 1.0, "theta": "x", "t": [0, 0]}}, FormatError,
+         "truth.theta"),
+        ("solve", {"truth": {"scale": 1.0, "theta": 0.0, "t": [0]}}, FormatError, "truth.t"),
+        ("solve", [1], FormatError, "JSON object"),
+        ("metrics", {"errors": [1]}, FormatError, "errors"),
+        ("metrics", {"errors": {"loc_error": 1.0}}, MetadataMissing, "'ori_error'"),
+        ("metrics", {"errors": {"loc_error": 1.0, "ori_error": None, "lateral": 0.0,
+                                "longitudinal": 0.0}}, FormatError, "errors.ori_error"),
+        ("metrics", "text", FormatError, "JSON object"),
+    ],
+    ids=["no-truth-key", "truth-without-t", "string-theta", "short-t", "truth-list",
+         "errors-list", "errors-without-ori", "null-ori", "results-string"],
+)
+def test_wrong_shape_documents_are_named_errors(
+    command, doc, error, named, scene_dir, tmp_path, capsys
+):
+    """A truth or results document of the wrong shape raises a named format
+    error (exit 1) naming the file and the key, not a traceback."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "never.json"
+    if command == "solve":
+        argv = solve_argv(scene_files(scene_dir, 7), out, "--truth", str(path))
+        with pytest.raises(error) as caught:
+            cli._truth_from_results(doc, path)
+    else:
+        argv = ["metrics", "--results", str(path), "--out", str(out)]
+        with pytest.raises(error) as caught:
+            cli.cmd_metrics(cli.build_parser().parse_args(argv))
+    assert str(path) in str(caught.value) and named in str(caught.value)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and named in err
     assert not out.exists()
 
 

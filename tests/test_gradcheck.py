@@ -1,8 +1,9 @@
 """Tests for the analytic-gradient machinery.
 
 Oracles come first: a generic central-difference routine is verified on
-functions with known derivatives, the closed-form angle solver is checked
-against the SVD solver, and only then is the full chain's backward pass
+functions with known derivatives, the chain's closed-form angle solver is
+checked against the production solver (``solve_similarity``), and only
+then is the full chain's backward pass
 held to the FD oracle.
 """
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from crossloc import gradcheck
+from crossloc import gradcheck, matching
 from crossloc.errors import DegenerateConfiguration, NonDifferentiablePoint
 from crossloc.errors import NoValidTargets, OutOfRange
 from crossloc.estimator import PipelineConfig, build_correspondences
@@ -22,7 +23,6 @@ from crossloc.lifting import LiftConfig
 from crossloc.losses import vce_loss, virtual_point_grid
 from crossloc.matching import (
     FeatureGrid,
-    ScoreMatrix,
     augment_dustbin,
     col_softmax,
     mask_ground_columns,
@@ -100,7 +100,7 @@ def test_fd_rejects_a_non_finite_or_negative_epsilon_before_evaluating(epsilon):
 
 
 # ---------------------------------------------------------------------------
-# angle-form solver equals the SVD solver
+# the chain's angle-form alignment equals the production solver
 
 
 def test_angle_solver_matches_svd_solver():
@@ -115,15 +115,15 @@ def test_angle_solver_matches_svd_solver():
         )
         q = truth.apply(p) + rng.normal(scale=1.0, size=(n, 2))
         w = rng.uniform(0.05, 1.0, size=n)
-        svd_est = solve_similarity(p, q, w)
+        est = solve_similarity(p, q, w)
         internals = gradcheck._align(p, q, w)
-        assert abs(wrap_angle(internals.theta - svd_est.theta)) < 1e-12
-        assert abs(internals.scale - svd_est.scale) < 1e-12 * svd_est.scale
+        assert abs(wrap_angle(internals.theta - est.theta)) < 1e-12
+        assert abs(internals.scale - est.scale) < 1e-12 * est.scale
 
 
 def test_pose_weight_gradients_match_fd_of_svd_route():
     """The chain-rule weight gradients (angle route) must differentiate the
-    production SVD solver: a scalar probe of (theta, scale, t) is compared
+    production solver: a scalar probe of (theta, scale, t) is compared
     against central differences through solve_similarity."""
     rng = np.random.default_rng(1)
     coeffs = (0.7, -0.3, np.array([0.4, -1.1]))
@@ -329,7 +329,7 @@ def test_leaves_the_oracle_skips_never_move_the_loss(seed, mode):
 )
 def test_value_and_grad_equals_forward_and_passes_check(seed, mode, beta):
     """The loss is the oracle's chain run in float64, bit for bit (also away
-    from ``params0``), and agrees with the independent SVD route."""
+    from ``params0``), and agrees with the independent ``forward`` route."""
     ctx = small_context(seed, mode, beta=beta)
     loss, grad = gradcheck.value_and_grad(ctx, ctx.params0)
     assert loss == gradcheck.forward_value(ctx, ctx.params0, np.float64)
@@ -358,6 +358,33 @@ def test_value_and_grad_at_params0_reuses_the_recorded_stage(seed, mode, beta, m
     assert calls == []
     assert reused[0] == loss
     np.testing.assert_array_equal(reused[1], grad)
+
+
+@pytest.mark.parametrize("seed, mode", LEAF_CONTEXTS)
+def test_stage_one_takes_its_softmaxes_from_matching(seed, mode, monkeypatch):
+    """Away from ``params0`` (and in the FD oracle's batched chain) stage one
+    runs matching's own dustbin and softmax functions, once each per call,
+    and the result is unchanged."""
+    ctx = small_context(seed, mode)
+    away = ctx.params0 + np.random.default_rng(seed).normal(scale=1e-2, size=ctx.params0.shape)
+    expected = gradcheck.value_and_grad(ctx, away)
+    calls = dict.fromkeys(("augment_dustbin", "row_softmax", "col_softmax"), 0)
+    for name in calls:
+        fn = getattr(matching, name)
+        assert getattr(gradcheck, name) is fn
+
+        def counting(*args, name=name, fn=fn):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(gradcheck, name, counting)
+    loss, grad = gradcheck.value_and_grad(ctx, away)
+    assert calls == dict.fromkeys(calls, 1)
+    assert loss == expected[0]
+    np.testing.assert_array_equal(grad, expected[1])
+    values = gradcheck.forward_value(ctx, np.stack([ctx.params0, away]))
+    assert calls == dict.fromkeys(calls, 2)
+    assert values.dtype == np.longdouble and values.shape == (2,)
 
 
 def inference_route(scene, pipe, params0=None):
@@ -421,13 +448,8 @@ def masked_chain_gradient(ctx, params):
     """Reference score-leaf gradient through the full masked matrix: every
     ground column scored, masked ones at MASK_SCORE, the dual-softmax VJP
     over the whole augmented matrix and the contrastive terms one at a time."""
-    full = ScoreMatrix(
-        params[:-1].reshape(ctx.n_aerial, ctx.n_ground),
-        ctx.tau,
-        ctx.aerial_shape,
-        ctx.ground_shape,
-    )
-    scores = mask_ground_columns(full, ctx.valid).scores
+    full = params[:-1].reshape(ctx.n_aerial, ctx.n_ground)
+    scores = mask_ground_columns(full, ctx.valid)
     ext = augment_dustbin(scores, params[-1])
     ra, cb = row_softmax(ext), col_softmax(ext)
     pairs = (ctx.aerial_flat, ctx.ground_flat)

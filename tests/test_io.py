@@ -412,6 +412,15 @@ def test_float_values_round_trip_exactly(tmp_path):
     assert read_results(path)["vals"] == vals
 
 
+@pytest.mark.parametrize("content", [b"{bad", b"", b"\xff\xfe{}"], ids=["broken", "empty", "not-utf8"])
+def test_read_results_names_the_file_of_invalid_json(tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    with pytest.raises(FormatError, match="not valid JSON") as caught:
+        read_results(path)
+    assert str(path) in str(caught.value)
+
+
 def test_no_partial_files_on_crash(tmp_path, monkeypatch):
     """A write that fails mid-stream must not leave the target path behind."""
     path = tmp_path / "never.fgrd"

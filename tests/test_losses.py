@@ -19,13 +19,9 @@ from crossloc.losses import (
     vce_loss,
     virtual_point_grid,
 )
-from crossloc.matching import AerialMeta, ScoreMatrix
+from crossloc.matching import AerialMeta
 
 TIGHT = 1e-9
-
-
-def make_score_matrix(scores, aerial_shape, ground_shape, tau=0.1):
-    return ScoreMatrix(np.asarray(scores, dtype=float), tau, aerial_shape, ground_shape)
 
 
 # --- virtual point grid -----------------------------------------------------
@@ -123,24 +119,21 @@ def test_gt_aerial_targets_hand_value():
 
 def test_g2s_uniform_scores_give_log_n():
     n_aerial = 25
-    m = make_score_matrix(np.zeros((n_aerial, 4)), (5, 5), (2, 2))
     meta = AerialMeta(meters_per_cell=1.0)
     targets = np.zeros((4, 2))  # all inside coverage
-    loss = info_nce_g2s(m, np.arange(4), targets, meta)
+    loss = info_nce_g2s(np.zeros((n_aerial, 4)), (5, 5), np.arange(4), targets, meta)
     assert loss == pytest.approx(math.log(n_aerial), abs=TIGHT)
 
 
 def test_g2s_decreases_when_positive_score_rises():
     rng = np.random.default_rng(1)
     scores = rng.normal(size=(9, 3))
-    m = make_score_matrix(scores, (3, 3), (1, 3))
     meta = AerialMeta(meters_per_cell=1.0)
     targets = np.zeros((3, 2))  # positive cell = center = flat index 4
-    base = info_nce_g2s(m, np.arange(3), targets, meta)
+    base = info_nce_g2s(scores, (3, 3), np.arange(3), targets, meta)
     boosted = scores.copy()
     boosted[4, :] += 2.0
-    m2 = make_score_matrix(boosted, (3, 3), (1, 3))
-    assert info_nce_g2s(m2, np.arange(3), targets, meta) < base
+    assert info_nce_g2s(boosted, (3, 3), np.arange(3), targets, meta) < base
 
 
 def test_g2s_shift_invariance():
@@ -148,30 +141,27 @@ def test_g2s_shift_invariance():
     scores = rng.normal(size=(16, 5))
     meta = AerialMeta(meters_per_cell=2.0)
     targets = rng.uniform(-3, 3, size=(5, 2))
-    base = info_nce_g2s(make_score_matrix(scores, (4, 4), (1, 5)), np.arange(5), targets, meta)
-    shifted = info_nce_g2s(
-        make_score_matrix(scores + 11.3, (4, 4), (1, 5)), np.arange(5), targets, meta
-    )
+    base = info_nce_g2s(scores, (4, 4), np.arange(5), targets, meta)
+    shifted = info_nce_g2s(scores + 11.3, (4, 4), np.arange(5), targets, meta)
     assert shifted == pytest.approx(base, abs=1e-9)
 
 
 def test_g2s_outside_coverage_excluded_and_all_outside_raises():
-    m = make_score_matrix(np.zeros((4, 2)), (2, 2), (1, 2))
+    scores = np.zeros((4, 2))
     meta = AerialMeta(meters_per_cell=1.0)  # coverage [-1, 1]^2
     mixed = np.array([[0.0, 0.0], [50.0, 0.0]])
-    loss = info_nce_g2s(m, np.arange(2), mixed, meta)
+    loss = info_nce_g2s(scores, (2, 2), np.arange(2), mixed, meta)
     assert loss == pytest.approx(math.log(4), abs=TIGHT)  # only the inside one counts
     with pytest.raises(NoValidTargets):
-        info_nce_g2s(m, np.arange(2), np.full((2, 2), 99.0), meta)
+        info_nce_g2s(scores, (2, 2), np.arange(2), np.full((2, 2), 99.0), meta)
 
 
 # --- aerial-to-ground contrastive loss --------------------------------------
 
 
 def test_s2g_single_candidate_is_zero():
-    m = make_score_matrix(np.array([[3.0]]), (1, 1), (1, 1))
     loss = info_nce_s2g(
-        m, np.array([0]), np.zeros((1, 2)), np.array([0]), np.zeros((1, 2))
+        np.array([[3.0]]), np.array([0]), np.zeros((1, 2)), np.array([0]), np.zeros((1, 2))
     )
     assert loss == pytest.approx(0.0, abs=TIGHT)
 
@@ -180,7 +170,7 @@ def test_s2g_all_candidates_inside_radius_is_zero():
     """When every non-positive sits inside the neighborhood, the denominator
     is the positive alone."""
     rng = np.random.default_rng(3)
-    m = make_score_matrix(rng.normal(size=(2, 4)), (1, 2), (1, 4))
+    m = rng.normal(size=(2, 4))
     planar = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1], [0.1, 0.1]])
     loss = info_nce_s2g(
         m,
@@ -195,7 +185,7 @@ def test_s2g_all_candidates_inside_radius_is_zero():
 
 def test_s2g_shrinking_radius_never_decreases_loss():
     rng = np.random.default_rng(4)
-    m = make_score_matrix(rng.normal(size=(3, 12)), (1, 3), (3, 4))
+    m = rng.normal(size=(3, 12))
     planar = rng.uniform(-4, 4, size=(12, 2))
     targets = rng.uniform(-4, 4, size=(3, 2))
     rows = np.arange(3)
@@ -208,8 +198,7 @@ def test_s2g_shrinking_radius_never_decreases_loss():
 
 
 def test_s2g_positive_is_nearest_candidate():
-    scores = np.array([[5.0, -5.0]])
-    m = make_score_matrix(scores, (1, 1), (1, 2))
+    m = np.array([[5.0, -5.0]])
     planar = np.array([[0.0, 0.0], [10.0, 0.0]])
     near = info_nce_s2g(m, np.array([0]), np.array([[0.1, 0.0]]), np.arange(2), planar)
     far = info_nce_s2g(m, np.array([0]), np.array([[9.9, 0.0]]), np.arange(2), planar)
@@ -218,7 +207,7 @@ def test_s2g_positive_is_nearest_candidate():
 
 
 def test_s2g_validity_mask():
-    m = make_score_matrix(np.zeros((2, 3)), (1, 2), (1, 3))
+    m = np.zeros((2, 3))
     planar = np.array([[0.0, 0.0], [5.0, 0.0], [9.0, 0.0]])
     loss = info_nce_s2g(
         m,

@@ -12,7 +12,6 @@ from crossloc.matching import (
     MASK_SCORE,
     AerialMeta,
     FeatureGrid,
-    ScoreMatrix,
     augment_dustbin,
     col_softmax,
     drop_dustbin,
@@ -54,7 +53,7 @@ def test_score_matrix_identical_unit_features_give_one_over_tau():
     a = FeatureGrid(f, "aerial")
     g = FeatureGrid(f.copy().reshape(1, 2, 3), "ground")
     m = score_matrix(a, g, tau=0.1)
-    assert np.allclose(m.scores, 10.0, atol=TIGHT)
+    assert np.allclose(m, 10.0, atol=TIGHT)
 
 
 def test_score_matrix_range_and_scale_invariance():
@@ -62,19 +61,19 @@ def test_score_matrix_range_and_scale_invariance():
     a = grid(4, 5, 8, rng)
     g = grid(3, 6, 8, rng, "ground")
     m = score_matrix(a, g, tau=0.1)
-    assert m.scores.shape == (20, 18)
-    assert (np.abs(m.scores) <= 1 / 0.1 + 1e-9).all()
+    assert m.shape == (20, 18)
+    assert (np.abs(m) <= 1 / 0.1 + 1e-9).all()
     # cosine ignores feature magnitude
     a_scaled = FeatureGrid(a.data * 37.0, "aerial")
     m2 = score_matrix(a_scaled, g, tau=0.1)
-    assert np.allclose(m.scores, m2.scores, atol=TIGHT)
+    assert np.allclose(m, m2, atol=TIGHT)
 
 
 def test_score_matrix_orthogonal_features_score_zero():
     a = FeatureGrid(np.array([[[1.0, 0.0]]]), "aerial")
     g = FeatureGrid(np.array([[[0.0, 5.0]]]), "ground")
     m = score_matrix(a, g, tau=0.5)
-    assert m.scores[0, 0] == pytest.approx(0.0, abs=TIGHT)
+    assert m[0, 0] == pytest.approx(0.0, abs=TIGHT)
 
 
 def test_score_matrix_errors():
@@ -184,23 +183,58 @@ def test_sharpening_with_lower_temperature():
         assert (gaps[1] > gaps[0]).all()
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 4),
+    n_a=st.integers(1, 20),
+    n_g=st.integers(1, 20),
+    dtype=st.sampled_from([np.float64, np.longdouble]),
+    scalar_z=st.booleans(),
+)
+def test_batched_kernel_equals_per_matrix_calls(seed, k, n_a, n_g, dtype, scalar_z):
+    """On a stacked (K, A, G) batch the dustbin and softmax steps, and the
+    whole match_probabilities chain, keep the float type and equal the
+    per-matrix calls bit for bit."""
+    rng = np.random.default_rng(seed)
+    scores = rng.normal(scale=5.0, size=(k, n_a, n_g)).astype(dtype)
+    z = dtype(rng.normal()) if scalar_z else rng.normal(size=k).astype(dtype)
+    extended = augment_dustbin(scores, z)
+    assert extended.dtype == dtype and extended.shape == (k, n_a + 1, n_g + 1)
+    for i in range(k):
+        one = augment_dustbin(scores[i], z if scalar_z else z[i])
+        assert one.dtype == dtype
+        np.testing.assert_array_equal(extended[i], one)
+    for fn in (row_softmax, col_softmax, dual_softmax, drop_dustbin):
+        batched = fn(extended)
+        assert batched.dtype == dtype
+        for i in range(k):
+            one = fn(extended[i])
+            assert one.dtype == dtype
+            np.testing.assert_array_equal(batched[i], one)
+    probs = match_probabilities(scores, z)
+    assert probs.dtype == dtype and probs.shape == scores.shape
+    for i in range(k):
+        one = match_probabilities(scores[i], z if scalar_z else z[i])
+        np.testing.assert_array_equal(probs[i], one)
+
+
 # --- masking ----------------------------------------------------------------
 
 
 def test_mask_ground_columns_zeroes_probability():
     rng = np.random.default_rng(8)
-    m = ScoreMatrix(rng.normal(size=(6, 8)), 0.1, (2, 3), (2, 4))
+    m = rng.normal(size=(6, 8))
     valid = np.array([True, False, True, True, False, True, True, False])
     masked = mask_ground_columns(m, valid)
-    assert (masked.scores[:, ~valid] == MASK_SCORE).all()
-    assert np.array_equal(masked.scores[:, valid], m.scores[:, valid])
+    assert (masked[:, ~valid] == MASK_SCORE).all()
+    assert np.array_equal(masked[:, valid], m[:, valid])
     probs = match_probabilities(masked, z=0.0)
     assert (probs[:, ~valid] == 0.0).all()
 
 
 def test_masked_columns_never_sampled_while_unmasked_remain():
     rng = np.random.default_rng(9)
-    m = ScoreMatrix(rng.normal(size=(4, 6)), 0.1, (2, 2), (2, 3))
+    m = rng.normal(size=(4, 6))
     valid = np.array([True, False, False, True, False, True])
     probs = match_probabilities(mask_ground_columns(m, valid), z=0.0)
     n_unmasked_entries = 4 * int(valid.sum())
@@ -210,7 +244,7 @@ def test_masked_columns_never_sampled_while_unmasked_remain():
 
 
 def test_all_columns_masked_gives_zero_probability_everywhere():
-    m = ScoreMatrix(np.ones((3, 4)), 0.1, (3, 1), (2, 2))
+    m = np.ones((3, 4))
     probs = match_probabilities(mask_ground_columns(m, np.zeros(4, bool)), z=0.0)
     assert (probs == 0.0).all()
 
@@ -251,7 +285,7 @@ def test_pipeline_weights_match_manual_chain():
     a = grid(3, 3, 6, rng)
     g = grid(2, 4, 6, rng, "ground")
     m = score_matrix(a, g, tau=0.2)
-    manual = drop_dustbin(dual_softmax(augment_dustbin(m.scores, z=0.7)))
+    manual = drop_dustbin(dual_softmax(augment_dustbin(m, z=0.7)))
     composed = match_probabilities(m, z=0.7)
     assert np.array_equal(manual, composed)
 
