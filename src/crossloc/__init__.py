@@ -11,7 +11,6 @@ from .geometry import (
     apply_transform,
     solve_orthogonal,
     solve_similarity,
-    svd2x2,
     wrap_angle,
 )
 
@@ -22,7 +21,6 @@ __all__ = [
     "apply_transform",
     "solve_orthogonal",
     "solve_similarity",
-    "svd2x2",
     "wrap_angle",
     "__version__",
 ]

@@ -442,12 +442,19 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_overlay(args) -> int:
-    doc = read_results(args.results)
-    if "overlay" not in doc:
-        raise OutOfRange(f"{args.results} carries no overlay point list")
-    lines = "".join(f"{x!r} {y!r}\n" for x, y in doc["overlay"])
+    path = args.results
+    doc = read_results(path)
+    if not (isinstance(doc, dict) and "overlay" in doc):
+        raise MetadataMissing(f"{path}: carries no overlay point list")
+    points = doc["overlay"]
+    if not (isinstance(points, list) and all(isinstance(p, list) and len(p) == 2 for p in points)):
+        raise FormatError(f"{path}: overlay must be a list of [x, y] pairs")
+    lines = "".join(
+        f"{_json_number(path, 'overlay', x)!r} {_json_number(path, 'overlay', y)!r}\n"
+        for x, y in points
+    )
     _atomic_write_bytes(args.out, lines.encode())
-    print(f"wrote {len(doc['overlay'])} points to {args.out}")
+    print(f"wrote {len(points)} points to {args.out}")
     return 0
 
 

@@ -54,6 +54,8 @@ __all__ = [
     "overlay_layout",
 ]
 
+MIN_SAMPLE = 3  # pairs per RANSAC hypothesis
+
 
 @dataclass(frozen=True)
 class RansacConfig:
@@ -62,13 +64,12 @@ class RansacConfig:
 
     iterations: int = 1000
     inlier_threshold: float = 1.0  # meters
-    min_sample: int = 3
     refit_on_inliers: bool = True
     seed: int = 0
 
     def __post_init__(self):
-        if self.iterations < 1 or self.min_sample < 2:
-            raise OutOfRange(f"need iterations >= 1 and min_sample >= 2: {self}")
+        if self.iterations < 1:
+            raise OutOfRange(f"need iterations >= 1: {self}")
         if not 0.0 < self.inlier_threshold < math.inf:
             raise OutOfRange(f"need a finite inlier threshold > 0: {self}")
 
@@ -227,8 +228,8 @@ def ransac_estimate(
 ) -> PoseEstimate:
     """Classic hypothesize-and-verify around the closed-form solver.
 
-    Each iteration solves a minimal uniform-weight sample (3 pairs by
-    default); consensus is counted over all pairs and the earliest best
+    Each iteration solves a minimal uniform-weight sample of ``MIN_SAMPLE``
+    pairs; consensus is counted over all pairs and the earliest best
     hypothesis wins ties.  Degenerate samples are redrawn without consuming
     iterations (total draws are capped at ten times the iteration budget).
     With ``refit_on_inliers`` the final transform is a weighted solve over
@@ -240,12 +241,12 @@ def ransac_estimate(
     weights = np.asarray(weights, dtype=float)
     n = len(ground_planar)
     solver = solve_similarity if scale_aware else solve_orthogonal
-    if n < cfg.min_sample:
+    if n < MIN_SAMPLE:
         raise InsufficientMatches(
-            f"{n} correspondences cannot seed {cfg.min_sample}-point hypotheses"
+            f"{n} correspondences cannot seed {MIN_SAMPLE}-point hypotheses"
         )
     rng = np.random.default_rng(cfg.seed)
-    uniform = np.ones(cfg.min_sample)
+    uniform = np.ones(MIN_SAMPLE)
 
     best_count = -1
     best_transform = None
@@ -255,7 +256,7 @@ def ransac_estimate(
     max_attempts = cfg.iterations * 10
     while completed < cfg.iterations and attempts < max_attempts:
         attempts += 1
-        sample = rng.choice(n, size=cfg.min_sample, replace=False)
+        sample = rng.choice(n, size=MIN_SAMPLE, replace=False)
         try:
             hyp = solver(ground_planar[sample], aerial_metric[sample], uniform)
         except DegenerateConfiguration:

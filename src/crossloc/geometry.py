@@ -8,8 +8,8 @@ scaled rotation plus translation,
 solved in closed form: with [[a, b], [d, e]] the weighted cross-covariance
 of the centered sets, the reflection-corrected optimum (Umeyama, TPAMI 1991,
 in 2-D) is the complex number s * e^(i theta) = ((a + e) + i (b - d)) /
-spread, so no SVD is taken (``svd2x2`` stays as a reference for the
-tests).  A scale-free variant (s fixed to 1) is provided for ablations.
+spread, so no SVD is taken.  A scale-free variant (s fixed to 1) is
+provided for ablations.
 All point sets are numpy arrays of shape (N, 2); weights are nonnegative
 arrays of shape (N,).
 """
@@ -27,9 +27,6 @@ __all__ = [
     "SimilarityTransform2D",
     "rotation_matrix",
     "wrap_angle",
-    "weighted_centroid",
-    "weighted_covariance",
-    "svd2x2",
     "solve_similarity",
     "solve_orthogonal",
     "apply_transform",
@@ -68,9 +65,6 @@ class SimilarityTransform2D:
         inv_t = -inv_scale * (rotation_matrix(-self.theta) @ self.t)
         return SimilarityTransform2D(inv_scale, inv_theta, inv_t)
 
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        return apply_transform(self, points)
-
 
 def _check_pairs(p: np.ndarray, q: np.ndarray, w: np.ndarray):
     p = np.asarray(p, dtype=float)
@@ -83,70 +77,6 @@ def _check_pairs(p: np.ndarray, q: np.ndarray, w: np.ndarray):
             f"point/weight lengths disagree: {len(p)}, {len(q)}, {len(w)}"
         )
     return p, q, w
-
-
-def weighted_centroid(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weighted mean of a (N, 2) point set.
-
-    Raises ZeroWeightSum when the weights sum to zero and LengthMismatch when
-    the array lengths disagree.
-    """
-    points = np.asarray(points, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if len(points) != len(weights):
-        raise LengthMismatch(f"{len(points)} points vs {len(weights)} weights")
-    total = float(weights.sum())
-    if total == 0.0:
-        raise ZeroWeightSum("weights sum to zero")
-    return (weights[:, None] * points).sum(axis=0) / total
-
-
-def weighted_covariance(
-    p_centered: np.ndarray, q_centered: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """Weighted cross-covariance C = sum_n w_n * outer(p_n, q_n) of centered sets."""
-    p, q, w = _check_pairs(p_centered, q_centered, weights)
-    return (p * w[:, None]).T @ q
-
-
-def _svd2x2_angles(a: float, b: float, d: float, e: float):
-    """(phi, psi, s1, s2) with [[a, b], [d, e]] = R(phi) diag(s1, s2) R(-psi),
-    s1 >= |s2|; s2 < 0 exactly when the matrix reflects (det < 0)."""
-    # Rotation-like part [[E, -H], [H, E]] and reflection-like part
-    # [[F, G], [G, -F]]; their polar angles are the sum/difference of the
-    # left and right rotation angles.
-    big_e = 0.5 * (a + e)
-    big_f = 0.5 * (a - e)
-    big_g = 0.5 * (d + b)
-    big_h = 0.5 * (d - b)
-
-    q_mag = math.hypot(big_e, big_h)
-    r_mag = math.hypot(big_f, big_g)
-    a_sum = math.atan2(big_g, big_f)  # phi + psi
-    a_diff = math.atan2(big_h, big_e)  # phi - psi
-    phi = 0.5 * (a_diff + a_sum)
-    psi = 0.5 * (a_sum - a_diff)
-    return phi, psi, q_mag + r_mag, q_mag - r_mag
-
-
-def svd2x2(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form SVD of a 2x2 matrix: c = U @ diag(sigma) @ V.T.
-
-    Built from the rotation angles of ``_svd2x2_angles``; a negative
-    determinant is absorbed by negating the second column of V, and the
-    zero matrix yields identity factors.  Returns (U, sigma, V) with U, V
-    orthogonal 2x2 arrays and sigma[0] >= sigma[1] >= 0.
-    """
-    c = np.asarray(c, dtype=float)
-    phi, psi, s1, s2 = _svd2x2_angles(c[0, 0], c[0, 1], c[1, 0], c[1, 1])
-    u = rotation_matrix(phi)
-    v_t = rotation_matrix(-psi)
-    sigma = np.array([s1, s2])
-    if s2 < 0.0:
-        sigma[1] = -s2
-        v_t = np.diag([1.0, -1.0]) @ v_t
-    # c = u @ diag(sigma) @ v_t  => V = v_t.T
-    return u, sigma, v_t.T
 
 
 def _solve(p, q, w, with_scale: bool) -> SimilarityTransform2D:

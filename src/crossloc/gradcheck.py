@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -68,7 +68,7 @@ from .estimator import PipelineConfig, _lift_top_n
 from .geometry import solve_similarity
 from .lifting import aerial_coverage_mask, depth_valid_mask, metric_to_aerial_cells
 from .losses import (
-    NegativeRule,
+    NEGATIVE_RADIUS,
     gt_aerial_targets,
     gt_ground_targets,
     info_nce_g2s,
@@ -136,8 +136,6 @@ class GradContext:
     s2g_keep: np.ndarray  # (N, N) bool: pair m is a candidate for row of pair n
     s2g_pos: np.ndarray  # (N,) the positive candidate pair of each row
     stage0: tuple  # the chain's stage one at params0 (``_Stage``)
-    virtual_points: np.ndarray = field(default_factory=lambda: _VIRTUAL_POINTS)
-    rule: NegativeRule = NegativeRule()
 
     @property
     def n_aerial(self) -> int:
@@ -158,8 +156,6 @@ class GradReport:
 
     mode: str
     n_params: int
-    analytic: Optional[np.ndarray]
-    fd: Optional[np.ndarray]
     max_abs_err: float
     max_rel_err: float
     passed: bool
@@ -251,7 +247,7 @@ def build_context(
     p_hat = gt_ground_targets(corr.aerial_metric, scene.truth, target_scale)
     dist = np.linalg.norm(corr.ground_planar[None, :, :] - p_hat[:, None, :], axis=2)
     s2g_pos = np.argmin(dist, axis=1)  # ties keep the earliest candidate
-    s2g_keep = dist > GradContext.rule.radius  # the field's default rule
+    s2g_keep = dist > NEGATIVE_RADIUS
     s2g_keep[np.arange(len(s2g_pos)), s2g_pos] = True
 
     return GradContext(
@@ -364,14 +360,14 @@ def forward(ctx: GradContext, params: np.ndarray) -> float:
     estimate = solve_similarity(
         ctx.ground_planar, ctx.aerial_metric, probs[ctx.aerial_flat, sel]
     )
-    vce = vce_loss(estimate, ctx.truth, ctx.virtual_points)
+    vce = vce_loss(estimate, ctx.truth, _VIRTUAL_POINTS)
     if ctx.beta == 0.0:
-        return total_loss(vce, 0.0, 0.0, 0.0).total
+        return total_loss(vce, 0.0, 0.0, 0.0)
     q_hat = gt_aerial_targets(ctx.ground_planar, ctx.truth, ctx.target_scale)
     p_hat = gt_ground_targets(ctx.aerial_metric, ctx.truth, ctx.target_scale)
     g2s = info_nce_g2s(scores, ctx.aerial_shape, sel, q_hat, ctx.aerial_meta)
-    s2g = info_nce_s2g(scores, ctx.aerial_flat, p_hat, sel, ctx.ground_planar, ctx.rule)
-    return total_loss(vce, g2s, s2g, ctx.beta).total
+    s2g = info_nce_s2g(scores, ctx.aerial_flat, p_hat, sel, ctx.ground_planar)
+    return total_loss(vce, g2s, s2g, ctx.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +462,7 @@ def _loss(ctx: GradContext, stage: _Stage, sel, dtype, strict: bool = False) -> 
     p, q = ctx.ground_planar.astype(dtype), ctx.aerial_metric.astype(dtype)
     al = _align(p, q, w, strict)
     vce, offsets = _vce(
-        ctx.truth, ctx.virtual_points, al.cos_t, al.sin_t, al.t_x, al.t_y, dtype
+        ctx.truth, _VIRTUAL_POINTS, al.cos_t, al.sin_t, al.t_x, al.t_y, dtype
     )
     if ctx.beta == 0.0:
         return _Tape(vce, al, offsets)
@@ -599,7 +595,7 @@ def value_and_grad(ctx: GradContext, params: np.ndarray = None):
     tape = _loss(ctx, stage, sel, np.float64, strict=True)
     al = tape.align
 
-    d_theta, d_t = _vce_vjp(ctx.virtual_points, al.cos_t, al.sin_t, tape.offsets)
+    d_theta, d_t = _vce_vjp(_VIRTUAL_POINTS, al.cos_t, al.sin_t, tape.offsets)
     de_dw = _align_vjp(al, d_theta, 0.0, d_t)
 
     # VJP of row_softmax(E) * col_softmax(E); the selected entries are distinct
@@ -741,8 +737,6 @@ def check(
         return GradReport(
             mode=ctx.mode,
             n_params=len(ctx.params0),
-            analytic=None,
-            fd=None,
             max_abs_err=math.inf,
             max_rel_err=math.inf,
             passed=False,
@@ -752,8 +746,6 @@ def check(
     return GradReport(
         mode=ctx.mode,
         n_params=len(params),
-        analytic=analytic,
-        fd=fd,
         max_abs_err=max_abs,
         max_rel_err=max_rel,
         passed=passed,

@@ -27,7 +27,6 @@ __all__ = [
     "metric_to_aerial_cell",
     "metric_to_aerial_cells",
     "aerial_coverage_mask",
-    "lift_ground_cell",
     "lift_ground_cells",
     "depth_valid_mask",
     "topmost_selection",
@@ -237,17 +236,6 @@ def aerial_coverage_mask(points: np.ndarray, meta: AerialMeta, shape: tuple) -> 
 # --- ground lifting ---------------------------------------------------------
 
 
-def lift_ground_cell(
-    cell: tuple, depth_map: DepthMap, rays: RayModel, initial_scale: float = 1.0
-) -> np.ndarray:
-    """3-D point seen by one ground cell: depth * initial_scale * ray."""
-    r, c = cell
-    d = float(depth_map.depth[r, c])
-    if not math.isfinite(d) or d <= 0:
-        raise InvalidDepth(f"cell {cell} has depth {d}")
-    return d * initial_scale * rays.directions[r, c]
-
-
 def lift_ground_cells(
     cells: np.ndarray, depth_map: DepthMap, rays: RayModel, initial_scale: float = 1.0
 ) -> np.ndarray:
@@ -275,7 +263,9 @@ def topmost_selection(points: np.ndarray, bucket_size: float) -> np.ndarray:
     """Indices keeping only the highest point per planar bucket.
 
     Buckets quantize x and y at ``bucket_size``.  Within a bucket the point
-    with maximal z wins; exact z ties keep the earliest input index.
+    with maximal z wins; exact z ties keep the earliest input index.  Points
+    must be finite (``lift_ground_cells`` raises InvalidDepth before a
+    non-finite point can be lifted).
     """
     points = np.asarray(points, dtype=float)
     if bucket_size <= 0:
@@ -284,10 +274,8 @@ def topmost_selection(points: np.ndarray, bucket_size: float) -> np.ndarray:
         return np.empty(0, dtype=int)
     bx = np.floor(points[:, 0] / bucket_size).astype(np.int64)
     by = np.floor(points[:, 1] / bucket_size).astype(np.int64)
-    best: dict = {}
-    for i, (kx, ky, z) in enumerate(zip(bx, by, points[:, 2])):
-        key = (int(kx), int(ky))
-        if key not in best or z > points[best[key], 2]:
-            best[key] = i
-    return np.array(sorted(best.values()), dtype=int)
-
+    # stable: within a bucket, descending z and then ascending index
+    order = np.lexsort((-points[:, 2], by, bx))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (bx[order[1:]] != bx[order[:-1]]) | (by[order[1:]] != by[order[:-1]])
+    return np.sort(order[first])

@@ -14,7 +14,6 @@ Three ingredients:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +23,7 @@ from .lifting import aerial_coverage_mask, metric_to_aerial_cells
 from .matching import AerialMeta
 
 __all__ = [
-    "NegativeRule",
-    "LossBundle",
+    "NEGATIVE_RADIUS",
     "virtual_point_grid",
     "vce_loss",
     "gt_aerial_targets",
@@ -37,23 +35,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NegativeRule:
-    """Which ground points count as negatives: those farther than ``radius``
-    meters (planar) from the projected target."""
-
-    radius: float = 1.0
-
-
-@dataclass(frozen=True)
-class LossBundle:
-    """All loss terms of one forward pass plus their weighted total."""
-
-    vce: float
-    g2s: float
-    s2g: float
-    beta: float
-    total: float
+# ground points farther than this many meters (planar) from a projected
+# aerial target are the aerial-to-ground term's negatives
+NEGATIVE_RADIUS = 1.0
 
 
 def virtual_point_grid(side: int = 10, extent: float = 5.0) -> np.ndarray:
@@ -146,45 +130,37 @@ def info_nce_s2g(
     targets: np.ndarray,
     ground_cols: np.ndarray,
     ground_planar: np.ndarray,
-    rule: NegativeRule = NegativeRule(),
-    valid: np.ndarray = None,
+    radius: float = NEGATIVE_RADIUS,
 ) -> float:
     """Aerial-to-ground contrastive loss.
 
     For each sampled aerial point (a row of the score matrix) the positive is
     the candidate ground point planar-closest to the projected target; the
-    denominator is the positive plus all candidates farther than the
-    neighborhood radius (nearby non-positives are neither attracted nor
-    repelled).  ``valid`` optionally drops rows whose target is unusable.
+    denominator is the positive plus all candidates farther than ``radius``
+    meters (nearby non-positives are neither attracted nor repelled).
+    Raises NoValidTargets when there is no aerial row or no candidate.
     """
     aerial_rows = np.asarray(aerial_rows, dtype=int)
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     ground_cols = np.asarray(ground_cols, dtype=int)
     ground_planar = np.atleast_2d(np.asarray(ground_planar, dtype=float))
-    if len(ground_cols) != len(ground_planar):
+    if len(ground_cols) != len(ground_planar) or len(aerial_rows) != len(targets):
         raise OutOfRange(
-            f"{len(ground_cols)} candidate columns vs {len(ground_planar)} positions"
+            f"{len(ground_cols)} candidate columns vs {len(ground_planar)} positions, "
+            f"{len(aerial_rows)} rows vs {len(targets)} targets"
         )
-    if len(ground_cols) == 0:
-        raise NoValidTargets("no candidate ground points")
-    if valid is None:
-        valid = np.ones(len(aerial_rows), dtype=bool)
-    if not np.asarray(valid).any():
-        raise NoValidTargets("every aerial-to-ground target flagged invalid")
+    if len(ground_cols) == 0 or len(aerial_rows) == 0:
+        raise NoValidTargets("no candidate ground points or no aerial rows")
     total = 0.0
-    count = 0
-    for row, target, ok in zip(aerial_rows, targets, valid):
-        if not ok:
-            continue
+    for row, target in zip(aerial_rows, targets):
         dist = np.linalg.norm(ground_planar - target, axis=1)
         pos = int(np.argmin(dist))  # ties keep the earliest candidate
-        keep = dist > rule.radius
+        keep = dist > radius
         keep[pos] = True
         entries = scores[row, ground_cols[keep]]
         pos_in_subset = int(keep[:pos].sum())  # kept candidates before the positive
         total += -(entries[pos_in_subset] - _logsumexp(entries))
-        count += 1
-    return total / count
+    return total / len(aerial_rows)
 
 
 def pseudo_scale_targets(
@@ -209,17 +185,11 @@ def pseudo_scale_targets(
     return q_hat, p_hat
 
 
-def total_loss(vce: float, g2s: float, s2g: float, beta: float) -> LossBundle:
+def total_loss(vce: float, g2s: float, s2g: float, beta: float) -> float:
     """Weighted combination: vce + beta * (g2s + s2g) / 2."""
     if beta < 0:
         raise OutOfRange(f"beta must be nonnegative, got {beta}")
-    return LossBundle(
-        vce=float(vce),
-        g2s=float(g2s),
-        s2g=float(s2g),
-        beta=float(beta),
-        total=float(vce + beta * (g2s + s2g) / 2.0),
-    )
+    return float(vce + beta * (g2s + s2g) / 2.0)
 
 
 def _logsumexp(x: np.ndarray) -> float:

@@ -82,10 +82,6 @@ class ProjectionWeights:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @classmethod
-    def identity(cls, dim: int, dustbin_z: float = 0.0) -> "ProjectionWeights":
-        return cls(np.eye(dim), dustbin_z)
-
     def as_params(self) -> np.ndarray:
         """Flat parameter vector in the gradcheck projection-mode layout."""
         return np.append(self.matrix.ravel(), self.dustbin_z)

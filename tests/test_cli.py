@@ -12,6 +12,7 @@ from crossloc import cli
 from crossloc.cli import main, parse_factor_range, parse_seed_range
 from crossloc.errors import FormatError, MetadataMissing, OutOfRange, UsageError
 from crossloc.estimator import PipelineConfig, estimate_pose
+from crossloc.geometry import apply_transform
 from crossloc.io import read_depth_map, read_feature_grid, read_results
 from crossloc.lifting import LiftConfig, lift_ground_cells
 from crossloc.simulator import SceneConfig
@@ -609,15 +610,20 @@ def test_invalid_json_input_is_an_error_naming_the_file(command, scene_dir, tmp_
         ("metrics", {"errors": {"loc_error": 1.0, "ori_error": None, "lateral": 0.0,
                                 "longitudinal": 0.0}}, FormatError, "errors.ori_error"),
         ("metrics", "text", FormatError, "JSON object"),
+        ("overlay", {"overlay": [1]}, FormatError, "overlay"),
+        ("overlay", {"overlay": [[1.0, 2.0, 3.0]]}, FormatError, "overlay"),
+        ("overlay", {"overlay": [[1, "x"]]}, FormatError, "overlay"),
     ],
     ids=["no-truth-key", "truth-without-t", "string-theta", "short-t", "truth-list",
-         "errors-list", "errors-without-ori", "null-ori", "results-string"],
+         "errors-list", "errors-without-ori", "null-ori", "results-string",
+         "overlay-scalar", "overlay-triple", "overlay-string"],
 )
 def test_wrong_shape_documents_are_named_errors(
     command, doc, error, named, scene_dir, tmp_path, capsys
 ):
     """A truth or results document of the wrong shape raises a named format
-    error (exit 1) naming the file and the key, not a traceback."""
+    error (exit 1) naming the file and the key, not a traceback, and writes
+    nothing."""
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "never.json"
@@ -626,9 +632,10 @@ def test_wrong_shape_documents_are_named_errors(
         with pytest.raises(error) as caught:
             cli._truth_from_results(doc, path)
     else:
-        argv = ["metrics", "--results", str(path), "--out", str(out)]
+        argv = [command, "--results", str(path), "--out", str(out)]
+        args = cli.build_parser().parse_args(argv)
         with pytest.raises(error) as caught:
-            cli.cmd_metrics(cli.build_parser().parse_args(argv))
+            args.func(args)
     assert str(path) in str(caught.value) and named in str(caught.value)
     assert main(argv) == 1
     err = capsys.readouterr().err
@@ -659,5 +666,5 @@ def test_solve_overlay_is_the_lifted_matches_under_the_pose(scene_dir, tmp_path)
     cells = np.stack(np.divmod(est.correspondences.ground, ground.cols), axis=1)
     points3 = lift_ground_cells(cells, depth, ground.meta.rays)
     np.testing.assert_array_equal(est.ground_points3, points3)
-    expected = est.transform.apply(points3[:, :2])
+    expected = apply_transform(est.transform, points3[:, :2])
     assert read_results(out)["overlay"] == expected.tolist()

@@ -1,0 +1,18 @@
+"""Every name a crossloc module exports through ``__all__`` exists."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import crossloc
+
+MODULES = ["crossloc"] + [
+    f"crossloc.{info.name}" for info in pkgutil.iter_modules(crossloc.__path__)
+]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    assert [n for n in getattr(module, "__all__", []) if not hasattr(module, n)] == []

@@ -23,9 +23,6 @@ from crossloc.geometry import (
     rotation_matrix,
     solve_orthogonal,
     solve_similarity,
-    svd2x2,
-    weighted_centroid,
-    weighted_covariance,
     wrap_angle,
 )
 
@@ -76,106 +73,6 @@ def best_for_angle(p, q, w, theta):
     s = num / den
     t = q_bar - s * (r @ p_bar)
     return SimilarityTransform2D(s, theta, t)
-
-
-# --- weighted centroid ------------------------------------------------------
-
-
-def test_centroid_matches_loop_oracle():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        n = rng.integers(1, 30)
-        pts = rng.normal(size=(n, 2)) * 10
-        w = rng.uniform(0.0, 3.0, size=n)
-        if w.sum() == 0:
-            continue
-        assert np.allclose(weighted_centroid(pts, w), centroid_oracle(pts, w), atol=EXACT)
-
-
-def test_centroid_uniform_weights_is_mean():
-    pts = np.array([[0.0, 0.0], [2.0, 4.0]])
-    assert np.allclose(weighted_centroid(pts, np.ones(2)), [1.0, 2.0], atol=0)
-
-
-def test_centroid_weight_rescale_invariance():
-    rng = np.random.default_rng(1)
-    pts = rng.normal(size=(12, 2))
-    w = rng.uniform(0.1, 1.0, size=12)
-    base = weighted_centroid(pts, w)
-    for k in (1e-6, 0.5, 3.0, 1e6):
-        assert np.allclose(weighted_centroid(pts, k * w), base, atol=TIGHT)
-
-
-def test_centroid_errors():
-    with pytest.raises(ZeroWeightSum):
-        weighted_centroid(np.zeros((3, 2)), np.zeros(3))
-    with pytest.raises(LengthMismatch):
-        weighted_centroid(np.zeros((3, 2)), np.ones(2))
-
-
-# --- weighted covariance ----------------------------------------------------
-
-
-def test_covariance_matches_loop_oracle():
-    rng = np.random.default_rng(2)
-    for _ in range(200):
-        n = rng.integers(1, 30)
-        p = rng.normal(size=(n, 2))
-        q = rng.normal(size=(n, 2))
-        w = rng.uniform(0.0, 2.0, size=n)
-        assert np.allclose(
-            weighted_covariance(p, q, w), covariance_oracle(p, q, w), atol=EXACT
-        )
-
-
-def test_covariance_hand_cases():
-    p = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    w = np.ones(2)
-    assert np.allclose(weighted_covariance(p, p, w), [[2.0, 0.0], [0.0, 0.0]], atol=0)
-    q = p @ rotation_matrix(math.pi / 2).T  # rotate each point by +90 degrees
-    assert np.allclose(
-        weighted_covariance(p, q, w), [[0.0, 2.0], [0.0, 0.0]], atol=EXACT
-    )
-
-
-# --- 2x2 SVD ----------------------------------------------------------------
-
-
-def test_svd2x2_against_numpy_oracle():
-    rng = np.random.default_rng(3)
-    for _ in range(500):
-        c = rng.normal(scale=rng.uniform(0.1, 10), size=(2, 2))
-        u, sigma, v = svd2x2(c)
-        # orthogonality
-        assert np.allclose(u.T @ u, np.eye(2), atol=EXACT)
-        assert np.allclose(v.T @ v, np.eye(2), atol=EXACT)
-        # descending nonnegative singular values
-        assert sigma[0] >= sigma[1] >= 0.0
-        # reconstruction
-        assert np.allclose(u @ np.diag(sigma) @ v.T, c, atol=1e-12 * max(1.0, abs(c).max()))
-        # values agree with the general-purpose route
-        assert np.allclose(sigma, np.linalg.svd(c, compute_uv=False), atol=1e-11)
-
-
-def test_svd2x2_zero_matrix():
-    u, sigma, v = svd2x2(np.zeros((2, 2)))
-    assert np.allclose(u, np.eye(2), atol=0)
-    assert np.allclose(v, np.eye(2), atol=0)
-    assert np.allclose(sigma, 0.0, atol=0)
-
-
-def test_svd2x2_negative_determinant_sign_absorbed():
-    c = np.diag([3.0, -2.0])
-    u, sigma, v = svd2x2(c)
-    assert np.allclose(sigma, [3.0, 2.0], atol=EXACT)
-    assert np.allclose(u @ np.diag(sigma) @ v.T, c, atol=EXACT)
-
-
-def test_svd2x2_rank_one():
-    c = np.outer([1.0, 2.0], [3.0, -1.0])
-    u, sigma, v = svd2x2(c)
-    assert sigma[1] == pytest.approx(0.0, abs=1e-12)
-    assert np.allclose(u @ np.diag(sigma) @ v.T, c, atol=EXACT)
 
 
 # --- similarity solver ------------------------------------------------------
@@ -412,12 +309,13 @@ def svd_route(p, q, w, with_scale=True):
         raise DegenerateConfiguration("fewer than two positive weights")
     if float(w.sum()) <= 0.0:
         raise ZeroWeightSum("weights sum to zero")
-    p_bar, q_bar = weighted_centroid(p, w), weighted_centroid(q, w)
+    p_bar, q_bar = centroid_oracle(p, w), centroid_oracle(q, w)
     p_c, q_c = p - p_bar, q - q_bar
     spread = float((w * (p_c**2).sum(axis=1)).sum())
     if spread == 0.0:
         raise DegenerateConfiguration("source points coincide")
-    u, sigma, v = svd2x2(weighted_covariance(p_c, q_c, w))
+    u, sigma, v_t = np.linalg.svd(covariance_oracle(p_c, q_c, w))
+    v = v_t.T
     correction = np.diag([1.0, 1.0 if np.linalg.det(v @ u.T) >= 0.0 else -1.0])
     rot = v @ correction @ u.T
     scale = float((sigma * np.diag(correction)).sum()) / spread if with_scale else 1.0
@@ -473,7 +371,7 @@ def test_lean_solver_reflection_case(seed, n):
     mirror = rotation_matrix(rng.uniform(-np.pi, np.pi)) @ np.diag([1.0, -1.0])
     q = p @ mirror.T + rng.uniform(-20, 20, size=2)
     w = rng.uniform(0.1, 2.0, size=n)
-    c = weighted_covariance(p - weighted_centroid(p, w), q - weighted_centroid(q, w), w)
+    c = covariance_oracle(p - centroid_oracle(p, w), q - centroid_oracle(q, w), w)
     assert np.linalg.det(c) < 0.0
     assert_same_solution(solve_similarity(p, q, w), svd_route(p, q, w), p, q)
 

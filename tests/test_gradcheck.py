@@ -18,7 +18,12 @@ from crossloc import gradcheck, matching
 from crossloc.errors import DegenerateConfiguration, NonDifferentiablePoint
 from crossloc.errors import NoValidTargets, OutOfRange
 from crossloc.estimator import PipelineConfig, build_correspondences
-from crossloc.geometry import SimilarityTransform2D, solve_similarity, wrap_angle
+from crossloc.geometry import (
+    SimilarityTransform2D,
+    apply_transform,
+    solve_similarity,
+    wrap_angle,
+)
 from crossloc.lifting import LiftConfig
 from crossloc.losses import vce_loss, virtual_point_grid
 from crossloc.matching import (
@@ -113,7 +118,7 @@ def test_angle_solver_matches_svd_solver():
             float(rng.uniform(-np.pi, np.pi)),
             rng.normal(scale=10.0, size=2),
         )
-        q = truth.apply(p) + rng.normal(scale=1.0, size=(n, 2))
+        q = apply_transform(truth, p) + rng.normal(scale=1.0, size=(n, 2))
         w = rng.uniform(0.05, 1.0, size=n)
         est = solve_similarity(p, q, w)
         internals = gradcheck._align(p, q, w)
@@ -210,7 +215,7 @@ def test_beta_zero_reduces_to_pose_loss():
         scene.aerial, scene.ground, scene.depth, scene.rays, SMALL_PIPE
     )
     est = solve_similarity(corr.ground_planar, corr.aerial_metric, corr.weights)
-    expected = vce_loss(est, scene.truth, ctx.virtual_points)
+    expected = vce_loss(est, scene.truth, gradcheck._VIRTUAL_POINTS)
     assert abs(gradcheck.forward(ctx, ctx.params0) - expected) < 1e-12
 
 
@@ -456,7 +461,7 @@ def masked_chain_gradient(ctx, params):
     w = (ra * cb)[pairs]
     s = gradcheck._align(ctx.ground_planar, ctx.aerial_metric, w)
     t = (s.t_x, s.t_y)
-    _, d_theta, d_t = vce_partials(s.theta, t, ctx.truth, ctx.virtual_points)
+    _, d_theta, d_t = vce_partials(s.theta, t, ctx.truth, gradcheck._VIRTUAL_POINTS)
     d_probs = np.zeros_like(ext)
     d_probs[pairs] = gradcheck.pose_weight_gradients(
         ctx.ground_planar, ctx.aerial_metric, w, d_theta, 0.0, d_t

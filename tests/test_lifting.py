@@ -15,7 +15,6 @@ from crossloc.lifting import (
     aerial_cells_to_metric,
     aerial_coverage_mask,
     depth_valid_mask,
-    lift_ground_cell,
     lift_ground_cells,
     metric_to_aerial_cell,
     metric_to_aerial_cells,
@@ -199,7 +198,7 @@ def test_aerial_coverage_mask():
 def test_lift_ground_cell_along_ray():
     model = RayModel.equirectangular(6, 12)
     depth = DepthMap(np.full((6, 12), 7.0))
-    p = lift_ground_cell((3, 4), depth, model, initial_scale=2.0)
+    (p,) = lift_ground_cells(np.array([(3, 4)]), depth, model, initial_scale=2.0)
     assert np.allclose(p, 14.0 * model.directions[3, 4], atol=TIGHT)
     assert np.linalg.norm(p) == pytest.approx(14.0, abs=TIGHT)
 
@@ -208,7 +207,7 @@ def test_lift_straight_ahead_hand_value():
     """A horizon-level forward ray at depth d lifts to (d, 0, 0)."""
     model = RayModel.pinhole_from_fov(5, 7, fov_deg=60.0)
     depth = DepthMap(np.full((5, 7), 12.5))
-    p = lift_ground_cell((2, 3), depth, model, initial_scale=1.0)
+    (p,) = lift_ground_cells(np.array([(2, 3)]), depth, model, initial_scale=1.0)
     assert np.allclose(p, [12.5, 0.0, 0.0], atol=TIGHT)
 
 
@@ -221,7 +220,7 @@ def test_lift_invalid_depth_raises():
     depth = DepthMap(d)
     for cell in [(1, 2), (2, 3), (3, 4)]:
         with pytest.raises(InvalidDepth):
-            lift_ground_cell(cell, depth, model)
+            lift_ground_cells(np.array([cell]), depth, model)
     with pytest.raises(InvalidDepth):
         lift_ground_cells(np.array([(0, 0), (1, 2)]), depth, model)
 
@@ -232,8 +231,8 @@ def test_lift_vectorized_matches_scalar():
     depth = DepthMap(rng.uniform(1.0, 30.0, size=(8, 16)))
     cells = np.array([(r, c) for r in range(8) for c in range(16)])
     batch = lift_ground_cells(cells, depth, model, initial_scale=1.3)
-    for k, cell in enumerate(cells):
-        single = lift_ground_cell(tuple(cell), depth, model, initial_scale=1.3)
+    for k, (r, c) in enumerate(cells):
+        single = depth.depth[r, c] * 1.3 * model.directions[r, c]
         assert np.allclose(batch[k], single, atol=0)
 
 
@@ -324,6 +323,29 @@ def test_topmost_all_identical_buckets_reduces_to_one():
     pts = np.column_stack([np.full(10, 0.5), np.full(10, 0.5), np.arange(10.0)])
     keep = topmost_selection(pts, 1.0)
     assert keep.tolist() == [9]
+
+
+def topmost_loop(points, bucket_size):
+    """One pass keeping, per planar bucket, the first index of maximal z."""
+    best = {}
+    for i, (x, y, z) in enumerate(points):
+        key = (math.floor(x / bucket_size), math.floor(y / bucket_size))
+        if key not in best or z > points[best[key]][2]:
+            best[key] = i
+    return sorted(best.values())
+
+
+TOPMOST_Z = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-5.0, 5.0)
+
+
+@given(
+    st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), TOPMOST_Z), max_size=30),
+    st.sampled_from([0.25, 1.0, 2.5]),
+)
+def test_topmost_equals_loop_oracle(rows, bucket_size):
+    """Including equal-z ties and signed zeros, where the earliest index wins."""
+    pts = np.array(rows, dtype=float).reshape(-1, 3)
+    assert topmost_selection(pts, bucket_size).tolist() == topmost_loop(rows, bucket_size)
 
 
 def test_projection_errors():

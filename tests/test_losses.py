@@ -8,8 +8,6 @@ import pytest
 from crossloc.errors import NoValidTargets, OutOfRange
 from crossloc.geometry import SimilarityTransform2D, rotation_matrix, solve_similarity
 from crossloc.losses import (
-    LossBundle,
-    NegativeRule,
     gt_aerial_targets,
     gt_ground_targets,
     info_nce_g2s,
@@ -178,7 +176,7 @@ def test_s2g_all_candidates_inside_radius_is_zero():
         np.zeros((2, 2)),
         np.arange(4),
         planar,
-        NegativeRule(radius=1.0),
+        radius=1.0,
     )
     assert loss == pytest.approx(0.0, abs=TIGHT)
 
@@ -190,7 +188,7 @@ def test_s2g_shrinking_radius_never_decreases_loss():
     targets = rng.uniform(-4, 4, size=(3, 2))
     rows = np.arange(3)
     losses = [
-        info_nce_s2g(m, rows, targets, np.arange(12), planar, NegativeRule(radius=r))
+        info_nce_s2g(m, rows, targets, np.arange(12), planar, radius=r)
         for r in (4.0, 2.0, 1.0, 0.5, 0.1)
     ]
     for wider, narrower in zip(losses, losses[1:]):
@@ -206,27 +204,13 @@ def test_s2g_positive_is_nearest_candidate():
     assert near < far
 
 
-def test_s2g_validity_mask():
+def test_s2g_rejects_empty_or_mismatched_rows():
     m = np.zeros((2, 3))
     planar = np.array([[0.0, 0.0], [5.0, 0.0], [9.0, 0.0]])
-    loss = info_nce_s2g(
-        m,
-        np.array([0, 1]),
-        np.zeros((2, 2)),
-        np.arange(3),
-        planar,
-        valid=np.array([True, False]),
-    )
-    assert loss == pytest.approx(math.log(3), abs=TIGHT)
     with pytest.raises(NoValidTargets):
-        info_nce_s2g(
-            m,
-            np.array([0]),
-            np.zeros((1, 2)),
-            np.arange(3),
-            planar,
-            valid=np.array([False]),
-        )
+        info_nce_s2g(m, np.array([], dtype=int), np.zeros((0, 2)), np.arange(3), planar)
+    with pytest.raises(OutOfRange):
+        info_nce_s2g(m, np.array([0, 1]), np.zeros((1, 2)), np.arange(3), planar)
 
 
 # --- pseudo-scale targets ---------------------------------------------------
@@ -263,13 +247,12 @@ def test_pseudo_scale_recovers_prescaling():
 
 
 def test_total_loss_combination():
-    bundle = total_loss(vce=2.0, g2s=1.0, s2g=3.0, beta=0.5)
-    assert isinstance(bundle, LossBundle)
-    assert bundle.total == pytest.approx(2.0 + 0.5 * 2.0, abs=TIGHT)
+    assert total_loss(vce=2.0, g2s=1.0, s2g=3.0, beta=0.5) == pytest.approx(
+        2.0 + 0.5 * 2.0, abs=TIGHT
+    )
 
 
 def test_total_loss_beta_zero_is_vce_only():
-    bundle = total_loss(vce=1.7, g2s=9.9, s2g=8.8, beta=0.0)
-    assert bundle.total == pytest.approx(1.7, abs=TIGHT)
+    assert total_loss(vce=1.7, g2s=9.9, s2g=8.8, beta=0.0) == pytest.approx(1.7, abs=TIGHT)
     with pytest.raises(OutOfRange):
         total_loss(1.0, 1.0, 1.0, beta=-0.1)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from crossloc.errors import OutOfRange, PlacementFailure
+from crossloc.geometry import apply_transform
 from crossloc.lifting import (
     AerialMeta,
     aerial_cells_to_metric,
@@ -216,7 +217,7 @@ def test_ground_cells_lift_exactly_onto_landmark_axes():
             * scene.scale_gt
             * scene.rays.directions[mask]
         )
-        world = scene.truth.apply(points[:, :2])
+        world = apply_transform(scene.truth, points[:, :2])
         gap = np.linalg.norm(
             world[:, None, :] - scene.landmark_xy[None, :, :], axis=2
         ).min(axis=1)

@@ -56,7 +56,7 @@ def test_weights_validation():
 
 def test_weights_apply_preserves_metadata():
     scene = small_scenes(1)[0]
-    w = ProjectionWeights.identity(SMALL_SCENE.feature_dim)
+    w = ProjectionWeights(np.eye(SMALL_SCENE.feature_dim))
     out = w.apply(scene.aerial)
     assert out.kind == "aerial"
     assert out.meta is scene.aerial.meta
@@ -260,7 +260,7 @@ def test_loss_modes_change_the_objective():
 def test_evaluate_projection_identity_on_noiseless_scene():
     scenes = small_scenes(2, sigma=0.0)
     out = evaluate_projection(
-        ProjectionWeights.identity(SMALL_SCENE.feature_dim), scenes, SMALL_PIPE
+        ProjectionWeights(np.eye(SMALL_SCENE.feature_dim)), scenes, SMALL_PIPE
     )
     assert out["count"] == 2
     assert out["median_loc_error"] < 1e-6
