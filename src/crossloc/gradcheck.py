@@ -9,7 +9,7 @@ as one chain of elementwise numpy operations in any float type
 
 * scores and the dual softmax with dustbin -- ``matching``'s own
   ``augment_dustbin``, ``row_softmax`` and ``col_softmax``, batched and in
-  the chain's float type (no selection yet);
+  the chain's float type (the selection at most slices its rows and columns);
 * weighted scale-aware alignment -- the optimal angle in 2-D has the closed
   form theta* = atan2(C01 - C10, C00 + C11) over the weighted covariance C,
   and the optimal scale is hypot of the same two invariants over the
@@ -33,15 +33,17 @@ The chain scores only the depth-valid ground columns plus the dustbin:
 masked columns carry exactly 0 probability to real pairs, and most ground
 columns are masked in typical scenes (in ``np.longdouble`` an ``exp`` that
 underflows costs several times a normal one).  For the same reason
-``fd_gradient`` perturbs only the leaves the chain reads (``_read_leaves``:
-the valid columns' scores, or every aerial feature and the valid cells'
-ground feature rows, or every projection entry; plus the dustbin) and
-writes an exact +0.0 for the others, whose central differences are two
-equal losses.  The chain also takes a leading batch axis (``(P,)`` ->
-scalar, ``(K, P)`` -> ``(K,)``), so ``fd_gradient`` evaluates the + and -
-rows of ``FD_BLOCK`` read leaves per call instead of two calls per leaf.
-The scalar, every-leaf ``finite_difference`` stays as the generic
-reference.
+``forward_value`` normalises only the selected pairs' rows and columns plus
+the dustbin (about 5 of 49 rows and 7 of 9 columns in gate-05 scenes; the
+top-N and the reverse sweep need them all), and ``fd_gradient`` perturbs
+only the leaves the chain reads (``_read_leaves``: the valid columns'
+scores, or every aerial feature and the valid cells' ground feature rows,
+or every projection entry; plus the dustbin) and writes an exact +0.0 for
+the others, whose central differences are two equal losses.  The chain also
+takes a leading batch axis (``(P,)`` -> scalar, ``(K, P)`` -> ``(K,)``), so
+``fd_gradient`` evaluates the + and - rows of ``FD_BLOCK`` read leaves per
+call instead of two calls per leaf.  The scalar, every-leaf
+``finite_difference`` stays as the generic reference.
 
 Leaf parameterizations:
 
@@ -373,10 +375,10 @@ def forward(ctx: GradContext, params: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # the loss chain: one forward pass in two stages, in any float type, with an
 # optional leading batch axis, recording what the reverse sweep reads.  Stage
-# one: the valid columns' scores (and features), and the row and column
-# softmaxes of the dustbin-augmented matrix, by ``matching``.  Stage two: the
-# selected pairs' weights, the loss, the alignment, the virtual-point offsets
-# and, with the contrastive terms on, each term's (logits, lse).
+# one: the valid columns' scores (and features), and ``matching``'s softmaxes
+# of the dustbin-augmented matrix's rows and columns.  Stage two: the selected
+# pairs' weights, the loss, the alignment, the virtual-point offsets and, with
+# the contrastive terms on, each term's (logits, lse).
 
 # the leaf layout, the only fields of a GradContext that stage one reads
 _Leaves = namedtuple("_Leaves", "mode tau valid aerial_raw ground_raw")
@@ -387,13 +389,18 @@ _Alignment = namedtuple(
 _Tape = namedtuple("_Tape", "loss align offsets g2s s2g", defaults=(None, None))
 
 
-def _stage_one(ctx, params: np.ndarray, dtype) -> _Stage:
-    """Stage one, which needs no selection: valid-column scores plus a
-    dustbin of score ``params[..., -1]``, and that matrix's row and column
-    softmaxes.  ``ctx`` may be just the ``_Leaves``."""
+def _stage_one(ctx, params: np.ndarray, dtype, rows=slice(None), cols=slice(None)) -> _Stage:
+    """Stage one, which the selection at most slices: valid-column scores plus a
+    dustbin of score ``params[..., -1]``, the row softmaxes of aerial ``rows``
+    and the column softmaxes of valid ``cols`` and the dustbin (default all).
+    Each slice is a contiguous ``augment_dustbin`` copy at least 2 columns
+    wide, which numpy sums in the whole matrix's order, to the same bits.
+    ``ctx`` may be just the ``_Leaves``."""
     scores, features = _valid_scores(ctx, params, np.flatnonzero(ctx.valid), dtype)
-    extended = augment_dustbin(scores, params[..., -1].astype(dtype))
-    return _Stage(params, scores, features, row_softmax(extended), col_softmax(extended))
+    z = params[..., -1].astype(dtype)
+    ra = row_softmax(augment_dustbin(scores[..., rows, :], z))
+    cb = col_softmax(augment_dustbin(scores[..., :, cols], z))
+    return _Stage(params, scores, features, ra, cb)
 
 
 def _align(p, q, w, strict: bool = False) -> _Alignment:
@@ -453,12 +460,13 @@ def _logsumexp(x: np.ndarray) -> np.ndarray:
     return m[..., 0] + np.log(np.exp(x - m).sum(axis=-1))
 
 
-def _loss(ctx: GradContext, stage: _Stage, sel, dtype, strict: bool = False) -> _Tape:
-    """Stage two: the weights of the selected pairs (``sel`` holds their
-    columns among the valid ones), the alignment, the pose loss and the
-    contrastive terms (NoValidTargets when they are on and no
-    ground-to-aerial target is in coverage); ``strict`` is ``_align``'s."""
-    w = stage.ra[..., ctx.aerial_flat, sel] * stage.cb[..., ctx.aerial_flat, sel]
+def _loss(ctx: GradContext, stage: _Stage, sel, dtype, strict: bool = False, at=None) -> _Tape:
+    """Stage two: the selected pairs' weights (``sel``: their columns among
+    the valid ones; ``at``: their rows and columns in a sliced stage one),
+    the alignment, the pose loss and the contrastive terms (NoValidTargets
+    when on with no ground-to-aerial target in coverage); ``strict`` is ``_align``'s."""
+    r_at, c_at = (ctx.aerial_flat, sel) if at is None else at
+    w = stage.ra[..., r_at, sel] * stage.cb[..., ctx.aerial_flat, c_at]
     p, q = ctx.ground_planar.astype(dtype), ctx.aerial_metric.astype(dtype)
     al = _align(p, q, w, strict)
     vce, offsets = _vce(
@@ -492,12 +500,15 @@ def forward_value(ctx: GradContext, params: np.ndarray, dtype=np.longdouble):
     which LAPACK's SVD cannot.  ``params`` may carry one leading batch axis:
     a ``(P,)`` leaf vector gives a scalar, a ``(K, P)`` stack gives ``(K,)``
     values, row ``k`` equal to the single-vector call on ``params[k]``.
-    Only the depth-valid ground columns (plus the dustbin) are scored:
-    masked to ``MASK_SCORE`` they would carry exactly 0 probability after
-    the softmax, so the loss does not depend on them.
+    Only the depth-valid ground columns (plus the dustbin) are scored --
+    masked, they would carry exactly 0 probability after the softmax -- and
+    only the selected pairs' rows and columns, all the loss reads, normalised.
     """
-    stage = _stage_one(ctx, np.asarray(params), dtype)
-    return _loss(ctx, stage, _valid_columns(ctx)[1], dtype).loss
+    sel = _valid_columns(ctx)[1]
+    rows, r_at = np.unique(ctx.aerial_flat, return_inverse=True)
+    cols, c_at = np.unique(sel, return_inverse=True)
+    stage = _stage_one(ctx, np.asarray(params), dtype, rows, cols)
+    return _loss(ctx, stage, sel, dtype, at=(r_at, c_at)).loss
 
 
 # ---------------------------------------------------------------------------
@@ -667,8 +678,8 @@ def finite_difference(
 
 
 # Coordinates perturbed per batched ``forward_value`` call (2 * FD_BLOCK
-# rows).  Larger blocks shave per-call overhead but hold more long-double
-# temporaries at once.
+# rows).  On the certify benchmark (2-core VM, 3 seeds) blocks of 8, 16 and
+# 32 gave +5%, +9%, +16% op/s (unpaired) and +1.1%, +5.1%, +10.7% peak RSS.
 FD_BLOCK = 4
 
 

@@ -66,9 +66,13 @@ _DEPTH_KINDS = ("metric", "relative")
 def _atomic_write_bytes(path, blob: bytes) -> None:
     path = os.fspath(path)
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as f:
-        f.write(blob)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            f.write(blob)
+        os.replace(tmp, path)
+    finally:
+        if os.path.lexists(tmp):  # the write or the replace failed
+            os.unlink(tmp)
 
 
 def sidecar_path(path) -> str:

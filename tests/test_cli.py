@@ -242,6 +242,16 @@ def test_gradcheck_subcommand_passes_and_writes(tmp_path):
     assert all(r["passed"] for r in doc["reports"])
 
 
+def test_gradcheck_onto_a_directory_exits_one_and_leaves_no_temp_file(tmp_path, capsys):
+    out = tmp_path / "grad"
+    out.mkdir()
+    rc = main(["gradcheck", "--seeds", "0", "--mode", "projection", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["grad"]
+    assert list(out.iterdir()) == []
+
+
 def test_train_subcommand_smoke(tmp_path):
     cfg = {
         "lr": 0.0,

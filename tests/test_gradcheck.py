@@ -384,12 +384,86 @@ def test_stage_one_takes_its_softmaxes_from_matching(seed, mode, monkeypatch):
 
         monkeypatch.setattr(gradcheck, name, counting)
     loss, grad = gradcheck.value_and_grad(ctx, away)
-    assert calls == dict.fromkeys(calls, 1)
+    # one dustbin-augmented copy for the row softmaxes, one for the columns
+    assert calls == {"augment_dustbin": 2, "row_softmax": 1, "col_softmax": 1}
     assert loss == expected[0]
     np.testing.assert_array_equal(grad, expected[1])
     values = gradcheck.forward_value(ctx, np.stack([ctx.params0, away]))
-    assert calls == dict.fromkeys(calls, 2)
+    assert calls == {"augment_dustbin": 4, "row_softmax": 2, "col_softmax": 2}
     assert values.dtype == np.longdouble and values.shape == (2,)
+
+
+def forced_selection(ctx, kind):
+    """``ctx`` with its selected pairs as built, or moved onto a single
+    distinct ground column (distinct aerial rows), or onto a single aerial
+    row (the valid columns in turn)."""
+    n, cols = len(ctx.aerial_flat), np.flatnonzero(ctx.valid)
+    if kind == "one-column":
+        return dataclasses.replace(ctx, aerial_flat=np.arange(n) * 3 % ctx.n_aerial,
+                                   ground_flat=np.full(n, cols[-1]))
+    if kind == "one-row":
+        return dataclasses.replace(ctx, aerial_flat=np.full(n, ctx.aerial_flat[0]),
+                                   ground_flat=cols[np.arange(n) % len(cols)])
+    return ctx
+
+
+@pytest.mark.parametrize("kind", ["as-built", "one-column", "one-row"])
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("seed, mode", LEAF_CONTEXTS + [(3, "score"), (4, "features")])
+def test_sliced_stage_one_gives_the_whole_matrix_weights_bit_for_bit(seed, mode, dtype, kind):
+    """Normalising only the selected pairs' rows and columns (plus the
+    dustbin) gives the selected entries of the whole matrix's
+    ``row_softmax(ext) * col_softmax(ext)`` to the bit, for one leaf vector
+    and for a batch of FD-perturbed ones, so ``forward_value`` equals the
+    whole-matrix chain exactly."""
+    ctx = forced_selection(small_context(seed, mode), kind)
+    sel = gradcheck._valid_columns(ctx)[1]
+    rows, r_at = np.unique(ctx.aerial_flat, return_inverse=True)
+    cols, c_at = np.unique(sel, return_inverse=True)
+    if kind != "as-built":
+        assert len(rows if kind == "one-row" else cols) == 1
+    batch = np.tile(ctx.params0, (8, 1))
+    batch[np.arange(4), np.arange(4) * 7] += 1e-5
+    batch[np.arange(4, 8), np.arange(4) * 7] -= 1e-5
+    for params in (ctx.params0, batch):
+        part = gradcheck._stage_one(ctx, params, dtype, rows, cols)
+        ext = augment_dustbin(part.scores, params[..., -1].astype(dtype))
+        whole = row_softmax(ext) * col_softmax(ext)
+        w = part.ra[..., r_at, sel] * part.cb[..., ctx.aerial_flat, c_at]
+        assert w.dtype == dtype
+        # exact equality (long double's storage padding makes bytes unfit)
+        np.testing.assert_array_equal(w, whole[..., ctx.aerial_flat, sel])
+        full = gradcheck._loss(ctx, gradcheck._stage_one(ctx, params, dtype), sel, dtype)
+        np.testing.assert_array_equal(gradcheck.forward_value(ctx, params, dtype), full.loss)
+
+
+@pytest.mark.parametrize("seed, mode", LEAF_CONTEXTS)
+def test_forward_value_normalises_only_the_selected_rows_and_columns(seed, mode, monkeypatch):
+    """The oracle's softmaxes see the selected pairs' distinct aerial rows
+    (plus the dustbin row ``augment_dustbin`` adds) over every valid column,
+    and the distinct selected columns plus the dustbin over every aerial
+    row: never the whole matrix."""
+    ctx = small_context(seed, mode)
+    sel = gradcheck._valid_columns(ctx)[1]
+    rows, cols = np.unique(ctx.aerial_flat), np.unique(sel)
+    n_valid = int(ctx.valid.sum())
+    assert len(rows) < ctx.n_aerial and len(cols) < n_valid  # a proper slice
+    params = np.tile(ctx.params0, (3, 1))
+    scores = gradcheck._stage_one(ctx, params, np.longdouble).scores
+    seen = {}
+    for name in ("row_softmax", "col_softmax"):
+        fn = getattr(matching, name)
+
+        def recording(m, name=name, fn=fn):
+            seen[name] = m
+            return fn(m)
+
+        monkeypatch.setattr(gradcheck, name, recording)
+    gradcheck.forward_value(ctx, params)
+    assert seen["row_softmax"].shape == (3, len(rows) + 1, n_valid + 1)
+    assert (seen["row_softmax"][:, :-1, :-1] == scores[:, rows, :]).all()
+    assert seen["col_softmax"].shape == (3, ctx.n_aerial + 1, len(cols) + 1)
+    assert (seen["col_softmax"][:, :-1, :-1] == scores[:, :, cols]).all()
 
 
 def inference_route(scene, pipe, params0=None):

@@ -436,3 +436,16 @@ def test_no_partial_files_on_crash(tmp_path, monkeypatch):
         write_feature_grid(random_aerial(rng), path)
     monkeypatch.setattr(os, "replace", real_replace)
     assert not path.exists()
+    assert list(tmp_path.iterdir()) == []  # nor its temp file
+
+
+def test_results_written_onto_a_directory_raise_and_leave_no_temp_file(tmp_path):
+    """The rename onto a directory fails; the error propagates and the
+    temp file written beside the target is removed."""
+    target = tmp_path / "out"
+    target.mkdir()
+    (target / "kept.txt").write_text("x")
+    with pytest.raises(OSError):
+        write_results({"value": 1.0}, target)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    assert [p.name for p in target.iterdir()] == ["kept.txt"]
