@@ -209,11 +209,21 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _read_inputs(args):
+    """The ``--aerial`` and ``--ground`` grids and the ``--depth`` map; a
+    grid of the other kind raises FormatError naming its file."""
+    grids = []
+    for path, kind in ((args.aerial, "aerial"), (args.ground, "ground")):
+        grid = read_feature_grid(path)
+        if grid.kind != kind:
+            raise FormatError(f"{path}: grid kind {grid.kind!r}, but --{kind} needs {kind!r}")
+        grids.append(grid)
+    return (*grids, read_depth_map(args.depth))
+
+
 def cmd_solve(args) -> int:
     pipe = _from_args(_pipeline_from_args, args)
-    aerial = read_feature_grid(args.aerial)
-    ground = read_feature_grid(args.ground)
-    depth = read_depth_map(args.depth)
+    aerial, ground, depth = _read_inputs(args)
     est = estimate_pose(aerial, ground, depth, ground.meta.rays, pipe)
     truth = _truth_from_results(read_results(args.truth), args.truth) if args.truth else None
     record = _solve_record(est, truth)
@@ -255,9 +265,7 @@ def cmd_sweep_scale(args) -> int:
         _from_args(dataclasses.replace, base.lift, max_depth=args.max_depth * factor)
         for factor in factors
     ]
-    aerial = read_feature_grid(args.aerial)
-    ground = read_feature_grid(args.ground)
-    depth = read_depth_map(args.depth)
+    aerial, ground, depth = _read_inputs(args)
     runs = []
     for factor, lift in zip(factors, lifts):
         pipe = dataclasses.replace(base, lift=lift)

@@ -34,11 +34,6 @@ class ZeroNormFeature(CrosslocError):
     """A feature vector has zero norm and cannot be cosine-normalized."""
 
 
-class TooSmall(CrosslocError):
-    """Matrix is too small for the requested operation (e.g. dropping a
-    dustbin from a matrix without one)."""
-
-
 class OutOfRange(CrosslocError):
     """Scalar argument outside its valid range (e.g. temperature <= 0)."""
 

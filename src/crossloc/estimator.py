@@ -17,8 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AllHypothesesDegenerate, DegenerateConfiguration, InsufficientMatches
-from .errors import OutOfRange
+from .errors import AllHypothesesDegenerate, DegenerateConfiguration, DimensionMismatch
+from .errors import InsufficientMatches, OutOfRange
 from .geometry import (
     SimilarityTransform2D,
     apply_transform,
@@ -126,13 +126,19 @@ def build_correspondences(
     matches whose weight is not positive (zero or NaN) are discarded, and
     in topmost mode only the highest lifted point per aerial-cell-sized
     planar bucket survives.
-    Raises InsufficientMatches when fewer than two weighted pairs remain.
+    Raises DimensionMismatch when the depth map or the ray table is not the
+    ground grid's shape, InsufficientMatches when fewer than two weighted
+    pairs remain.
     """
+    shapes = {"depth map": depth.depth.shape, "ray table": rays.directions.shape[:2]}
+    for what, shape in shapes.items():
+        if shape != (ground.rows, ground.cols):
+            raise DimensionMismatch(f"{what} {shape} vs ground grid {(ground.rows, ground.cols)}")
     valid = np.flatnonzero(depth_valid_mask(depth, cfg.lift))
     if len(valid) == 0:
         raise InsufficientMatches("only 0 correspondences: no ground cell has valid depth")
-    valid_ground = FeatureGrid(ground.flat()[valid][None], "ground")  # one row
-    probs = match_probabilities(score_matrix(aerial, valid_ground, cfg.tau), cfg.dustbin_z)
+    scores = score_matrix(aerial.flat(), ground.flat()[valid], cfg.tau)
+    probs = match_probabilities(scores, cfg.dustbin_z)
     return _lift_top_n(probs, valid, aerial, ground, depth, rays, cfg)
 
 

@@ -8,8 +8,8 @@ as one chain of elementwise numpy operations in any float type
 (``forward_value``), recorded in two stages:
 
 * scores and the dual softmax with dustbin -- ``matching``'s own
-  ``augment_dustbin``, ``row_softmax`` and ``col_softmax``, batched and in
-  the chain's float type (the selection at most slices its rows and columns);
+  ``score_matrix`` and ``soft_assign``, batched and in the chain's float
+  type (the selection at most slices its rows and columns);
 * weighted scale-aware alignment -- the optimal angle in 2-D has the closed
   form theta* = atan2(C01 - C10, C00 + C11) over the weighted covariance C,
   and the optimal scale is hypot of the same two invariants over the
@@ -79,14 +79,7 @@ from .losses import (
     vce_loss,
     virtual_point_grid,
 )
-from .matching import (
-    augment_dustbin,
-    col_softmax,
-    match_probabilities,
-    normalize_features,
-    row_softmax,
-    score_matrix,
-)
+from .matching import match_probabilities, score_matrix, soft_assign
 
 __all__ = [
     "GradContext",
@@ -213,7 +206,7 @@ def build_context(
     (na, dim), ng = aerial_raw.shape, ground_raw.shape[0]
     if params0 is None:
         if mode == "score":
-            base = score_matrix(scene.aerial, scene.ground, cfg.tau)
+            base = score_matrix(aerial_raw, ground_raw, cfg.tau)
         elif mode == "features":
             base = np.concatenate([aerial_raw.ravel(), ground_raw.ravel()])
         else:  # projection
@@ -319,9 +312,9 @@ def _read_leaves(ctx: GradContext) -> np.ndarray:
 
 def _valid_scores(ctx: GradContext, params: np.ndarray, cols: np.ndarray, dtype):
     """Raw scores of the ground columns ``cols``, ``(..., n_aerial, len(cols))``,
-    and the features they came from: ``(a_raw, g_raw, a_hat, g_hat)`` with
-    the ground rows of ``cols`` for feature and projection leaves, ``None``
-    for score leaves.  Any leading batch axis is kept.
+    and the features they came from: ``(a_raw, g_raw)`` with the ground
+    rows of ``cols`` for feature and projection leaves, ``None`` for score
+    leaves.  Any leading batch axis is kept.
 
     Leaves are gathered before they are widened to ``dtype``, so leaves of
     other columns are never converted or copied.
@@ -339,9 +332,7 @@ def _valid_scores(ctx: GradContext, params: np.ndarray, cols: np.ndarray, dtype)
         mat_t = params[..., : d * d].reshape(batch + (d, d)).astype(dtype).swapaxes(-1, -2)
         a_raw = ctx.aerial_raw.astype(dtype) @ mat_t
         g_raw = ctx.ground_raw[cols].astype(dtype) @ mat_t
-    a_hat, g_hat = normalize_features(a_raw), normalize_features(g_raw)
-    scores = (a_hat @ g_hat.swapaxes(-1, -2)) / dtype(ctx.tau)
-    return scores, (a_raw, g_raw, a_hat, g_hat)
+    return score_matrix(a_raw, g_raw, ctx.tau), (a_raw, g_raw)
 
 
 # ---------------------------------------------------------------------------
@@ -391,15 +382,11 @@ _Tape = namedtuple("_Tape", "loss align offsets g2s s2g", defaults=(None, None))
 
 def _stage_one(ctx, params: np.ndarray, dtype, rows=slice(None), cols=slice(None)) -> _Stage:
     """Stage one, which the selection at most slices: valid-column scores plus a
-    dustbin of score ``params[..., -1]``, the row softmaxes of aerial ``rows``
-    and the column softmaxes of valid ``cols`` and the dustbin (default all).
-    Each slice is a contiguous ``augment_dustbin`` copy at least 2 columns
-    wide, which numpy sums in the whole matrix's order, to the same bits.
+    dustbin of score ``params[..., -1]``, and ``soft_assign``'s row softmaxes
+    of aerial ``rows`` and column softmaxes of valid ``cols`` (default all).
     ``ctx`` may be just the ``_Leaves``."""
     scores, features = _valid_scores(ctx, params, np.flatnonzero(ctx.valid), dtype)
-    z = params[..., -1].astype(dtype)
-    ra = row_softmax(augment_dustbin(scores[..., rows, :], z))
-    cb = col_softmax(augment_dustbin(scores[..., :, cols], z))
+    ra, cb = soft_assign(scores, params[..., -1], rows, cols)
     return _Stage(params, scores, features, ra, cb)
 
 
@@ -634,11 +621,12 @@ def value_and_grad(ctx: GradContext, params: np.ndarray = None):
         return loss, np.append(grad.ravel(), d_z)
 
     # chain through the cosine scores and the normalization into raw features
-    a_raw, g_raw, a_hat, g_hat = stage.features
-    d_a_hat = (d_scores @ g_hat) / ctx.tau
-    d_g_hat = (d_scores.T @ a_hat) / ctx.tau
+    a_raw, g_raw = stage.features
     a_norm = np.linalg.norm(a_raw, axis=1, keepdims=True)
     g_norm = np.linalg.norm(g_raw, axis=1, keepdims=True)
+    a_hat, g_hat = a_raw / a_norm, g_raw / g_norm
+    d_a_hat = (d_scores @ g_hat) / ctx.tau
+    d_g_hat = (d_scores.T @ a_hat) / ctx.tau
     d_a_raw = (d_a_hat - a_hat * (a_hat * d_a_hat).sum(axis=1, keepdims=True)) / a_norm
     d_g_raw = (d_g_hat - g_hat * (g_hat * d_g_hat).sum(axis=1, keepdims=True)) / g_norm
     if ctx.mode == "features":

@@ -5,8 +5,8 @@ and every ground cell.  A learnable dustbin row/column gives unmatched cells
 somewhere to put probability mass, and a dual softmax (row softmax times
 column softmax) turns scores into soft mutual-assignment probabilities from
 which the top-N entries are sampled as weighted ``Matches`` (index arrays).
-The dustbin and softmax steps take leading batch axes and keep the float
-type, so the training loss and its long-double FD oracle run them too.
+Scoring and the soft assignment take leading batch axes and keep the
+float type, so the training loss and its long-double FD oracle run them too.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, OutOfRange, TooSmall, ZeroNormFeature
+from .errors import DimensionMismatch, OutOfRange, ZeroNormFeature
 
 __all__ = [
     "MASK_SCORE",
@@ -29,7 +29,7 @@ __all__ = [
     "row_softmax",
     "col_softmax",
     "dual_softmax",
-    "drop_dustbin",
+    "soft_assign",
     "mask_ground_columns",
     "match_probabilities",
     "top_n_flat_indices",
@@ -104,21 +104,21 @@ def normalize_features(flat: np.ndarray) -> np.ndarray:
     return flat / norms[..., None]
 
 
-def score_matrix(aerial: FeatureGrid, ground: FeatureGrid, tau: float) -> np.ndarray:
-    """Cosine similarity of every (aerial cell, ground cell) pair over tau.
+def score_matrix(aerial: np.ndarray, ground: np.ndarray, tau: float) -> np.ndarray:
+    """Cosine similarity of every pair of raw ``(..., n, dim)`` aerial and
+    ground feature rows over tau, in their float type.
 
     Entries lie in [-1/tau, 1/tau].  Raises DimensionMismatch when feature
     dimensions differ and OutOfRange for a non-positive temperature.
     """
     if tau <= 0:
         raise OutOfRange(f"temperature must be positive, got {tau}")
-    if aerial.dim != ground.dim:
+    if aerial.shape[-1] != ground.shape[-1]:
         raise DimensionMismatch(
-            f"feature dims differ: aerial {aerial.dim} vs ground {ground.dim}"
+            f"feature dims differ: aerial {aerial.shape[-1]} vs ground {ground.shape[-1]}"
         )
-    a = normalize_features(aerial.flat().astype(float))
-    g = normalize_features(ground.flat().astype(float))
-    return (a @ g.T) / tau
+    a, g = normalize_features(aerial), normalize_features(ground)
+    return (a @ g.swapaxes(-1, -2)) / a.dtype.type(tau)
 
 
 def augment_dustbin(scores: np.ndarray, z) -> np.ndarray:
@@ -155,15 +155,13 @@ def dual_softmax(extended: np.ndarray) -> np.ndarray:
     return row_softmax(extended) * col_softmax(extended)
 
 
-def drop_dustbin(extended_probs: np.ndarray) -> np.ndarray:
-    """Remove the dustbin row and column, leaving real-pair probabilities.
-
-    Interior entries are returned unchanged (no renormalization).  Raises
-    TooSmall when the input has no dustbin to drop.
-    """
-    if extended_probs.shape[-2] < 2 or extended_probs.shape[-1] < 2:
-        raise TooSmall(f"matrix {extended_probs.shape} has no dustbin to drop")
-    return extended_probs[..., :-1, :-1].copy()
+def soft_assign(scores: np.ndarray, z, rows=slice(None), cols=slice(None)):
+    """The row softmaxes of aerial ``rows`` and the column softmaxes of
+    ground ``cols`` of the dustbin-augmented scores (default all).  Each is
+    a contiguous ``augment_dustbin`` copy at least 2 columns wide, which
+    numpy sums in the whole matrix's order, to the same bits."""
+    ra = row_softmax(augment_dustbin(scores[..., rows, :], z))
+    return ra, col_softmax(augment_dustbin(scores[..., :, cols], z))
 
 
 def mask_ground_columns(m: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -183,9 +181,10 @@ def mask_ground_columns(m: np.ndarray, valid: np.ndarray) -> np.ndarray:
 
 
 def match_probabilities(m: np.ndarray, z: float = 0.0) -> np.ndarray:
-    """Full soft-assignment chain: dustbin augment, dual softmax, dustbin
-    drop; returns the (n_aerial, n_ground) real-pair probabilities."""
-    return drop_dustbin(dual_softmax(augment_dustbin(m, z)))
+    """Full soft-assignment chain: dustbin augment and dual softmax; returns
+    the (n_aerial, n_ground) real-pair probabilities without renormalizing,
+    as a contiguous copy, so the extended matrix is freed before top-N."""
+    return dual_softmax(augment_dustbin(m, z))[..., :-1, :-1].copy()
 
 
 def top_n_flat_indices(flat_probs: np.ndarray, n: int) -> np.ndarray:

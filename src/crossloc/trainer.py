@@ -164,10 +164,12 @@ def smoothed_curve(curve: np.ndarray, window: int = 20) -> np.ndarray:
 
 
 def evaluate_projection(weights: ProjectionWeights, scenes, pipe: PipelineConfig) -> dict:
-    """Run the estimator on projected features and summarize the
-    ``metrics.pose_errors`` of each scene (orientation in radians)."""
+    """Run the estimator on projected features, with the weights' dustbin
+    score, and summarize the ``metrics.pose_errors`` of each scene
+    (orientation in radians)."""
     if not scenes:
         return {"count": 0}
+    pipe = dataclasses.replace(pipe, dustbin_z=weights.dustbin_z)
     loc, ori = [], []
     for scene in scenes:
         est = estimate_pose(

@@ -13,8 +13,8 @@ from crossloc.cli import main, parse_factor_range, parse_seed_range
 from crossloc.errors import FormatError, MetadataMissing, OutOfRange, UsageError
 from crossloc.estimator import PipelineConfig, estimate_pose
 from crossloc.geometry import apply_transform
-from crossloc.io import read_depth_map, read_feature_grid, read_results
-from crossloc.lifting import LiftConfig, lift_ground_cells
+from crossloc.io import read_depth_map, read_feature_grid, read_results, write_depth_map
+from crossloc.lifting import DepthMap, LiftConfig, lift_ground_cells
 from crossloc.simulator import SceneConfig
 from crossloc.trainer import TrainConfig
 
@@ -678,3 +678,46 @@ def test_solve_overlay_is_the_lifted_matches_under_the_pose(scene_dir, tmp_path)
     np.testing.assert_array_equal(est.ground_points3, points3)
     expected = apply_transform(est.transform, points3[:, :2])
     assert read_results(out)["overlay"] == expected.tolist()
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep-scale"])
+@pytest.mark.parametrize(
+    "aerial, ground, wrong",
+    [
+        ("ground", "aerial", "aerial"),
+        ("ground", "ground", "aerial"),
+        ("aerial", "aerial", "ground"),
+    ],
+    ids=["swapped", "ground-twice", "aerial-twice"],
+)
+def test_a_grid_of_the_wrong_kind_is_a_format_error_naming_it(
+    command, aerial, ground, wrong, scene_dir, tmp_path, capsys
+):
+    """A grid given to the flag of the other kind exits 1 with an error
+    naming the file and the kind the flag needs."""
+    files = scene_files(scene_dir, 7)
+    out = tmp_path / "never.json"
+    argv = [command, "--aerial", files[aerial], "--ground", files[ground],
+            "--depth", files["depth"], "--max-depth", "15", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    flagged = files[aerial] if wrong == "aerial" else files[ground]
+    assert err.startswith("error: ") and flagged in err and f"--{wrong} needs" in err
+    assert not out.exists()
+    with pytest.raises(FormatError):
+        cli._read_inputs(cli.build_parser().parse_args(argv))
+
+
+def test_a_depth_map_of_another_shape_exits_one(scene_dir, tmp_path, capsys):
+    """A depth map with the ground grid's cell count but another shape is a
+    named error (exit 1), not an index error."""
+    files = scene_files(scene_dir, 7)
+    depth = read_depth_map(files["depth"])
+    reshaped = tmp_path / "reshaped.dpth"
+    write_depth_map(DepthMap(depth.depth.reshape(10, 4), depth.kind), str(reshaped))
+    out = tmp_path / "never.json"
+    argv = solve_argv(dict(files, depth=str(reshaped)), out)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "depth map (10, 4) vs ground grid (4, 10)" in err
+    assert not out.exists()

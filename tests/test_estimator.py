@@ -14,6 +14,7 @@ import pytest
 from crossloc.errors import (
     AllHypothesesDegenerate,
     DegenerateConfiguration,
+    DimensionMismatch,
     InsufficientMatches,
     OutOfRange,
 )
@@ -158,6 +159,19 @@ def test_all_invalid_depth_raises():
         estimate_pose(
             scene.aerial, scene.ground, blank, scene.rays, closure_config(scene)
         )
+
+
+def test_depth_or_rays_of_another_shape_are_a_dimension_mismatch():
+    """A depth map or ray table whose cells are not the ground grid's is
+    refused before anything is scored, not indexed out of bounds."""
+    scene = generate(SceneConfig(seed=4))  # a 16 x 48 ground grid
+    cfg = closure_config(scene)
+    reshaped = DepthMap(scene.depth.depth.reshape(24, 32), scene.depth.kind)
+    with pytest.raises(DimensionMismatch, match=r"depth map \(24, 32\)"):
+        build_correspondences(scene.aerial, scene.ground, reshaped, scene.rays, cfg)
+    rays = dataclasses.replace(scene.rays, directions=scene.rays.directions[:, :-1])
+    with pytest.raises(DimensionMismatch, match=r"ray table \(16, 47\)"):
+        build_correspondences(scene.aerial, scene.ground, scene.depth, rays, cfg)
 
 
 def test_nan_feature_in_valid_cell_leaves_no_matches():

@@ -7,20 +7,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crossloc.errors import DimensionMismatch, OutOfRange, TooSmall, ZeroNormFeature
+from crossloc.errors import DimensionMismatch, OutOfRange, ZeroNormFeature
 from crossloc.matching import (
     MASK_SCORE,
     AerialMeta,
     FeatureGrid,
     augment_dustbin,
     col_softmax,
-    drop_dustbin,
     dual_softmax,
     mask_ground_columns,
     match_probabilities,
     row_softmax,
     sample_correspondences,
     score_matrix,
+    soft_assign,
     top_n_flat_indices,
 )
 
@@ -52,7 +52,7 @@ def test_score_matrix_identical_unit_features_give_one_over_tau():
     f[..., 0] = 1.0
     a = FeatureGrid(f, "aerial")
     g = FeatureGrid(f.copy().reshape(1, 2, 3), "ground")
-    m = score_matrix(a, g, tau=0.1)
+    m = score_matrix(a.flat(), g.flat(), tau=0.1)
     assert np.allclose(m, 10.0, atol=TIGHT)
 
 
@@ -60,33 +60,44 @@ def test_score_matrix_range_and_scale_invariance():
     rng = np.random.default_rng(0)
     a = grid(4, 5, 8, rng)
     g = grid(3, 6, 8, rng, "ground")
-    m = score_matrix(a, g, tau=0.1)
+    m = score_matrix(a.flat(), g.flat(), tau=0.1)
     assert m.shape == (20, 18)
     assert (np.abs(m) <= 1 / 0.1 + 1e-9).all()
     # cosine ignores feature magnitude
-    a_scaled = FeatureGrid(a.data * 37.0, "aerial")
-    m2 = score_matrix(a_scaled, g, tau=0.1)
+    m2 = score_matrix(a.flat() * 37.0, g.flat(), tau=0.1)
     assert np.allclose(m, m2, atol=TIGHT)
 
 
 def test_score_matrix_orthogonal_features_score_zero():
     a = FeatureGrid(np.array([[[1.0, 0.0]]]), "aerial")
     g = FeatureGrid(np.array([[[0.0, 5.0]]]), "ground")
-    m = score_matrix(a, g, tau=0.5)
+    m = score_matrix(a.flat(), g.flat(), tau=0.5)
     assert m[0, 0] == pytest.approx(0.0, abs=TIGHT)
 
 
 def test_score_matrix_errors():
     rng = np.random.default_rng(1)
-    a = grid(2, 2, 4, rng)
-    g = grid(2, 2, 5, rng, "ground")
+    a = grid(2, 2, 4, rng).flat()
+    g = grid(2, 2, 5, rng, "ground").flat()
     with pytest.raises(DimensionMismatch):
         score_matrix(a, g, tau=0.1)
-    z = FeatureGrid(np.zeros((1, 1, 4)), "ground")
     with pytest.raises(ZeroNormFeature):
-        score_matrix(a, z, tau=0.1)
+        score_matrix(a, np.zeros((1, 4)), tau=0.1)
     with pytest.raises(OutOfRange):
-        score_matrix(a, grid(2, 2, 4, rng, "ground"), tau=0.0)
+        score_matrix(a, grid(2, 2, 4, rng, "ground").flat(), tau=0.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.longdouble])
+def test_score_matrix_keeps_the_float_type_and_batch_axis(dtype):
+    """Scores come back in the features' float type; a stacked (K, n, dim)
+    batch equals the per-matrix calls bit for bit."""
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(3, 5, 4)).astype(dtype)
+    g = rng.normal(size=(3, 6, 4)).astype(dtype)
+    m = score_matrix(a, g, tau=0.1)
+    assert m.dtype == dtype and m.shape == (3, 5, 6)
+    for i in range(3):
+        np.testing.assert_array_equal(m[i], score_matrix(a[i], g[i], tau=0.1))
 
 
 # --- dustbin ----------------------------------------------------------------
@@ -98,24 +109,6 @@ def test_augment_dustbin_layout():
     assert ext.shape == (3, 3)
     assert np.array_equal(ext[:2, :2], m)
     assert (ext[2, :] == 0.0).all() and (ext[:, 2] == 0.0).all()
-
-
-def test_drop_dustbin_removes_border_only():
-    rng = np.random.default_rng(2)
-    ext = rng.normal(size=(5, 7))
-    inner = drop_dustbin(ext)
-    assert inner.shape == (4, 6)
-    assert np.array_equal(inner, ext[:4, :6])
-    with pytest.raises(TooSmall):
-        drop_dustbin(np.ones((1, 3)))
-
-
-def test_augment_then_drop_roundtrip_bit_exact():
-    rng = np.random.default_rng(3)
-    m = rng.normal(size=(6, 4))
-    probs = dual_softmax(augment_dustbin(m, z=0.3))
-    inner = drop_dustbin(probs)
-    assert np.array_equal(inner, probs[:6, :4])
 
 
 # --- dual softmax -----------------------------------------------------------
@@ -204,7 +197,7 @@ def test_batched_kernel_equals_per_matrix_calls(seed, k, n_a, n_g, dtype, scalar
         one = augment_dustbin(scores[i], z if scalar_z else z[i])
         assert one.dtype == dtype
         np.testing.assert_array_equal(extended[i], one)
-    for fn in (row_softmax, col_softmax, dual_softmax, drop_dustbin):
+    for fn in (row_softmax, col_softmax, dual_softmax):
         batched = fn(extended)
         assert batched.dtype == dtype
         for i in range(k):
@@ -216,6 +209,30 @@ def test_batched_kernel_equals_per_matrix_calls(seed, k, n_a, n_g, dtype, scalar
     for i in range(k):
         one = match_probabilities(scores[i], z if scalar_z else z[i])
         np.testing.assert_array_equal(probs[i], one)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(0, 4),
+    n_a=st.integers(1, 20),
+    n_g=st.integers(1, 20),
+    dtype=st.sampled_from([np.float64, np.longdouble]),
+)
+def test_whole_soft_assignment_is_match_probabilities(seed, k, n_a, n_g, dtype):
+    """The product of ``soft_assign``'s two whole factors without the dustbin
+    (what training contexts freeze their selection from) equals
+    ``match_probabilities`` (gate 04's dual softmax, what inference runs)
+    bit for bit, for one matrix (k = 0) and for a (k, A, G) batch."""
+    rng = np.random.default_rng(seed)
+    shape = (k, n_a, n_g) if k else (n_a, n_g)
+    scores = rng.normal(scale=5.0, size=shape).astype(dtype)
+    z = dtype(rng.normal())
+    ra, cb = soft_assign(scores, z)
+    assert ra.dtype == cb.dtype == dtype
+    assert ra.shape == cb.shape == shape[:-2] + (n_a + 1, n_g + 1)
+    # exact equality (long double's storage padding makes bytes unfit)
+    np.testing.assert_array_equal(ra[..., :-1, :-1] * cb[..., :-1, :-1],
+                                  match_probabilities(scores, z))
 
 
 # --- masking ----------------------------------------------------------------
@@ -284,8 +301,8 @@ def test_pipeline_weights_match_manual_chain():
     rng = np.random.default_rng(10)
     a = grid(3, 3, 6, rng)
     g = grid(2, 4, 6, rng, "ground")
-    m = score_matrix(a, g, tau=0.2)
-    manual = drop_dustbin(dual_softmax(augment_dustbin(m, z=0.7)))
+    m = score_matrix(a.flat(), g.flat(), tau=0.2)
+    manual = dual_softmax(augment_dustbin(m, z=0.7))[:-1, :-1]
     composed = match_probabilities(m, z=0.7)
     assert np.array_equal(manual, composed)
 
@@ -327,9 +344,10 @@ def test_compacted_probabilities_equal_masked_chain(seed, n_ground, mask_bits, m
         valid = (mask_bits >> np.arange(n_ground)) & 1 == 1
         valid[mask_bits % n_ground] = True
     cols = np.flatnonzero(valid)
-    full = match_probabilities(mask_ground_columns(score_matrix(a, g, 0.1), valid), z)
-    valid_ground = FeatureGrid(g.flat()[cols][None], "ground")  # as the estimator does
-    compact = match_probabilities(score_matrix(a, valid_ground, 0.1), z)
+    scores = score_matrix(a.flat(), g.flat(), 0.1)
+    full = match_probabilities(mask_ground_columns(scores, valid), z)
+    # as the estimator does
+    compact = match_probabilities(score_matrix(a.flat(), g.flat()[cols], 0.1), z)
     np.testing.assert_allclose(compact, full[:, cols], rtol=0, atol=1e-15)
     assert (full[:, ~valid] == 0.0).all()
 

@@ -267,6 +267,19 @@ def test_evaluate_projection_identity_on_noiseless_scene():
     assert out["median_ori_error_rad"] < 1e-9
 
 
+def test_evaluate_projection_scores_with_the_weights_dustbin():
+    """The evaluation runs the model being evaluated: weights carrying the
+    dustbin score c = 2 evaluate as under a pipeline whose dustbin score is
+    c, whatever the given pipeline's, and c moves the metrics."""
+    scenes = small_scenes(3)
+    matrix = np.eye(SMALL_SCENE.feature_dim)
+    pipe = dataclasses.replace(SMALL_PIPE, num_correspondences=24)
+    learned = ProjectionWeights(matrix, 2.0)
+    out = evaluate_projection(learned, scenes, pipe)
+    assert out == evaluate_projection(learned, scenes, dataclasses.replace(pipe, dustbin_z=2.0))
+    assert out != evaluate_projection(ProjectionWeights(matrix), scenes, pipe)
+
+
 # --- reference dataset ------------------------------------------------------
 
 
