@@ -142,6 +142,9 @@ def _solve_record(est, truth=None) -> dict:
             "theta": float(est.transform.theta),
             "t": [float(v) for v in est.transform.t],
             "inlier_count": est.inlier_count,
+            "draws": est.draws,
+            "redraws": est.redraws,
+            "refit": est.refit,
         }
     }
     if truth is not None:

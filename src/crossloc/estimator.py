@@ -55,6 +55,12 @@ __all__ = [
 ]
 
 MIN_SAMPLE = 3  # pairs per RANSAC hypothesis
+_DRAW_BLOCK = 4096  # most minimal samples drawn and gathered at once
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -68,8 +74,10 @@ class RansacConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise OutOfRange(f"need iterations >= 1: {self}")
+        if not _is_int(self.iterations) or self.iterations < 1:
+            raise OutOfRange(f"need an integer iterations >= 1: {self}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise OutOfRange(f"need an integer seed >= 0: {self}")
         if not 0.0 < self.inlier_threshold < math.inf:
             raise OutOfRange(f"need a finite inlier threshold > 0: {self}")
 
@@ -99,6 +107,12 @@ class PoseEstimate:
     inlier_mask: Optional[np.ndarray] = None  # only when RANSAC ran
     inlier_count: Optional[int] = None
     ground_points3: Optional[np.ndarray] = None  # (N, 3) their lifted points
+    # RANSAC's own counts (only when it ran): minimal samples drawn, of them
+    # degenerate ones redrawn, and whether the weighted refit replaced the
+    # winning hypothesis
+    draws: Optional[int] = None
+    redraws: Optional[int] = None
+    refit: Optional[bool] = None
 
 
 @dataclass(frozen=True)
@@ -225,6 +239,73 @@ def count_inliers(
     return int(np.count_nonzero(flags)), flags
 
 
+def _bulk_choice(rng: np.random.Generator, n: int, count: int) -> Optional[np.ndarray]:
+    """The next ``count`` (even) results of ``rng.choice(n, MIN_SAMPLE,
+    replace=False)`` for n > MIN_SAMPLE as one (count, MIN_SAMPLE) array,
+    or None when one of its words is a Lemire rejection.
+
+    numpy 2.4.6's ``Generator.choice`` picks k < n items by Floyd's
+    algorithm -- bounded draws on [0, n-3], [0, n-2], [0, n-1], a value
+    already picked replaced by the bound -- and then shuffles them, swapping
+    slot 2 with a draw on [0, 2] and slot 1 with one on [0, 1].  Each bounded
+    draw scales one 32-bit word by bound + 1 (Lemire), and PCG64 hands out the
+    low half of each 64-bit raw word before its high half, so ``count``
+    samples are ``5 * count / 2`` raw words.  A word whose scaled low half
+    falls under numpy's threshold ``2**32 % (bound + 1)`` is rejected and
+    another word read (about 3n / 2**32 per sample); that shifts the stream,
+    so this returns None and leaves the rng past the block.  numpy's
+    tail-shuffle branch (n > 10000 and k > n // 50) cannot occur for k = 3.
+    """
+    raw = rng.bit_generator.random_raw(count * 5 // 2)
+    words = np.stack((raw & _LOW32, raw >> np.uint64(32)), axis=-1).reshape(count, 5)
+    span = np.array([n - 2, n - 1, n, 3, 2], dtype=np.uint64)
+    scaled = words * span
+    if np.any((scaled & _LOW32) < 2**32 % span):
+        return None
+    first, second, third, swap2, swap1 = (scaled >> np.uint64(32)).astype(np.intp).T
+    second = np.where(second == first, n - 2, second)
+    third = np.where((third == first) | (third == second), n - 1, third)
+    rows = np.stack((first, second, third), axis=1)
+    every = np.arange(count)
+    for slot, other in ((2, swap2), (1, swap1)):
+        moved = rows[every, other]
+        rows[every, other] = rows[:, slot]
+        rows[:, slot] = moved
+    return rows
+
+
+class _MinimalSamples:
+    """Successive results of ``rng.choice(n, MIN_SAMPLE, replace=False)``
+    on ``default_rng(seed)``, handed out in blocks by ``_bulk_choice``.
+    When n == MIN_SAMPLE (Floyd's first bound is 0 and reads no word) or a
+    block meets a rejection, it re-seeds, replays the samples already handed
+    out, and continues with numpy's own per-sample calls."""
+
+    def __init__(self, seed: int, n: int):
+        self.seed, self.n = seed, n
+        self.rng = np.random.default_rng(seed)
+        self.bulk = n > MIN_SAMPLE
+        self.taken = 0
+
+    def take(self, count: int) -> np.ndarray:
+        """The next ``count`` samples (one more when a bulk block rounds an
+        odd count up) as a (m, MIN_SAMPLE) index array."""
+        if self.bulk:
+            rows = _bulk_choice(self.rng, self.n, count + count % 2)
+            if rows is not None:
+                self.taken += len(rows)
+                return rows
+            self.bulk = False
+            self.rng = np.random.default_rng(self.seed)
+            self._loop(self.taken)
+        self.taken += count
+        return self._loop(count)
+
+    def _loop(self, count: int) -> np.ndarray:
+        rows = [self.rng.choice(self.n, size=MIN_SAMPLE, replace=False) for _ in range(count)]
+        return np.array(rows, dtype=np.intp).reshape(count, MIN_SAMPLE)
+
+
 def ransac_estimate(
     ground_planar: np.ndarray,
     aerial_metric: np.ndarray,
@@ -240,7 +321,13 @@ def ransac_estimate(
     iterations (total draws are capped at ten times the iteration budget).
     With ``refit_on_inliers`` the final transform is a weighted solve over
     the winning consensus set; the reported inlier flags are the winning
-    hypothesis's consensus.  Deterministic for a fixed seed.
+    hypothesis's consensus, and ``draws``, ``redraws`` and ``refit`` report
+    the loop's own counts.  Deterministic for a fixed seed: the samples are
+    exactly the stream of ``default_rng(seed).choice(n, MIN_SAMPLE,
+    replace=False)`` calls, reproduced in bulk from the generator's raw
+    words, with numpy's per-sample calls as the fallback.  They are drawn
+    and gathered in blocks just large enough to finish if no sample is
+    degenerate.
     """
     ground_planar = np.asarray(ground_planar, dtype=float)
     aerial_metric = np.asarray(aerial_metric, dtype=float)
@@ -251,20 +338,26 @@ def ransac_estimate(
         raise InsufficientMatches(
             f"{n} correspondences cannot seed {MIN_SAMPLE}-point hypotheses"
         )
-    rng = np.random.default_rng(cfg.seed)
+    samples = _MinimalSamples(cfg.seed, n)
     uniform = np.ones(MIN_SAMPLE)
 
     best_count = -1
     best_transform = None
     best_flags = None
     completed = 0
-    attempts = 0
-    max_attempts = cfg.iterations * 10
-    while completed < cfg.iterations and attempts < max_attempts:
-        attempts += 1
-        sample = rng.choice(n, size=MIN_SAMPLE, replace=False)
+    draws = 0
+    max_draws = cfg.iterations * 10
+    block_p = block_q = np.empty((0, MIN_SAMPLE, 2))
+    at = 0
+    while completed < cfg.iterations and draws < max_draws:
+        if at == len(block_p):
+            rows = samples.take(min(cfg.iterations - completed, max_draws - draws, _DRAW_BLOCK))
+            block_p, block_q, at = ground_planar[rows], aerial_metric[rows], 0
+        p3, q3 = block_p[at], block_q[at]
+        at += 1
+        draws += 1
         try:
-            hyp = solver(ground_planar[sample], aerial_metric[sample], uniform)
+            hyp = solver(p3, q3, uniform)
         except DegenerateConfiguration:
             continue  # redraw; not counted against the iteration budget
         count, flags = count_inliers(
@@ -275,10 +368,10 @@ def ransac_estimate(
         completed += 1
     if best_transform is None:
         raise AllHypothesesDegenerate(
-            f"no valid hypothesis in {attempts} sample draws"
+            f"no valid hypothesis in {draws} sample draws"
         )
 
-    transform = best_transform
+    transform, refit = best_transform, False
     if cfg.refit_on_inliers and best_count >= 2:
         try:
             transform = solver(
@@ -286,12 +379,16 @@ def ransac_estimate(
                 aerial_metric[best_flags],
                 weights[best_flags],
             )
+            refit = True
         except DegenerateConfiguration:
-            transform = best_transform  # keep the raw hypothesis
+            pass  # keep the raw hypothesis
     return PoseEstimate(
         transform=transform,
         inlier_mask=best_flags,
         inlier_count=best_count,
+        draws=draws,
+        redraws=draws - completed,
+        refit=refit,
     )
 
 

@@ -122,6 +122,17 @@ def test_solve_results_are_deterministic(scene_dir, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_solve_writes_ransac_counts_only_when_ransac_ran(scene_dir, tmp_path):
+    files = scene_files(scene_dir, 7)
+    argv = solve_argv(files, tmp_path / "robust.json", "--ransac", "--ransac-iterations", "30")
+    assert main(argv) == 0
+    est = read_results(tmp_path / "robust.json")["estimate"]
+    assert est["draws"] - est["redraws"] == 30 and est["refit"] is True
+    assert main(solve_argv(files, tmp_path / "direct.json")) == 0
+    est = read_results(tmp_path / "direct.json")["estimate"]
+    assert [est[k] for k in ("inlier_count", "draws", "redraws", "refit")] == [None] * 4
+
+
 def test_sweep_scale_reports_tiny_deviation(scene_dir, tmp_path):
     files = scene_files(scene_dir, 7)
     out = tmp_path / "sweep.json"

@@ -327,13 +327,25 @@ def test_ransac_winners_are_pinned_and_inputs_untouched(camera, noise):
         {"inlier_threshold": 0.0},
         {"inlier_threshold": float("nan")},
         {"inlier_threshold": float("inf")},
+        {"iterations": 2.5},
+        {"iterations": True},
+        {"seed": -1},
+        {"seed": 1.5},
+        {"seed": True},
     ],
     ids=["zero-iterations", "negative-threshold",
-         "zero-threshold", "nan-threshold", "inf-threshold"],
+         "zero-threshold", "nan-threshold", "inf-threshold",
+         "fractional-iterations", "bool-iterations",
+         "negative-seed", "fractional-seed", "bool-seed"],
 )
 def test_invalid_ransac_config_is_rejected(kwargs):
     with pytest.raises(OutOfRange):
         RansacConfig(**kwargs)
+
+
+def test_ransac_config_accepts_numpy_integers():
+    cfg = RansacConfig(iterations=np.int64(5), seed=np.uint32(2))
+    assert (cfg.iterations, cfg.seed) == (5, 2)
 
 
 @pytest.mark.parametrize(
