@@ -367,6 +367,9 @@ def cmd_train(args) -> int:
     data_doc = doc.pop("dataset", {}) if isinstance(doc, dict) else {}
     cfg = REFERENCE_TRAIN if doc == {} else _from_config(TrainConfig, doc, "train")
     scenes = _from_config(reference_dataset, data_doc, "dataset")
+    if cfg.holdout >= len(scenes):
+        raise UsageError(f"train config key 'holdout' cannot be {cfg.holdout}: it leaves "
+                         f"no training scenes out of {len(scenes)}")
     result = train(
         scenes, cfg, reference_pipeline(), eval_pipe=reference_eval_pipeline()
     )

@@ -18,16 +18,21 @@ as one chain of elementwise numpy operations in any float type
 
 ``build_context`` runs stage one once at the leaf vector ``params0`` and
 freezes the top-N of its probabilities, so the loss differentiates the
-very matching it selected from.  ``value_and_grad`` runs the chain in
-float64, reusing that stage at ``params0``, and makes one reverse sweep
-over the values it recorded (``backward`` is its gradient; the trainer
-calls it once per scene-step).  The finite-difference oracle runs the same
-chain in extended precision (``np.longdouble``): float64 rounding of an
-O(1) loss leaves ~1e-10 of noise in a central difference at step 1e-5,
-which would swamp honest gradient entries near the relative-error floor.
-``forward`` is the independent route: ``matching.match_probabilities``,
-the production ``solve_similarity`` (its own Gram-product closed form) and
-the ``losses`` module, held to the chain's loss by the tests.
+very matching it selected from.  It is two parts.  ``_prepare`` holds what
+no leaf vector changes, once per scene (the trainer prepares each training
+scene once per run): the depth-valid mask and its columns, the raw
+features as read-only views of the scene's arrays, the lifted 3-D point of
+every valid ground cell and the metric point of every aerial cell.
+``_freeze`` is what each scene-step recomputes: stage one, its top-N looked
+up in those tables, the contrastive targets and index arrays.
+``value_and_grad`` runs the chain in float64, reusing that stage at
+``params0`` -- its unit feature rows and norms and its probabilities --
+and makes one reverse sweep over the values it recorded (``backward`` is
+its gradient; the trainer calls it once per scene-step).  The
+finite-difference oracle runs the same chain in extended precision
+(``np.longdouble``): float64 rounding of an O(1) loss leaves ~1e-10 of
+noise in a central difference at step 1e-5, which would swamp honest
+gradient entries near the relative-error floor.
 
 The chain scores only the depth-valid ground columns plus the dustbin:
 masked columns carry exactly 0 probability to real pairs, and most ground
@@ -42,8 +47,7 @@ or every projection entry; plus the dustbin) and writes an exact +0.0 for
 the others, whose central differences are two equal losses.  The chain also
 takes a leading batch axis (``(P,)`` -> scalar, ``(K, P)`` -> ``(K,)``), so
 ``fd_gradient`` evaluates the + and - rows of ``FD_BLOCK`` read leaves per
-call instead of two calls per leaf.  The scalar, every-leaf
-``finite_difference`` stays as the generic reference.
+call instead of two calls per leaf.
 
 Leaf parameterizations:
 
@@ -60,40 +64,29 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
 from .errors import DegenerateConfiguration, NonDifferentiablePoint
 from .errors import NoValidTargets, OutOfRange
-from .estimator import PipelineConfig, _lift_top_n
+from .estimator import PipelineConfig, _lift_tables, _lift_top_n
 from .geometry import solve_similarity
 from .lifting import aerial_coverage_mask, depth_valid_mask, metric_to_aerial_cells
-from .losses import (
-    NEGATIVE_RADIUS,
-    gt_aerial_targets,
-    gt_ground_targets,
-    info_nce_g2s,
-    info_nce_s2g,
-    total_loss,
-    vce_loss,
-    virtual_point_grid,
-)
-from .matching import match_probabilities, score_matrix, soft_assign
+from .losses import NEGATIVE_RADIUS, gt_aerial_targets, gt_ground_targets, virtual_point_grid
+from .matching import score_matrix, soft_assign
 
 __all__ = [
     "GradContext",
     "GradReport",
     "build_context",
-    "forward",
     "forward_value",
     "value_and_grad",
     "backward",
-    "finite_difference",
     "fd_gradient",
     "check",
     "compare_gradients",
-    "pose_weight_gradients",
 ]
 
 REL_FLOOR = 1.0e-8
@@ -131,6 +124,17 @@ class GradContext:
     s2g_keep: np.ndarray  # (N, N) bool: pair m is a candidate for row of pair n
     s2g_pos: np.ndarray  # (N,) the positive candidate pair of each row
     stage0: tuple  # the chain's stage one at params0 (``_Stage``)
+
+    @cached_property
+    def cols(self) -> np.ndarray:
+        """The depth-valid ground cells' flat indices: the scored columns."""
+        return np.flatnonzero(self.valid)
+
+    @cached_property
+    def sel(self) -> np.ndarray:
+        """Each selected pair's column among ``cols`` (the selection is made
+        over valid columns only)."""
+        return np.searchsorted(self.cols, self.ground_flat)
 
     @property
     def n_aerial(self) -> int:
@@ -195,20 +199,49 @@ def build_context(
     the contrastive-target scale (the true scale when depths are metric,
     otherwise the solver's estimate at the frozen weights -- the
     stop-gradient treatment the trainer uses; pass ``target_scale`` to
-    override either).
+    override either).  The same as ``_freeze(_prepare(scene, cfg, mode),
+    beta, params0, target_scale)``; the trainer prepares each scene once.
     """
+    return _freeze(_prepare(scene, cfg, mode), beta, params0, target_scale)
+
+
+# what no leaf vector changes: the scene, the leaf layout (all stage one
+# reads of it), the depth-valid mask and its columns, and the tables the
+# top-N is looked up in
+_Prepared = namedtuple(
+    "_Prepared", "scene cfg mode tau valid cols aerial_raw ground_raw points3 aerial_xy"
+)
+
+
+def _prepare(scene, cfg: PipelineConfig = None, mode: str = "score") -> _Prepared:
+    """The part of ``build_context`` no leaf vector changes, once per scene:
+    the raw features as read-only float views of the scene's arrays, and
+    ``estimator._lift_tables``' lifted point of every valid ground cell and
+    metric point of every aerial cell."""
     if mode not in ("score", "features", "projection"):
         raise OutOfRange(f"unknown leaf mode {mode!r}")
     if cfg is None:
         cfg = PipelineConfig(num_correspondences=8)
-    aerial_raw = scene.aerial.flat().astype(float).copy()
-    ground_raw = scene.ground.flat().astype(float).copy()
-    (na, dim), ng = aerial_raw.shape, ground_raw.shape[0]
+    aerial_raw = np.asarray(scene.aerial.flat(), dtype=float)
+    ground_raw = np.asarray(scene.ground.flat(), dtype=float)
+    aerial_raw.flags.writeable = ground_raw.flags.writeable = False
+    valid = depth_valid_mask(scene.depth, cfg.lift).ravel()
+    cols = np.flatnonzero(valid)
+    tables = _lift_tables(cols, scene.aerial, scene.ground, scene.depth, scene.rays, cfg)
+    return _Prepared(scene, cfg, mode, cfg.tau, valid, cols, aerial_raw, ground_raw, *tables)
+
+
+def _freeze(prep: _Prepared, beta: float = 0.1, params0=None, target_scale=None) -> GradContext:
+    """``build_context``'s per-step part: stage one at ``params0``, its
+    top-N looked up in the prepared tables, the targets and the contrastive
+    index arrays."""
+    scene, cfg, mode = prep.scene, prep.cfg, prep.mode
+    (na, dim), ng = prep.aerial_raw.shape, prep.ground_raw.shape[0]
     if params0 is None:
         if mode == "score":
-            base = score_matrix(aerial_raw, ground_raw, cfg.tau)
+            base = score_matrix(prep.aerial_raw, prep.ground_raw, cfg.tau)
         elif mode == "features":
-            base = np.concatenate([aerial_raw.ravel(), ground_raw.ravel()])
+            base = np.concatenate([prep.aerial_raw.ravel(), prep.ground_raw.ravel()])
         else:  # projection
             base = np.eye(dim)
         params0 = np.append(base.ravel(), cfg.dustbin_z)
@@ -219,12 +252,10 @@ def build_context(
             raise OutOfRange(f"expected {n + 1} {mode} leaves, got shape {params0.shape}")
     params0.flags.writeable = False  # value_and_grad reuses stage0 by identity
 
-    valid = depth_valid_mask(scene.depth, cfg.lift).ravel()
-    leaves = _Leaves(mode, cfg.tau, valid, aerial_raw, ground_raw)
-    stage0 = _stage_one(leaves, params0, np.float64)
-    probs = stage0.ra[:-1, :-1] * stage0.cb[:-1, :-1]
-    corr = _lift_top_n(probs, np.flatnonzero(valid), scene.aerial,
-                       scene.ground, scene.depth, scene.rays, cfg)
+    stage0 = _stage_one(prep, params0, np.float64)
+    stage0 = stage0._replace(probs=stage0.ra[:-1, :-1] * stage0.cb[:-1, :-1])
+    corr = _lift_top_n(stage0.probs, prep.cols, prep.points3, prep.aerial_xy,
+                       scene.aerial.meta, cfg)
 
     if target_scale is None:
         if scene.depth.kind == "metric":
@@ -248,18 +279,18 @@ def build_context(
     return GradContext(
         mode=mode,
         tau=cfg.tau,
-        valid=valid,
+        valid=prep.valid,
         aerial_flat=corr.matches.aerial,
         ground_flat=corr.matches.ground,
-        ground_planar=corr.ground_planar.copy(),
-        aerial_metric=corr.aerial_metric.copy(),
+        ground_planar=corr.ground_planar,
+        aerial_metric=corr.aerial_metric,
         truth=scene.truth,
         target_scale=float(target_scale),
         beta=float(beta),
         aerial_meta=scene.aerial.meta,
         aerial_shape=aerial_shape,
-        aerial_raw=aerial_raw,
-        ground_raw=ground_raw,
+        aerial_raw=prep.aerial_raw,
+        ground_raw=prep.ground_raw,
         params0=params0,
         g2s_pairs=g2s_pairs,
         g2s_targets=g2s_targets,
@@ -279,13 +310,6 @@ def _float_leaves(ctx: GradContext, params: np.ndarray) -> np.ndarray:
     return params
 
 
-def _valid_columns(ctx: GradContext):
-    """The depth-valid ground columns, and each selected pair's column among
-    them (the selection is made over valid columns only)."""
-    cols = np.flatnonzero(ctx.valid)
-    return cols, np.searchsorted(cols, ctx.ground_flat)
-
-
 def _score_leaves(ctx, cols: np.ndarray) -> np.ndarray:
     """Flat indices of the score leaves of the ground columns ``cols``,
     row-major over ``(n_aerial, len(cols))`` (ascending for sorted ``cols``)."""
@@ -298,7 +322,7 @@ def _read_leaves(ctx: GradContext) -> np.ndarray:
     dustbin: the only leaves ``forward_value`` reads.  Score leaves of
     masked columns and ground feature rows of masked cells are never read;
     projection mode reads every leaf."""
-    cols = np.flatnonzero(ctx.valid)
+    cols = ctx.cols
     (na, d), n = ctx.aerial_raw.shape, ctx.params0.shape[0]
     if ctx.mode == "score":
         read = _score_leaves(ctx, cols)
@@ -312,9 +336,10 @@ def _read_leaves(ctx: GradContext) -> np.ndarray:
 
 def _valid_scores(ctx: GradContext, params: np.ndarray, cols: np.ndarray, dtype):
     """Raw scores of the ground columns ``cols``, ``(..., n_aerial, len(cols))``,
-    and the features they came from: ``(a_raw, g_raw)`` with the ground
-    rows of ``cols`` for feature and projection leaves, ``None`` for score
-    leaves.  Any leading batch axis is kept.
+    and for feature and projection leaves the unit rows and norms of the
+    features they came from, ``((a_hat, a_norm), (g_hat, g_norm))`` with the
+    ground rows of ``cols`` (``None`` for score leaves).  Any leading batch
+    axis is kept.
 
     Leaves are gathered before they are widened to ``dtype``, so leaves of
     other columns are never converted or copied.
@@ -332,48 +357,21 @@ def _valid_scores(ctx: GradContext, params: np.ndarray, cols: np.ndarray, dtype)
         mat_t = params[..., : d * d].reshape(batch + (d, d)).astype(dtype).swapaxes(-1, -2)
         a_raw = ctx.aerial_raw.astype(dtype) @ mat_t
         g_raw = ctx.ground_raw[cols].astype(dtype) @ mat_t
-    return score_matrix(a_raw, g_raw, ctx.tau), (a_raw, g_raw)
-
-
-# ---------------------------------------------------------------------------
-# forward
-
-
-def forward(ctx: GradContext, params: np.ndarray) -> float:
-    """Total training loss at ``params`` with the context's frozen selection.
-
-    Uses the production matching, solver and loss implementations end to
-    end, as an independent route to the loss ``value_and_grad`` returns.
-    Only the depth-valid ground columns are scored (see ``forward_value``).
-    """
-    params = _float_leaves(ctx, params)
-    cols, sel = _valid_columns(ctx)
-    scores, _ = _valid_scores(ctx, params, cols, np.float64)
-    probs = match_probabilities(scores, params[-1])
-    estimate = solve_similarity(
-        ctx.ground_planar, ctx.aerial_metric, probs[ctx.aerial_flat, sel]
-    )
-    vce = vce_loss(estimate, ctx.truth, _VIRTUAL_POINTS)
-    if ctx.beta == 0.0:
-        return total_loss(vce, 0.0, 0.0, 0.0)
-    q_hat = gt_aerial_targets(ctx.ground_planar, ctx.truth, ctx.target_scale)
-    p_hat = gt_ground_targets(ctx.aerial_metric, ctx.truth, ctx.target_scale)
-    g2s = info_nce_g2s(scores, ctx.aerial_shape, sel, q_hat, ctx.aerial_meta)
-    s2g = info_nce_s2g(scores, ctx.aerial_flat, p_hat, sel, ctx.ground_planar)
-    return total_loss(vce, g2s, s2g, ctx.beta)
+    scores, a_units, g_units = score_matrix(a_raw, g_raw, ctx.tau, units=True)
+    return scores, (a_units, g_units)
 
 
 # ---------------------------------------------------------------------------
 # the loss chain: one forward pass in two stages, in any float type, with an
 # optional leading batch axis, recording what the reverse sweep reads.  Stage
-# one: the valid columns' scores (and features), and ``matching``'s softmaxes
-# of the dustbin-augmented matrix's rows and columns.  Stage two: the selected
-# pairs' weights, the loss, the alignment, the virtual-point offsets and, with
-# the contrastive terms on, each term's (logits, lse).
+# one: the valid columns' scores (and the features' unit rows and norms), and
+# ``matching``'s softmaxes of the dustbin-augmented matrix's rows and columns.
+# Stage two: the selected pairs' weights, the loss, the alignment, the
+# virtual-point offsets and, with the contrastive terms on, each term's
+# shifted exponentials and their sums.
 
-# the leaf layout, the only fields of a GradContext that stage one reads
-_Leaves = namedtuple("_Leaves", "mode tau valid aerial_raw ground_raw")
-_Stage = namedtuple("_Stage", "params scores features ra cb")
+# ``probs``, the real pairs' dual softmax, is recorded only by ``_freeze``
+_Stage = namedtuple("_Stage", "params scores features ra cb probs", defaults=(None,))
 _Alignment = namedtuple(
     "_Alignment", "total p_bar pt qt cross dot pp g h r spp theta scale cos_t sin_t t_x t_y"
 )
@@ -384,8 +382,8 @@ def _stage_one(ctx, params: np.ndarray, dtype, rows=slice(None), cols=slice(None
     """Stage one, which the selection at most slices: valid-column scores plus a
     dustbin of score ``params[..., -1]``, and ``soft_assign``'s row softmaxes
     of aerial ``rows`` and column softmaxes of valid ``cols`` (default all).
-    ``ctx`` may be just the ``_Leaves``."""
-    scores, features = _valid_scores(ctx, params, np.flatnonzero(ctx.valid), dtype)
+    ``ctx`` may be a ``_Prepared`` scene."""
+    scores, features = _valid_scores(ctx, params, ctx.cols, dtype)
     ra, cb = soft_assign(scores, params[..., -1], rows, cols)
     return _Stage(params, scores, features, ra, cb)
 
@@ -442,9 +440,13 @@ def _vce(truth, points: np.ndarray, cos_t, sin_t, t_x, t_y, dtype):
     return norms.mean(axis=-1), (dx, dy, norms)
 
 
-def _logsumexp(x: np.ndarray) -> np.ndarray:
+def _logsumexp(x: np.ndarray):
+    """(log-sum-exp of each row of ``x``, and the reverse sweep's record of
+    it: the rows' shifted exponentials exp(x - max) and their sums)."""
     m = x.max(axis=-1, keepdims=True)
-    return m[..., 0] + np.log(np.exp(x - m).sum(axis=-1))
+    e = np.exp(x - m)
+    total = e.sum(axis=-1)
+    return m[..., 0] + np.log(total), (e, total)
 
 
 def _loss(ctx: GradContext, stage: _Stage, sel, dtype, strict: bool = False, at=None) -> _Tape:
@@ -467,21 +469,21 @@ def _loss(ctx: GradContext, stage: _Stage, sel, dtype, strict: bool = False, at=
     # ground -> aerial: each in-coverage pair's whole score column
     g2s_sel = sel[ctx.g2s_pairs]
     g2s_logits = scores[..., g2s_sel].swapaxes(-1, -2)
-    g2s_lse = _logsumexp(g2s_logits)
+    g2s_lse, g2s_exp = _logsumexp(g2s_logits)
     g2s_pos = scores[..., ctx.g2s_targets, g2s_sel]
     g2s = -(g2s_pos - g2s_lse).sum(axis=-1) / len(g2s_sel)
     # aerial -> ground: each pair's row over its candidate pairs' columns
     block = scores[..., ctx.aerial_flat[:, None], sel[None, :]]  # (..., N, N)
     s2g_logits = np.where(ctx.s2g_keep, block, dtype(-np.inf))
-    s2g_lse = _logsumexp(s2g_logits)
+    s2g_lse, s2g_exp = _logsumexp(s2g_logits)
     s2g_pos = scores[..., ctx.aerial_flat, sel[ctx.s2g_pos]]
     s2g = -(s2g_pos - s2g_lse).sum(axis=-1) / len(sel)
     loss = vce + dtype(ctx.beta) * (g2s + s2g) / dtype(2.0)
-    return _Tape(loss, al, offsets, (g2s_logits, g2s_lse), (s2g_logits, s2g_lse))
+    return _Tape(loss, al, offsets, g2s_exp, s2g_exp)
 
 
 def forward_value(ctx: GradContext, params: np.ndarray, dtype=np.longdouble):
-    """The loss chain: the same scalar as ``forward``, in a chosen float type.
+    """The loss chain, in a chosen float type.
 
     Elementwise numpy operations only, so it runs in ``np.longdouble``,
     which LAPACK's SVD cannot.  ``params`` may carry one leading batch axis:
@@ -491,7 +493,7 @@ def forward_value(ctx: GradContext, params: np.ndarray, dtype=np.longdouble):
     masked, they would carry exactly 0 probability after the softmax -- and
     only the selected pairs' rows and columns, all the loss reads, normalised.
     """
-    sel = _valid_columns(ctx)[1]
+    sel = ctx.sel
     rows, r_at = np.unique(ctx.aerial_flat, return_inverse=True)
     cols, c_at = np.unique(sel, return_inverse=True)
     stage = _stage_one(ctx, np.asarray(params), dtype, rows, cols)
@@ -524,13 +526,6 @@ def _align_vjp(al: _Alignment, d_theta, d_scale, d_t) -> np.ndarray:
     return d_theta * dtheta_dw + d_scale * dscale_dw + dt_dw @ np.asarray(d_t, float)
 
 
-def pose_weight_gradients(p, q, w, d_theta: float, d_scale: float, d_t) -> np.ndarray:
-    """dE/dw for every correspondence weight, given a scalar E's partials in
-    the angle, scale and translation that the weighted alignment solves."""
-    p, q, w = (np.asarray(x, float) for x in (p, q, w))
-    return _align_vjp(_align(p, q, w, strict=True), d_theta, d_scale, d_t)
-
-
 def _vce_vjp(points: np.ndarray, cos_t, sin_t, offsets):
     """(dvce/dtheta, dvce/dt) of ``_vce`` for one unbatched pose.
 
@@ -547,10 +542,10 @@ def _vce_vjp(points: np.ndarray, cos_t, sin_t, offsets):
     return d_theta, d_t
 
 
-def _cross_entropy_vjp(logits: np.ndarray, lse: np.ndarray, targets: np.ndarray):
-    """Gradient of the mean softmax cross-entropy of the rows of ``logits``
-    against their ``targets`` columns, from the rows' log-sum-exps."""
-    grad = np.exp(logits - lse[:, None])
+def _cross_entropy_vjp(e: np.ndarray, total: np.ndarray, targets: np.ndarray):
+    """Gradient of the mean softmax cross-entropy of rows of logits against
+    their ``targets`` columns, from ``_logsumexp``'s record of the rows."""
+    grad = e / total[:, None]
     grad[np.arange(len(targets)), targets] -= 1.0
     return grad / len(targets)
 
@@ -562,11 +557,10 @@ def _check_selection_boundary(ctx: GradContext, probs: np.ndarray, sel: np.ndarr
     ``probs`` holds the valid columns only; every entry of a masked column
     is an unselected entry of probability exactly 0.
     """
-    flat = probs.ravel()
-    outside = np.ones(flat.size, dtype=bool)
-    outside[ctx.aerial_flat * probs.shape[1] + sel] = False
+    outside = probs.copy()
+    outside[ctx.aerial_flat, sel] = -np.inf
     floor = 0.0 if probs.shape[1] < ctx.n_ground else -np.inf
-    if flat[~outside].min() == flat[outside].max(initial=floor):
+    if probs[ctx.aerial_flat, sel].min() == outside.max(initial=floor):
         raise NonDifferentiablePoint(
             "selected and unselected entries tie exactly at the sampling boundary"
         )
@@ -587,32 +581,37 @@ def value_and_grad(ctx: GradContext, params: np.ndarray = None):
     """
     params = _float_leaves(ctx, ctx.params0 if params is None else params)
     stage = ctx.stage0 if params is ctx.stage0.params else _stage_one(ctx, params, np.float64)
-    cols, sel = _valid_columns(ctx)
+    cols, sel = ctx.cols, ctx.sel
     ra, cb = stage.ra, stage.cb
-    _check_selection_boundary(ctx, ra[:-1, :-1] * cb[:-1, :-1], sel)
+    probs = ra[:-1, :-1] * cb[:-1, :-1] if stage.probs is None else stage.probs
+    _check_selection_boundary(ctx, probs, sel)
     tape = _loss(ctx, stage, sel, np.float64, strict=True)
     al = tape.align
 
     d_theta, d_t = _vce_vjp(_VIRTUAL_POINTS, al.cos_t, al.sin_t, tape.offsets)
     de_dw = _align_vjp(al, d_theta, 0.0, d_t)
 
-    # VJP of row_softmax(E) * col_softmax(E); the selected entries are distinct
-    d_probs = np.zeros_like(ra)
-    d_probs[ctx.aerial_flat, sel] = de_dw
-    u = d_probs * cb
-    v = d_probs * ra
-    d_extended = ra * (u - (ra * u).sum(axis=1, keepdims=True)) + cb * (
-        v - (cb * v).sum(axis=0, keepdims=True)
-    )
+    # VJP of row_softmax(E) * col_softmax(E) at the distinct selected
+    # entries: ra * (u - rowsum(ra * u)) + cb * (v - colsum(cb * v)) with
+    # u = d_probs * cb and v = d_probs * ra, which are 0 off the selection
+    af, r_sel, c_sel = ctx.aerial_flat, ra[ctx.aerial_flat, sel], cb[ctx.aerial_flat, sel]
+    u, v = de_dw * c_sel, de_dw * r_sel
+    r, c = np.bincount(af, r_sel * u, len(ra)), np.bincount(sel, c_sel * v, ra.shape[1])
+    d_extended = ra * -r[:, None] - cb * c
+    d_extended[af, sel] = r_sel * (u - r[af]) + c_sel * (v - c[sel])
     d_scores = d_extended[:-1, :-1]
     d_z = float(d_extended[-1, :].sum() + d_extended[:-1, -1].sum())
 
     if tape.g2s is not None:
-        coef = ctx.beta / 2.0
-        d_g2s = _cross_entropy_vjp(*tape.g2s, ctx.g2s_targets)
-        np.add.at(d_scores, (slice(None), sel[ctx.g2s_pairs]), coef * d_g2s.T)
-        d_s2g = _cross_entropy_vjp(*tape.s2g, ctx.s2g_pos)
-        np.add.at(d_scores, (ctx.aerial_flat[:, None], sel[None, :]), coef * d_s2g)
+        # the contrastive score gradients, whose entries repeat: summed per
+        # column through the selected columns' one-hot matrix, then the
+        # aerial-to-ground term's rows per entry by one scatter
+        k = len(cols)
+        hot = (ctx.beta / 2.0) * (sel[:, None] == np.arange(k))
+        d_scores += _cross_entropy_vjp(*tape.g2s, ctx.g2s_targets).T @ hot[ctx.g2s_pairs]
+        d_s2g = _cross_entropy_vjp(*tape.s2g, ctx.s2g_pos) @ hot
+        at = (af[:, None] * k + np.arange(k)).ravel()
+        d_scores += np.bincount(at, d_s2g.ravel(), d_scores.size).reshape(d_scores.shape)
 
     loss = float(tape.loss)
     if ctx.mode == "score":
@@ -620,11 +619,10 @@ def value_and_grad(ctx: GradContext, params: np.ndarray = None):
         grad[:, cols] = d_scores
         return loss, np.append(grad.ravel(), d_z)
 
-    # chain through the cosine scores and the normalization into raw features
-    a_raw, g_raw = stage.features
-    a_norm = np.linalg.norm(a_raw, axis=1, keepdims=True)
-    g_norm = np.linalg.norm(g_raw, axis=1, keepdims=True)
-    a_hat, g_hat = a_raw / a_norm, g_raw / g_norm
+    # chain through the cosine scores and the normalization into raw
+    # features, from the unit rows and norms stage one recorded
+    (a_hat, a_norm), (g_hat, g_norm) = stage.features
+    a_norm, g_norm = a_norm[:, None], g_norm[:, None]
     d_a_hat = (d_scores @ g_hat) / ctx.tau
     d_g_hat = (d_scores.T @ a_hat) / ctx.tau
     d_a_raw = (d_a_hat - a_hat * (a_hat * d_a_hat).sum(axis=1, keepdims=True)) / a_norm
@@ -638,7 +636,7 @@ def value_and_grad(ctx: GradContext, params: np.ndarray = None):
 
 
 def backward(ctx: GradContext, params: np.ndarray) -> np.ndarray:
-    """Exact gradient of ``forward`` at ``params``: ``value_and_grad``'s."""
+    """Exact gradient of the loss at ``params``: ``value_and_grad``'s."""
     return value_and_grad(ctx, params)[1]
 
 
@@ -649,20 +647,6 @@ def backward(ctx: GradContext, params: np.ndarray) -> np.ndarray:
 def _check_epsilon(epsilon: float) -> None:
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise OutOfRange(f"epsilon must be finite and positive, got {epsilon}")
-
-
-def finite_difference(
-    f: Callable[[np.ndarray], float], params: np.ndarray, epsilon: float = 1.0e-5
-) -> np.ndarray:
-    """Central differences (f(p + eps e_i) - f(p - eps e_i)) / (2 eps)."""
-    _check_epsilon(epsilon)
-    params = np.asarray(params, dtype=float)
-    grad = np.empty_like(params)
-    for i in range(params.size):
-        step = np.zeros_like(params)
-        step[i] = epsilon
-        grad[i] = (f(params + step) - f(params - step)) / (2.0 * epsilon)
-    return grad
 
 
 # Coordinates perturbed per batched ``forward_value`` call (2 * FD_BLOCK
@@ -676,9 +660,9 @@ def fd_gradient(
 ) -> np.ndarray:
     """Central-difference gradient of ``forward_value`` in ``np.longdouble``.
 
-    The same differences as ``finite_difference(lambda p: forward_value(ctx,
-    p), params, epsilon)`` -- each perturbed vector is formed in float64 and
-    evaluated in long double -- but only for the leaves the chain reads
+    Central differences (f(p + eps e_i) - f(p - eps e_i)) / (2 eps) of f =
+    ``forward_value(ctx, .)`` -- each perturbed vector is formed in float64
+    and evaluated in long double -- but only for the leaves the chain reads
     (``_read_leaves``: the valid columns' scores or ground feature rows,
     every aerial feature or projection entry, and the dustbin), and the + and
     - rows of ``FD_BLOCK`` of them at a time go through one batched

@@ -23,7 +23,6 @@ __all__ = [
     "GroundMeta",
     "FeatureGrid",
     "Matches",
-    "normalize_features",
     "score_matrix",
     "augment_dustbin",
     "row_softmax",
@@ -94,19 +93,21 @@ class Matches:
         return len(self.weights)
 
 
-def normalize_features(flat: np.ndarray) -> np.ndarray:
-    """L2-normalize each row (along the last axis); raises ZeroNormFeature
-    on a zero row."""
+def _unit_rows(flat: np.ndarray):
+    """(unit rows, norms) of ``flat`` along the last axis; raises
+    ZeroNormFeature on a zero row."""
     norms = np.linalg.norm(flat, axis=-1)
     if (norms == 0).any():
         bad = int(np.flatnonzero(norms == 0)[0])
         raise ZeroNormFeature(f"feature vector {bad} has zero norm")
-    return flat / norms[..., None]
+    return flat / norms[..., None], norms
 
 
-def score_matrix(aerial: np.ndarray, ground: np.ndarray, tau: float) -> np.ndarray:
+def score_matrix(aerial: np.ndarray, ground: np.ndarray, tau: float, units: bool = False):
     """Cosine similarity of every pair of raw ``(..., n, dim)`` aerial and
-    ground feature rows over tau, in their float type.
+    ground feature rows over tau, in their float type.  With ``units`` it
+    returns ``(scores, (a_hat, a_norm), (g_hat, g_norm))``: also each side's
+    unit rows and norms, which a reverse sweep through the scores reads.
 
     Entries lie in [-1/tau, 1/tau].  Raises DimensionMismatch when feature
     dimensions differ and OutOfRange for a non-positive temperature.
@@ -117,8 +118,9 @@ def score_matrix(aerial: np.ndarray, ground: np.ndarray, tau: float) -> np.ndarr
         raise DimensionMismatch(
             f"feature dims differ: aerial {aerial.shape[-1]} vs ground {ground.shape[-1]}"
         )
-    a, g = normalize_features(aerial), normalize_features(ground)
-    return (a @ g.swapaxes(-1, -2)) / a.dtype.type(tau)
+    a, g = _unit_rows(aerial), _unit_rows(ground)
+    scores = (a[0] @ g[0].swapaxes(-1, -2)) / a[0].dtype.type(tau)
+    return (scores, a, g) if units else scores
 
 
 def augment_dustbin(scores: np.ndarray, z) -> np.ndarray:

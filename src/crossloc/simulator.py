@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import OutOfRange, PlacementFailure
 from .geometry import SimilarityTransform2D, rotation_matrix, wrap_angle
-from .lifting import DepthMap, RayModel, aerial_cells_to_metric, metric_to_aerial_cell
+from .lifting import DepthMap, RayModel, aerial_cells_to_metric, metric_to_aerial_cells
 from .matching import AerialMeta, FeatureGrid, GroundMeta
 
 __all__ = [
@@ -219,10 +219,10 @@ def render_aerial(scene: SyntheticScene) -> FeatureGrid:
         features[clutter] = _unit_rows(rng.normal(size=(n_clutter, cfg.feature_dim)))
 
     owner = {}  # cell -> (distance to center, landmark index)
-    for k, xy in enumerate(scene.landmark_xy):
-        cell = metric_to_aerial_cell(xy, meta, shape)
-        center = aerial_cells_to_metric(np.array([cell]), meta, shape)[0]
-        d = float(np.linalg.norm(xy - center))
+    cells = metric_to_aerial_cells(scene.landmark_xy, meta, shape)
+    offsets = scene.landmark_xy - aerial_cells_to_metric(cells, meta, shape)
+    for k, (cell, offset) in enumerate(zip(map(tuple, cells.tolist()), offsets)):
+        d = math.sqrt(offset.dot(offset))  # np.linalg.norm's own sum
         if cell not in owner or d < owner[cell][0]:
             owner[cell] = (d, k)
     noise = rng.normal(size=(len(owner), cfg.feature_dim)) * cfg.noise_sigma
@@ -273,12 +273,12 @@ def render_ground(scene: SyntheticScene):
         n_samples = max(4, min(128, int(math.ceil(3 * rows * span / math.pi)) + 2))
         for z in np.linspace(h, 0.0, n_samples):
             point = np.array([rel[k, 0], rel[k, 1], z])
-            slant = float(np.linalg.norm(point))
+            slant = math.sqrt(point.dot(point))  # np.linalg.norm's own sum
             d3 = point / slant
             cell = canonical.nearest_cell(d3)
             if cell is None:
                 continue
-            dot = float(np.clip(canonical.directions[cell] @ d3, -1.0, 1.0))
+            dot = max(-1.0, min(1.0, float(canonical.directions[cell] @ d3)))
             if math.acos(dot) > tol:
                 continue
             if claim[cell] == -1:

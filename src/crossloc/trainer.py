@@ -3,11 +3,13 @@
 The trainable parameters are a single dim x dim matrix applied to the raw
 feature vectors of *both* grids before normalization, plus the dustbin
 score.  Optimization is plain full-batch gradient descent on the combined
-alignment-plus-contrastive loss; each step freezes every scene's selection
-and targets at the current weights (``gradcheck.build_context`` runs the
-loss chain's matching stage once) and takes the scene's loss and gradient
-from ``gradcheck.value_and_grad``, which reuses that stage, finishes the
-chain in float64 and sweeps back once over what it recorded.
+alignment-plus-contrastive loss.  Each scene is prepared once per run
+(``gradcheck._prepare``); each step freezes every scene's selection and
+targets at the current weights (``gradcheck._freeze``, the per-step half of
+``build_context``, runs the loss chain's matching stage once) and takes the
+scene's loss and gradient from ``gradcheck.value_and_grad``, which reuses
+that stage, finishes the chain in float64 and sweeps back once over what it
+recorded.
 Gate 05 certifies that gradient against the long-double FD oracle, which
 evaluates the same chain.  No momentum, no adaptive
 scaling: the point is to demonstrate that pose supervision alone moves the
@@ -26,6 +28,7 @@ Three loss modes mirror the ablation settings of the alignment objective:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -33,8 +36,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergenceDetected, EmptyInput, OutOfRange
-from .estimator import PipelineConfig, estimate_pose
-from .gradcheck import build_context, value_and_grad
+from .estimator import PipelineConfig, _is_int, estimate_pose
+from .gradcheck import _freeze, _prepare, value_and_grad
 from .lifting import LiftConfig
 from .matching import FeatureGrid
 from .metrics import pose_errors
@@ -113,14 +116,12 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.lr < math.inf:
             raise OutOfRange(f"lr must be finite and >= 0, got {self.lr}")
-        if self.steps < 1:
-            raise OutOfRange(f"steps must be >= 1, got {self.steps}")
         if self.loss_mode not in LOSS_MODES:
             raise OutOfRange(f"unknown loss_mode {self.loss_mode!r}")
-        if self.batch is not None and self.batch < 1:
-            raise OutOfRange(f"batch must be >= 1, got {self.batch}")
-        if self.holdout < 0:
-            raise OutOfRange(f"holdout must be >= 0, got {self.holdout}")
+        for name, least in (("steps", 1), ("batch", 1), ("holdout", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if not _at_least(value, least) and (name, value) != ("batch", None):
+                raise OutOfRange(f"{name} must be an integer >= {least}, got {value!r}")
         for name in ("beta", "init_jitter"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise OutOfRange(f"{name} must be finite and >= 0, got {getattr(self, name)}")
@@ -148,6 +149,11 @@ class TrainResult:
             "eval_before": self.eval_before,
             "eval_after": self.eval_after,
         }
+
+
+def _at_least(value, least: int) -> bool:
+    """Whether ``value`` is an integer (not a bool) of at least ``least``."""
+    return _is_int(value) and value >= least
 
 
 def smoothed_curve(curve: np.ndarray, window: int = 20) -> np.ndarray:
@@ -191,13 +197,21 @@ def evaluate_projection(weights: ProjectionWeights, scenes, pipe: PipelineConfig
     }
 
 
-def _target_scale_and_beta(cfg: TrainConfig, scene, pipe: PipelineConfig):
-    """Per-scene contrastive target scale (None = solver estimate) and beta."""
-    if cfg.loss_mode == "gt-scale":
-        return scene.scale_gt / pipe.lift.initial_scale, cfg.beta
-    if cfg.loss_mode == "pseudo-scale":
-        return None, cfg.beta
-    return None, 0.0  # vce-only
+def _scene_steps(cfg: TrainConfig, scenes, pipe: PipelineConfig) -> list:
+    """Per training scene, prepared once per run, the map from a step's
+    leaf vector (``ProjectionWeights.as_params`` layout) to the scene's
+    frozen projection-mode ``GradContext`` at it, with the loss mode's
+    contrastive target scale (None: the solver's estimate) and beta."""
+    steps = []
+    for scene in scenes:
+        target_scale, beta = None, cfg.beta  # "pseudo-scale"
+        if cfg.loss_mode == "gt-scale":
+            target_scale = scene.scale_gt / pipe.lift.initial_scale
+        elif cfg.loss_mode == "vce-only":
+            beta = 0.0
+        prep = _prepare(scene, pipe, "projection")
+        steps.append(functools.partial(_freeze, prep, beta, target_scale=target_scale))
+    return steps
 
 
 def train(
@@ -210,9 +224,9 @@ def train(
 
     The trailing ``cfg.holdout`` scenes are excluded from gradient steps and
     used only for the before/after estimator evaluation (with no holdout the
-    evaluation falls back to the training scenes).  Each step rebuilds every
-    batch scene's frozen pipeline view at the current weights (in the
-    ``ProjectionWeights.as_params`` layout), takes the scene's loss and
+    evaluation falls back to the training scenes).  Each training scene is
+    prepared once (``_scene_steps``); each step freezes every batch scene's
+    pipeline view at the current weights, takes the scene's loss and
     gradient from one ``value_and_grad`` pass, averages them in dataset
     order, and takes one descent step.
     Raises DivergenceDetected as soon as the batch loss exceeds
@@ -243,31 +257,17 @@ def train(
     eval_before = evaluate_projection(initial_weights, held_scenes, eval_pipe)
     params = initial_weights.as_params()
 
+    scene_steps = _scene_steps(cfg, train_scenes, pipe)
     n_train = len(train_scenes)
     batch = n_train if cfg.batch is None else min(cfg.batch, n_train)
     curve = np.empty(cfg.steps)
     initial = None
     for step in range(cfg.steps):
-        if batch == n_train:
-            batch_scenes = train_scenes
-        else:
-            start = (step * batch) % n_train
-            idx = [(start + i) % n_train for i in range(batch)]
-            batch_scenes = [train_scenes[i] for i in idx]
-
+        start = (step * batch) % n_train
         loss_sum = 0.0
         grad_sum = np.zeros_like(params)
-        for scene in batch_scenes:
-            target_scale, beta = _target_scale_and_beta(cfg, scene, pipe)
-            ctx = build_context(
-                scene,
-                pipe,
-                mode="projection",
-                beta=beta,
-                params0=params,
-                target_scale=target_scale,
-            )
-            value, grad = value_and_grad(ctx)
+        for i in range(start, start + batch):
+            value, grad = value_and_grad(scene_steps[i % n_train](params))
             loss_sum += value
             grad_sum += grad
 
@@ -376,7 +376,11 @@ def reference_dataset(
     given branch-specific clutter in the complementary directions (see the
     section comment above); the clutter coefficients are drawn per scene and
     per branch.  ``nuisance_amp=0`` leaves the raw generated scenes untouched.
+    Raises OutOfRange unless ``n_scenes`` >= 1 and ``seed`` >= 0 are integers.
     """
+    for name, value, least in (("n_scenes", n_scenes, 1), ("seed", seed, 0)):
+        if not _at_least(value, least):
+            raise OutOfRange(f"{name} must be an integer >= {least}, got {value!r}")
     dim = REFERENCE_SCENE.feature_dim
     signal, nuisance = _subspace_split(dim, SIGNAL_DIM, seed)
     proj_signal = signal @ signal.T

@@ -377,6 +377,10 @@ CONFIG_ARGV = {
         ("train", {"lr": -1}, "lr"),
         ("train", {"gradient_mode": "fd"}, "'gradient_mode'"),
         ("train", {"batch": True}, "'batch'"),
+        ("train", {"seed": -1}, "seed must be an integer >= 0, got -1"),
+        ("train", {"holdout": 30}, "'holdout'"),
+        ("train", {"dataset": {"n_scenes": 0}}, "n_scenes must be an integer >= 1, got 0"),
+        ("train", {"dataset": {"seed": -2}}, "seed must be an integer >= 0, got -2\n"),
         ("train", [1, 2], "JSON object"),
         (
             "train",
@@ -396,6 +400,10 @@ CONFIG_ARGV = {
         "negative-lr",
         "deleted-gradient-mode",
         "bool-batch",
+        "negative-seed",
+        "holdout-of-every-scene",
+        "no-scenes",
+        "negative-dataset-seed",
         "not-an-object",
         "nan-beta",
         "non-numeric-landmarks",

@@ -24,7 +24,7 @@ from crossloc.geometry import (
     solve_similarity,
     wrap_angle,
 )
-from crossloc.lifting import LiftConfig
+from crossloc.lifting import LiftConfig, aerial_cells_to_metric, lift_ground_cells
 from crossloc.losses import vce_loss, virtual_point_grid
 from crossloc.matching import (
     FeatureGrid,
@@ -34,6 +34,7 @@ from crossloc.matching import (
     row_softmax,
 )
 from crossloc.simulator import SceneConfig, generate
+from oracles import add_at_value_and_grad, finite_difference, forward, pose_weight_gradients
 
 SMALL_SCENE = dict(
     extent=20.0,
@@ -72,7 +73,7 @@ def vce_partials(theta, t, truth, points):
 
 
 def test_finite_difference_quadratic():
-    grad = gradcheck.finite_difference(
+    grad = finite_difference(
         lambda x: float(x @ x), np.array([1.0, 2.0]), epsilon=1e-5
     )
     np.testing.assert_allclose(grad, [2.0, 4.0], atol=1e-9)
@@ -80,13 +81,13 @@ def test_finite_difference_quadratic():
 
 def test_finite_difference_linear_is_exact():
     c = np.array([3.0, -0.5, 2.0])
-    grad = gradcheck.finite_difference(lambda x: float(c @ x), np.zeros(3), 1e-5)
+    grad = finite_difference(lambda x: float(c @ x), np.zeros(3), 1e-5)
     np.testing.assert_allclose(grad, c, atol=1e-10)
 
 
 def test_finite_difference_rejects_bad_epsilon():
     with pytest.raises(Exception):
-        gradcheck.finite_difference(lambda x: 0.0, np.zeros(2), epsilon=0.0)
+        finite_difference(lambda x: 0.0, np.zeros(2), epsilon=0.0)
     ctx = small_context(2, "projection")
     with pytest.raises(OutOfRange):
         gradcheck.fd_gradient(ctx, ctx.params0, epsilon=0.0)
@@ -98,7 +99,7 @@ def test_fd_rejects_a_non_finite_or_negative_epsilon_before_evaluating(epsilon):
         pytest.fail("the oracle evaluated the function")
 
     with pytest.raises(OutOfRange):
-        gradcheck.finite_difference(never, np.zeros(2), epsilon)
+        finite_difference(never, np.zeros(2), epsilon)
     ctx = small_context(2, "projection")
     with pytest.raises(OutOfRange):
         gradcheck.fd_gradient(ctx, ctx.params0, epsilon)
@@ -145,10 +146,10 @@ def test_pose_weight_gradients_match_fd_of_svd_route():
                 coeffs[0] * est.theta + coeffs[1] * est.scale + coeffs[2] @ est.t
             )
 
-        analytic = gradcheck.pose_weight_gradients(
+        analytic = pose_weight_gradients(
             p, q, w, coeffs[0], coeffs[1], coeffs[2]
         )
-        fd = gradcheck.finite_difference(probe, w, 1e-6)
+        fd = finite_difference(probe, w, 1e-6)
         np.testing.assert_allclose(analytic, fd, rtol=1e-5, atol=1e-8)
 
 
@@ -157,8 +158,8 @@ def test_pose_weight_gradients_scale_inversely_with_weights():
     p = rng.normal(size=(6, 2))
     q = rng.normal(size=(6, 2))
     w = rng.uniform(0.5, 1.5, size=6)
-    g1 = gradcheck.pose_weight_gradients(p, q, w, 1.0, 0.5, np.array([1.0, -1.0]))
-    g2 = gradcheck.pose_weight_gradients(p, q, 2 * w, 1.0, 0.5, np.array([1.0, -1.0]))
+    g1 = pose_weight_gradients(p, q, w, 1.0, 0.5, np.array([1.0, -1.0]))
+    g2 = pose_weight_gradients(p, q, 2 * w, 1.0, 0.5, np.array([1.0, -1.0]))
     # the solved pose is weight-scale invariant, so the gradient halves
     np.testing.assert_allclose(g2, g1 / 2.0, rtol=1e-12)
 
@@ -174,7 +175,7 @@ def test_vce_partials_equal_rotation_closed_form():
 
     est = SimilarityTransform2D(1.0, 0.3, t_est)
     assert vce == vce_loss(est, truth, points)
-    fd = gradcheck.finite_difference(
+    fd = finite_difference(
         lambda t: vce_loss(dataclasses.replace(est, t=t), truth, points), t_est, 1e-6
     )
     np.testing.assert_allclose(d_t, fd, atol=1e-8)
@@ -185,7 +186,7 @@ def test_vce_partials_theta_matches_fd():
     points = virtual_point_grid(6, 5.0)
     t_est = np.array([0.5, 0.5])
     _, d_theta, _ = vce_partials(0.2, t_est, truth, points)
-    fd = gradcheck.finite_difference(
+    fd = finite_difference(
         lambda th: vce_loss(
             SimilarityTransform2D(1.0, float(th[0]), t_est), truth, points
         ),
@@ -201,8 +202,8 @@ def test_vce_partials_theta_matches_fd():
 
 def test_forward_deterministic_and_twin_consistent():
     ctx = small_context(0, "score")
-    f1 = gradcheck.forward(ctx, ctx.params0)
-    f2 = gradcheck.forward(ctx, ctx.params0)
+    f1 = forward(ctx, ctx.params0)
+    f2 = forward(ctx, ctx.params0)
     assert f1 == f2
     twin = float(gradcheck.forward_value(ctx, ctx.params0, np.float64))
     assert abs(f1 - twin) < 1e-11 * max(1.0, abs(f1))
@@ -216,7 +217,7 @@ def test_beta_zero_reduces_to_pose_loss():
     )
     est = solve_similarity(corr.ground_planar, corr.aerial_metric, corr.weights)
     expected = vce_loss(est, scene.truth, gradcheck._VIRTUAL_POINTS)
-    assert abs(gradcheck.forward(ctx, ctx.params0) - expected) < 1e-12
+    assert abs(forward(ctx, ctx.params0) - expected) < 1e-12
 
 
 def test_check_passes_across_modes_and_seeds():
@@ -241,7 +242,7 @@ def test_masked_column_gradients_are_exactly_zero():
     grad = gradcheck.backward(ctx, ctx.params0)
     entries = grad[:-1].reshape(ctx.n_aerial, ctx.n_ground)
     assert (entries[:, ~ctx.valid] == 0.0).all()
-    fd = gradcheck.finite_difference(
+    fd = finite_difference(
         lambda p: gradcheck.forward_value(ctx, p),
         np.asarray(ctx.params0, np.longdouble),
         1e-5,
@@ -276,7 +277,7 @@ def test_batched_rows_equal_single_vector_calls(seed, mode):
 @pytest.mark.parametrize("seed, mode", LEAF_CONTEXTS)
 def test_batched_fd_matches_scalar_reference(seed, mode):
     ctx = small_context(seed, mode)
-    reference = gradcheck.finite_difference(
+    reference = finite_difference(
         lambda p: gradcheck.forward_value(ctx, p), ctx.params0, 1e-5
     )
     batched = gradcheck.fd_gradient(ctx, ctx.params0, 1e-5)
@@ -340,7 +341,7 @@ def test_value_and_grad_equals_forward_and_passes_check(seed, mode, beta):
     assert loss == gradcheck.forward_value(ctx, ctx.params0, np.float64)
     away = ctx.params0 + np.random.default_rng(seed).normal(scale=1e-2, size=grad.shape)
     assert gradcheck.value_and_grad(ctx, away)[0] == gradcheck.forward_value(ctx, away, np.float64)
-    f = gradcheck.forward(ctx, ctx.params0)
+    f = forward(ctx, ctx.params0)
     assert abs(loss - f) < 1e-12 * max(1.0, abs(f))
     np.testing.assert_array_equal(grad, gradcheck.backward(ctx, ctx.params0))
     rep = gradcheck.check(ctx)
@@ -417,7 +418,7 @@ def test_sliced_stage_one_gives_the_whole_matrix_weights_bit_for_bit(seed, mode,
     and for a batch of FD-perturbed ones, so ``forward_value`` equals the
     whole-matrix chain exactly."""
     ctx = forced_selection(small_context(seed, mode), kind)
-    sel = gradcheck._valid_columns(ctx)[1]
+    sel = ctx.sel
     rows, r_at = np.unique(ctx.aerial_flat, return_inverse=True)
     cols, c_at = np.unique(sel, return_inverse=True)
     if kind != "as-built":
@@ -444,7 +445,7 @@ def test_forward_value_normalises_only_the_selected_rows_and_columns(seed, mode,
     and the distinct selected columns plus the dustbin over every aerial
     row: never the whole matrix."""
     ctx = small_context(seed, mode)
-    sel = gradcheck._valid_columns(ctx)[1]
+    sel = ctx.sel
     rows, cols = np.unique(ctx.aerial_flat), np.unique(sel)
     n_valid = int(ctx.valid.sum())
     assert len(rows) < ctx.n_aerial and len(cols) < n_valid  # a proper slice
@@ -518,6 +519,97 @@ def test_build_context_rejects_a_params0_of_another_layout():
         gradcheck.build_context(scene, SMALL_PIPE, "projection", params0=np.zeros(64))
 
 
+def assert_same_stage(a, b):
+    """Two ``_Stage`` records hold the same leaves and equal arrays."""
+    assert a.params is not None and np.array_equal(a.params, b.params)
+    for x, y in zip(a[1:], b[1:]):
+        if isinstance(x, tuple):  # the unit rows and norms of both sides
+            for u, v in zip(x, y):
+                assert all(np.array_equal(p, q) for p, q in zip(u, v))
+        else:
+            assert (x is None and y is None) or np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("depth_kind", ["metric", "relative"])
+@pytest.mark.parametrize("projection_mode", ["all", "topmost"])
+@pytest.mark.parametrize("mode", ["score", "features", "projection"])
+def test_a_prepared_scene_frozen_step_by_step_equals_fresh_contexts(mode, projection_mode,
+                                                                   depth_kind):
+    """One ``_prepare`` frozen at one leaf vector after another, as the
+    trainer does step by step, gives field by field the context a fresh
+    ``build_context`` makes at each; the prepared features are read-only
+    views of the scene's arrays, nothing prepared is written, and the
+    selected points are the bits of lifting and converting their cells."""
+    scene = generate(SceneConfig(seed=5, depth_kind=depth_kind, scale_bounds=(0.8, 1.25),
+                                 **SMALL_SCENE))
+    lift = dataclasses.replace(SMALL_PIPE.lift, projection_mode=projection_mode)
+    pipe = dataclasses.replace(SMALL_PIPE, num_correspondences=12, lift=lift)
+    prep = gradcheck._prepare(scene, pipe, mode)
+    assert np.shares_memory(prep.aerial_raw, scene.aerial.data)
+    assert np.shares_memory(prep.ground_raw, scene.ground.data)
+    assert not (prep.aerial_raw.flags.writeable or prep.ground_raw.flags.writeable)
+    before = {k: v.copy() for k, v in prep._asdict().items() if isinstance(v, np.ndarray)}
+    rng = np.random.default_rng(0)
+    base = gradcheck.build_context(scene, pipe, mode).params0
+    leaves = [None] + [base + rng.normal(scale=0.05, size=base.shape) for _ in range(2)]
+    for params0 in leaves:
+        frozen = gradcheck._freeze(prep, 0.7, params0)
+        fresh = gradcheck.build_context(scene, pipe, mode, beta=0.7, params0=params0)
+        for field in dataclasses.fields(fresh):
+            a, b = getattr(frozen, field.name), getattr(fresh, field.name)
+            if field.name == "stage0":
+                assert_same_stage(a, b)
+            elif isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+            else:
+                assert a == b, field.name
+        np.testing.assert_array_equal(frozen.cols, fresh.cols)
+        np.testing.assert_array_equal(frozen.sel, fresh.sel)
+        if projection_mode == "all":
+            assert len(frozen.aerial_flat) == 12
+        cells = np.stack(np.divmod(frozen.ground_flat, scene.ground.cols), axis=1)
+        points3 = lift_ground_cells(cells, scene.depth, scene.rays, lift.initial_scale)
+        assert np.array_equal(frozen.ground_planar, points3[:, :2])
+        cells = np.stack(np.divmod(frozen.aerial_flat, scene.aerial.cols), axis=1)
+        shape = (scene.aerial.rows, scene.aerial.cols)
+        metric = aerial_cells_to_metric(cells, scene.aerial.meta, shape)
+        assert np.array_equal(frozen.aerial_metric, metric)
+    for name, value in before.items():
+        np.testing.assert_array_equal(getattr(prep, name), value)
+
+
+def shared_selection(ctx):
+    """``ctx`` with its pairs moved onto two aerial rows times half as many
+    valid columns: distinct entries whose rows and columns all repeat."""
+    n, cols = len(ctx.aerial_flat), np.flatnonzero(ctx.valid)
+    rows = np.unique(ctx.aerial_flat)[:2]
+    return dataclasses.replace(ctx, aerial_flat=np.repeat(rows, n // 2),
+                               ground_flat=np.tile(cols[: n // 2], 2))
+
+
+@pytest.mark.parametrize("kind", ["as-built", "shared"])
+@pytest.mark.parametrize("seed, mode", LEAF_CONTEXTS + [(6, "projection"), (7, "score")])
+def test_one_contrastive_scatter_equals_the_add_at_reference(seed, mode, kind):
+    """Where the contrastive entries repeat -- pairs sharing aerial rows and
+    ground columns, ground-to-aerial targets sharing a column -- the one
+    ``np.bincount`` scatter and the reused stage-one values give the
+    gradient of two dense ``np.add.at`` scatters over values formed afresh,
+    to 1e-15 of its largest entry, and the same loss."""
+    ctx = small_context(seed, mode, beta=0.7)
+    if kind == "shared":
+        ctx = shared_selection(ctx)
+        sel, n = ctx.sel, len(ctx.sel)
+        assert len(np.unique(ctx.aerial_flat)) == 2 and len(np.unique(sel)) == n // 2
+        assert len(np.unique(sel[ctx.g2s_pairs])) < len(ctx.g2s_pairs)
+        assert len(np.unique(ctx.aerial_flat * ctx.n_ground + ctx.ground_flat)) == n
+    away = ctx.params0 + np.random.default_rng(seed).normal(scale=1e-2, size=ctx.params0.shape)
+    for params in (ctx.params0, away):
+        loss, grad = gradcheck.value_and_grad(ctx, params)
+        ref_loss, ref = add_at_value_and_grad(ctx, params)
+        assert loss == ref_loss
+        np.testing.assert_allclose(grad, ref, rtol=0.0, atol=1e-15 * np.abs(ref).max())
+
+
 def _softmax(x):
     e = np.exp(x - x.max())
     return e / e.sum()
@@ -537,7 +629,7 @@ def masked_chain_gradient(ctx, params):
     t = (s.t_x, s.t_y)
     _, d_theta, d_t = vce_partials(s.theta, t, ctx.truth, gradcheck._VIRTUAL_POINTS)
     d_probs = np.zeros_like(ext)
-    d_probs[pairs] = gradcheck.pose_weight_gradients(
+    d_probs[pairs] = pose_weight_gradients(
         ctx.ground_planar, ctx.aerial_metric, w, d_theta, 0.0, d_t
     )
     d_row = ra * (d_probs * cb - (ra * d_probs * cb).sum(axis=1, keepdims=True))
@@ -593,8 +685,8 @@ def test_uniform_shift_direction_has_zero_derivative():
     """Adding one constant to every score and the dustbin leaves the whole
     loss unchanged, so the gradient must sum to zero."""
     ctx = small_context(8, "score")
-    f0 = gradcheck.forward(ctx, ctx.params0)
-    shifted = gradcheck.forward(ctx, ctx.params0 + 0.37)
+    f0 = forward(ctx, ctx.params0)
+    shifted = forward(ctx, ctx.params0 + 0.37)
     assert abs(shifted - f0) < 1e-9
     grad = gradcheck.backward(ctx, ctx.params0)
     assert abs(grad.sum()) < 1e-10
@@ -604,7 +696,7 @@ def test_gradient_vanishes_at_constructed_minimum():
     """When the supervision pose is exactly the solved pose, the pose loss
     sits at the bottom of its cone and the whole gradient vanishes."""
     ctx = small_context(9, "score", beta=0.0)
-    sel = gradcheck._valid_columns(ctx)[1]
+    sel = ctx.sel
     s = gradcheck._loss(ctx, ctx.stage0, sel, np.float64).align
     t_est = np.array([s.t_x, s.t_y])
     fitted = SimilarityTransform2D(1.0, float(s.theta), t_est)
@@ -621,12 +713,12 @@ def test_noiseless_scene_sits_at_neighborhood_floor():
         num_correspondences=8, lift=LiftConfig(initial_scale=scene.scale_gt)
     )
     ctx = gradcheck.build_context(scene, cfg, mode="score", beta=0.0)
-    f0 = gradcheck.forward(ctx, ctx.params0)
+    f0 = forward(ctx, ctx.params0)
     assert f0 < 1e-9
     rng = np.random.default_rng(0)
     for _ in range(100):
         params = ctx.params0 + rng.normal(scale=0.05, size=ctx.params0.shape)
-        assert gradcheck.forward(ctx, params) >= f0 - 1e-9
+        assert forward(ctx, params) >= f0 - 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +728,7 @@ def test_noiseless_scene_sits_at_neighborhood_floor():
 def test_corrupted_gradient_fails_comparison():
     ctx = small_context(10, "projection")
     analytic = gradcheck.backward(ctx, ctx.params0)
-    fd = gradcheck.finite_difference(
+    fd = finite_difference(
         lambda p: gradcheck.forward_value(ctx, p),
         np.asarray(ctx.params0, np.longdouble),
         1e-5,

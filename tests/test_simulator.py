@@ -7,6 +7,7 @@ the point they see, and every render is a pure function of (config, seed).
 """
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from crossloc.simulator import (
     generate,
     render_aerial,
 )
+from crossloc.trainer import reference_dataset
 
 
 def claimed_mask(scene):
@@ -302,3 +304,41 @@ def test_contaminate_deterministic_per_seed():
     np.testing.assert_array_equal(a[1], b[1])
     c = contaminate(pts, 0.3, extent=70.0, seed=6)
     assert not np.array_equal(a[0], c[0])
+
+
+def scenes_digest(scenes) -> str:
+    """sha256 over every generated array and number of the scenes."""
+    h = hashlib.sha256()
+    for s in scenes:
+        t = s.truth
+        for a in (s.landmark_xy, s.landmark_height, s.landmark_latent,
+                  [t.scale, t.theta, *t.t, s.scale_gt], s.aerial.data, s.ground.data,
+                  s.depth.depth, s.rays.directions):
+            h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+# digests of ``generate`` outputs taken before the per-sample rendering
+# loop dropped np.clip and np.linalg.norm for scalar ``min``/``max`` and
+# ``math.sqrt`` of the same dot product, and the aerial render looked its
+# landmarks' cells up in one call: the renders must stay the same bits
+PINNED_DIGESTS = {
+    ("panorama", "metric"): "ed66d20ac93ce75fd8bb706b5883f8be95b3cf618a7f7f25785c4f436a47a2cf",
+    ("panorama", "relative"): "54363ccca4abd60132a3bca0b5b3051ac6ab797eaf8d5126badfa864d17c2c31",
+    ("pinhole", "metric"): "dc4ecd23e044001f776b8414783ed4c00edf527d779ae4e9d0ca816882b1f2e4",
+    ("pinhole", "relative"): "48d83fb5c5aecd78f0f6b9c5ea912e8bc1496ef3952d1d1989af7f837ed45f72",
+}
+PINNED_REFERENCE_DIGEST = "b95e7468bd53360e59f06072df56d431bd3bf8b53a9d041f5cbbe126cccead32"
+
+
+@pytest.mark.parametrize("camera, depth_kind", sorted(PINNED_DIGESTS))
+def test_renders_are_pinned_bit_for_bit(camera, depth_kind):
+    scenes = [
+        generate(SceneConfig(seed=seed, camera=camera, depth_kind=depth_kind, noise_sigma=0.1))
+        for seed in range(8)
+    ]
+    assert scenes_digest(scenes) == PINNED_DIGESTS[camera, depth_kind]
+
+
+def test_reference_dataset_is_pinned_bit_for_bit():
+    assert scenes_digest(reference_dataset()) == PINNED_REFERENCE_DIGEST

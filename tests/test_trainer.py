@@ -90,8 +90,24 @@ def test_train_config_validation():
                 {"divergence_factor": 0.0}, {"divergence_factor": float("nan")}):
         with pytest.raises(OutOfRange, match=next(iter(bad))):
             TrainConfig(**bad)
+    for bad in ({"steps": 2.5}, {"steps": True}, {"batch": 2.5}, {"batch": False},
+                {"holdout": 1.5}, {"holdout": -1}, {"seed": 1.5}, {"seed": -1},
+                {"seed": True}):
+        with pytest.raises(OutOfRange, match=f"{next(iter(bad))} must be an integer"):
+            TrainConfig(**bad)
     TrainConfig(lr=0.0)  # explicitly allowed: freezes the weights
     TrainConfig(beta=0.0, init_jitter=0.0)
+    TrainConfig(steps=np.int64(3), batch=np.int32(2), holdout=np.int64(0), seed=np.uint8(7))
+
+
+@pytest.mark.parametrize("kwargs", [{"n_scenes": 0}, {"n_scenes": 2.5}, {"n_scenes": True},
+                                    {"seed": -2}, {"seed": 1.5}, {"seed": None}])
+def test_reference_dataset_rejects_a_bad_count_or_seed(kwargs):
+    """The error names the argument and the value given, not a derived
+    scene seed, and comes before any scene is generated."""
+    (name, value), = kwargs.items()
+    with pytest.raises(OutOfRange, match=f"^{name} must be an integer >= [01], got {value!r}$"):
+        trainer.reference_dataset(**kwargs)
 
 
 def test_empty_dataset_raises():
@@ -156,25 +172,43 @@ def test_training_is_deterministic():
 @pytest.mark.parametrize("loss_mode", ["gt-scale", "pseudo-scale"])
 def test_training_contexts_pass_gradient_check(loss_mode):
     """The gradient each training step descends matches the long-double FD
-    oracle on contexts built exactly as ``train`` builds them: jittered
-    projection weights, the mode's contrastive target scale, beta 0.7."""
+    oracle on contexts built exactly as ``train`` builds them: through its
+    per-scene path (``_scene_steps``, each scene prepared once) at jittered
+    projection weights, with the mode's contrastive target scale and beta
+    0.7."""
     cfg = TrainConfig(beta=0.7, loss_mode=loss_mode, init_jitter=0.05, seed=1)
     rng = np.random.default_rng(cfg.seed)
     dim = SMALL_SCENE.feature_dim
     matrix = np.eye(dim) + cfg.init_jitter * rng.standard_normal((dim, dim))
-    for scene in small_scenes(2):
-        target_scale, beta = trainer._target_scale_and_beta(cfg, scene, SMALL_PIPE)
-        assert beta == 0.7
-        ctx = build_context(
-            scene,
-            SMALL_PIPE,
-            mode="projection",
-            beta=beta,
-            params0=ProjectionWeights(matrix, SMALL_PIPE.dustbin_z).as_params(),
-            target_scale=target_scale,
-        )
+    params = ProjectionWeights(matrix, SMALL_PIPE.dustbin_z).as_params()
+    scenes = small_scenes(2)
+    for scene, scene_step in zip(scenes, trainer._scene_steps(cfg, scenes, SMALL_PIPE)):
+        ctx = scene_step(params)
+        assert (ctx.mode, ctx.beta) == ("projection", 0.7)
+        np.testing.assert_array_equal(ctx.params0, params)
+        if loss_mode == "gt-scale":
+            assert ctx.target_scale == scene.scale_gt / SMALL_PIPE.lift.initial_scale
         report = gradcheck.check(ctx)
         assert report.passed, f"{loss_mode}: rel {report.max_rel_err:.2e}"
+
+
+def test_scene_steps_take_the_loss_modes_beta_and_target_scale():
+    """gt-scale places targets with the true scale, pseudo-scale with the
+    solver's estimate at the frozen weights, and vce-only turns the
+    contrastive terms off."""
+    scene = generate(dataclasses.replace(SMALL_SCENE, seed=100, depth_kind="relative",
+                                         scale_bounds=(0.8, 1.25)))
+    params = ProjectionWeights(np.eye(SMALL_SCENE.feature_dim)).as_params()
+    contexts = {
+        mode: trainer._scene_steps(TrainConfig(beta=0.7, loss_mode=mode), [scene], SMALL_PIPE)[0](
+            params
+        )
+        for mode in trainer.LOSS_MODES
+    }
+    assert contexts["gt-scale"].target_scale == scene.scale_gt
+    estimate = build_context(scene, SMALL_PIPE, "projection", params0=params).target_scale
+    assert contexts["pseudo-scale"].target_scale == estimate
+    assert [contexts[m].beta for m in trainer.LOSS_MODES] == [0.7, 0.7, 0.0]
 
 
 def count_calls(monkeypatch, *names):
