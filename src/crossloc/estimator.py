@@ -153,27 +153,24 @@ def build_correspondences(
         raise InsufficientMatches("only 0 correspondences: no ground cell has valid depth")
     scores = score_matrix(aerial.flat(), ground.flat()[valid], cfg.tau)
     probs = match_probabilities(scores, cfg.dustbin_z)
-    tables = _lift_tables(valid, aerial, ground, depth, rays, cfg)
-    return _lift_top_n(probs, valid, *tables, aerial.meta, cfg)
+    points3 = _lift_tables(valid, ground, depth, rays, cfg)
+    return _lift_top_n(probs, valid, points3, aerial, cfg)
 
 
-def _lift_tables(valid, aerial, ground, depth, rays, cfg):
-    """The tables ``_lift_top_n`` selects from: the lifted 3-D point of each
-    ground cell of ``valid`` (flat indices) and the metric point of every
-    aerial cell (row-major).  Both are elementwise, so a row of either is
-    the same bits as lifting or converting that one cell."""
-    points3 = lift_ground_cells(
-        np.stack(np.divmod(valid, ground.cols), axis=1), depth, rays, cfg.lift.initial_scale
-    )
-    shape = (aerial.rows, aerial.cols)
-    return points3, aerial_cells_to_metric(np.argwhere(np.ones(shape)), aerial.meta, shape)
+def _lift_tables(valid, ground, depth, rays, cfg):
+    """The table ``_lift_top_n`` selects from: the lifted 3-D point of each
+    ground cell of ``valid`` (flat indices).  The lift is elementwise, so a
+    row is the same bits as lifting that one cell."""
+    cells = np.stack(np.divmod(valid, ground.cols), axis=1)
+    return lift_ground_cells(cells, depth, rays, cfg.lift.initial_scale)
 
 
-def _lift_top_n(probs, valid, points3, aerial_xy, aerial_meta, cfg) -> CorrespondenceSet:
+def _lift_top_n(probs, valid, points3, aerial, cfg) -> CorrespondenceSet:
     """``build_correspondences`` from the aerial-by-``valid``-ground
-    probabilities on, looking the selected cells up in ``_lift_tables``'
-    ``points3`` and ``aerial_xy`` (``gradcheck`` selects through it too).
-    Private: a tracer of public functions sees its calls as the caller's."""
+    probabilities on, looking the selected ground cells up in
+    ``_lift_tables``' ``points3`` and converting the kept aerial cells
+    (``gradcheck`` selects through it too).  Private: a tracer of public
+    functions sees its calls as the caller's."""
     matches = sample_correspondences(probs, cfg.num_correspondences)
     keep = matches.weights > 0.0
     # the matrix columns index the valid cells: map them back to ground cells
@@ -183,21 +180,22 @@ def _lift_top_n(probs, valid, points3, aerial_xy, aerial_meta, cfg) -> Correspon
         raise InsufficientMatches(
             f"only {len(weights)} positively weighted correspondences after masking"
         )
-    points3, aerial_xy = points3[columns], aerial_xy[aerial_flat]
+    points3 = points3[columns]
 
     if cfg.lift.projection_mode == "topmost":
-        keep = topmost_selection(points3, aerial_meta.meters_per_cell)
+        keep = topmost_selection(points3, aerial.meta.meters_per_cell)
         if len(keep) < 2:
             raise InsufficientMatches(
                 f"only {len(keep)} correspondences after topmost selection"
             )
-        points3, aerial_xy, weights, aerial_flat, ground_flat = (
-            a[keep] for a in (points3, aerial_xy, weights, aerial_flat, ground_flat)
+        points3, weights, aerial_flat, ground_flat = (
+            a[keep] for a in (points3, weights, aerial_flat, ground_flat)
         )
 
+    aerial_cells = np.stack(np.divmod(aerial_flat, aerial.cols), axis=1)
     return CorrespondenceSet(
         ground_planar=points3[:, :2].copy(),
-        aerial_metric=aerial_xy,
+        aerial_metric=aerial_cells_to_metric(aerial_cells, aerial.meta, (aerial.rows, aerial.cols)),
         weights=weights,
         ground_points3=points3,
         matches=Matches(aerial_flat, ground_flat, weights),

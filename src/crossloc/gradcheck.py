@@ -206,18 +206,17 @@ def build_context(
 
 
 # what no leaf vector changes: the scene, the leaf layout (all stage one
-# reads of it), the depth-valid mask and its columns, and the tables the
-# top-N is looked up in
+# reads of it), the depth-valid mask and its columns, and the lifted points
+# the top-N is looked up in
 _Prepared = namedtuple(
-    "_Prepared", "scene cfg mode tau valid cols aerial_raw ground_raw points3 aerial_xy"
+    "_Prepared", "scene cfg mode tau valid cols aerial_raw ground_raw points3"
 )
 
 
 def _prepare(scene, cfg: PipelineConfig = None, mode: str = "score") -> _Prepared:
     """The part of ``build_context`` no leaf vector changes, once per scene:
     the raw features as read-only float views of the scene's arrays, and
-    ``estimator._lift_tables``' lifted point of every valid ground cell and
-    metric point of every aerial cell."""
+    ``estimator._lift_tables``' lifted point of every valid ground cell."""
     if mode not in ("score", "features", "projection"):
         raise OutOfRange(f"unknown leaf mode {mode!r}")
     if cfg is None:
@@ -227,8 +226,8 @@ def _prepare(scene, cfg: PipelineConfig = None, mode: str = "score") -> _Prepare
     aerial_raw.flags.writeable = ground_raw.flags.writeable = False
     valid = depth_valid_mask(scene.depth, cfg.lift).ravel()
     cols = np.flatnonzero(valid)
-    tables = _lift_tables(cols, scene.aerial, scene.ground, scene.depth, scene.rays, cfg)
-    return _Prepared(scene, cfg, mode, cfg.tau, valid, cols, aerial_raw, ground_raw, *tables)
+    points3 = _lift_tables(cols, scene.ground, scene.depth, scene.rays, cfg)
+    return _Prepared(scene, cfg, mode, cfg.tau, valid, cols, aerial_raw, ground_raw, points3)
 
 
 def _freeze(prep: _Prepared, beta: float = 0.1, params0=None, target_scale=None) -> GradContext:
@@ -254,8 +253,7 @@ def _freeze(prep: _Prepared, beta: float = 0.1, params0=None, target_scale=None)
 
     stage0 = _stage_one(prep, params0, np.float64)
     stage0 = stage0._replace(probs=stage0.ra[:-1, :-1] * stage0.cb[:-1, :-1])
-    corr = _lift_top_n(stage0.probs, prep.cols, prep.points3, prep.aerial_xy,
-                       scene.aerial.meta, cfg)
+    corr = _lift_top_n(stage0.probs, prep.cols, prep.points3, scene.aerial, cfg)
 
     if target_scale is None:
         if scene.depth.kind == "metric":

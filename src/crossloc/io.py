@@ -142,17 +142,12 @@ def _meta_to_json(grid: FeatureGrid) -> dict:
     rays = grid.meta.rays if grid.meta is not None else None
     if rays is None:
         raise MetadataMissing("ground grid has no ray model to write")
-    overrides = []
-    canonical = rays.canonical_directions()
-    diff = ~np.all(rays.directions == canonical, axis=2)
-    for r, c in np.argwhere(diff):
-        overrides.append(
-            [int(r), int(c), [float(v) for v in rays.directions[r, c]]]
-        )
+    cells = np.argwhere((rays.directions != rays.canonical_directions()).any(axis=2))
+    directions = rays.directions[cells[:, 0], cells[:, 1]].tolist()
     return {
         "grid": "ground",
         "camera": {"kind": rays.kind, "params": dict(rays.params)},
-        "ray_overrides": overrides,
+        "ray_overrides": [[r, c, d] for (r, c), d in zip(cells.tolist(), directions)],
     }
 
 

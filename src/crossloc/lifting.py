@@ -124,30 +124,29 @@ class RayModel:
             return self._pinhole_table(self.rows, self.cols, **self.params)
         raise OutOfRange(f"unknown ray model kind {self.kind!r}")
 
-    def nearest_cell(self, direction: np.ndarray) -> Optional[tuple]:
-        """Cell whose canonical ray is closest to a unit direction.
-
-        Returns None when the direction falls outside the camera's view
-        (behind a pinhole, or off the pixel grid).
-        """
-        dx, dy, dz = float(direction[0]), float(direction[1]), float(direction[2])
+    def nearest_cells(self, directions: np.ndarray):
+        """``(cells, seen)`` for (N, 3) unit directions: the (N, 2) ``(row,
+        col)`` whose canonical rays are nearest, and False where a direction
+        is out of view (behind a pinhole, or off the pixel grid; its row of
+        ``cells`` is 0).  Halves round to even; panorama angles are libm's."""
+        dx, dy, dz = np.asarray(directions, dtype=float).T
         if self.kind == "equirectangular":
-            azimuth = math.atan2(dy, dx)
-            elevation = math.asin(max(-1.0, min(1.0, dz)))
-            col = int(round((azimuth + math.pi) * self.cols / (2 * math.pi) - 0.5)) % self.cols
-            row = int(round((math.pi / 2 - elevation) * self.rows / math.pi - 0.5))
-            row = max(0, min(self.rows - 1, row))
-            return row, col
-        if self.kind == "pinhole":
-            if dx <= 0:
-                return None
+            azimuth = np.array(list(map(math.atan2, dy.tolist(), dx.tolist())))
+            elevation = np.array(list(map(math.asin, np.clip(dz, -1.0, 1.0).tolist())))
+            col = np.rint((azimuth + math.pi) * self.cols / (2 * math.pi) - 0.5) % self.cols
+            row = np.clip(np.rint((math.pi / 2 - elevation) * self.rows / math.pi - 0.5),
+                          0, self.rows - 1)
+            seen = np.ones(len(dx), dtype=bool)
+        elif self.kind == "pinhole":
             p = self.params
-            col = int(round(p["cx"] - p["fx"] * dy / dx))
-            row = int(round(p["cy"] - p["fy"] * dz / dx))
-            if 0 <= row < self.rows and 0 <= col < self.cols:
-                return row, col
-            return None
-        raise OutOfRange(f"unknown ray model kind {self.kind!r}")
+            with np.errstate(divide="ignore", invalid="ignore"):  # dx == 0
+                col = np.rint(p["cx"] - p["fx"] * dy / dx)
+                row = np.rint(p["cy"] - p["fy"] * dz / dx)
+            seen = (dx > 0) & (0 <= row) & (row < self.rows) & (0 <= col) & (col < self.cols)
+        else:
+            raise OutOfRange(f"unknown ray model kind {self.kind!r}")
+        cells = np.where(seen[:, None], np.stack([row, col], axis=1), 0)
+        return cells.astype(int), seen
 
 
 @dataclass(frozen=True)

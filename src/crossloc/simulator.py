@@ -8,11 +8,12 @@ depth map:
 * aerial cells containing a landmark carry its latent (plus optional noise);
   a configurable fraction of the remaining cells carry fresh clutter
   latents and the rest share one background latent;
-* ground cells whose viewing ray passes a landmark's vertical axis within
-  the cell's angular footprint carry the landmark latent and the true slant
-  range (divided by the hidden depth scale for relative-depth scenes);
-  each rendered cell stores the exact direction to the point it sees, so
-  lifting reproduces scene geometry to machine precision;
+* ground cells take the first claim of one array pass over every landmark
+  sample, landmarks near to far and each top-down: a sample claims the cell
+  whose ray is nearest, within the cell's angular footprint, and the cell
+  stores its latent, its true slant range (divided by the hidden depth
+  scale for relative-depth scenes) and its exact direction, so lifting
+  reproduces scene geometry to machine precision;
 * remaining ground cells are sky (invalid depth) or far clutter (depth well
   beyond any sensible threshold).
 
@@ -168,7 +169,7 @@ def generate(cfg: SceneConfig) -> SyntheticScene:
             bearing = np.arctan2(
                 landmark_xy[:, 1] - cand[1], landmark_xy[:, 0] - cand[0]
             )
-            rel = np.array([wrap_angle(b - theta) for b in bearing])
+            rel = np.remainder(bearing - theta + math.pi, 2 * math.pi) - math.pi  # wrap_angle
             in_range &= np.abs(rel) <= math.radians(cfg.fov_deg) * 0.45
         if int(in_range.sum()) >= cfg.min_visible:
             t = cand
@@ -218,16 +219,16 @@ def render_aerial(scene: SyntheticScene) -> FeatureGrid:
     if n_clutter:
         features[clutter] = _unit_rows(rng.normal(size=(n_clutter, cfg.feature_dim)))
 
-    owner = {}  # cell -> (distance to center, landmark index)
     cells = metric_to_aerial_cells(scene.landmark_xy, meta, shape)
     offsets = scene.landmark_xy - aerial_cells_to_metric(cells, meta, shape)
-    for k, (cell, offset) in enumerate(zip(map(tuple, cells.tolist()), offsets)):
-        d = math.sqrt(offset.dot(offset))  # np.linalg.norm's own sum
-        if cell not in owner or d < owner[cell][0]:
-            owner[cell] = (d, k)
-    noise = rng.normal(size=(len(owner), cfg.feature_dim)) * cfg.noise_sigma
-    for slot, (cell, (_, k)) in enumerate(sorted(owner.items())):
-        features[cell] = scene.landmark_latent[k] + noise[slot]
+    dist = np.sqrt(np.matmul(offsets[:, None, :], offsets[:, :, None])[:, 0, 0])
+    # per cell in row-major order, the landmark nearest its center (a stable
+    # sort keeps the lowest index among ties)
+    flat = cells[:, 0] * g + cells[:, 1]
+    by_cell = np.lexsort((dist, flat))
+    owned, first = np.unique(flat[by_cell], return_index=True)
+    noise = rng.normal(size=(len(owned), cfg.feature_dim)) * cfg.noise_sigma
+    features.reshape(g * g, -1)[owned] = scene.landmark_latent[by_cell[first]] + noise
 
     return FeatureGrid(features, "aerial", meta)
 
@@ -235,14 +236,15 @@ def render_aerial(scene: SyntheticScene) -> FeatureGrid:
 def render_ground(scene: SyntheticScene):
     """Ground feature grid, depth map, and per-cell rays.
 
-    Each landmark is a vertical segment from the ground plane to its height.
-    The segment is sampled top-down; each sample is assigned to the ground
+    Each landmark is a vertical segment from the ground plane to its height,
+    sampled top-down by ``np.linspace``.  One array pass takes every sample
+    in claim order -- landmarks near to far (those inside the clearance are
+    skipped), then higher samples first -- and assigns each to the ground
     cell whose canonical ray is nearest, provided the directions agree
     within the angular tolerance (one cell footprint by default).  A cell
-    keeps the first claim it receives -- landmarks are processed near to
-    far, and within a landmark higher points come first -- and stores the
-    exact direction and slant range of the claimed point, so lifting the
-    rendered depth reproduces the scene geometry exactly.
+    keeps the first claim it receives and stores the exact direction and
+    slant range of the claimed point, so lifting the rendered depth
+    reproduces the scene geometry exactly.
 
     Returns (FeatureGrid, DepthMap, RayModel).
     """
@@ -257,51 +259,52 @@ def render_ground(scene: SyntheticScene):
         cell_angle = math.radians(cfg.fov_deg) / cols
     tol = cfg.ray_tolerance if cfg.ray_tolerance is not None else cell_angle * 1.2
 
-    directions = canonical.directions.copy()
-    depth = np.full((rows, cols), np.nan)
-    claim = np.full((rows, cols), -1, dtype=int)
-
     world_to_cam = rotation_matrix(-scene.truth.theta)
     rel = (scene.landmark_xy - scene.truth.t) @ world_to_cam.T
     planar_range = np.linalg.norm(rel, axis=1)
-    for k in np.argsort(planar_range, kind="stable"):
-        rho = float(planar_range[k])
-        if rho < cfg.min_clearance:
-            continue
-        h = float(scene.landmark_height[k])
-        span = math.atan2(h, rho)  # elevation extent as seen from the camera
-        n_samples = max(4, min(128, int(math.ceil(3 * rows * span / math.pi)) + 2))
-        for z in np.linspace(h, 0.0, n_samples):
-            point = np.array([rel[k, 0], rel[k, 1], z])
-            slant = math.sqrt(point.dot(point))  # np.linalg.norm's own sum
-            d3 = point / slant
-            cell = canonical.nearest_cell(d3)
-            if cell is None:
-                continue
-            dot = max(-1.0, min(1.0, float(canonical.directions[cell] @ d3)))
-            if math.acos(dot) > tol:
-                continue
-            if claim[cell] == -1:
-                claim[cell] = k
-                directions[cell] = d3
-                depth[cell] = slant / scene.scale_gt
+    order = np.argsort(planar_range, kind="stable")
+    order = order[planar_range[order] >= cfg.min_clearance]
+    height = scene.landmark_height[order]
+    # elevation extent as seen from the camera sets the sample count
+    span = np.array(list(map(math.atan2, height.tolist(), planar_range[order].tolist())))
+    n = np.clip(np.ceil(3 * rows * span / math.pi).astype(int) + 2, 4, 128)
 
-    features = np.empty((rows, cols, cfg.feature_dim))
-    empty = claim == -1
-    n_empty = int(empty.sum())
-    features[empty] = _unit_rows(rng.normal(size=(n_empty, cfg.feature_dim)))
+    # each landmark's np.linspace(height, 0.0, n) row as numpy forms it
+    # (but for its zero-step case, which only subnormal heights reach)
+    owner, last = np.repeat(order, n), np.cumsum(n) - 1
+    i = np.arange(len(owner)) - np.repeat(last + 1 - n, n)
+    start = np.repeat(height, n)
+    z = i * ((0.0 - start) / np.repeat(n - 1, n)) + start
+    z[last] = 0.0
+    points = np.column_stack([rel[owner], z])
+    slant = np.sqrt(np.matmul(points[:, None, :], points[:, :, None])[:, 0, 0])
+    d3 = points / slant[:, None]
+    cells, seen = canonical.nearest_cells(d3)
+    dots = np.matmul(canonical.directions[cells[:, 0], cells[:, 1]][:, None, :],
+                     d3[:, :, None])[:, 0, 0]
+    angle = np.array(list(map(math.acos, np.clip(dots, -1.0, 1.0).tolist())))
+    accepted = np.flatnonzero(seen & (angle <= tol))
+    # the first accepted sample of each cell claims it; ``flat`` ascends
+    flat, first = np.unique(cells[accepted, 0] * cols + cells[accepted, 1], return_index=True)
+    won = accepted[first]
+
+    directions = canonical.directions.copy()
+    directions.reshape(-1, 3)[flat] = d3[won]
+    depth = np.full(rows * cols, np.nan)
+    depth[flat] = slant[won] / scene.scale_gt
+    empty = np.isnan(depth)  # a claimed depth is finite and positive
+    features = np.empty((rows * cols, cfg.feature_dim))
+    features[empty] = _unit_rows(rng.normal(size=(int(empty.sum()), cfg.feature_dim)))
     # sky above the horizon stays invalid; below it, far clutter depth
-    below = empty & (canonical.directions[..., 2] <= 0)
+    below = empty & (canonical.directions[..., 2].ravel() <= 0)
     depth[below] = (cfg.extent * (1.5 + rng.random(int(below.sum())))) / scene.scale_gt
-    claimed_cells = np.argwhere(~empty)
-    if len(claimed_cells):
-        noise = rng.normal(size=(len(claimed_cells), cfg.feature_dim)) * cfg.noise_sigma
-        for slot, (r, c) in enumerate(claimed_cells):
-            features[r, c] = scene.landmark_latent[claim[r, c]] + noise[slot]
+    if len(flat):
+        noise = rng.normal(size=(len(flat), cfg.feature_dim)) * cfg.noise_sigma
+        features[flat] = scene.landmark_latent[owner[won]] + noise
 
     rays = RayModel(directions, canonical.kind, canonical.params)
-    grid = FeatureGrid(features, "ground", GroundMeta(rays=rays))
-    return grid, DepthMap(depth, cfg.depth_kind), rays
+    grid = FeatureGrid(features.reshape(rows, cols, -1), "ground", GroundMeta(rays=rays))
+    return grid, DepthMap(depth.reshape(rows, cols), cfg.depth_kind), rays
 
 
 def contaminate(

@@ -360,7 +360,10 @@ def _add_branch_clutter(grid, proj_signal, nuisance_basis, amp, rng):
     flat = grid.data.reshape(-1, grid.data.shape[-1])
     coef = rng.standard_normal((flat.shape[0], nuisance_basis.shape[1]))
     coef /= np.linalg.norm(coef, axis=1, keepdims=True)
-    data = flat @ proj_signal.T + amp * (coef @ nuisance_basis.T)
+    with np.errstate(over="ignore"):
+        data = flat @ proj_signal.T + amp * (coef @ nuisance_basis.T)
+        if not np.isfinite(np.einsum("ij,ij->i", data, data)).all():
+            raise OutOfRange(f"nuisance_amp {amp!r} overflows the {grid.kind} feature norms")
     return FeatureGrid(data.reshape(grid.data.shape), grid.kind, grid.meta)
 
 
@@ -376,11 +379,14 @@ def reference_dataset(
     given branch-specific clutter in the complementary directions (see the
     section comment above); the clutter coefficients are drawn per scene and
     per branch.  ``nuisance_amp=0`` leaves the raw generated scenes untouched.
-    Raises OutOfRange unless ``n_scenes`` >= 1 and ``seed`` >= 0 are integers.
+    Raises OutOfRange unless ``n_scenes`` >= 1 and ``seed`` >= 0 are integers
+    and ``nuisance_amp`` is >= 0 and leaves the features' norms finite.
     """
     for name, value, least in (("n_scenes", n_scenes, 1), ("seed", seed, 0)):
         if not _at_least(value, least):
             raise OutOfRange(f"{name} must be an integer >= {least}, got {value!r}")
+    if not 0.0 <= nuisance_amp < math.inf:
+        raise OutOfRange(f"nuisance_amp must be finite and >= 0, got {nuisance_amp!r}")
     dim = REFERENCE_SCENE.feature_dim
     signal, nuisance = _subspace_split(dim, SIGNAL_DIM, seed)
     proj_signal = signal @ signal.T

@@ -12,13 +12,18 @@ They are not on any program path, so they live with the tests:
   weighted solve, as the chain's reverse sweep forms it;
 * ``add_at_value_and_grad`` -- ``gradcheck.value_and_grad``'s reverse
   sweep with nothing reused and the contrastive scatters done by
-  ``np.add.at``.
+  ``np.add.at``;
+* ``reference_render_ground`` -- ``simulator.render_ground`` as a Python
+  loop over every sample of every landmark, each looked up one at a time
+  by ``reference_nearest_cell``, the scalar ``RayModel.nearest_cells``.
 """
+
+import math
 
 import numpy as np
 
 from crossloc import gradcheck
-from crossloc.geometry import solve_similarity
+from crossloc.geometry import rotation_matrix, solve_similarity
 from crossloc.losses import (
     gt_aerial_targets,
     gt_ground_targets,
@@ -27,7 +32,9 @@ from crossloc.losses import (
     total_loss,
     vce_loss,
 )
-from crossloc.matching import match_probabilities
+from crossloc.lifting import DepthMap, RayModel
+from crossloc.matching import FeatureGrid, GroundMeta, match_probabilities
+from crossloc.simulator import _stream, _unit_rows
 
 
 def forward(ctx, params) -> float:
@@ -127,3 +134,81 @@ def add_at_value_and_grad(ctx, params):
         return tape.loss, np.concatenate([d_a_raw.ravel(), d_ground.ravel(), [d_z]])
     d_mat = d_a_raw.T @ ctx.aerial_raw + d_g_raw.T @ ctx.ground_raw[cols]
     return tape.loss, np.append(d_mat.ravel(), d_z)
+
+
+def reference_nearest_cell(rays, direction):
+    """The cell whose canonical ray is nearest one unit direction, or None
+    outside the view; scalar libm angles and Python's half-even ``round``."""
+    dx, dy, dz = float(direction[0]), float(direction[1]), float(direction[2])
+    if rays.kind == "equirectangular":
+        azimuth = math.atan2(dy, dx)
+        elevation = math.asin(max(-1.0, min(1.0, dz)))
+        col = int(round((azimuth + math.pi) * rays.cols / (2 * math.pi) - 0.5)) % rays.cols
+        row = int(round((math.pi / 2 - elevation) * rays.rows / math.pi - 0.5))
+        return max(0, min(rays.rows - 1, row)), col
+    if dx <= 0:
+        return None
+    p = rays.params
+    col = int(round(p["cx"] - p["fx"] * dy / dx))
+    row = int(round(p["cy"] - p["fy"] * dz / dx))
+    if 0 <= row < rays.rows and 0 <= col < rays.cols:
+        return row, col
+    return None
+
+
+def reference_render_ground(scene):
+    """``render_ground`` one sample at a time: landmarks near to far, each
+    sampled top-down by ``np.linspace``, and a cell kept by the first
+    sample within tolerance that lands in it."""
+    cfg = scene.config
+    rng = _stream(cfg, 2)
+    rows, cols = cfg.ground_rows, cfg.ground_cols
+    if cfg.camera == "panorama":
+        canonical = RayModel.equirectangular(rows, cols)
+        cell_angle = 2 * math.pi / cols
+    else:
+        canonical = RayModel.pinhole_from_fov(rows, cols, cfg.fov_deg)
+        cell_angle = math.radians(cfg.fov_deg) / cols
+    tol = cfg.ray_tolerance if cfg.ray_tolerance is not None else cell_angle * 1.2
+
+    directions = canonical.directions.copy()
+    depth = np.full((rows, cols), np.nan)
+    claim = np.full((rows, cols), -1, dtype=int)
+    rel = (scene.landmark_xy - scene.truth.t) @ rotation_matrix(-scene.truth.theta).T
+    planar_range = np.linalg.norm(rel, axis=1)
+    for k in np.argsort(planar_range, kind="stable"):
+        rho = float(planar_range[k])
+        if rho < cfg.min_clearance:
+            continue
+        h = float(scene.landmark_height[k])
+        span = math.atan2(h, rho)
+        n_samples = max(4, min(128, int(math.ceil(3 * rows * span / math.pi)) + 2))
+        for z in np.linspace(h, 0.0, n_samples):
+            point = np.array([rel[k, 0], rel[k, 1], z])
+            slant = math.sqrt(point.dot(point))
+            d3 = point / slant
+            cell = reference_nearest_cell(canonical, d3)
+            if cell is None:
+                continue
+            dot = max(-1.0, min(1.0, float(canonical.directions[cell] @ d3)))
+            if math.acos(dot) > tol:
+                continue
+            if claim[cell] == -1:
+                claim[cell] = k
+                directions[cell] = d3
+                depth[cell] = slant / scene.scale_gt
+
+    features = np.empty((rows, cols, cfg.feature_dim))
+    empty = claim == -1
+    features[empty] = _unit_rows(rng.normal(size=(int(empty.sum()), cfg.feature_dim)))
+    below = empty & (canonical.directions[..., 2] <= 0)
+    depth[below] = (cfg.extent * (1.5 + rng.random(int(below.sum())))) / scene.scale_gt
+    claimed_cells = np.argwhere(~empty)
+    if len(claimed_cells):
+        noise = rng.normal(size=(len(claimed_cells), cfg.feature_dim)) * cfg.noise_sigma
+        for slot, (r, c) in enumerate(claimed_cells):
+            features[r, c] = scene.landmark_latent[claim[r, c]] + noise[slot]
+
+    rays = RayModel(directions, canonical.kind, canonical.params)
+    grid = FeatureGrid(features, "ground", GroundMeta(rays=rays))
+    return grid, DepthMap(depth, cfg.depth_kind), rays

@@ -381,6 +381,10 @@ CONFIG_ARGV = {
         ("train", {"holdout": 30}, "'holdout'"),
         ("train", {"dataset": {"n_scenes": 0}}, "n_scenes must be an integer >= 1, got 0"),
         ("train", {"dataset": {"seed": -2}}, "seed must be an integer >= 0, got -2\n"),
+        ("train", {"dataset": {"n_scenes": 3, "nuisance_amp": math.nan}},
+         "nuisance_amp must be finite and >= 0, got nan"),
+        ("train", {"dataset": {"n_scenes": 3, "nuisance_amp": 1e308}},
+         "nuisance_amp 1e+308 overflows"),
         ("train", [1, 2], "JSON object"),
         (
             "train",
@@ -404,6 +408,8 @@ CONFIG_ARGV = {
         "holdout-of-every-scene",
         "no-scenes",
         "negative-dataset-seed",
+        "nan-nuisance-amp",
+        "overflowing-nuisance-amp",
         "not-an-object",
         "nan-beta",
         "non-numeric-landmarks",

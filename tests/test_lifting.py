@@ -23,6 +23,7 @@ from crossloc.lifting import (
 from crossloc.estimator import PipelineConfig, build_correspondences
 from crossloc.matching import AerialMeta
 from crossloc.simulator import SceneConfig, generate
+from oracles import reference_nearest_cell
 
 TIGHT = 1e-9
 
@@ -89,17 +90,36 @@ def test_pinhole_fov_edges():
     assert angle == pytest.approx(math.radians(45.0), abs=0.02)
 
 
-def test_nearest_cell_roundtrip():
-    rng = np.random.default_rng(0)
+def test_nearest_cells_roundtrip():
     for model in (
         RayModel.equirectangular(10, 30),
         RayModel.pinhole_from_fov(12, 16, fov_deg=80.0),
     ):
-        for r in range(model.rows):
-            for c in range(model.cols):
-                assert model.nearest_cell(model.directions[r, c]) == (r, c)
+        cells, seen = model.nearest_cells(model.directions.reshape(-1, 3))
+        assert seen.all()
+        np.testing.assert_array_equal(cells, np.argwhere(np.ones((model.rows, model.cols))))
     pin = RayModel.pinhole_from_fov(6, 8, fov_deg=70.0)
-    assert pin.nearest_cell(np.array([-1.0, 0.0, 0.0])) is None
+    cells, seen = pin.nearest_cells(np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+    assert seen.tolist() == [False, True]
+    assert cells.tolist() == [[0, 0], [2, 4]]  # the center (2.5, 3.5) rounds half to even
+
+
+def test_nearest_cells_equals_the_scalar_lookup_at_cell_edges():
+    """Directions a few ulps from every panorama cell edge, where numpy's
+    arctan2 and arcsin, one ulp off libm's on some inputs, would round to
+    the neighboring cell."""
+    rows, cols = 16, 48
+    model = RayModel.equirectangular(rows, cols)
+    rng = np.random.default_rng(0)
+    az = np.linspace(-math.pi, math.pi, cols + 1)[:, None, None]
+    el = np.linspace(math.pi / 2, -math.pi / 2, rows + 1)[None, :, None]
+    az = az * (1 + rng.integers(-40, 41, size=(cols + 1, rows + 1, 20)) * 1e-16)
+    el = el * (1 + rng.integers(-40, 41, size=az.shape) * 1e-16)
+    d = np.stack([np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)], axis=-1)
+    d = d.reshape(-1, 3)
+    cells, seen = model.nearest_cells(d)
+    assert seen.all()
+    assert cells.tolist() == [list(reference_nearest_cell(model, v)) for v in d]
 
 
 def test_canonical_directions_reproduce_constructor_table():

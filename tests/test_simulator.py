@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from crossloc.errors import OutOfRange, PlacementFailure
-from crossloc.geometry import apply_transform
+from crossloc.geometry import SimilarityTransform2D, apply_transform, rotation_matrix
 from crossloc.lifting import (
     AerialMeta,
     aerial_cells_to_metric,
@@ -26,8 +26,10 @@ from crossloc.simulator import (
     contaminate,
     generate,
     render_aerial,
+    render_ground,
 )
 from crossloc.trainer import reference_dataset
+from oracles import reference_render_ground
 
 
 def claimed_mask(scene):
@@ -267,6 +269,94 @@ def test_noise_perturbs_latents_but_keeps_them_close():
     a = a / np.linalg.norm(a, axis=1, keepdims=True)
     sims = (a * clean.ground.data[mask]).sum(axis=1)
     assert sims.min() > 0.9
+
+
+def assert_same_render(a, b):
+    """Two (FeatureGrid, DepthMap, RayModel) renders hold the same bytes."""
+    for x, y in ((a[0].data, b[0].data), (a[1].depth, b[1].depth),
+                 (a[2].directions, b[2].directions)):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def camera_frame(scene):
+    return (scene.landmark_xy - scene.truth.t) @ rotation_matrix(-scene.truth.theta).T
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(camera="panorama", depth_kind="metric"),
+        dict(camera="panorama", depth_kind="relative"),
+        dict(camera="pinhole", depth_kind="metric"),
+        dict(camera="pinhole", depth_kind="relative"),
+        dict(ray_tolerance=1e-9),
+        dict(ray_tolerance=10.0),
+        dict(camera="pinhole", ray_tolerance=10.0),
+        dict(max_height=0.0),
+        dict(camera="pinhole", fov_deg=20.0, min_visible=2),
+    ],
+)
+def test_render_ground_equals_the_per_sample_reference(overrides):
+    for seed in range(4):
+        scene = generate(SceneConfig(seed=seed, noise_sigma=0.1, **overrides))
+        if overrides.get("fov_deg") == 20.0:
+            assert (camera_frame(scene)[:, 0] <= 0).any()  # landmarks behind the camera
+        assert_same_render(render_ground(scene), reference_render_ground(scene))
+
+
+def test_render_ground_skips_landmarks_inside_a_large_clearance():
+    for seed in range(4):
+        scene = generate(SceneConfig(seed=seed))
+        near = np.flatnonzero(np.linalg.norm(camera_frame(scene), axis=1) < 15.0)
+        cleared = dataclasses.replace(
+            scene, config=dataclasses.replace(scene.config, min_clearance=15.0)
+        )
+        grid, depth, rays = render_ground(cleared)
+        assert_same_render((grid, depth, rays), reference_render_ground(cleared))
+
+        def drawn(latents):
+            return {k for k in near if (latents == scene.landmark_latent[k]).all(axis=1).any()}
+
+        assert drawn(scene.ground.data[claimed_mask(scene)])
+        assert not drawn(grid.data[depth.depth < scene.config.extent])
+
+
+def test_nearer_landmark_then_higher_sample_claims_a_shared_cell():
+    cfg = SceneConfig(feature_dim=4)
+    center = [2 * math.pi * (c + 0.5) / cfg.ground_cols - math.pi for c in (30, 6)]
+    ray, side = (np.array([math.cos(a), math.sin(a)]) for a in center)
+    # landmark 0 stands on landmark 1's ray twice as far and twice as tall,
+    # so it sees the same cells; landmark 2 is short and far, so its top
+    # samples fall in one cell
+    xy = np.array([10.0 * ray, 5.0 * ray, 20.0 * side])
+    height = np.array([6.0, 3.0, 2.0])
+    scene = SyntheticScene(
+        cfg, xy, height, np.eye(4)[:3], SimilarityTransform2D(1.0, 0.0, np.zeros(2)), 1.0
+    )
+
+    def owners(scene):
+        grid, depth, rays = render_ground(scene)
+        assert_same_render((grid, depth, rays), reference_render_ground(scene))
+        # landmark cells carry one-hot latents; 0 marks sky and clutter
+        drawn = depth.depth < cfg.extent
+        return np.where(drawn, grid.data.argmax(axis=2) + 1, 0), depth, rays
+
+    alone = dataclasses.replace(scene, landmark_xy=xy[:1], landmark_height=height[:1])
+    far_cells = owners(alone)[0] == 1
+    assert far_cells.sum() >= 2
+    claimed, depth, rays = owners(scene)
+    assert (claimed[far_cells] == 2).all()  # the nearer landmark 1 holds them
+
+    # 4 is the fewest samples a landmark gets: z = 2, 4/3, 2/3, 0
+    top, second = (np.array([*xy[2], z]) for z in np.linspace(2.0, 0.0, 4)[:2])
+    d = np.array([top, second])
+    cells, seen = rays.nearest_cells(d / np.linalg.norm(d, axis=1, keepdims=True))
+    assert seen.all() and (cells[0] == cells[1]).all()
+    r, c = cells[0]
+    assert claimed[r, c] == 3
+    assert depth.depth[r, c] == math.sqrt(top.dot(top))
+    np.testing.assert_allclose(rays.directions[r, c], top / math.sqrt(top.dot(top)),
+                               rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Tests for gradient-descent training of the shared feature projection."""
 
 import dataclasses
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +110,21 @@ def test_reference_dataset_rejects_a_bad_count_or_seed(kwargs):
     (name, value), = kwargs.items()
     with pytest.raises(OutOfRange, match=f"^{name} must be an integer >= [01], got {value!r}$"):
         trainer.reference_dataset(**kwargs)
+
+
+@pytest.mark.parametrize("amp", [math.nan, math.inf, -math.inf, -0.5])
+def test_reference_dataset_rejects_a_non_finite_or_negative_nuisance_amp(amp):
+    with pytest.raises(OutOfRange, match=f"^nuisance_amp must be finite and >= 0, got {amp!r}$"):
+        trainer.reference_dataset(n_scenes=1, nuisance_amp=amp)
+
+
+def test_reference_dataset_rejects_a_nuisance_amp_whose_clutter_overflows():
+    """A finite amplitude can still leave features whose squared norm is
+    not finite, which matching would turn into all-zero unit rows."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRange, match="^nuisance_amp 1e\\+308 overflows the aerial"):
+            trainer.reference_dataset(n_scenes=1, nuisance_amp=1e308)
 
 
 def test_empty_dataset_raises():
