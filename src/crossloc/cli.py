@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import math
 import os
 import sys
-import typing
 
 import numpy as np
 
@@ -90,30 +90,22 @@ def _from_args(build, *args, **kwargs):
         raise UsageError(str(e)) from None
 
 
-def _fits(value, hint) -> bool:
-    """Whether a JSON value can stand for a field annotated ``hint``."""
-    if typing.get_origin(hint) is typing.Union:
-        return any(_fits(value, h) for h in typing.get_args(hint))
-    if hint is tuple:
-        return isinstance(value, list) and all(_fits(v, float) for v in value)
-    kinds = (int, float) if hint is float else hint
-    return isinstance(value, kinds) and isinstance(value, bool) == (hint is bool)
-
-
 def _from_config(build, doc, what: str):
     """``build(**doc)`` for a JSON config object (lists become tuples); an
-    unknown key, a value of the wrong type, or a value that ``build``
-    rejects as OutOfRange is a UsageError naming the key."""
+    unknown key, or a value that ``build`` rejects as OutOfRange (of the
+    wrong type or out of range), is a UsageError naming the key."""
     if not isinstance(doc, dict):
         raise UsageError(f"{what} config must be a JSON object, got {doc!r}")
-    hints = typing.get_type_hints(build)
-    for key, value in doc.items():
-        if key not in hints:
+    params = inspect.signature(build).parameters
+    for key in doc:
+        if key not in params:
             raise UsageError(f"unknown {what} config key {key!r}")
-        if not _fits(value, hints[key]):
-            raise UsageError(f"{what} config key {key!r} cannot be {value!r}")
     kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
-    return _from_args(build, **kwargs)
+    try:
+        return build(**kwargs)
+    except OutOfRange as e:
+        key = "" if e.field is None else f"{what} config key {e.field!r}: "
+        raise UsageError(f"{key}{e}") from None
 
 
 def _pipeline_from_args(args) -> PipelineConfig:

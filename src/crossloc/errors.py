@@ -2,7 +2,12 @@
 
 Every failure mode that callers are expected to handle has its own class so
 that tests and batch drivers can discriminate without string matching.
+``require_int``, ``require_real`` and ``require_choice`` are the one
+validation rule of every config and public scalar argument.
 """
+
+import math
+from numbers import Integral, Real
 
 
 class CrosslocError(Exception):
@@ -34,8 +39,46 @@ class ZeroNormFeature(CrosslocError):
     """A feature vector has zero norm and cannot be cosine-normalized."""
 
 
+# --- scalar arguments and configs --------------------------------------------
+
 class OutOfRange(CrosslocError):
-    """Scalar argument outside its valid range (e.g. temperature <= 0)."""
+    """Scalar argument outside its valid range (e.g. temperature <= 0).
+    ``field`` names the argument or config field when one is at fault."""
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
+
+
+def require_int(name: str, value, least: int) -> None:
+    """OutOfRange naming ``name`` unless ``value`` is an integer (not a
+    bool) of at least ``least``."""
+    if isinstance(value, bool) or not (isinstance(value, Integral) and value >= least):
+        raise OutOfRange(f"{name} must be an integer >= {least}, got {value!r}", field=name)
+
+
+def require_real(name: str, value, low, high=math.inf, ends: str = "[)") -> None:
+    """OutOfRange naming ``name`` unless ``value`` is a real number (not a
+    bool) in the interval from ``low`` to ``high`` whose ends are closed
+    ("[", "]") or open ("(", ")"), as ``ends`` gives them.  NaN is never in
+    range, and an open infinite end keeps infinity out."""
+    ok = isinstance(value, Real) and not isinstance(value, bool)
+    ok = ok and (value >= low if ends[0] == "[" else value > low)
+    if not (ok and (value <= high if ends[1] == "]" else value < high)):
+        if high != math.inf:
+            what = f"in {ends[0]}{low}, {high}{ends[1]}"
+        elif low == -math.inf:
+            what = "finite"
+        else:
+            what = (">= " if ends[0] == "[" else "> ") + str(low)
+            what = what if ends[1] == "]" else f"finite and {what}"
+        raise OutOfRange(f"{name} must be {what}, got {value!r}", field=name)
+
+
+def require_choice(name: str, value, choices: tuple) -> None:
+    """OutOfRange naming ``name`` unless ``value`` is one of ``choices``."""
+    if value not in choices:
+        raise OutOfRange(f"{name} must be one of {choices}, got {value!r}", field=name)
 
 
 # --- lifting ----------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import AllHypothesesDegenerate, DegenerateConfiguration, DimensionMismatch
-from .errors import InsufficientMatches, OutOfRange
+from .errors import InsufficientMatches, require_int, require_real
 from .geometry import (
     SimilarityTransform2D,
     apply_transform,
@@ -59,10 +59,6 @@ _DRAW_BLOCK = 4096  # most minimal samples drawn and gathered at once
 _LOW32 = np.uint64(0xFFFFFFFF)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class RansacConfig:
     """Robust-solve settings: hypotheses from minimal samples, consensus by
@@ -74,12 +70,9 @@ class RansacConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not _is_int(self.iterations) or self.iterations < 1:
-            raise OutOfRange(f"need an integer iterations >= 1: {self}")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise OutOfRange(f"need an integer seed >= 0: {self}")
-        if not 0.0 < self.inlier_threshold < math.inf:
-            raise OutOfRange(f"need a finite inlier threshold > 0: {self}")
+        require_int("iterations", self.iterations, 1)
+        require_int("seed", self.seed, 0)
+        require_real("inlier_threshold", self.inlier_threshold, 0, ends="()")
 
 
 @dataclass(frozen=True)
@@ -94,8 +87,9 @@ class PipelineConfig:
     scale_aware: bool = True  # False pins scale to 1 (ablation)
 
     def __post_init__(self):
-        if self.num_correspondences < 1 or not 0.0 < self.tau < math.inf:
-            raise OutOfRange(f"need num_correspondences >= 1 and a finite tau > 0: {self}")
+        require_real("tau", self.tau, 0, ends="()")
+        require_int("num_correspondences", self.num_correspondences, 1)
+        require_real("dustbin_z", self.dustbin_z, -math.inf, ends="()")
 
 
 @dataclass(frozen=True)

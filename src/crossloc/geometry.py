@@ -30,7 +30,6 @@ __all__ = [
     "solve_similarity",
     "solve_orthogonal",
     "apply_transform",
-    "alignment_objective",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -153,14 +152,3 @@ def apply_transform(transform: SimilarityTransform2D, points: np.ndarray) -> np.
     out = transform.scale * (pts @ transform.rotation().T) + transform.t
     return out[0] if single else out
 
-
-def alignment_objective(
-    transform: SimilarityTransform2D,
-    p: np.ndarray,
-    q: np.ndarray,
-    w: np.ndarray,
-) -> float:
-    """Weighted sum of squared residuals under a candidate transform."""
-    p, q, w = _check_pairs(p, q, w)
-    residual = apply_transform(transform, p) - q
-    return float((w * (residual**2).sum(axis=1)).sum())

@@ -70,7 +70,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateConfiguration, NonDifferentiablePoint
-from .errors import NoValidTargets, OutOfRange
+from .errors import NoValidTargets, OutOfRange, require_choice, require_real
 from .estimator import PipelineConfig, _lift_tables, _lift_top_n
 from .geometry import solve_similarity
 from .lifting import aerial_coverage_mask, depth_valid_mask, metric_to_aerial_cells
@@ -217,8 +217,7 @@ def _prepare(scene, cfg: PipelineConfig = None, mode: str = "score") -> _Prepare
     """The part of ``build_context`` no leaf vector changes, once per scene:
     the raw features as read-only float views of the scene's arrays, and
     ``estimator._lift_tables``' lifted point of every valid ground cell."""
-    if mode not in ("score", "features", "projection"):
-        raise OutOfRange(f"unknown leaf mode {mode!r}")
+    require_choice("mode", mode, ("score", "features", "projection"))
     if cfg is None:
         cfg = PipelineConfig(num_correspondences=8)
     aerial_raw = np.asarray(scene.aerial.flat(), dtype=float)
@@ -642,11 +641,6 @@ def backward(ctx: GradContext, params: np.ndarray) -> np.ndarray:
 # finite differences and the comparison report
 
 
-def _check_epsilon(epsilon: float) -> None:
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise OutOfRange(f"epsilon must be finite and positive, got {epsilon}")
-
-
 # Coordinates perturbed per batched ``forward_value`` call (2 * FD_BLOCK
 # rows).  On the certify benchmark (2-core VM, 3 seeds) blocks of 8, 16 and
 # 32 gave +5%, +9%, +16% op/s (unpaired) and +1.1%, +5.1%, +10.7% peak RSS.
@@ -667,7 +661,7 @@ def fd_gradient(
     ``forward_value`` call.  Every other leaf gets an exact +0.0, the value
     its central difference of two equal losses would give.
     """
-    _check_epsilon(epsilon)
+    require_real("epsilon", epsilon, 0, ends="()")
     params = _float_leaves(ctx, params)
     grad = np.zeros_like(params)
     read = _read_leaves(ctx)

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidDepth, OutOfRange
+from .errors import InvalidDepth, OutOfRange, require_choice, require_real
 from .matching import AerialMeta
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "DepthMap",
     "LiftConfig",
     "aerial_cells_to_metric",
-    "metric_to_aerial_cell",
     "metric_to_aerial_cells",
     "aerial_coverage_mask",
     "lift_ground_cells",
@@ -102,8 +101,7 @@ class RayModel:
     @classmethod
     def pinhole_from_fov(cls, rows: int, cols: int, fov_deg: float) -> "RayModel":
         """Pinhole with a given horizontal field of view and square pixels."""
-        if not 0 < fov_deg < 180:
-            raise OutOfRange(f"field of view must be in (0, 180), got {fov_deg}")
+        require_real("fov_deg", fov_deg, 0, 180, ends="()")
         fx = (cols / 2.0) / math.tan(math.radians(fov_deg) / 2.0)
         return cls.pinhole(rows, cols, fx=fx, fy=fx)
 
@@ -171,10 +169,9 @@ class LiftConfig:
     projection_mode: str = "all"  # "all" | "topmost"
 
     def __post_init__(self):
-        if not (0.0 < self.max_depth < math.inf and 0.0 < self.initial_scale < math.inf):
-            raise OutOfRange(f"need a finite max_depth > 0 and initial_scale > 0: {self}")
-        if self.projection_mode not in ("all", "topmost"):
-            raise OutOfRange(f"unknown projection mode {self.projection_mode!r}")
+        require_real("max_depth", self.max_depth, 0, ends="()")
+        require_real("initial_scale", self.initial_scale, 0, ends="()")
+        require_choice("projection_mode", self.projection_mode, ("all", "topmost"))
 
 
 # --- aerial grid geometry ---------------------------------------------------
@@ -194,12 +191,6 @@ def aerial_cells_to_metric(cells: np.ndarray, meta: AerialMeta, shape: tuple) ->
     x = (cells[:, 1] - (cols - 1) / 2.0) * m
     y = ((rows - 1) / 2.0 - cells[:, 0]) * m
     return np.stack([x, y], axis=1) + np.asarray(meta.center_offset, dtype=float)
-
-
-def metric_to_aerial_cell(point: np.ndarray, meta: AerialMeta, shape: tuple) -> tuple:
-    """Aerial cell ``(row, col)`` whose center is nearest a metric point."""
-    row, col = metric_to_aerial_cells(np.array([point], dtype=float), meta, shape)[0]
-    return int(row), int(col)
 
 
 def metric_to_aerial_cells(points: np.ndarray, meta: AerialMeta, shape: tuple) -> np.ndarray:
@@ -267,8 +258,7 @@ def topmost_selection(points: np.ndarray, bucket_size: float) -> np.ndarray:
     non-finite point can be lifted).
     """
     points = np.asarray(points, dtype=float)
-    if bucket_size <= 0:
-        raise OutOfRange(f"bucket size must be positive, got {bucket_size}")
+    require_real("bucket_size", bucket_size, 0, ends="()")
     if len(points) == 0:
         return np.empty(0, dtype=int)
     bx = np.floor(points[:, 0] / bucket_size).astype(np.int64)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, OutOfRange, ZeroNormFeature
+from .errors import DimensionMismatch, ZeroNormFeature, require_int, require_real
 
 __all__ = [
     "MASK_SCORE",
@@ -110,10 +110,9 @@ def score_matrix(aerial: np.ndarray, ground: np.ndarray, tau: float, units: bool
     unit rows and norms, which a reverse sweep through the scores reads.
 
     Entries lie in [-1/tau, 1/tau].  Raises DimensionMismatch when feature
-    dimensions differ and OutOfRange for a non-positive temperature.
+    dimensions differ and OutOfRange unless tau is finite and positive.
     """
-    if tau <= 0:
-        raise OutOfRange(f"temperature must be positive, got {tau}")
+    require_real("tau", tau, 0, ends="()")
     if aerial.shape[-1] != ground.shape[-1]:
         raise DimensionMismatch(
             f"feature dims differ: aerial {aerial.shape[-1]} vs ground {ground.shape[-1]}"
@@ -211,8 +210,7 @@ def sample_correspondences(probs: np.ndarray, n: int) -> Matches:
     Cell indices are the entry's row and column (flat cells of the scored
     grids).  Returns fewer than ``n`` entries when the matrix has fewer cells.
     """
-    if n <= 0:
-        raise OutOfRange(f"sample count must be positive, got {n}")
+    require_int("n", n, 1)
     flat = probs.ravel()
     order = top_n_flat_indices(flat, n)
     aerial, ground = np.divmod(order, probs.shape[1])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, OutOfRange
+from .errors import EmptyInput, require_real
 from .geometry import SimilarityTransform2D, wrap_angle
 
 __all__ = [
@@ -41,11 +41,9 @@ class ErrorSample:
     longitudinal: float
 
     def __post_init__(self):
-        vals = (self.loc_error, self.ori_error, self.lateral, self.longitudinal)
-        if any(not math.isfinite(v) or v < 0 for v in vals):
-            raise OutOfRange(f"error components must be finite and >= 0, got {vals}")
-        if self.ori_error > 180.0:
-            raise OutOfRange(f"orientation error {self.ori_error} exceeds 180 degrees")
+        for name in ("loc_error", "lateral", "longitudinal"):
+            require_real(name, getattr(self, name), 0)
+        require_real("ori_error", self.ori_error, 0, 180, ends="[]")
 
 
 @dataclass(frozen=True)

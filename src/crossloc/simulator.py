@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import OutOfRange, PlacementFailure
+from .errors import OutOfRange, PlacementFailure, require_choice, require_int, require_real
 from .geometry import SimilarityTransform2D, rotation_matrix, wrap_angle
 from .lifting import DepthMap, RayModel, aerial_cells_to_metric, metric_to_aerial_cells
 from .matching import AerialMeta, FeatureGrid, GroundMeta
@@ -72,34 +72,29 @@ class SceneConfig:
     seed: int = 0
 
     def __post_init__(self):
-        def require(ok, name, what):
-            if not ok:
-                raise OutOfRange(f"{name} must be {what}, got {getattr(self, name)!r}")
-
         for name in ("aerial_cells", "landmark_count", "ground_rows", "ground_cols",
                      "feature_dim"):
-            require(getattr(self, name) >= 1, name, ">= 1")
+            require_int(name, getattr(self, name), 1)
         for name in ("min_visible", "seed"):
-            require(getattr(self, name) >= 0, name, ">= 0")
-        cells = self.aerial_cells**2
-        require(self.landmark_count <= cells, "landmark_count", f"<= {cells} aerial cells")
+            require_int(name, getattr(self, name), 0)
+        require_real("landmark_count", self.landmark_count, 1, self.aerial_cells**2, ends="[]")
         for name in ("extent", "visibility_range"):
-            require(0.0 < getattr(self, name) < math.inf, name, "finite and > 0")
+            require_real(name, getattr(self, name), 0, ends="()")
         for name in ("noise_sigma", "max_height", "min_clearance"):
-            require(0.0 <= getattr(self, name) < math.inf, name, "finite and >= 0")
-        require(0.0 <= self.clutter_fraction <= 1.0, "clutter_fraction", "in [0, 1]")
-        require(0.0 < self.fov_deg < 180.0, "fov_deg", "in (0, 180)")
-        tol = self.ray_tolerance
-        require(tol is None or 0.0 < tol < math.inf, "ray_tolerance", "None or finite and > 0")
+            require_real(name, getattr(self, name), 0)
+        require_real("clutter_fraction", self.clutter_fraction, 0, 1, ends="[]")
+        require_real("fov_deg", self.fov_deg, 0, 180, ends="()")
+        if self.ray_tolerance is not None:
+            require_real("ray_tolerance", self.ray_tolerance, 0, ends="()")
         bounds = self.scale_bounds
-        require(
-            len(bounds) == 2 and 0.0 < bounds[0] <= bounds[1] < math.inf,
-            "scale_bounds", "a finite (lo, hi) with 0 < lo <= hi",
-        )
-        for name, kinds in (("camera", ("panorama", "pinhole")),
-                            ("pose_prior", ("full", "narrow", "fixed")),
-                            ("depth_kind", ("metric", "relative"))):
-            require(getattr(self, name) in kinds, name, f"one of {kinds}")
+        if not (isinstance(bounds, (tuple, list)) and len(bounds) == 2):
+            raise OutOfRange(f"scale_bounds must be a (lo, hi) pair, got {bounds!r}",
+                             field="scale_bounds")
+        require_real("scale_bounds", bounds[0], 0, ends="()")
+        require_real("scale_bounds", bounds[1], bounds[0])
+        require_choice("camera", self.camera, ("panorama", "pinhole"))
+        require_choice("pose_prior", self.pose_prior, ("full", "narrow", "fixed"))
+        require_choice("depth_kind", self.depth_kind, ("metric", "relative"))
 
     @property
     def meters_per_cell(self) -> float:
@@ -316,8 +311,7 @@ def contaminate(
     uniformly on the world patch.  Returns (contaminated points, boolean
     outlier flags) so evaluations can compare against the injected truth.
     """
-    if not 0.0 <= outlier_fraction <= 1.0:
-        raise OutOfRange(f"outlier fraction must be in [0, 1], got {outlier_fraction}")
+    require_real("outlier_fraction", outlier_fraction, 0, 1, ends="[]")
     pts = np.array(aerial_points, dtype=float)
     n = len(pts)
     n_out = int(math.floor(outlier_fraction * n))

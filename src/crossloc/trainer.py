@@ -36,7 +36,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergenceDetected, EmptyInput, OutOfRange
-from .estimator import PipelineConfig, _is_int, estimate_pose
+from .errors import require_choice, require_int, require_real
+from .estimator import PipelineConfig, estimate_pose
 from .gradcheck import _freeze, _prepare, value_and_grad
 from .lifting import LiftConfig
 from .matching import FeatureGrid
@@ -101,6 +102,7 @@ class TrainConfig:
     ``lr`` must be finite and may be zero (useful for verifying that the
     loss curve is then exactly constant) but not negative.  ``batch=None``
     uses every training scene each step; smaller values cycle in order.
+    ``divergence_factor=inf`` is accepted and disables the divergence guard.
     """
 
     lr: float = 1e-4
@@ -114,19 +116,14 @@ class TrainConfig:
     divergence_factor: float = 1e3
 
     def __post_init__(self):
-        if not 0.0 <= self.lr < math.inf:
-            raise OutOfRange(f"lr must be finite and >= 0, got {self.lr}")
-        if self.loss_mode not in LOSS_MODES:
-            raise OutOfRange(f"unknown loss_mode {self.loss_mode!r}")
-        for name, least in (("steps", 1), ("batch", 1), ("holdout", 0), ("seed", 0)):
-            value = getattr(self, name)
-            if not _at_least(value, least) and (name, value) != ("batch", None):
-                raise OutOfRange(f"{name} must be an integer >= {least}, got {value!r}")
-        for name in ("beta", "init_jitter"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise OutOfRange(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        if not self.divergence_factor > 0.0:
-            raise OutOfRange(f"divergence_factor must be > 0, got {self.divergence_factor}")
+        require_choice("loss_mode", self.loss_mode, LOSS_MODES)
+        for name, least in (("steps", 1), ("holdout", 0), ("seed", 0)):
+            require_int(name, getattr(self, name), least)
+        if self.batch is not None:
+            require_int("batch", self.batch, 1)
+        for name in ("lr", "beta", "init_jitter"):
+            require_real(name, getattr(self, name), 0)
+        require_real("divergence_factor", self.divergence_factor, 0, ends="(]")
 
 
 @dataclass(frozen=True)
@@ -151,16 +148,10 @@ class TrainResult:
         }
 
 
-def _at_least(value, least: int) -> bool:
-    """Whether ``value`` is an integer (not a bool) of at least ``least``."""
-    return _is_int(value) and value >= least
-
-
 def smoothed_curve(curve: np.ndarray, window: int = 20) -> np.ndarray:
     """Trailing moving average: entry i averages the last ``window`` values."""
+    require_int("window", window, 1)
     curve = np.asarray(curve, dtype=float)
-    if window < 1:
-        raise OutOfRange(f"window must be >= 1, got {window}")
     out = np.empty_like(curve)
     csum = np.concatenate([[0.0], np.cumsum(curve)])
     for i in range(curve.shape[0]):
@@ -382,11 +373,9 @@ def reference_dataset(
     Raises OutOfRange unless ``n_scenes`` >= 1 and ``seed`` >= 0 are integers
     and ``nuisance_amp`` is >= 0 and leaves the features' norms finite.
     """
-    for name, value, least in (("n_scenes", n_scenes, 1), ("seed", seed, 0)):
-        if not _at_least(value, least):
-            raise OutOfRange(f"{name} must be an integer >= {least}, got {value!r}")
-    if not 0.0 <= nuisance_amp < math.inf:
-        raise OutOfRange(f"nuisance_amp must be finite and >= 0, got {nuisance_amp!r}")
+    require_int("n_scenes", n_scenes, 1)
+    require_int("seed", seed, 0)
+    require_real("nuisance_amp", nuisance_amp, 0)
     dim = REFERENCE_SCENE.feature_dim
     signal, nuisance = _subspace_split(dim, SIGNAL_DIM, seed)
     proj_signal = signal @ signal.T

@@ -15,7 +15,14 @@ They are not on any program path, so they live with the tests:
   ``np.add.at``;
 * ``reference_render_ground`` -- ``simulator.render_ground`` as a Python
   loop over every sample of every landmark, each looked up one at a time
-  by ``reference_nearest_cell``, the scalar ``RayModel.nearest_cells``.
+  by ``reference_nearest_cell``, the scalar ``RayModel.nearest_cells``;
+* ``vce_loss``, ``info_nce_g2s``, ``info_nce_s2g`` and ``total_loss`` --
+  the loss terms and their sum, the contrastive ones one ground column or
+  aerial row at a time, which ``forward`` combines;
+* ``alignment_objective`` -- the weighted squared residual the solver
+  minimises, under any candidate transform;
+* ``metric_to_aerial_cell`` -- ``lifting.metric_to_aerial_cells`` for one
+  point, as a tuple.
 """
 
 import math
@@ -23,25 +30,25 @@ import math
 import numpy as np
 
 from crossloc import gradcheck
-from crossloc.geometry import rotation_matrix, solve_similarity
-from crossloc.losses import (
-    gt_aerial_targets,
-    gt_ground_targets,
-    info_nce_g2s,
-    info_nce_s2g,
-    total_loss,
-    vce_loss,
+from crossloc.errors import EmptyInput, NoValidTargets, OutOfRange, require_real
+from crossloc.geometry import (
+    SimilarityTransform2D,
+    _check_pairs,
+    apply_transform,
+    rotation_matrix,
+    solve_similarity,
 )
-from crossloc.lifting import DepthMap, RayModel
-from crossloc.matching import FeatureGrid, GroundMeta, match_probabilities
+from crossloc.losses import NEGATIVE_RADIUS, gt_aerial_targets, gt_ground_targets
+from crossloc.lifting import DepthMap, RayModel, aerial_coverage_mask, metric_to_aerial_cells
+from crossloc.matching import AerialMeta, FeatureGrid, GroundMeta, match_probabilities
 from crossloc.simulator import _stream, _unit_rows
 
 
 def forward(ctx, params) -> float:
     """Total training loss at ``params`` with the context's frozen selection.
 
-    Uses the production matching, solver and loss implementations end to
-    end, as an independent route to the loss ``value_and_grad`` returns.
+    Uses the production matching and solver and the loss terms below end
+    to end, as an independent route to the loss ``value_and_grad`` returns.
     Only the depth-valid ground columns are scored (see ``forward_value``).
     """
     params = gradcheck._float_leaves(ctx, params)
@@ -63,7 +70,7 @@ def forward(ctx, params) -> float:
 
 def finite_difference(f, params, epsilon: float = 1.0e-5) -> np.ndarray:
     """Central differences (f(p + eps e_i) - f(p - eps e_i)) / (2 eps)."""
-    gradcheck._check_epsilon(epsilon)
+    require_real("epsilon", epsilon, 0, ends="()")
     params = np.asarray(params, dtype=float)
     grad = np.empty_like(params)
     for i in range(params.size):
@@ -212,3 +219,124 @@ def reference_render_ground(scene):
     rays = RayModel(directions, canonical.kind, canonical.params)
     grid = FeatureGrid(features, "ground", GroundMeta(rays=rays))
     return grid, DepthMap(depth, cfg.depth_kind), rays
+
+
+def vce_loss(
+    estimate: SimilarityTransform2D,
+    truth: SimilarityTransform2D,
+    virtual_points: np.ndarray,
+) -> float:
+    """Mean distance between virtual points mapped by the two poses.
+
+    Only rotation and translation enter; the transforms' scales are ignored
+    so that pose supervision stays in metric units.
+    """
+    virtual_points = np.asarray(virtual_points, dtype=float)
+    if len(virtual_points) == 0:
+        raise EmptyInput("no virtual points")
+    r_est = rotation_matrix(estimate.theta)
+    r_gt = rotation_matrix(truth.theta)
+    delta = (virtual_points @ r_gt.T + truth.t) - (virtual_points @ r_est.T + estimate.t)
+    return float(np.linalg.norm(delta, axis=1).mean())
+
+
+def info_nce_g2s(
+    scores: np.ndarray,
+    aerial_shape: tuple,
+    ground_cols: np.ndarray,
+    targets: np.ndarray,
+    meta: AerialMeta,
+) -> float:
+    """Ground-to-aerial contrastive loss.
+
+    For each sampled ground point (a column of the ``(n_aerial, n_ground)``
+    scores over an aerial grid of ``aerial_shape``) the positive is the
+    aerial cell nearest its projected target; the denominator runs
+    over the point's entire score column.  Targets outside the aerial
+    coverage are dropped from the mean.  Raises NoValidTargets when nothing
+    remains.
+    """
+    ground_cols = np.asarray(ground_cols, dtype=int)
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    if len(ground_cols) != len(targets):
+        raise OutOfRange(
+            f"{len(ground_cols)} columns vs {len(targets)} targets"
+        )
+    inside = aerial_coverage_mask(targets, meta, aerial_shape)
+    if not inside.any():
+        raise NoValidTargets("every ground-to-aerial target left the aerial coverage")
+    cells = metric_to_aerial_cells(targets[inside], meta, aerial_shape)
+    total = 0.0
+    for col, pos in zip(ground_cols[inside], cells[:, 0] * aerial_shape[1] + cells[:, 1]):
+        column = scores[:, col]
+        total += -(column[pos] - _logsumexp(column))
+    return total / len(cells)
+
+
+def info_nce_s2g(
+    scores: np.ndarray,
+    aerial_rows: np.ndarray,
+    targets: np.ndarray,
+    ground_cols: np.ndarray,
+    ground_planar: np.ndarray,
+    radius: float = NEGATIVE_RADIUS,
+) -> float:
+    """Aerial-to-ground contrastive loss.
+
+    For each sampled aerial point (a row of the score matrix) the positive is
+    the candidate ground point planar-closest to the projected target; the
+    denominator is the positive plus all candidates farther than ``radius``
+    meters (nearby non-positives are neither attracted nor repelled).
+    Raises NoValidTargets when there is no aerial row or no candidate.
+    """
+    aerial_rows = np.asarray(aerial_rows, dtype=int)
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    ground_cols = np.asarray(ground_cols, dtype=int)
+    ground_planar = np.atleast_2d(np.asarray(ground_planar, dtype=float))
+    if len(ground_cols) != len(ground_planar) or len(aerial_rows) != len(targets):
+        raise OutOfRange(
+            f"{len(ground_cols)} candidate columns vs {len(ground_planar)} positions, "
+            f"{len(aerial_rows)} rows vs {len(targets)} targets"
+        )
+    if len(ground_cols) == 0 or len(aerial_rows) == 0:
+        raise NoValidTargets("no candidate ground points or no aerial rows")
+    total = 0.0
+    for row, target in zip(aerial_rows, targets):
+        dist = np.linalg.norm(ground_planar - target, axis=1)
+        pos = int(np.argmin(dist))  # ties keep the earliest candidate
+        keep = dist > radius
+        keep[pos] = True
+        entries = scores[row, ground_cols[keep]]
+        pos_in_subset = int(keep[:pos].sum())  # kept candidates before the positive
+        total += -(entries[pos_in_subset] - _logsumexp(entries))
+    return total / len(aerial_rows)
+
+
+def total_loss(vce: float, g2s: float, s2g: float, beta: float) -> float:
+    """Weighted combination: vce + beta * (g2s + s2g) / 2."""
+    if beta < 0:
+        raise OutOfRange(f"beta must be nonnegative, got {beta}")
+    return float(vce + beta * (g2s + s2g) / 2.0)
+
+
+def _logsumexp(x: np.ndarray) -> float:
+    m = float(np.max(x))
+    return m + math.log(float(np.exp(x - m).sum()))
+
+
+def alignment_objective(
+    transform: SimilarityTransform2D,
+    p: np.ndarray,
+    q: np.ndarray,
+    w: np.ndarray,
+) -> float:
+    """Weighted sum of squared residuals under a candidate transform."""
+    p, q, w = _check_pairs(p, q, w)
+    residual = apply_transform(transform, p) - q
+    return float((w * (residual**2).sum(axis=1)).sum())
+
+
+def metric_to_aerial_cell(point: np.ndarray, meta: AerialMeta, shape: tuple) -> tuple:
+    """Aerial cell ``(row, col)`` whose center is nearest a metric point."""
+    row, col = metric_to_aerial_cells(np.array([point], dtype=float), meta, shape)[0]
+    return int(row), int(col)

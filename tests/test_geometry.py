@@ -18,13 +18,13 @@ from crossloc.errors import ZeroWeightSum
 from crossloc.estimator import count_inliers
 from crossloc.geometry import (
     SimilarityTransform2D,
-    alignment_objective,
     apply_transform,
     rotation_matrix,
     solve_orthogonal,
     solve_similarity,
     wrap_angle,
 )
+from oracles import alignment_objective
 
 EXACT = 1e-12
 TIGHT = 1e-9

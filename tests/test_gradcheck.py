@@ -25,7 +25,7 @@ from crossloc.geometry import (
     wrap_angle,
 )
 from crossloc.lifting import LiftConfig, aerial_cells_to_metric, lift_ground_cells
-from crossloc.losses import vce_loss, virtual_point_grid
+from crossloc.losses import virtual_point_grid
 from crossloc.matching import (
     FeatureGrid,
     augment_dustbin,
@@ -34,7 +34,13 @@ from crossloc.matching import (
     row_softmax,
 )
 from crossloc.simulator import SceneConfig, generate
-from oracles import add_at_value_and_grad, finite_difference, forward, pose_weight_gradients
+from oracles import (
+    add_at_value_and_grad,
+    finite_difference,
+    forward,
+    pose_weight_gradients,
+    vce_loss,
+)
 
 SMALL_SCENE = dict(
     extent=20.0,

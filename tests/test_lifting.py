@@ -16,14 +16,13 @@ from crossloc.lifting import (
     aerial_coverage_mask,
     depth_valid_mask,
     lift_ground_cells,
-    metric_to_aerial_cell,
     metric_to_aerial_cells,
     topmost_selection,
 )
 from crossloc.estimator import PipelineConfig, build_correspondences
 from crossloc.matching import AerialMeta
 from crossloc.simulator import SceneConfig, generate
-from oracles import reference_nearest_cell
+from oracles import metric_to_aerial_cell, reference_nearest_cell
 
 TIGHT = 1e-9
 

@@ -10,14 +10,11 @@ from crossloc.geometry import SimilarityTransform2D, rotation_matrix, solve_simi
 from crossloc.losses import (
     gt_aerial_targets,
     gt_ground_targets,
-    info_nce_g2s,
-    info_nce_s2g,
     pseudo_scale_targets,
-    total_loss,
-    vce_loss,
     virtual_point_grid,
 )
 from crossloc.matching import AerialMeta
+from oracles import info_nce_g2s, info_nce_s2g, total_loss, vce_loss
 
 TIGHT = 1e-9
 

@@ -15,11 +15,7 @@ import pytest
 
 from crossloc.errors import OutOfRange, PlacementFailure
 from crossloc.geometry import SimilarityTransform2D, apply_transform, rotation_matrix
-from crossloc.lifting import (
-    AerialMeta,
-    aerial_cells_to_metric,
-    metric_to_aerial_cell,
-)
+from crossloc.lifting import AerialMeta, aerial_cells_to_metric
 from crossloc.simulator import (
     SceneConfig,
     SyntheticScene,
@@ -29,7 +25,7 @@ from crossloc.simulator import (
     render_ground,
 )
 from crossloc.trainer import reference_dataset
-from oracles import reference_render_ground
+from oracles import metric_to_aerial_cell, reference_render_ground
 
 
 def claimed_mask(scene):
