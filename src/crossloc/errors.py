@@ -2,8 +2,8 @@
 
 Every failure mode that callers are expected to handle has its own class so
 that tests and batch drivers can discriminate without string matching.
-``require_int``, ``require_real`` and ``require_choice`` are the one
-validation rule of every config and public scalar argument.
+``require_int``, ``require_real``, ``require_choice`` and ``require_bool``
+are the one validation rule of every config and public scalar argument.
 """
 
 import math
@@ -79,6 +79,13 @@ def require_choice(name: str, value, choices: tuple) -> None:
     """OutOfRange naming ``name`` unless ``value`` is one of ``choices``."""
     if value not in choices:
         raise OutOfRange(f"{name} must be one of {choices}, got {value!r}", field=name)
+
+
+def require_bool(name: str, value) -> None:
+    """OutOfRange naming ``name`` unless ``value`` is a bool (1, 0 and "no"
+    are not)."""
+    if not isinstance(value, bool):
+        raise OutOfRange(f"{name} must be a bool, got {value!r}", field=name)
 
 
 # --- lifting ----------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import AllHypothesesDegenerate, DegenerateConfiguration, DimensionMismatch
-from .errors import InsufficientMatches, require_int, require_real
+from .errors import InsufficientMatches, require_bool, require_int, require_real
 from .geometry import (
     SimilarityTransform2D,
     apply_transform,
@@ -73,6 +73,7 @@ class RansacConfig:
         require_int("iterations", self.iterations, 1)
         require_int("seed", self.seed, 0)
         require_real("inlier_threshold", self.inlier_threshold, 0, ends="()")
+        require_bool("refit_on_inliers", self.refit_on_inliers)
 
 
 @dataclass(frozen=True)
@@ -90,6 +91,7 @@ class PipelineConfig:
         require_real("tau", self.tau, 0, ends="()")
         require_int("num_correspondences", self.num_correspondences, 1)
         require_real("dustbin_z", self.dustbin_z, -math.inf, ends="()")
+        require_bool("scale_aware", self.scale_aware)
 
 
 @dataclass(frozen=True)

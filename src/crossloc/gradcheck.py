@@ -44,10 +44,21 @@ top-N and the reverse sweep need them all), and ``fd_gradient`` perturbs
 only the leaves the chain reads (``_read_leaves``: the valid columns'
 scores, or every aerial feature and the valid cells' ground feature rows,
 or every projection entry; plus the dustbin) and writes an exact +0.0 for
-the others, whose central differences are two equal losses.  The chain also
-takes a leading batch axis (``(P,)`` -> scalar, ``(K, P)`` -> ``(K,)``), so
-``fd_gradient`` evaluates the + and - rows of ``FD_BLOCK`` read leaves per
-call instead of two calls per leaf.
+the others, whose central differences are two equal losses.
+
+A score leaf or a valid cell's ground feature row moves one column of the
+scores, so ``fd_gradient`` evaluates all the perturbed vectors of one such
+column as one batch (``_column_values``): it recomputes that column's
+scores and column softmax, the selected rows' row softmaxes, the
+log-sum-exps of the ground-to-aerial rows that read the column and stage
+two, and takes everything else from one stage one at the unperturbed
+vector.  The leaves that move every column (aerial features, projection
+entries, the dustbin) run the whole chain, which takes a leading batch axis
+(``(P,)`` -> scalar, ``(K, P)`` -> ``(K,)``): the + and - rows of
+``FD_BLOCK`` of them per ``forward_value`` call.  Both routes give the
+whole chain's values bit for bit, since numpy sums a batch's reductions in
+an order set by its memory layout, which the column route copies
+(``_batch_like``).
 
 Leaf parameterizations:
 
@@ -135,6 +146,18 @@ class GradContext:
         """Each selected pair's column among ``cols`` (the selection is made
         over valid columns only)."""
         return np.searchsorted(self.cols, self.ground_flat)
+
+    @cached_property
+    def unique_rows(self) -> tuple:
+        """(the selected pairs' distinct aerial rows, each pair's position
+        among them): the rows the loss normalises."""
+        return np.unique(self.aerial_flat, return_inverse=True)
+
+    @cached_property
+    def unique_cols(self) -> tuple:
+        """(the distinct ``sel`` columns, each pair's position among them):
+        the columns the loss normalises."""
+        return np.unique(self.sel, return_inverse=True)
 
     @property
     def n_aerial(self) -> int:
@@ -314,21 +337,23 @@ def _score_leaves(ctx, cols: np.ndarray) -> np.ndarray:
     return (np.arange(na)[:, None] * ng + cols).ravel()
 
 
-def _read_leaves(ctx: GradContext) -> np.ndarray:
-    """Ascending indices of the leaves ``_valid_scores`` gathers, plus the
-    dustbin: the only leaves ``forward_value`` reads.  Score leaves of
-    masked columns and ground feature rows of masked cells are never read;
-    projection mode reads every leaf."""
+def _read_leaves(ctx: GradContext):
+    """The leaves ``_valid_scores`` gathers, plus the dustbin: the only
+    leaves ``forward_value`` reads, as ``(columns, whole)``.  Row ``j`` of
+    ``columns`` (one row per valid column) holds the leaves that move only
+    valid column ``j``'s scores: its score leaves (score mode) or its ground
+    cell's feature row (features mode); projection mode has none.
+    ``whole`` (ascending) holds the leaves that move every column: the
+    aerial features, every projection entry, and the dustbin.  Score leaves
+    of masked columns and ground feature rows of masked cells are never read.
+    """
     cols = ctx.cols
     (na, d), n = ctx.aerial_raw.shape, ctx.params0.shape[0]
     if ctx.mode == "score":
-        read = _score_leaves(ctx, cols)
-    elif ctx.mode == "features":
-        ground = na * d + (cols[:, None] * d + np.arange(d)).ravel()
-        read = np.concatenate([np.arange(na * d), ground])
-    else:
-        return np.arange(n)
-    return np.append(read, n - 1)
+        return _score_leaves(ctx, cols).reshape(na, len(cols)).T, np.array([n - 1])
+    if ctx.mode == "features":
+        return na * d + cols[:, None] * d + np.arange(d), np.append(np.arange(na * d), n - 1)
+    return np.empty((len(cols), 0), dtype=int), np.arange(n)
 
 
 def _valid_scores(ctx: GradContext, params: np.ndarray, cols: np.ndarray, dtype):
@@ -446,13 +471,30 @@ def _logsumexp(x: np.ndarray):
     return m[..., 0] + np.log(total), (e, total)
 
 
+def _column_lse(scores: np.ndarray, cols):
+    """``_logsumexp`` of the score columns ``cols``, each read down its
+    aerial rows: ``(..., len(cols))`` values and the record."""
+    return _logsumexp(scores[..., cols].swapaxes(-1, -2))
+
+
 def _loss(ctx: GradContext, stage: _Stage, sel, dtype, strict: bool = False, at=None) -> _Tape:
-    """Stage two: the selected pairs' weights (``sel``: their columns among
-    the valid ones; ``at``: their rows and columns in a sliced stage one),
-    the alignment, the pose loss and the contrastive terms (NoValidTargets
-    when on with no ground-to-aerial target in coverage); ``strict`` is ``_align``'s."""
+    """Stage two on ``stage``: the selected pairs' weights (``sel``: their
+    columns among the valid ones; ``at``: their rows and columns in a sliced
+    stage one), then ``_stage_two``."""
     r_at, c_at = (ctx.aerial_flat, sel) if at is None else at
     w = stage.ra[..., r_at, sel] * stage.cb[..., ctx.aerial_flat, c_at]
+    return _stage_two(ctx, w, stage.scores, sel, dtype, strict)
+
+
+def _stage_two(
+    ctx: GradContext, w, scores, sel, dtype, strict: bool = False, g2s_lse=None
+) -> _Tape:
+    """From the selected pairs' weights ``w`` and the valid columns'
+    ``scores``: the alignment, the pose loss and the contrastive terms
+    (NoValidTargets when on with no ground-to-aerial target in coverage);
+    ``strict`` is ``_align``'s.  ``g2s_lse``, when given, holds the
+    ground-to-aerial rows' log-sum-exps, which are then neither recomputed
+    nor recorded."""
     p, q = ctx.ground_planar.astype(dtype), ctx.aerial_metric.astype(dtype)
     al = _align(p, q, w, strict)
     vce, offsets = _vce(
@@ -462,11 +504,11 @@ def _loss(ctx: GradContext, stage: _Stage, sel, dtype, strict: bool = False, at=
         return _Tape(vce, al, offsets)
     if len(ctx.g2s_pairs) == 0:
         raise NoValidTargets("every ground-to-aerial target left the aerial coverage")
-    scores = stage.scores
     # ground -> aerial: each in-coverage pair's whole score column
     g2s_sel = sel[ctx.g2s_pairs]
-    g2s_logits = scores[..., g2s_sel].swapaxes(-1, -2)
-    g2s_lse, g2s_exp = _logsumexp(g2s_logits)
+    g2s_exp = None
+    if g2s_lse is None:
+        g2s_lse, g2s_exp = _column_lse(scores, g2s_sel)
     g2s_pos = scores[..., ctx.g2s_targets, g2s_sel]
     g2s = -(g2s_pos - g2s_lse).sum(axis=-1) / len(g2s_sel)
     # aerial -> ground: each pair's row over its candidate pairs' columns
@@ -490,11 +532,9 @@ def forward_value(ctx: GradContext, params: np.ndarray, dtype=np.longdouble):
     masked, they would carry exactly 0 probability after the softmax -- and
     only the selected pairs' rows and columns, all the loss reads, normalised.
     """
-    sel = ctx.sel
-    rows, r_at = np.unique(ctx.aerial_flat, return_inverse=True)
-    cols, c_at = np.unique(sel, return_inverse=True)
+    (rows, r_at), (cols, c_at) = ctx.unique_rows, ctx.unique_cols
     stage = _stage_one(ctx, np.asarray(params), dtype, rows, cols)
-    return _loss(ctx, stage, sel, dtype, at=(r_at, c_at)).loss
+    return _loss(ctx, stage, ctx.sel, dtype, at=(r_at, c_at)).loss
 
 
 # ---------------------------------------------------------------------------
@@ -641,10 +681,69 @@ def backward(ctx: GradContext, params: np.ndarray) -> np.ndarray:
 # finite differences and the comparison report
 
 
-# Coordinates perturbed per batched ``forward_value`` call (2 * FD_BLOCK
-# rows).  On the certify benchmark (2-core VM, 3 seeds) blocks of 8, 16 and
-# 32 gave +5%, +9%, +16% op/s (unpaired) and +1.1%, +5.1%, +10.7% peak RSS.
+# Leaves that move every score column (aerial features, projection entries,
+# the dustbin) perturbed per batched ``forward_value`` call (2 * FD_BLOCK
+# rows); the leaves of one valid column go through ``_column_values``.
 FD_BLOCK = 4
+
+
+def _plus_minus(params: np.ndarray, idx: np.ndarray, epsilon: float) -> np.ndarray:
+    """``2k`` float64 copies of ``params`` for the ``k`` leaves ``idx``: row
+    ``i`` moves leaf ``idx[i]`` by +epsilon, row ``k + i`` by -epsilon."""
+    k = len(idx)
+    rows = np.tile(params, (2 * k, 1))
+    rows[np.arange(k), idx] += epsilon
+    rows[np.arange(k, 2 * k), idx] -= epsilon
+    return rows
+
+
+def _batch_like(a: np.ndarray, v: int) -> np.ndarray:
+    """``v`` copies of ``a[0]`` laid out in memory as the batch ``a`` is.
+    The chain's batches are not all C-ordered (a leaf gather puts the batch
+    axis innermost), and numpy sums a reduced axis pairwise when it is
+    contiguous and in order when it is not, so a copy must keep the layout."""
+    out = np.empty_like(a, shape=(v,) + a.shape[1:])
+    out[...] = a[0]
+    return out
+
+
+def _column_values(ctx: GradContext, base: _Stage, j: int, leaves: np.ndarray):
+    """``forward_value`` in long double at ``V >= 2`` leaf vectors that
+    differ from ``base.params`` only in leaves writing valid column ``j``
+    alone: ``leaves`` ``(V, L)`` holds the column's score leaves (score mode)
+    or its ground cell's raw feature row (features mode).
+
+    ``base`` is stage one at the unperturbed vector, stacked twice.  Only
+    column ``j``'s scores and (when a pair reads it) column softmax, the
+    selected rows' row softmaxes, the pairs' weights, the log-sum-exp of
+    the ground-to-aerial rows that read column ``j`` and stage two are
+    recomputed; the rest is copied from ``base`` in the chain's layout and
+    formed by the chain's own expressions, so each value equals the whole
+    chain's bit for bit.
+    """
+    v, af, sel = len(leaves), ctx.aerial_flat, ctx.sel
+    if ctx.mode == "score":
+        column = leaves.astype(np.longdouble)
+    else:
+        a_raw = base.params[0, : ctx.n_aerial * ctx.dim].reshape(ctx.n_aerial, ctx.dim)
+        g_raw = leaves.astype(np.longdouble)[:, None, :]
+        column = score_matrix(a_raw.astype(np.longdouble), g_raw, ctx.tau)[..., 0]
+    scores = _batch_like(base.scores, v)
+    scores[..., j] = column
+    (rows, r_at), c_at = ctx.unique_rows, ctx.unique_cols[1]
+    pairs = sel == j
+    ra, cb = soft_assign(scores, base.params[0, -1], rows, [j] if pairs.any() else [])
+    c_sel = _batch_like(base.cb[..., af, c_at], v)
+    c_sel[:, pairs] = cb[..., af[pairs], 0]
+    w = ra[..., r_at, sel] * c_sel
+    lse = None
+    if ctx.beta != 0.0:
+        g2s_sel = sel[ctx.g2s_pairs]
+        lse = _batch_like(_column_lse(base.scores, g2s_sel)[0], v)
+        reads = g2s_sel == j
+        if reads.any():
+            lse[:, reads] = _column_lse(scores, [j])[0]
+    return _stage_two(ctx, w, scores, sel, np.longdouble, g2s_lse=lse).loss
 
 
 def fd_gradient(
@@ -655,24 +754,35 @@ def fd_gradient(
     Central differences (f(p + eps e_i) - f(p - eps e_i)) / (2 eps) of f =
     ``forward_value(ctx, .)`` -- each perturbed vector is formed in float64
     and evaluated in long double -- but only for the leaves the chain reads
-    (``_read_leaves``: the valid columns' scores or ground feature rows,
-    every aerial feature or projection entry, and the dustbin), and the + and
-    - rows of ``FD_BLOCK`` of them at a time go through one batched
-    ``forward_value`` call.  Every other leaf gets an exact +0.0, the value
-    its central difference of two equal losses would give.
+    (``_read_leaves``).  The leaves that write one valid column's scores
+    (every score leaf, and each valid cell's ground feature row) go through
+    ``_column_values``, all the + and - vectors of one column at a time,
+    recomputing only what that column reaches and taking the rest from one
+    stage one at ``params``; the leaves that move every column (aerial
+    features, projection entries, the dustbin) go through ``forward_value``,
+    the + and - rows of ``FD_BLOCK`` of them per call.  Both give the whole
+    chain's values bit for bit.  Every other leaf gets an exact +0.0, the
+    value its central difference of two equal losses would give.
     """
     require_real("epsilon", epsilon, 0, ends="()")
     params = _float_leaves(ctx, params)
     grad = np.zeros_like(params)
-    read = _read_leaves(ctx)
-    for start in range(0, read.size, FD_BLOCK):
-        idx = read[start : start + FD_BLOCK]
+    columns, whole = _read_leaves(ctx)
+
+    def central(idx, values):
         k = len(idx)
-        rows = np.tile(params, (2 * k, 1))
-        rows[np.arange(k), idx] += epsilon
-        rows[np.arange(k, 2 * k), idx] -= epsilon
-        values = forward_value(ctx, rows)
         grad[idx] = (values[:k] - values[k:]) / (2.0 * epsilon)
+
+    if columns.size:
+        # a stack of two: a batch of one lays out and sums some rows otherwise
+        pair = np.stack([params, params])
+        base = _stage_one(ctx, pair, np.longdouble, ctx.unique_rows[0], ctx.unique_cols[0])
+        for j, idx in enumerate(columns):
+            leaves = _plus_minus(params[idx], np.arange(len(idx)), epsilon)
+            central(idx, _column_values(ctx, base, j, leaves))
+    for start in range(0, whole.size, FD_BLOCK):
+        idx = whole[start : start + FD_BLOCK]
+        central(idx, forward_value(ctx, _plus_minus(params, idx, epsilon)))
     return grad
 
 

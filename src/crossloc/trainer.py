@@ -79,8 +79,9 @@ class ProjectionWeights:
         object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise OutOfRange(f"projection matrix must be square, got {self.matrix.shape}")
-        if not (np.isfinite(self.matrix).all() and math.isfinite(self.dustbin_z)):
+        if not np.isfinite(self.matrix).all():
             raise OutOfRange("projection weights must be finite")
+        require_real("dustbin_z", self.dustbin_z, -math.inf, ends="()")
 
     @property
     def dim(self) -> int:

@@ -8,6 +8,10 @@ They are not on any program path, so they live with the tests:
   ``gradcheck``'s loss chain;
 * ``finite_difference`` -- scalar central differences of any function, one
   leaf at a time, the generic reference for ``gradcheck.fd_gradient``;
+* ``reference_fd_gradient`` -- ``gradcheck.fd_gradient`` with every read
+  leaf through the whole chain, ``FD_BLOCK`` leaves per batched
+  ``forward_value`` call: the route the oracle took before its per-column
+  route, held to it bit for bit;
 * ``pose_weight_gradients`` -- the alignment's per-weight gradient on one
   weighted solve, as the chain's reverse sweep forms it;
 * ``add_at_value_and_grad`` -- ``gradcheck.value_and_grad``'s reverse
@@ -77,6 +81,25 @@ def finite_difference(f, params, epsilon: float = 1.0e-5) -> np.ndarray:
         step = np.zeros_like(params)
         step[i] = epsilon
         grad[i] = (f(params + step) - f(params - step)) / (2.0 * epsilon)
+    return grad
+
+
+def reference_fd_gradient(ctx, params, epsilon: float = 1.0e-5) -> np.ndarray:
+    """``gradcheck.fd_gradient`` by the whole chain: the + and - rows of
+    ``FD_BLOCK`` read leaves at a time, ascending, through one batched
+    ``forward_value`` call each; an exact +0.0 for every other leaf."""
+    require_real("epsilon", epsilon, 0, ends="()")
+    params = gradcheck._float_leaves(ctx, params)
+    grad = np.zeros_like(params)
+    read = np.union1d(*gradcheck._read_leaves(ctx))
+    for start in range(0, read.size, gradcheck.FD_BLOCK):
+        idx = read[start : start + gradcheck.FD_BLOCK]
+        k = len(idx)
+        rows = np.tile(params, (2 * k, 1))
+        rows[np.arange(k), idx] += epsilon
+        rows[np.arange(k, 2 * k), idx] -= epsilon
+        values = gradcheck.forward_value(ctx, rows)
+        grad[idx] = (values[:k] - values[k:]) / (2.0 * epsilon)
     return grad
 
 

@@ -39,6 +39,7 @@ from oracles import (
     finite_difference,
     forward,
     pose_weight_gradients,
+    reference_fd_gradient,
     vce_loss,
 )
 
@@ -259,8 +260,11 @@ def test_masked_column_gradients_are_exactly_zero():
     assert (masked == 0.0).all()
 
 
-# one context per leaf mode; every parameter count leaves a partial last
-# FD block (1569, 649 and 65 leaves against blocks of FD_BLOCK)
+# one context per leaf mode.  The FD oracle takes the score leaves and the
+# valid cells' ground feature rows a column at a time, and the leaves that
+# move every column in blocks of FD_BLOCK, each count leaving a partial
+# last block: the dustbin alone (one batch of two rows), the aerial
+# features plus the dustbin (393 leaves) and the projection (65)
 LEAF_CONTEXTS = [(0, "score"), (1, "features"), (2, "projection")]
 
 
@@ -290,24 +294,87 @@ def test_batched_fd_matches_scalar_reference(seed, mode):
     np.testing.assert_allclose(batched, reference, rtol=0.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("beta", [0.1, 0.0])
+@pytest.mark.parametrize("kind", ["as-built", "lone-target", "one-column"])
+@pytest.mark.parametrize("seed, mode", LEAF_CONTEXTS)
+def test_fd_gradient_equals_the_whole_chain_reference(seed, mode, kind, beta):
+    """The per-column route gives the whole chain's FD vector to the byte,
+    at ``params0`` and away from it, with the contrastive terms on and off:
+    on the columns the selection reads and the valid columns it does not,
+    on a column only one ground-to-aerial row reads, on the column of the
+    only ground-to-aerial row (``lone-target``), and with every pair on one
+    column (``one-column``)."""
+    ctx = small_context(seed, mode, beta=beta)
+    if kind == "lone-target":
+        ctx = dataclasses.replace(ctx, g2s_pairs=ctx.g2s_pairs[:1], g2s_targets=ctx.g2s_targets[:1])
+    elif kind == "one-column":
+        ctx = forced_selection(ctx, "one-column")
+    used = np.bincount(ctx.sel, minlength=len(ctx.cols))
+    reads = np.bincount(ctx.sel[ctx.g2s_pairs], minlength=len(ctx.cols))
+    assert (used == 0).any()  # a valid column the selection does not read
+    if kind == "as-built":
+        assert (reads == 1).any()
+    elif kind == "lone-target":
+        assert reads.sum() == 1
+    else:
+        assert (used > 0).sum() == 1
+    away = ctx.params0 + np.random.default_rng(seed).normal(scale=1e-3, size=ctx.params0.shape)
+    for params in (ctx.params0, away):
+        fd = gradcheck.fd_gradient(ctx, params)
+        assert fd.tobytes() == reference_fd_gradient(ctx, params).tobytes()
+
+
+@pytest.mark.parametrize("seed, mode", LEAF_CONTEXTS[:2])
+def test_only_leaves_that_move_every_column_reach_forward_value(seed, mode, monkeypatch):
+    """A score-mode instance calls ``forward_value`` once, for the dustbin
+    leaf's + and - rows; a features-mode instance only for the aerial
+    feature leaves and the dustbin, ``FD_BLOCK`` at a time."""
+    ctx = small_context(seed, mode)
+    whole_chain, calls = gradcheck.forward_value, []
+    monkeypatch.setattr(
+        gradcheck, "forward_value", lambda c, rows: calls.append(rows) or whole_chain(c, rows)
+    )
+    gradcheck.fd_gradient(ctx, ctx.params0)
+    moved = [np.flatnonzero((rows != ctx.params0).any(axis=0)) for rows in calls]
+    n, na_d = len(ctx.params0), ctx.n_aerial * ctx.dim
+    if mode == "score":
+        assert len(calls) == 1 and calls[0].shape == (2, n)
+        np.testing.assert_array_equal(moved[0], [n - 1])
+    else:
+        assert len(calls) == -(-(na_d + 1) // gradcheck.FD_BLOCK)
+        np.testing.assert_array_equal(np.concatenate(moved), np.append(np.arange(na_d), n - 1))
+
+
 @pytest.mark.parametrize("seed, mode", LEAF_CONTEXTS)
 def test_read_leaves_are_the_valid_columns_and_the_dustbin(seed, mode):
     """The oracle's read set, spelled out from the leaf layout: every score
     of a valid column (score mode), every aerial feature and each valid
     cell's ground feature row (features mode), every projection entry, and
-    the dustbin."""
+    the dustbin.  It splits into one row per valid column of the leaves
+    that write that column alone (its scores, or its cell's feature row)
+    and the ascending leaves that move every column."""
     ctx = small_context(seed, mode)
     na, ng, d = ctx.n_aerial, ctx.n_ground, ctx.dim
     if mode == "score":
         read = np.tile(ctx.valid, na)
+        whole = np.zeros(na * ng, bool)
     elif mode == "features":
         read = np.concatenate([np.ones(na * d, bool), np.repeat(ctx.valid, d)])
+        whole = np.arange(len(read)) < na * d
     else:
-        read = np.ones(d * d, bool)
+        read = whole = np.ones(d * d, bool)
     expected = np.flatnonzero(np.append(read, True))
-    np.testing.assert_array_equal(gradcheck._read_leaves(ctx), expected)
+    columns, moves_all = gradcheck._read_leaves(ctx)
+    np.testing.assert_array_equal(np.union1d(columns, moves_all), expected)
+    np.testing.assert_array_equal(moves_all, np.flatnonzero(np.append(whole, True)))
+    assert columns.shape[0] == len(ctx.cols) and columns.size + moves_all.size == expected.size
+    for j, col in enumerate(ctx.cols):
+        if mode == "score":
+            np.testing.assert_array_equal(columns[j], np.arange(na) * ng + col)
+        elif mode == "features":
+            np.testing.assert_array_equal(columns[j], na * d + col * d + np.arange(d))
     if mode == "projection":
-        assert len(expected) == len(ctx.params0)
+        assert columns.size == 0 and len(expected) == len(ctx.params0)
 
 
 @pytest.mark.parametrize("seed, mode", LEAF_CONTEXTS[:2])
@@ -317,7 +384,7 @@ def test_leaves_the_oracle_skips_never_move_the_loss(seed, mode):
     ``forward_value`` bit-unchanged, so their exact +0.0 in ``fd_gradient``
     is the central difference the full oracle would take."""
     ctx = small_context(seed, mode)
-    skipped = np.setdiff1d(np.arange(len(ctx.params0)), gradcheck._read_leaves(ctx))
+    skipped = np.setdiff1d(np.arange(len(ctx.params0)), np.union1d(*gradcheck._read_leaves(ctx)))
     assert len(skipped) > 0  # the scene must have masked ground cells
     rng = np.random.default_rng(seed)
     base = gradcheck.forward_value(ctx, ctx.params0)

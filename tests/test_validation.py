@@ -15,7 +15,7 @@ import pytest
 
 from crossloc import matching, trainer
 from crossloc.cli import main
-from crossloc.errors import OutOfRange, require_choice, require_int, require_real
+from crossloc.errors import OutOfRange, require_bool, require_choice, require_int, require_real
 from crossloc.estimator import PipelineConfig, RansacConfig
 from crossloc.lifting import LiftConfig
 from crossloc.losses import virtual_point_grid
@@ -85,6 +85,8 @@ def test_plain_ints_for_float_fields_stay_ints():
         (lambda: smoothed_curve(np.ones(3), window=True), "window"),
         (lambda: trainer.reference_dataset(n_scenes=True), "n_scenes"),
         (lambda: trainer.reference_dataset(nuisance_amp="0.5"), "nuisance_amp"),
+        (lambda: trainer.ProjectionWeights(np.eye(2), dustbin_z="x"), "dustbin_z"),
+        (lambda: trainer.ProjectionWeights(np.eye(2), dustbin_z=True), "dustbin_z"),
     ],
     ids=[
         "scene-fractional-cells",
@@ -104,12 +106,28 @@ def test_plain_ints_for_float_fields_stay_ints():
         "smooth-bool-window",
         "dataset-bool-count",
         "dataset-string-amp",
+        "projection-string-dustbin",
+        "projection-bool-dustbin",
     ],
 )
 def test_each_former_gap_is_out_of_range_naming_the_argument(call, field):
     with pytest.raises(OutOfRange) as info:
         call()
     assert info.value.field == field
+
+
+@pytest.mark.parametrize("config, name", [(PipelineConfig, "scale_aware"),
+                                          (RansacConfig, "refit_on_inliers")])
+@pytest.mark.parametrize("bad", ["no", 0, 1, None, np.bool_(False)], ids=repr)
+def test_bool_config_fields_take_only_a_bool(config, name, bad):
+    """A truthy "no" would switch the option on, and 0 and 1 are not bools
+    either: every non-bool is OutOfRange naming the field; a bool is stored."""
+    with pytest.raises(OutOfRange) as info:
+        config(**{name: bad})
+    assert info.value.field == name
+    assert str(info.value) == f"{name} must be a bool, got {bad!r}"
+    for flag in (True, False):
+        assert getattr(config(**{name: flag}), name) is flag
 
 
 def test_an_infinite_divergence_factor_is_accepted():
@@ -127,6 +145,7 @@ def test_an_infinite_divergence_factor_is_accepted():
         (require_real, ("x", 1.5, 0, 1), {"ends": "[]"}, "x must be in [0, 1], got 1.5"),
         (require_real, ("x", math.nan, -math.inf), {"ends": "()"}, "x must be finite, got nan"),
         (require_choice, ("x", None, ("a", "b")), {}, "x must be one of ('a', 'b'), got None"),
+        (require_bool, ("x", 1), {}, "x must be a bool, got 1"),
     ],
 )
 def test_helper_messages_name_the_argument(check, args, kwargs, message):
