@@ -52,13 +52,21 @@ column as one batch (``_column_values``): it recomputes that column's
 scores and column softmax, the selected rows' row softmaxes, the
 log-sum-exps of the ground-to-aerial rows that read the column and stage
 two, and takes everything else from one stage one at the unperturbed
-vector.  The leaves that move every column (aerial features, projection
-entries, the dustbin) run the whole chain, which takes a leading batch axis
-(``(P,)`` -> scalar, ``(K, P)`` -> ``(K,)``): the + and - rows of
-``FD_BLOCK`` of them per ``forward_value`` call.  Both routes give the
-whole chain's values bit for bit, since numpy sums a batch's reductions in
-an order set by its memory layout, which the column route copies
-(``_batch_like``).
+vector.  An aerial cell's feature row moves one row of the scores, so the
+perturbed vectors of ``FD_ROWS`` such rows form one batch
+(``_row_values``): it scores only those rows, recomputes the selected
+rows' row softmaxes only when the block holds one of them, and for the
+selected columns' softmaxes and the ground-to-aerial log-sum-exps writes
+the rows' shifted exponentials exp(x - max) into the unperturbed vector's
+and sums again (``_swap_entries``).  That is exact: max and subtraction
+are, so the other entries' exponentials keep their bits, and a line whose
+max moves is redone whole.  The leaves that move every score (projection
+entries, the dustbin) run the whole chain, which takes a leading batch
+axis (``(P,)`` -> scalar, ``(K, P)`` -> ``(K,)``): the + and - rows of
+``FD_BLOCK`` of them per ``forward_value`` call.  All three routes give
+the whole chain's values bit for bit, since numpy sums a batch's
+reductions in an order set by its memory layout, which the column and row
+routes copy (``_batch_like``).
 
 Leaf parameterizations:
 
@@ -80,7 +88,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateConfiguration, NonDifferentiablePoint
+from . import matching
+from .errors import DegenerateConfiguration, DimensionMismatch, NonDifferentiablePoint
 from .errors import NoValidTargets, OutOfRange, require_choice, require_real
 from .estimator import PipelineConfig, _lift_tables, _lift_top_n
 from .geometry import solve_similarity
@@ -271,6 +280,7 @@ def _freeze(prep: _Prepared, beta: float = 0.1, params0=None, target_scale=None)
         n = {"score": na * ng, "features": (na + ng) * dim, "projection": dim * dim}[mode]
         if params0.shape != (n + 1,):
             raise OutOfRange(f"expected {n + 1} {mode} leaves, got shape {params0.shape}")
+        _require_finite("params0", params0)
     params0.flags.writeable = False  # value_and_grad reuses stage0 by identity
 
     stage0 = _stage_one(prep, params0, np.float64)
@@ -320,13 +330,25 @@ def _freeze(prep: _Prepared, beta: float = 0.1, params0=None, target_scale=None)
     )
 
 
+def _require_finite(name: str, params: np.ndarray) -> None:
+    """OutOfRange naming ``name`` unless every leaf of ``params`` is finite."""
+    bad = np.flatnonzero(~np.isfinite(params))
+    if bad.size:
+        raise OutOfRange(
+            f"{name} must be finite, got {params[bad[0]]} at leaf {bad[0]} "
+            f"({bad.size} of {params.size} leaves non-finite)",
+            field=name,
+        )
+
+
 def _float_leaves(ctx: GradContext, params: np.ndarray) -> np.ndarray:
-    """One float64 leaf vector of the context's layout."""
+    """One finite float64 leaf vector of the context's layout."""
     params = np.asarray(params, dtype=float)
     if params.shape != ctx.params0.shape:
         raise OutOfRange(
             f"expected {ctx.params0.shape[0]} parameters, got {params.shape}"
         )
+    _require_finite("params", params)
     return params
 
 
@@ -339,21 +361,25 @@ def _score_leaves(ctx, cols: np.ndarray) -> np.ndarray:
 
 def _read_leaves(ctx: GradContext):
     """The leaves ``_valid_scores`` gathers, plus the dustbin: the only
-    leaves ``forward_value`` reads, as ``(columns, whole)``.  Row ``j`` of
-    ``columns`` (one row per valid column) holds the leaves that move only
-    valid column ``j``'s scores: its score leaves (score mode) or its ground
-    cell's feature row (features mode); projection mode has none.
-    ``whole`` (ascending) holds the leaves that move every column: the
-    aerial features, every projection entry, and the dustbin.  Score leaves
-    of masked columns and ground feature rows of masked cells are never read.
+    leaves ``forward_value`` reads, as ``(columns, rows, whole)``.  Row
+    ``j`` of ``columns`` (one row per valid column) holds the leaves that
+    move only valid column ``j``'s scores: its score leaves (score mode) or
+    its ground cell's feature row (features mode); projection mode has
+    none.  Row ``i`` of ``rows`` holds aerial cell ``i``'s feature row,
+    which moves only score row ``i`` (features mode; the other modes have
+    none).  ``whole`` (ascending) holds the leaves that move every score:
+    every projection entry, and the dustbin.  Score leaves of masked
+    columns and ground feature rows of masked cells are never read.
     """
     cols = ctx.cols
     (na, d), n = ctx.aerial_raw.shape, ctx.params0.shape[0]
+    no_rows = np.empty((0, d), dtype=int)
     if ctx.mode == "score":
-        return _score_leaves(ctx, cols).reshape(na, len(cols)).T, np.array([n - 1])
+        return _score_leaves(ctx, cols).reshape(na, len(cols)).T, no_rows, np.array([n - 1])
     if ctx.mode == "features":
-        return na * d + cols[:, None] * d + np.arange(d), np.append(np.arange(na * d), n - 1)
-    return np.empty((len(cols), 0), dtype=int), np.arange(n)
+        columns = na * d + cols[:, None] * d + np.arange(d)
+        return columns, np.arange(na * d).reshape(na, d), np.array([n - 1])
+    return np.empty((len(cols), 0), dtype=int), no_rows, np.arange(n)
 
 
 def _valid_scores(ctx: GradContext, params: np.ndarray, cols: np.ndarray, dtype):
@@ -462,11 +488,17 @@ def _vce(truth, points: np.ndarray, cos_t, sin_t, t_x, t_y, dtype):
     return norms.mean(axis=-1), (dx, dy, norms)
 
 
+def _exp_record(x: np.ndarray, axis: int) -> tuple:
+    """``(x, max, exp(x - max))`` along ``axis``, as ``col_softmax`` and
+    ``_logsumexp`` form them (the FD oracle's ``_swap_entries`` edits it)."""
+    m = x.max(axis=axis, keepdims=True)
+    return x, m, np.exp(x - m)
+
+
 def _logsumexp(x: np.ndarray):
     """(log-sum-exp of each row of ``x``, and the reverse sweep's record of
     it: the rows' shifted exponentials exp(x - max) and their sums)."""
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
+    _, m, e = _exp_record(x, -1)
     total = e.sum(axis=-1)
     return m[..., 0] + np.log(total), (e, total)
 
@@ -681,10 +713,14 @@ def backward(ctx: GradContext, params: np.ndarray) -> np.ndarray:
 # finite differences and the comparison report
 
 
-# Leaves that move every score column (aerial features, projection entries,
-# the dustbin) perturbed per batched ``forward_value`` call (2 * FD_BLOCK
-# rows); the leaves of one valid column go through ``_column_values``.
+# The leaves that move every score (projection entries, the dustbin) go
+# FD_BLOCK per batched ``forward_value`` call (2 * FD_BLOCK vectors), and
+# the aerial feature rows FD_ROWS per ``_row_values`` call (2 * FD_ROWS *
+# dim vectors); a valid column's leaves go through ``_column_values``.
+# Every vector of a row block forms all FD_ROWS rows' scores and
+# exponentials, so larger row blocks pay more than their calls save.
 FD_BLOCK = 4
+FD_ROWS = 2
 
 
 def _plus_minus(params: np.ndarray, idx: np.ndarray, epsilon: float) -> np.ndarray:
@@ -746,6 +782,91 @@ def _column_values(ctx: GradContext, base: _Stage, j: int, leaves: np.ndarray):
     return _stage_two(ctx, w, scores, sel, np.longdouble, g2s_lse=lse).loss
 
 
+def _exp_lines(x, m, e, lines, axis: int) -> None:
+    """Write exp(x - m) into ``e`` on the ``lines`` (a bool mask over the
+    axes other than ``axis``), each whole along ``axis``."""
+    x, m, e = (np.moveaxis(a, axis, -1) for a in (x, m, e))
+    e[lines] = np.exp(x[lines] - m[lines])
+
+
+def _swap_entries(record: tuple, at: np.ndarray, new: np.ndarray, axis: int):
+    """A batch-of-two ``_exp_record`` along ``axis``, redone for ``V``
+    vectors whose entries ``at`` along it are ``new`` (``(V, ...)``, that
+    axis of length ``len(at)``): their maxima, shifted exponentials and sums
+    (keepdims).
+
+    Max and subtraction are exact, so wherever the max does not move the
+    other entries' exponentials keep their bits and only the new entries'
+    are formed; a line whose max moves is redone whole (``_exp_lines``).
+    The exponentials are copied in the record's memory layout
+    (``_batch_like``) and summed again, so every value equals the whole
+    chain's bit for bit.
+    """
+    x, m, e = record
+    v, where = len(new), (slice(None),) * (x.ndim + axis) + (at,)
+    others = np.delete(x[0], at, axis).max(axis=axis, keepdims=True)
+    m_new = np.maximum(others, new.max(axis=axis, keepdims=True))
+    e_new = _batch_like(e, v)
+    e_new[where] = np.exp(new - m_new)
+    moved = np.moveaxis(m_new != m[:1], axis, -1)[..., 0]
+    if moved.any():
+        x_new = _batch_like(x, v)
+        x_new[where] = new
+        _exp_lines(x_new, m_new, e_new, moved, axis)
+    return m_new, e_new, e_new.sum(axis=axis, keepdims=True)
+
+
+def _exp_records(ctx: GradContext, base: _Stage) -> tuple:
+    """``base``'s ``_exp_record`` of the selected columns' column softmaxes
+    (their dustbin-augmented scores down the rows) and of the
+    ground-to-aerial rows' log-sum-exps (``None`` with the contrastive terms
+    off): the records ``_row_values`` edits."""
+    aug = matching.augment_dustbin(base.scores[..., :, ctx.unique_cols[0]], base.params[..., -1])
+    if ctx.beta == 0.0:
+        return _exp_record(aug, -2), None
+    g2s = base.scores[..., ctx.sel[ctx.g2s_pairs]].swapaxes(-1, -2)
+    return _exp_record(aug, -2), _exp_record(g2s, -1)
+
+
+def _row_values(ctx: GradContext, base: _Stage, records: tuple, block, leaves: np.ndarray):
+    """``forward_value`` in long double at ``V >= 2`` leaf vectors that
+    differ from ``base.params`` only in the raw feature rows of the aerial
+    cells ``block`` (features mode): ``leaves`` ``(V, len(block) * dim)``,
+    the rows one after another.
+
+    ``base`` is stage one at the unperturbed vector, stacked twice, and
+    ``records`` its ``_exp_records``.  Only the block's unit rows and scores
+    against the base's ground rows are formed, and the selected rows' row
+    softmaxes only when the block holds one of them; the selected columns'
+    softmaxes and the ground-to-aerial log-sum-exps edit the block's rows
+    into the base's shifted exponentials (``_swap_entries``), and stage two
+    runs as in the whole chain, so each value equals the whole chain's bit
+    for bit.
+    """
+    v, af, sel, ld = len(leaves), ctx.aerial_flat, ctx.sel, np.longdouble
+    (rows, r_at), (cols, c_at) = ctx.unique_rows, ctx.unique_cols
+    na_d, z = ctx.n_aerial * ctx.dim, base.params[0, -1]
+    g_raw = base.params[0, na_d : na_d + ctx.n_ground * ctx.dim].reshape(ctx.n_ground, ctx.dim)
+    a_raw = leaves.reshape(v, len(block), ctx.dim).astype(ld)
+    new_rows = score_matrix(a_raw, g_raw[ctx.cols].astype(ld), ctx.tau)
+    scores = _batch_like(base.scores, v)
+    scores[:, block] = new_rows
+    if np.isin(block, rows).any():
+        ra = soft_assign(scores, z, rows, [])[0][..., r_at, sel]
+    else:
+        ra = _batch_like(base.ra[..., r_at, sel], v)
+    col_record, g2s_record = records
+    new = matching.augment_dustbin(new_rows[..., cols], z)[:, :-1]  # the dustbin row dropped
+    _, e, total = _swap_entries(col_record, block, new, -2)
+    w = ra * (e / total)[..., af, c_at]
+    lse = None
+    if g2s_record is not None:
+        g2s = new_rows[..., sel[ctx.g2s_pairs]].swapaxes(-1, -2)
+        m, e, total = _swap_entries(g2s_record, block, g2s, -1)
+        lse = m[..., 0] + np.log(total[..., 0])
+    return _stage_two(ctx, w, scores, sel, ld, g2s_lse=lse).loss
+
+
 def fd_gradient(
     ctx: GradContext, params: np.ndarray, epsilon: float = 1.0e-5
 ) -> np.ndarray:
@@ -756,18 +877,21 @@ def fd_gradient(
     and evaluated in long double -- but only for the leaves the chain reads
     (``_read_leaves``).  The leaves that write one valid column's scores
     (every score leaf, and each valid cell's ground feature row) go through
-    ``_column_values``, all the + and - vectors of one column at a time,
-    recomputing only what that column reaches and taking the rest from one
-    stage one at ``params``; the leaves that move every column (aerial
-    features, projection entries, the dustbin) go through ``forward_value``,
-    the + and - rows of ``FD_BLOCK`` of them per call.  Both give the whole
-    chain's values bit for bit.  Every other leaf gets an exact +0.0, the
-    value its central difference of two equal losses would give.
+    ``_column_values``, all the + and - vectors of one column at a time;
+    the aerial feature rows, which write one score row each, go through
+    ``_row_values``, ``FD_ROWS`` rows at a time.  Both recompute only what
+    their column or rows reach and take the rest from one stage one at
+    ``params``.  The leaves that move every score (projection entries, the
+    dustbin) go through ``forward_value``, the + and - rows of ``FD_BLOCK``
+    of them per call.  All give the whole chain's values bit for bit.  Every
+    other leaf gets an exact +0.0, the value its central difference of two
+    equal losses would give.  Raises OutOfRange, once per call, when a leaf
+    of ``params`` is not finite.
     """
     require_real("epsilon", epsilon, 0, ends="()")
     params = _float_leaves(ctx, params)
     grad = np.zeros_like(params)
-    columns, whole = _read_leaves(ctx)
+    columns, rows, whole = _read_leaves(ctx)
 
     def central(idx, values):
         k = len(idx)
@@ -780,6 +904,12 @@ def fd_gradient(
         for j, idx in enumerate(columns):
             leaves = _plus_minus(params[idx], np.arange(len(idx)), epsilon)
             central(idx, _column_values(ctx, base, j, leaves))
+        records = _exp_records(ctx, base) if rows.size else None
+        for start in range(0, len(rows), FD_ROWS):
+            block = np.arange(start, min(start + FD_ROWS, len(rows)))
+            idx = rows[block].ravel()
+            leaves = _plus_minus(params[idx], np.arange(len(idx)), epsilon)
+            central(idx, _row_values(ctx, base, records, block, leaves))
     for start in range(0, whole.size, FD_BLOCK):
         idx = whole[start : start + FD_BLOCK]
         central(idx, forward_value(ctx, _plus_minus(params, idx, epsilon)))
@@ -792,9 +922,18 @@ def compare_gradients(
     tol: float = 1.0e-4,
     floor: float = REL_FLOOR,
 ):
-    """(max abs err, max rel err, passed) with a floored relative error."""
+    """(max abs err, max rel err, passed) with a floored relative error.
+
+    Raises OutOfRange unless ``tol`` and ``floor`` are finite and positive,
+    and DimensionMismatch when the two gradients' shapes differ."""
+    require_real("tol", tol, 0, ends="()")
+    require_real("floor", floor, 0, ends="()")
     analytic = np.asarray(analytic, dtype=float)
     fd = np.asarray(fd, dtype=float)
+    if analytic.shape != fd.shape:
+        raise DimensionMismatch(
+            f"analytic gradient of shape {analytic.shape} vs finite differences of shape {fd.shape}"
+        )
     abs_err = np.abs(analytic - fd)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), floor)
     rel_err = abs_err / denom
@@ -811,8 +950,11 @@ def check(
 
     Pipeline failures (degenerate alignment, selection-boundary ties, no
     contrastive target in coverage) are surfaced in the report rather than
-    raised.
+    raised.  Bad arguments are raised before any gradient is taken:
+    OutOfRange for a ``tol`` that is not finite and positive and for
+    non-finite ``params``.
     """
+    require_real("tol", tol, 0, ends="()")
     if params is None:
         params = ctx.params0
     try:

@@ -11,7 +11,7 @@ They are not on any program path, so they live with the tests:
 * ``reference_fd_gradient`` -- ``gradcheck.fd_gradient`` with every read
   leaf through the whole chain, ``FD_BLOCK`` leaves per batched
   ``forward_value`` call: the route the oracle took before its per-column
-  route, held to it bit for bit;
+  and per-row routes, held to them bit for bit;
 * ``pose_weight_gradients`` -- the alignment's per-weight gradient on one
   weighted solve, as the chain's reverse sweep forms it;
 * ``add_at_value_and_grad`` -- ``gradcheck.value_and_grad``'s reverse
@@ -91,7 +91,8 @@ def reference_fd_gradient(ctx, params, epsilon: float = 1.0e-5) -> np.ndarray:
     require_real("epsilon", epsilon, 0, ends="()")
     params = gradcheck._float_leaves(ctx, params)
     grad = np.zeros_like(params)
-    read = np.union1d(*gradcheck._read_leaves(ctx))
+    columns, rows, whole = gradcheck._read_leaves(ctx)
+    read = np.union1d(np.union1d(columns, rows), whole)
     for start in range(0, read.size, gradcheck.FD_BLOCK):
         idx = read[start : start + gradcheck.FD_BLOCK]
         k = len(idx)

@@ -8,6 +8,7 @@ held to the FD oracle.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -261,10 +262,10 @@ def test_masked_column_gradients_are_exactly_zero():
 
 
 # one context per leaf mode.  The FD oracle takes the score leaves and the
-# valid cells' ground feature rows a column at a time, and the leaves that
-# move every column in blocks of FD_BLOCK, each count leaving a partial
-# last block: the dustbin alone (one batch of two rows), the aerial
-# features plus the dustbin (393 leaves) and the projection (65)
+# valid cells' ground feature rows a column at a time, the aerial feature
+# rows FD_ROWS at a time (49 rows: a partial last block), and the leaves
+# that move every score in blocks of FD_BLOCK: the dustbin alone (one batch
+# of two rows) or the projection plus the dustbin (65, a partial last block)
 LEAF_CONTEXTS = [(0, "score"), (1, "features"), (2, "projection")]
 
 
@@ -295,29 +296,33 @@ def test_batched_fd_matches_scalar_reference(seed, mode):
 
 
 @pytest.mark.parametrize("beta", [0.1, 0.0])
-@pytest.mark.parametrize("kind", ["as-built", "lone-target", "one-column"])
+@pytest.mark.parametrize("kind", ["as-built", "lone-target", "one-column", "one-row"])
 @pytest.mark.parametrize("seed, mode", LEAF_CONTEXTS)
 def test_fd_gradient_equals_the_whole_chain_reference(seed, mode, kind, beta):
-    """The per-column route gives the whole chain's FD vector to the byte,
-    at ``params0`` and away from it, with the contrastive terms on and off:
-    on the columns the selection reads and the valid columns it does not,
-    on a column only one ground-to-aerial row reads, on the column of the
-    only ground-to-aerial row (``lone-target``), and with every pair on one
-    column (``one-column``)."""
+    """The per-column and per-row routes give the whole chain's FD vector
+    to the byte, at ``params0`` and away from it, with the contrastive terms
+    on and off: on the columns the selection reads and the valid columns it
+    does not, on a column only one ground-to-aerial row reads, on the column
+    of the only ground-to-aerial row (``lone-target``), with every pair on
+    one column (``one-column``) and with every pair on one aerial row
+    (``one-row``)."""
     ctx = small_context(seed, mode, beta=beta)
     if kind == "lone-target":
         ctx = dataclasses.replace(ctx, g2s_pairs=ctx.g2s_pairs[:1], g2s_targets=ctx.g2s_targets[:1])
-    elif kind == "one-column":
-        ctx = forced_selection(ctx, "one-column")
+    elif kind in ("one-column", "one-row"):
+        ctx = forced_selection(ctx, kind)
     used = np.bincount(ctx.sel, minlength=len(ctx.cols))
     reads = np.bincount(ctx.sel[ctx.g2s_pairs], minlength=len(ctx.cols))
-    assert (used == 0).any()  # a valid column the selection does not read
+    if kind != "one-row":
+        assert (used == 0).any()  # a valid column the selection does not read
     if kind == "as-built":
         assert (reads == 1).any()
     elif kind == "lone-target":
         assert reads.sum() == 1
-    else:
+    elif kind == "one-column":
         assert (used > 0).sum() == 1
+    else:
+        assert len(np.unique(ctx.aerial_flat)) == 1
     away = ctx.params0 + np.random.default_rng(seed).normal(scale=1e-3, size=ctx.params0.shape)
     for params in (ctx.params0, away):
         fd = gradcheck.fd_gradient(ctx, params)
@@ -326,23 +331,48 @@ def test_fd_gradient_equals_the_whole_chain_reference(seed, mode, kind, beta):
 
 @pytest.mark.parametrize("seed, mode", LEAF_CONTEXTS[:2])
 def test_only_leaves_that_move_every_column_reach_forward_value(seed, mode, monkeypatch):
-    """A score-mode instance calls ``forward_value`` once, for the dustbin
-    leaf's + and - rows; a features-mode instance only for the aerial
-    feature leaves and the dustbin, ``FD_BLOCK`` at a time."""
+    """A score-mode or features-mode instance calls ``forward_value`` once,
+    for the dustbin leaf's + and - rows."""
     ctx = small_context(seed, mode)
     whole_chain, calls = gradcheck.forward_value, []
     monkeypatch.setattr(
         gradcheck, "forward_value", lambda c, rows: calls.append(rows) or whole_chain(c, rows)
     )
     gradcheck.fd_gradient(ctx, ctx.params0)
-    moved = [np.flatnonzero((rows != ctx.params0).any(axis=0)) for rows in calls]
-    n, na_d = len(ctx.params0), ctx.n_aerial * ctx.dim
-    if mode == "score":
-        assert len(calls) == 1 and calls[0].shape == (2, n)
-        np.testing.assert_array_equal(moved[0], [n - 1])
-    else:
-        assert len(calls) == -(-(na_d + 1) // gradcheck.FD_BLOCK)
-        np.testing.assert_array_equal(np.concatenate(moved), np.append(np.arange(na_d), n - 1))
+    n = len(ctx.params0)
+    assert len(calls) == 1 and calls[0].shape == (2, n)
+    np.testing.assert_array_equal(np.flatnonzero((calls[0] != ctx.params0).any(axis=0)), [n - 1])
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.0])
+@pytest.mark.parametrize("seed", [1, 4])
+def test_a_row_holding_a_column_max_redoes_that_line(seed, beta, monkeypatch):
+    """Perturbing an aerial row that holds a selected column's largest
+    dustbin-augmented score (or a ground-to-aerial row's largest score)
+    moves that max, so the row route redoes the whole line's shifted
+    exponentials (``_exp_lines``) in that row's block, and the FD vector is
+    still the whole chain's to the byte, at ``params0`` and away from it."""
+    ctx = small_context(seed, "features", beta=beta)
+    scores, na = ctx.stage0.scores, ctx.n_aerial
+    top = augment_dustbin(scores[:, ctx.unique_cols[0]], ctx.params0[-1]).argmax(axis=0)[:-1]
+    holders = {-2: set(top[top < na])}
+    if beta != 0.0:
+        holders[-1] = set(scores[:, ctx.sel[ctx.g2s_pairs]].argmax(axis=0))
+    assert holders[-2]  # an aerial row, not the dustbin, holds a column max
+    blocks, redone = [], set()
+    row_values, exp_lines = gradcheck._row_values, gradcheck._exp_lines
+    monkeypatch.setattr(gradcheck, "_row_values",
+                        lambda c, b, r, block, leaves: blocks.append(block) or row_values(
+                            c, b, r, block, leaves))
+    monkeypatch.setattr(gradcheck, "_exp_lines",
+                        lambda x, m, e, lines, axis: redone.update(
+                            (int(i), axis) for i in blocks[-1]) or exp_lines(x, m, e, lines, axis))
+    fd = gradcheck.fd_gradient(ctx, ctx.params0)
+    for axis, rows in holders.items():
+        assert {(int(i), axis) for i in rows} <= redone
+    assert fd.tobytes() == reference_fd_gradient(ctx, ctx.params0).tobytes()
+    away = ctx.params0 + np.random.default_rng(seed).normal(scale=1e-3, size=ctx.params0.shape)
+    assert gradcheck.fd_gradient(ctx, away).tobytes() == reference_fd_gradient(ctx, away).tobytes()
 
 
 @pytest.mark.parametrize("seed, mode", LEAF_CONTEXTS)
@@ -351,8 +381,10 @@ def test_read_leaves_are_the_valid_columns_and_the_dustbin(seed, mode):
     of a valid column (score mode), every aerial feature and each valid
     cell's ground feature row (features mode), every projection entry, and
     the dustbin.  It splits into one row per valid column of the leaves
-    that write that column alone (its scores, or its cell's feature row)
-    and the ascending leaves that move every column."""
+    that write that column alone (its scores, or its cell's feature row),
+    one row per aerial cell of the leaves that write that score row alone
+    (its feature row, features mode only), and the ascending leaves that
+    move every score."""
     ctx = small_context(seed, mode)
     na, ng, d = ctx.n_aerial, ctx.n_ground, ctx.dim
     if mode == "score":
@@ -360,19 +392,24 @@ def test_read_leaves_are_the_valid_columns_and_the_dustbin(seed, mode):
         whole = np.zeros(na * ng, bool)
     elif mode == "features":
         read = np.concatenate([np.ones(na * d, bool), np.repeat(ctx.valid, d)])
-        whole = np.arange(len(read)) < na * d
+        whole = np.zeros(len(read), bool)
     else:
         read = whole = np.ones(d * d, bool)
     expected = np.flatnonzero(np.append(read, True))
-    columns, moves_all = gradcheck._read_leaves(ctx)
-    np.testing.assert_array_equal(np.union1d(columns, moves_all), expected)
+    columns, rows, moves_all = gradcheck._read_leaves(ctx)
+    np.testing.assert_array_equal(np.union1d(np.union1d(columns, rows), moves_all), expected)
     np.testing.assert_array_equal(moves_all, np.flatnonzero(np.append(whole, True)))
-    assert columns.shape[0] == len(ctx.cols) and columns.size + moves_all.size == expected.size
+    assert columns.shape[0] == len(ctx.cols)
+    assert columns.size + rows.size + moves_all.size == expected.size
     for j, col in enumerate(ctx.cols):
         if mode == "score":
             np.testing.assert_array_equal(columns[j], np.arange(na) * ng + col)
         elif mode == "features":
             np.testing.assert_array_equal(columns[j], na * d + col * d + np.arange(d))
+    if mode == "features":
+        np.testing.assert_array_equal(rows, np.arange(na * d).reshape(na, d))
+    else:
+        assert rows.size == 0
     if mode == "projection":
         assert columns.size == 0 and len(expected) == len(ctx.params0)
 
@@ -384,7 +421,8 @@ def test_leaves_the_oracle_skips_never_move_the_loss(seed, mode):
     ``forward_value`` bit-unchanged, so their exact +0.0 in ``fd_gradient``
     is the central difference the full oracle would take."""
     ctx = small_context(seed, mode)
-    skipped = np.setdiff1d(np.arange(len(ctx.params0)), np.union1d(*gradcheck._read_leaves(ctx)))
+    columns, rows, whole = gradcheck._read_leaves(ctx)
+    skipped = np.setdiff1d(np.arange(len(ctx.params0)), np.union1d(np.union1d(columns, rows), whole))
     assert len(skipped) > 0  # the scene must have masked ground cells
     rng = np.random.default_rng(seed)
     base = gradcheck.forward_value(ctx, ctx.params0)
@@ -870,6 +908,48 @@ def test_boundary_tie_raises_non_differentiable():
     params[col] = -1.0e9  # entry (0, col)
     with pytest.raises(NonDifferentiablePoint):
         gradcheck.backward(every, params)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_leaf_is_out_of_range_naming_the_vector(bad, monkeypatch):
+    """A non-finite leaf is rejected once per call, before anything is
+    evaluated: ``fd_gradient``, ``value_and_grad``, ``backward`` and
+    ``check`` raise OutOfRange naming ``params`` (not NaN gradients or a
+    NaN report), and ``build_context`` one naming ``params0`` (not a
+    misleading InsufficientMatches).  The FD oracle checks its leaf vector
+    once, never each perturbed vector."""
+    ctx = small_context(1, "features")
+    params = ctx.params0.copy()
+    params[3] = bad
+    checked, require_finite = [], gradcheck._require_finite
+    monkeypatch.setattr(gradcheck, "_require_finite",
+                        lambda name, p: checked.append(name) or require_finite(name, p))
+    for call in (gradcheck.fd_gradient, gradcheck.value_and_grad, gradcheck.backward,
+                 gradcheck.check):
+        with pytest.raises(OutOfRange) as info:
+            call(ctx, params)
+        assert info.value.field == "params"
+        assert str(info.value).startswith(f"params must be finite, got {bad} at leaf 3 ")
+    assert checked == ["params"] * 4
+    checked.clear()
+    gradcheck.fd_gradient(ctx, ctx.params0)
+    assert checked == ["params"]
+    scene = generate(SceneConfig(seed=1, **SMALL_SCENE))
+    with pytest.raises(OutOfRange) as info:
+        gradcheck.build_context(scene, SMALL_PIPE, mode="features", params0=params)
+    assert info.value.field == "params0"
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-4])
+def test_check_rejects_a_tol_that_is_not_finite_and_positive_first(tol, monkeypatch):
+    """A NaN tol would fail every check and an infinite one pass every one:
+    both, and any tol <= 0, are OutOfRange naming ``tol`` before a gradient
+    is taken."""
+    ctx = small_context(2, "projection")
+    monkeypatch.setattr(gradcheck, "backward", lambda *args: pytest.fail("a gradient was taken"))
+    with pytest.raises(OutOfRange) as info:
+        gradcheck.check(ctx, tol=tol)
+    assert info.value.field == "tol"
 
 
 def test_report_serializes():

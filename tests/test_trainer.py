@@ -73,6 +73,19 @@ def test_weights_param_layout_matches_gradcheck():
     np.testing.assert_array_equal(ctx.params0, w.as_params())
 
 
+def test_a_step_at_non_finite_weights_names_params0():
+    """A scene-step at non-finite weights is OutOfRange naming ``params0``,
+    the leaf vector the step freezes the selection at, not a misleading
+    InsufficientMatches."""
+    scene = small_scenes(1)[0]
+    step = trainer._scene_steps(TrainConfig(), [scene], SMALL_PIPE)[0]
+    params = ProjectionWeights(np.eye(8), 0.25).as_params()
+    params[5] = np.nan
+    with pytest.raises(OutOfRange) as info:
+        step(params)
+    assert info.value.field == "params0"
+
+
 # --- config validation ------------------------------------------------------
 
 

@@ -13,9 +13,9 @@ import math
 import numpy as np
 import pytest
 
-from crossloc import matching, trainer
+from crossloc import gradcheck, matching, trainer
 from crossloc.cli import main
-from crossloc.errors import OutOfRange, require_bool, require_choice, require_int, require_real
+from crossloc.errors import DimensionMismatch, OutOfRange, require_bool, require_choice, require_int, require_real
 from crossloc.estimator import PipelineConfig, RansacConfig
 from crossloc.lifting import LiftConfig
 from crossloc.losses import virtual_point_grid
@@ -87,6 +87,11 @@ def test_plain_ints_for_float_fields_stay_ints():
         (lambda: trainer.reference_dataset(nuisance_amp="0.5"), "nuisance_amp"),
         (lambda: trainer.ProjectionWeights(np.eye(2), dustbin_z="x"), "dustbin_z"),
         (lambda: trainer.ProjectionWeights(np.eye(2), dustbin_z=True), "dustbin_z"),
+        (lambda: gradcheck.compare_gradients(np.ones(2), np.ones(2), tol=math.nan), "tol"),
+        (lambda: gradcheck.compare_gradients(np.ones(2), np.ones(2), tol=math.inf), "tol"),
+        (lambda: gradcheck.compare_gradients(np.ones(2), np.ones(2), tol=0.0), "tol"),
+        (lambda: gradcheck.compare_gradients(np.ones(2), np.ones(2), floor=math.nan), "floor"),
+        (lambda: gradcheck.compare_gradients(np.ones(2), np.ones(2), floor=0.0), "floor"),
     ],
     ids=[
         "scene-fractional-cells",
@@ -108,12 +113,26 @@ def test_plain_ints_for_float_fields_stay_ints():
         "dataset-string-amp",
         "projection-string-dustbin",
         "projection-bool-dustbin",
+        "compare-nan-tol",
+        "compare-inf-tol",
+        "compare-zero-tol",
+        "compare-nan-floor",
+        "compare-zero-floor",
     ],
 )
 def test_each_former_gap_is_out_of_range_naming_the_argument(call, field):
     with pytest.raises(OutOfRange) as info:
         call()
     assert info.value.field == field
+
+
+@pytest.mark.parametrize("fd_shape", [(4,), (1,), (3, 1)])
+def test_compare_gradients_names_both_shapes_of_a_mismatch(fd_shape):
+    """Gradients of different shapes are a DimensionMismatch naming both,
+    not numpy's broadcast error or a silent broadcast."""
+    with pytest.raises(DimensionMismatch) as info:
+        gradcheck.compare_gradients(np.ones(3), np.ones(fd_shape))
+    assert f"{(3,)}" in str(info.value) and f"{fd_shape}" in str(info.value)
 
 
 @pytest.mark.parametrize("config, name", [(PipelineConfig, "scale_aware"),
