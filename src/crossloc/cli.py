@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import inspect
 import math
 import os
@@ -543,14 +544,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses for every call in a process: parsing
+    leaves it unchanged, and building it costs about as much as a small
+    command."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    # the command is looked up by name at call time, so a wrapped or patched
+    # ``cmd_*`` runs even though the parser was built before
+    command = globals()[args.func.__name__]
     try:
-        return args.func(args)
+        return command(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

@@ -46,27 +46,20 @@ scores, or every aerial feature and the valid cells' ground feature rows,
 or every projection entry; plus the dustbin) and writes an exact +0.0 for
 the others, whose central differences are two equal losses.
 
-A score leaf or a valid cell's ground feature row moves one column of the
-scores, so ``fd_gradient`` evaluates all the perturbed vectors of one such
-column as one batch (``_column_values``): it recomputes that column's
-scores and column softmax, the selected rows' row softmaxes, the
-log-sum-exps of the ground-to-aerial rows that read the column and stage
-two, and takes everything else from one stage one at the unperturbed
-vector.  An aerial cell's feature row moves one row of the scores, so the
-perturbed vectors of ``FD_ROWS`` such rows form one batch
-(``_row_values``): it scores only those rows, recomputes the selected
-rows' row softmaxes only when the block holds one of them, and for the
-selected columns' softmaxes and the ground-to-aerial log-sum-exps writes
-the rows' shifted exponentials exp(x - max) into the unperturbed vector's
-and sums again (``_swap_entries``).  That is exact: max and subtraction
-are, so the other entries' exponentials keep their bits, and a line whose
-max moves is redone whole.  The leaves that move every score (projection
-entries, the dustbin) run the whole chain, which takes a leading batch
-axis (``(P,)`` -> scalar, ``(K, P)`` -> ``(K,)``): the + and - rows of
-``FD_BLOCK`` of them per ``forward_value`` call.  All three routes give
-the whole chain's values bit for bit, since numpy sums a batch's
-reductions in an order set by its memory layout, which the column and row
-routes copy (``_batch_like``).
+Every other read leaf writes one line of the scores: a score leaf or a
+valid cell's ground feature row its column, an aerial cell's feature row
+its row.  ``fd_gradient`` evaluates the perturbed vectors of a few such
+lines as one batch (``_line_values``): each vector forms only its own line
+and swaps the entries it changed into the unperturbed vector's shifted
+exponentials exp(x - max) of the lines the chain normalises, then runs
+stage two.  That is exact: max and subtraction are, so the other entries'
+exponentials keep their bits, and a line whose max moves is redone whole.
+The leaves that move every score (projection entries, the dustbin) run the
+whole chain, which takes a leading batch axis (``(P,)`` -> scalar,
+``(K, P)`` -> ``(K,)``): the + and - rows of ``FD_BLOCK`` of them per
+``forward_value`` call.  Both routes give the whole chain's values bit for
+bit, since numpy sums a batch's reductions in an order set by its memory
+layout, which the line route copies (``_batch_like``).
 
 Leaf parameterizations:
 
@@ -489,24 +482,29 @@ def _vce(truth, points: np.ndarray, cos_t, sin_t, t_x, t_y, dtype):
 
 
 def _exp_record(x: np.ndarray, axis: int) -> tuple:
-    """``(x, max, exp(x - max))`` along ``axis``, as ``col_softmax`` and
-    ``_logsumexp`` form them (the FD oracle's ``_swap_entries`` edits it)."""
+    """``(max, exp(x - max), their sum)`` along ``axis`` (keepdims), as
+    ``row_softmax``, ``col_softmax`` and ``_logsumexp`` form them."""
     m = x.max(axis=axis, keepdims=True)
-    return x, m, np.exp(x - m)
+    e = np.exp(x - m)
+    return m, e, e.sum(axis=axis, keepdims=True)
 
 
 def _logsumexp(x: np.ndarray):
     """(log-sum-exp of each row of ``x``, and the reverse sweep's record of
     it: the rows' shifted exponentials exp(x - max) and their sums)."""
-    _, m, e = _exp_record(x, -1)
-    total = e.sum(axis=-1)
-    return m[..., 0] + np.log(total), (e, total)
+    m, e, total = _exp_record(x, -1)
+    return m[..., 0] + np.log(total[..., 0]), (e, total[..., 0])
 
 
-def _column_lse(scores: np.ndarray, cols):
-    """``_logsumexp`` of the score columns ``cols``, each read down its
-    aerial rows: ``(..., len(cols))`` values and the record."""
-    return _logsumexp(scores[..., cols].swapaxes(-1, -2))
+def _g2s_logits(ctx: GradContext, scores: np.ndarray, sel) -> np.ndarray:
+    """Ground-to-aerial logits: each in-coverage pair's score column down the rows."""
+    return scores[..., sel[ctx.g2s_pairs]].swapaxes(-1, -2)
+
+
+def _s2g_logits(ctx: GradContext, scores: np.ndarray, sel) -> np.ndarray:
+    """Aerial-to-ground logits: each pair's score row over the pairs' columns."""
+    block = scores[..., ctx.aerial_flat[:, None], sel[None, :]]
+    return np.where(ctx.s2g_keep, block, scores.dtype.type(-np.inf))
 
 
 def _loss(ctx: GradContext, stage: _Stage, sel, dtype, strict: bool = False, at=None) -> _Tape:
@@ -519,14 +517,14 @@ def _loss(ctx: GradContext, stage: _Stage, sel, dtype, strict: bool = False, at=
 
 
 def _stage_two(
-    ctx: GradContext, w, scores, sel, dtype, strict: bool = False, g2s_lse=None
+    ctx: GradContext, w, scores, sel, dtype, strict: bool = False, g2s_lse=None, s2g_lse=None
 ) -> _Tape:
     """From the selected pairs' weights ``w`` and the valid columns'
     ``scores``: the alignment, the pose loss and the contrastive terms
     (NoValidTargets when on with no ground-to-aerial target in coverage);
-    ``strict`` is ``_align``'s.  ``g2s_lse``, when given, holds the
-    ground-to-aerial rows' log-sum-exps, which are then neither recomputed
-    nor recorded."""
+    ``strict`` is ``_align``'s.  ``g2s_lse`` and ``s2g_lse``, when given,
+    hold the ground-to-aerial and aerial-to-ground rows' log-sum-exps, which
+    are then neither recomputed nor recorded."""
     p, q = ctx.ground_planar.astype(dtype), ctx.aerial_metric.astype(dtype)
     al = _align(p, q, w, strict)
     vce, offsets = _vce(
@@ -536,17 +534,13 @@ def _stage_two(
         return _Tape(vce, al, offsets)
     if len(ctx.g2s_pairs) == 0:
         raise NoValidTargets("every ground-to-aerial target left the aerial coverage")
-    # ground -> aerial: each in-coverage pair's whole score column
-    g2s_sel = sel[ctx.g2s_pairs]
-    g2s_exp = None
+    g2s_exp = s2g_exp = None
     if g2s_lse is None:
-        g2s_lse, g2s_exp = _column_lse(scores, g2s_sel)
-    g2s_pos = scores[..., ctx.g2s_targets, g2s_sel]
-    g2s = -(g2s_pos - g2s_lse).sum(axis=-1) / len(g2s_sel)
-    # aerial -> ground: each pair's row over its candidate pairs' columns
-    block = scores[..., ctx.aerial_flat[:, None], sel[None, :]]  # (..., N, N)
-    s2g_logits = np.where(ctx.s2g_keep, block, dtype(-np.inf))
-    s2g_lse, s2g_exp = _logsumexp(s2g_logits)
+        g2s_lse, g2s_exp = _logsumexp(_g2s_logits(ctx, scores, sel))
+    g2s_pos = scores[..., ctx.g2s_targets, sel[ctx.g2s_pairs]]
+    g2s = -(g2s_pos - g2s_lse).sum(axis=-1) / len(ctx.g2s_pairs)
+    if s2g_lse is None:
+        s2g_lse, s2g_exp = _logsumexp(_s2g_logits(ctx, scores, sel))
     s2g_pos = scores[..., ctx.aerial_flat, sel[ctx.s2g_pos]]
     s2g = -(s2g_pos - s2g_lse).sum(axis=-1) / len(sel)
     loss = vce + dtype(ctx.beta) * (g2s + s2g) / dtype(2.0)
@@ -713,24 +707,25 @@ def backward(ctx: GradContext, params: np.ndarray) -> np.ndarray:
 # finite differences and the comparison report
 
 
-# The leaves that move every score (projection entries, the dustbin) go
-# FD_BLOCK per batched ``forward_value`` call (2 * FD_BLOCK vectors), and
-# the aerial feature rows FD_ROWS per ``_row_values`` call (2 * FD_ROWS *
-# dim vectors); a valid column's leaves go through ``_column_values``.
-# Every vector of a row block forms all FD_ROWS rows' scores and
-# exponentials, so larger row blocks pay more than their calls save.
+# The leaves that move every score go FD_BLOCK per ``forward_value`` call
+# (2 * FD_BLOCK vectors).  Those that write one score line go whole lines
+# at a time, as many as keep a ``_line_values`` call within FD_VECTORS
+# vectors (at least one line): 4 feature rows of dimension 8, or one column
+# of 49 score leaves on gate 05's scenes.  A vector forms only its own line,
+# so larger blocks save only calls, and they raise the peak memory.
 FD_BLOCK = 4
-FD_ROWS = 2
+FD_VECTORS = 64
 
 
-def _plus_minus(params: np.ndarray, idx: np.ndarray, epsilon: float) -> np.ndarray:
-    """``2k`` float64 copies of ``params`` for the ``k`` leaves ``idx``: row
-    ``i`` moves leaf ``idx[i]`` by +epsilon, row ``k + i`` by -epsilon."""
+def _plus_minus(rows: np.ndarray, idx: np.ndarray, epsilon: float) -> np.ndarray:
+    """``2k`` float64 copies of ``rows`` (``k`` rows, or one for all) for
+    the ``k`` leaves ``idx``: row ``i`` moves leaf ``idx[i]`` of ``rows[i]``
+    by +epsilon, row ``k + i`` by -epsilon."""
     k = len(idx)
-    rows = np.tile(params, (2 * k, 1))
-    rows[np.arange(k), idx] += epsilon
-    rows[np.arange(k, 2 * k), idx] -= epsilon
-    return rows
+    out = np.tile(np.broadcast_to(rows, (k, rows.shape[-1])), (2, 1))
+    out[np.arange(k), idx] += epsilon
+    out[np.arange(k, 2 * k), idx] -= epsilon
+    return out
 
 
 def _batch_like(a: np.ndarray, v: int) -> np.ndarray:
@@ -743,128 +738,134 @@ def _batch_like(a: np.ndarray, v: int) -> np.ndarray:
     return out
 
 
-def _column_values(ctx: GradContext, base: _Stage, j: int, leaves: np.ndarray):
-    """``forward_value`` in long double at ``V >= 2`` leaf vectors that
-    differ from ``base.params`` only in leaves writing valid column ``j``
-    alone: ``leaves`` ``(V, L)`` holds the column's score leaves (score mode)
-    or its ground cell's raw feature row (features mode).
-
-    ``base`` is stage one at the unperturbed vector, stacked twice.  Only
-    column ``j``'s scores and (when a pair reads it) column softmax, the
-    selected rows' row softmaxes, the pairs' weights, the log-sum-exp of
-    the ground-to-aerial rows that read column ``j`` and stage two are
-    recomputed; the rest is copied from ``base`` in the chain's layout and
-    formed by the chain's own expressions, so each value equals the whole
-    chain's bit for bit.
-    """
-    v, af, sel = len(leaves), ctx.aerial_flat, ctx.sel
-    if ctx.mode == "score":
-        column = leaves.astype(np.longdouble)
-    else:
-        a_raw = base.params[0, : ctx.n_aerial * ctx.dim].reshape(ctx.n_aerial, ctx.dim)
-        g_raw = leaves.astype(np.longdouble)[:, None, :]
-        column = score_matrix(a_raw.astype(np.longdouble), g_raw, ctx.tau)[..., 0]
-    scores = _batch_like(base.scores, v)
-    scores[..., j] = column
-    (rows, r_at), c_at = ctx.unique_rows, ctx.unique_cols[1]
-    pairs = sel == j
-    ra, cb = soft_assign(scores, base.params[0, -1], rows, [j] if pairs.any() else [])
-    c_sel = _batch_like(base.cb[..., af, c_at], v)
-    c_sel[:, pairs] = cb[..., af[pairs], 0]
-    w = ra[..., r_at, sel] * c_sel
-    lse = None
-    if ctx.beta != 0.0:
-        g2s_sel = sel[ctx.g2s_pairs]
-        lse = _batch_like(_column_lse(base.scores, g2s_sel)[0], v)
-        reads = g2s_sel == j
-        if reads.any():
-            lse[:, reads] = _column_lse(scores, [j])[0]
-    return _stage_two(ctx, w, scores, sel, np.longdouble, g2s_lse=lse).loss
+_Lines = namedtuple("_Lines", "x m e t top arg")
 
 
-def _exp_lines(x, m, e, lines, axis: int) -> None:
-    """Write exp(x - m) into ``e`` on the ``lines`` (a bool mask over the
-    axes other than ``axis``), each whole along ``axis``."""
-    x, m, e = (np.moveaxis(a, axis, -1) for a in (x, m, e))
-    e[lines] = np.exp(x[lines] - m[lines])
+def _lines_record(x: np.ndarray, axis: int) -> _Lines:
+    """Lines the chain normalises along ``axis`` of ``x`` (a stage one
+    stacked twice): the view (batch, line, entry) with that axis last
+    (``np.moveaxis`` keeps the memory layout), its ``_exp_record``, each
+    line's runner-up and max entry, and the max's position."""
+    x = np.moveaxis(x, axis, -1)
+    return _Lines(x, *_exp_record(x, -1), np.sort(x[0], axis=-1)[:, -2:], x[0].argmax(axis=-1))
 
 
-def _swap_entries(record: tuple, at: np.ndarray, new: np.ndarray, axis: int):
-    """A batch-of-two ``_exp_record`` along ``axis``, redone for ``V``
-    vectors whose entries ``at`` along it are ``new`` (``(V, ...)``, that
-    axis of length ``len(at)``): their maxima, shifted exponentials and sums
-    (keepdims).
-
-    Max and subtraction are exact, so wherever the max does not move the
-    other entries' exponentials keep their bits and only the new entries'
-    are formed; a line whose max moves is redone whole (``_exp_lines``).
-    The exponentials are copied in the record's memory layout
-    (``_batch_like``) and summed again, so every value equals the whole
-    chain's bit for bit.
-    """
-    x, m, e = record
-    v, where = len(new), (slice(None),) * (x.ndim + axis) + (at,)
-    others = np.delete(x[0], at, axis).max(axis=axis, keepdims=True)
-    m_new = np.maximum(others, new.max(axis=axis, keepdims=True))
-    e_new = _batch_like(e, v)
-    e_new[where] = np.exp(new - m_new)
-    moved = np.moveaxis(m_new != m[:1], axis, -1)[..., 0]
-    if moved.any():
-        x_new = _batch_like(x, v)
-        x_new[where] = new
-        _exp_lines(x_new, m_new, e_new, moved, axis)
-    return m_new, e_new, e_new.sum(axis=axis, keepdims=True)
+def _swap(rec: _Lines, at: np.ndarray, new: np.ndarray) -> tuple:
+    """``_exp_record`` of ``V`` copies of ``rec``'s lines in which entry
+    ``at[v]`` of every line is ``new[v, line]``.  Max and subtraction are
+    exact: a line's new max is the larger of the new entry and the rest's
+    (the runner-up where ``at[v]`` held the max), the other entries keep
+    the base's exponentials, and a line whose max moves is redone whole.
+    They are summed again in the base's memory layout (``_batch_like``)."""
+    v, n = new.shape
+    m = np.maximum(np.where(rec.arg == at[:, None], rec.top[:, 0], rec.top[:, 1]), new)
+    e = _batch_like(rec.e, v)
+    e[np.arange(v)[:, None], np.arange(n), at[:, None]] = np.exp(new - m)
+    vv, ll = np.nonzero(m != rec.m[0, :, 0])
+    if len(vv):
+        x = rec.x[0, ll]
+        x[np.arange(len(vv)), at[vv]] = new[vv, ll]
+        e[vv, ll] = np.exp(x - m[vv, ll, None])
+    return m[..., None], e, e.sum(axis=-1, keepdims=True)
 
 
-def _exp_records(ctx: GradContext, base: _Stage) -> tuple:
-    """``base``'s ``_exp_record`` of the selected columns' column softmaxes
-    (their dustbin-augmented scores down the rows) and of the
-    ground-to-aerial rows' log-sum-exps (``None`` with the contrastive terms
-    off): the records ``_row_values`` edits."""
-    aug = matching.augment_dustbin(base.scores[..., :, ctx.unique_cols[0]], base.params[..., -1])
-    if ctx.beta == 0.0:
-        return _exp_record(aug, -2), None
-    g2s = base.scores[..., ctx.sel[ctx.g2s_pairs]].swapaxes(-1, -2)
-    return _exp_record(aug, -2), _exp_record(g2s, -1)
+def _redo(rec: _Lines, line: np.ndarray, new: np.ndarray) -> tuple:
+    """``(max, exp(x - max), sum)`` of ``rec``'s line ``line[v]`` with the
+    entries ``new[v]``, forming exponentials only where an entry changed, or
+    the line's max did.  It is summed in a two-line copy of the base's
+    memory layout, which numpy sums in the whole set's order."""
+    v = len(new)
+    m = new.max(axis=-1, keepdims=True)
+    e = _batch_like(rec.e[:, :2], v)
+    e[:, 0] = rec.e[0, line]
+    redo = (new != rec.x[0, line]) | (m != rec.m[0, line])
+    e[:, 0][redo] = np.exp(new[redo] - np.broadcast_to(m, new.shape)[redo])
+    return m, e[:, 0], e.sum(axis=-1)[:, :1]
 
 
-def _row_values(ctx: GradContext, base: _Stage, records: tuple, block, leaves: np.ndarray):
-    """``forward_value`` in long double at ``V >= 2`` leaf vectors that
-    differ from ``base.params`` only in the raw feature rows of the aerial
-    cells ``block`` (features mode): ``leaves`` ``(V, len(block) * dim)``,
-    the rows one after another.
+def _records(ctx: GradContext, base: _Stage) -> tuple:
+    """What ``_line_values`` reads of the stage one ``base`` (stacked
+    twice): the selected pairs' row and column softmax entries, the
+    ground-to-aerial and aerial-to-ground log-sum-exps (``None`` with the
+    contrastive terms off or without targets, which stage two then raises
+    on), each laid out as the chain lays it out; and the ``_Lines`` of the
+    selected columns' dustbin-augmented scores and of the ground-to-aerial
+    logits, whose lines are score columns."""
+    (_, r_at), (cols, c_at) = ctx.unique_rows, ctx.unique_cols
+    scores, z, sel = base.scores, base.params[..., -1], ctx.sel
+    columns = _lines_record(matching.augment_dustbin(scores[..., :, cols], z), -2)
+    out = (base.ra[..., r_at, sel], base.cb[..., ctx.aerial_flat, c_at])
+    if ctx.beta == 0.0 or len(ctx.g2s_pairs) == 0:
+        return out + (None, None, columns, None)
+    g2s = _g2s_logits(ctx, scores, sel)
+    s2g_lse = _logsumexp(_s2g_logits(ctx, scores, sel))[0]
+    return out + (_logsumexp(g2s)[0], s2g_lse, columns, _lines_record(g2s, -1))
 
-    ``base`` is stage one at the unperturbed vector, stacked twice, and
-    ``records`` its ``_exp_records``.  Only the block's unit rows and scores
-    against the base's ground rows are formed, and the selected rows' row
-    softmaxes only when the block holds one of them; the selected columns'
-    softmaxes and the ground-to-aerial log-sum-exps edit the block's rows
-    into the base's shifted exponentials (``_swap_entries``), and stage two
-    runs as in the whole chain, so each value equals the whole chain's bit
-    for bit.
-    """
-    v, af, sel, ld = len(leaves), ctx.aerial_flat, ctx.sel, np.longdouble
+
+def _line_values(ctx: GradContext, base: _Stage, records: tuple, axis: int, lines, new):
+    """``forward_value`` in long double at ``V`` leaf vectors, vector ``v``
+    differing from ``base.params`` (stage one there, stacked twice, with its
+    ``_records``) only in the scores of valid column ``lines[v]`` (``axis``
+    -1) or aerial row ``lines[v]`` (-2), which are ``new[v]``.
+
+    The selected columns' softmaxes and the ground-to-aerial log-sum-exps
+    read score columns: a row changes one entry of each (``_swap``), a
+    column its own lines (``_redo``).  The selected rows' row softmaxes and
+    the aerial-to-ground log-sum-exps are recomputed by the chain's own
+    expressions for the vectors whose line reaches them.  The rest is the
+    base's, so each value equals the whole chain's bit for bit."""
+    v, sel, af = len(lines), ctx.sel, ctx.aerial_flat
     (rows, r_at), (cols, c_at) = ctx.unique_rows, ctx.unique_cols
-    na_d, z = ctx.n_aerial * ctx.dim, base.params[0, -1]
-    g_raw = base.params[0, na_d : na_d + ctx.n_ground * ctx.dim].reshape(ctx.n_ground, ctx.dim)
-    a_raw = leaves.reshape(v, len(block), ctx.dim).astype(ld)
-    new_rows = score_matrix(a_raw, g_raw[ctx.cols].astype(ld), ctx.tau)
+    z = base.params[0, -1]
     scores = _batch_like(base.scores, v)
-    scores[:, block] = new_rows
-    if np.isin(block, rows).any():
-        ra = soft_assign(scores, z, rows, [])[0][..., r_at, sel]
+    at = (np.arange(v),) + (slice(None),) * (2 + axis) + (lines,)
+    changed = new != scores[at]
+    scores[at] = new
+    ra, cb, g2s_lse, s2g_lse = (None if a is None else _batch_like(a, v) for a in records[:4])
+    columns, g2s = records[4:]
+    if axis == -2:
+        reach_r, reach_s = np.isin(lines, rows), np.isin(lines, af)
+        _, e, t = _swap(columns, lines, matching.augment_dustbin(new[:, None, cols], z)[:, 0])
+        cb[...] = e[:, c_at, af] / t[:, c_at, 0]
+        if g2s is not None:
+            m, _, t = _swap(g2s, lines, new[:, sel[ctx.g2s_pairs]])
+            g2s_lse[...] = m[..., 0] + np.log(t[..., 0])
     else:
-        ra = _batch_like(base.ra[..., r_at, sel], v)
-    col_record, g2s_record = records
-    new = matching.augment_dustbin(new_rows[..., cols], z)[:, :-1]  # the dustbin row dropped
-    _, e, total = _swap_entries(col_record, block, new, -2)
-    w = ra * (e / total)[..., af, c_at]
-    lse = None
-    if g2s_record is not None:
-        g2s = new_rows[..., sel[ctx.g2s_pairs]].swapaxes(-1, -2)
-        m, e, total = _swap_entries(g2s_record, block, g2s, -1)
-        lse = m[..., 0] + np.log(total[..., 0])
-    return _stage_two(ctx, w, scores, sel, ld, g2s_lse=lse).loss
+        reach_r = changed[:, rows].any(axis=1)
+        reach_s = changed[:, af].any(axis=1) & np.isin(lines, sel)
+        pairs = sel == lines[:, None]
+        hit = pairs.any(axis=1)
+        aug = matching.augment_dustbin(new[hit, :, None], z)[..., 0]
+        _, e, t = _redo(columns, np.searchsorted(cols, lines[hit]), aug)
+        cb[pairs] = (e[:, af] / t)[pairs[hit]]
+        if g2s is not None:
+            reads = sel[ctx.g2s_pairs] == lines[:, None]
+            hit = reads.any(axis=1)
+            m, _, t = _redo(g2s, reads[hit].argmax(axis=1), new[hit])
+            g2s_lse[reads] = np.broadcast_to(m + np.log(t), reads[hit].shape)[reads[hit]]
+    if reach_r.any():
+        aug = matching.augment_dustbin(scores[reach_r][..., rows, :], z)
+        ra[reach_r] = matching.row_softmax(aug)[..., r_at, sel]
+    if g2s is not None and reach_s.any():
+        s2g_lse[reach_s] = _logsumexp(_s2g_logits(ctx, scores[reach_s], sel))[0]
+    tape = _stage_two(ctx, ra * cb, scores, sel, np.longdouble, g2s_lse=g2s_lse, s2g_lse=s2g_lse)
+    return tape.loss
+
+
+def _line_scores(ctx: GradContext, base: _Stage, axis: int, leaves: np.ndarray):
+    """Each vector's new line of scores, in long double, from the ``(V, L)``
+    leaves that write it: a column's score leaves, or a raw feature row
+    scored against ``base``'s aerial rows (a ground cell's, ``axis`` -1) or
+    valid ground rows (an aerial cell's, -2)."""
+    leaves = leaves.astype(np.longdouble)
+    if ctx.mode == "score":
+        return leaves
+    na_d = ctx.n_aerial * ctx.dim
+    if axis == -1:
+        a_raw = base.params[0, :na_d].reshape(ctx.n_aerial, ctx.dim)
+        return score_matrix(a_raw.astype(np.longdouble), leaves[:, None, :], ctx.tau)[..., 0]
+    g_raw = base.params[0, na_d:-1].reshape(ctx.n_ground, ctx.dim)[ctx.cols]
+    return score_matrix(leaves[:, None, :], g_raw.astype(np.longdouble), ctx.tau)[:, 0]
 
 
 def fd_gradient(
@@ -875,18 +876,14 @@ def fd_gradient(
     Central differences (f(p + eps e_i) - f(p - eps e_i)) / (2 eps) of f =
     ``forward_value(ctx, .)`` -- each perturbed vector is formed in float64
     and evaluated in long double -- but only for the leaves the chain reads
-    (``_read_leaves``).  The leaves that write one valid column's scores
-    (every score leaf, and each valid cell's ground feature row) go through
-    ``_column_values``, all the + and - vectors of one column at a time;
-    the aerial feature rows, which write one score row each, go through
-    ``_row_values``, ``FD_ROWS`` rows at a time.  Both recompute only what
-    their column or rows reach and take the rest from one stage one at
-    ``params``.  The leaves that move every score (projection entries, the
-    dustbin) go through ``forward_value``, the + and - rows of ``FD_BLOCK``
-    of them per call.  All give the whole chain's values bit for bit.  Every
-    other leaf gets an exact +0.0, the value its central difference of two
-    equal losses would give.  Raises OutOfRange, once per call, when a leaf
-    of ``params`` is not finite.
+    (``_read_leaves``).  The leaves that write one score line go through
+    ``_line_values``, whole lines per call (``FD_VECTORS``), each vector
+    forming only its own line and taking the rest from one stage one at
+    ``params``; the leaves that move every score go through
+    ``forward_value``, ``FD_BLOCK`` per call.  Both give the whole chain's
+    values bit for bit.  Every other leaf gets an exact +0.0, the value its
+    central difference of two equal losses would give.  Raises OutOfRange,
+    once per call, when a leaf of ``params`` is not finite.
     """
     require_real("epsilon", epsilon, 0, ends="()")
     params = _float_leaves(ctx, params)
@@ -901,15 +898,17 @@ def fd_gradient(
         # a stack of two: a batch of one lays out and sums some rows otherwise
         pair = np.stack([params, params])
         base = _stage_one(ctx, pair, np.longdouble, ctx.unique_rows[0], ctx.unique_cols[0])
-        for j, idx in enumerate(columns):
-            leaves = _plus_minus(params[idx], np.arange(len(idx)), epsilon)
-            central(idx, _column_values(ctx, base, j, leaves))
-        records = _exp_records(ctx, base) if rows.size else None
-        for start in range(0, len(rows), FD_ROWS):
-            block = np.arange(start, min(start + FD_ROWS, len(rows)))
-            idx = rows[block].ravel()
-            leaves = _plus_minus(params[idx], np.arange(len(idx)), epsilon)
-            central(idx, _row_values(ctx, base, records, block, leaves))
+        records = _records(ctx, base)
+        for axis, table in ((-1, columns), (-2, rows)):
+            n = table.shape[1]
+            step = max(1, FD_VECTORS // (2 * n))
+            for start in range(0, len(table), step):
+                block = table[start : start + step]
+                at = np.tile(np.arange(n), len(block))
+                leaves = _plus_minus(np.repeat(params[block], n, axis=0), at, epsilon)
+                lines = np.tile(np.repeat(np.arange(start, start + len(block)), n), 2)
+                new = _line_scores(ctx, base, axis, leaves)
+                central(block.ravel(), _line_values(ctx, base, records, axis, lines, new))
     for start in range(0, whole.size, FD_BLOCK):
         idx = whole[start : start + FD_BLOCK]
         central(idx, forward_value(ctx, _plus_minus(params, idx, epsilon)))

@@ -4,6 +4,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -282,6 +284,25 @@ def test_train_subcommand_smoke(tmp_path):
 
 
 # --- exit codes -------------------------------------------------------------
+
+
+def test_main_reuses_one_parser_with_the_fresh_process_results(scene_dir, tmp_path, capsys):
+    """One process runs a bad argument (exit 2), a valid ``solve`` and the
+    bad argument again: the exit codes and stderr repeat, and the results
+    file has the bytes of the same ``solve`` run in a fresh process."""
+    bad = ["solve", "--ransac-iterations", "many"]
+    assert main(bad) == 2
+    first = capsys.readouterr().err
+    files = scene_files(scene_dir, 7)
+    argv = solve_argv(files, tmp_path / "reused.json", "--ransac", "--ransac-iterations", "30")
+    assert main(argv) == 0
+    assert main(bad) == 2
+    assert capsys.readouterr().err == first and "invalid int value" in first
+    fresh = solve_argv(files, tmp_path / "fresh.json", "--ransac", "--ransac-iterations", "30")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    done = subprocess.run([sys.executable, "-m", "crossloc.cli", *fresh], env=env, capture_output=True)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "reused.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

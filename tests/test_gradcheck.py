@@ -344,35 +344,129 @@ def test_only_leaves_that_move_every_column_reach_forward_value(seed, mode, monk
     np.testing.assert_array_equal(np.flatnonzero((calls[0] != ctx.params0).any(axis=0)), [n - 1])
 
 
+def spy_on_moved_maxima(monkeypatch):
+    """The lines of the base's records whose max a line edit moved, so
+    that the line was redone whole: ``(set, line, row)`` for an aerial row
+    edit (``_swap``), ``(set, line)`` for a column edit (``_redo``), where
+    ``set`` is ``"col"`` (line ``c``: selected column ``c``'s
+    dustbin-augmented scores) or ``"g2s"`` (line ``t``: ground-to-aerial
+    row ``t``'s logits)."""
+    moved, records = set(), []
+    make, swap, redo = gradcheck._records, gradcheck._swap, gradcheck._redo
+
+    def which(rec):
+        return "col" if rec is records[-1][4] else "g2s"
+
+    def spy_swap(rec, at, new):
+        m, e, t = swap(rec, at, new)
+        for v, line in zip(*np.nonzero(m[..., 0] != rec.m[0, :, 0])):
+            moved.add((which(rec), int(line), int(at[v])))
+        return m, e, t
+
+    def spy_redo(rec, line, new):
+        m, e, t = redo(rec, line, new)
+        moved.update((which(rec), int(line[v])) for v in np.flatnonzero(m[:, 0] != rec.m[0, line, 0]))
+        return m, e, t
+
+    monkeypatch.setattr(gradcheck, "_records", lambda c, b: records.append(make(c, b)) or records[-1])
+    monkeypatch.setattr(gradcheck, "_swap", spy_swap)
+    monkeypatch.setattr(gradcheck, "_redo", spy_redo)
+    return moved
+
+
+def assert_fd_is_the_whole_chains(ctx, seed):
+    """``fd_gradient`` equals ``reference_fd_gradient`` to the byte, at
+    ``params0`` and 1e-3 away from it."""
+    away = ctx.params0 + np.random.default_rng(seed).normal(scale=1e-3, size=ctx.params0.shape)
+    for params in (ctx.params0, away):
+        fd = gradcheck.fd_gradient(ctx, params)
+        assert fd.tobytes() == reference_fd_gradient(ctx, params).tobytes()
+
+
 @pytest.mark.parametrize("beta", [0.1, 0.0])
 @pytest.mark.parametrize("seed", [1, 4])
 def test_a_row_holding_a_column_max_redoes_that_line(seed, beta, monkeypatch):
     """Perturbing an aerial row that holds a selected column's largest
     dustbin-augmented score (or a ground-to-aerial row's largest score)
-    moves that max, so the row route redoes the whole line's shifted
-    exponentials (``_exp_lines``) in that row's block, and the FD vector is
-    still the whole chain's to the byte, at ``params0`` and away from it."""
+    moves that max, so the line route redoes that whole line's shifted
+    exponentials (in ``_swap``), and the FD vector is still the whole
+    chain's to the byte, at ``params0`` and away from it."""
     ctx = small_context(seed, "features", beta=beta)
     scores, na = ctx.stage0.scores, ctx.n_aerial
     top = augment_dustbin(scores[:, ctx.unique_cols[0]], ctx.params0[-1]).argmax(axis=0)[:-1]
-    holders = {-2: set(top[top < na])}
+    holders = {("col", c, int(i)) for c, i in enumerate(top) if i < na}
     if beta != 0.0:
-        holders[-1] = set(scores[:, ctx.sel[ctx.g2s_pairs]].argmax(axis=0))
-    assert holders[-2]  # an aerial row, not the dustbin, holds a column max
-    blocks, redone = [], set()
-    row_values, exp_lines = gradcheck._row_values, gradcheck._exp_lines
-    monkeypatch.setattr(gradcheck, "_row_values",
-                        lambda c, b, r, block, leaves: blocks.append(block) or row_values(
-                            c, b, r, block, leaves))
-    monkeypatch.setattr(gradcheck, "_exp_lines",
-                        lambda x, m, e, lines, axis: redone.update(
-                            (int(i), axis) for i in blocks[-1]) or exp_lines(x, m, e, lines, axis))
-    fd = gradcheck.fd_gradient(ctx, ctx.params0)
-    for axis, rows in holders.items():
-        assert {(int(i), axis) for i in rows} <= redone
-    assert fd.tobytes() == reference_fd_gradient(ctx, ctx.params0).tobytes()
-    away = ctx.params0 + np.random.default_rng(seed).normal(scale=1e-3, size=ctx.params0.shape)
-    assert gradcheck.fd_gradient(ctx, away).tobytes() == reference_fd_gradient(ctx, away).tobytes()
+        g2s_top = scores[:, ctx.sel[ctx.g2s_pairs]].argmax(axis=0)
+        holders |= {("g2s", t, int(i)) for t, i in enumerate(g2s_top)}
+    assert any(h[0] == "col" for h in holders)  # an aerial row, not the dustbin, holds a column max
+    moved = spy_on_moved_maxima(monkeypatch)
+    gradcheck.fd_gradient(ctx, ctx.params0)
+    assert holders <= moved
+    assert_fd_is_the_whole_chains(ctx, seed)
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.0])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_a_score_entry_holding_a_column_max_redoes_that_line(seed, beta, monkeypatch):
+    """In score mode each vector moves one score entry of its column.  The
+    entry that holds a selected column's largest dustbin-augmented score
+    moves that max, so the column's line is redone whole (in ``_redo``),
+    and the FD vector is still the whole chain's to the byte."""
+    ctx = small_context(seed, "score", beta=beta)
+    cols = ctx.unique_cols[0]
+    top = augment_dustbin(ctx.stage0.scores[:, cols], ctx.params0[-1]).argmax(axis=0)[:-1]
+    holders = {("col", c) for c, i in enumerate(top) if i < ctx.n_aerial}
+    assert holders
+    moved = spy_on_moved_maxima(monkeypatch)
+    gradcheck.fd_gradient(ctx, ctx.params0)
+    assert holders <= moved
+    assert_fd_is_the_whole_chains(ctx, seed)
+
+
+@pytest.mark.parametrize("seed, mode", [(1, "features"), (4, "features"), (0, "score")])
+def test_a_line_reaching_an_s2g_row_recomputes_its_log_sum_exp(seed, mode, monkeypatch):
+    """Every aerial-to-ground row is a selected pair's score row over the
+    pairs' columns, so the aerial row holding its max is that pair's row.
+    A vector whose line reaches such a row gets that row's log-sum-exp
+    recomputed; every other vector takes the base's, and the FD vector is
+    the whole chain's to the byte."""
+    ctx = small_context(seed, mode, beta=0.1)
+    af, sel = ctx.aerial_flat, ctx.sel
+    calls, line_values, stage_two = [], gradcheck._line_values, gradcheck._stage_two
+    monkeypatch.setattr(gradcheck, "_line_values", lambda c, b, r, axis, lines, new: calls.append(
+        [axis, lines, new, b]) or line_values(c, b, r, axis, lines, new))
+    monkeypatch.setattr(gradcheck, "_stage_two", lambda *a, **k: (
+        "s2g_lse" in k and calls[-1].append(k["s2g_lse"])) or stage_two(*a, **k))
+    gradcheck.fd_gradient(ctx, ctx.params0)
+    base_lse = gradcheck._logsumexp(gradcheck._s2g_logits(ctx, calls[0][3].scores, sel))[0][0]
+    moved = 0
+    for axis, lines, new, base, lse in calls:
+        if axis == -2:  # a whole aerial row moves every entry of its pairs' rows
+            reach = np.isin(lines, af)
+            assert (lse[reach] != base_lse).any(axis=1).all()
+        else:  # a moved score in a pair's row and column (one a row may mask)
+            reach = np.isin(lines, sel) & (new != base.scores[0][:, lines].T)[:, af].any(axis=1)
+        assert (lse[~reach] == base_lse).all()
+        moved += (lse[reach] != base_lse).any(axis=1).sum()
+    assert moved > 0
+    assert_fd_is_the_whole_chains(ctx, seed)
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.0])
+@pytest.mark.parametrize("per_call", [1, 2, "chosen", "all"])
+def test_fd_bytes_do_not_depend_on_the_block_size(per_call, beta, monkeypatch):
+    """Features mode with 1, 2, the chosen number and all of the aerial
+    feature rows per ``_line_values`` call (and as many ground rows): each
+    FD vector is the whole chain's to the byte, at ``params0`` and away
+    from it, because each perturbed vector forms only its own line."""
+    ctx = small_context(1, "features", beta=beta)
+    rows = {"chosen": gradcheck.FD_VECTORS // (2 * ctx.dim), "all": ctx.n_aerial}.get(per_call, per_call)
+    monkeypatch.setattr(gradcheck, "FD_VECTORS", 2 * ctx.dim * rows)
+    sizes, line_values = [], gradcheck._line_values
+    monkeypatch.setattr(gradcheck, "_line_values", lambda c, b, r, axis, lines, new: sizes.append(
+        (axis, len(np.unique(lines)))) or line_values(c, b, r, axis, lines, new))
+    assert_fd_is_the_whole_chains(ctx, 1)
+    assert max(n for axis, n in sizes if axis == -2) == rows
 
 
 @pytest.mark.parametrize("seed, mode", LEAF_CONTEXTS)
@@ -871,16 +965,19 @@ def test_degenerate_configuration_surfaces_in_report():
 
 
 @pytest.mark.filterwarnings("error")
-def test_missing_contrastive_targets_surface_in_report():
+@pytest.mark.parametrize("seed, mode", LEAF_CONTEXTS)
+def test_missing_contrastive_targets_surface_in_report(seed, mode):
     """With no ground-to-aerial target in coverage the contrastive loss is
-    undefined: the fused pass raises, as ``forward`` does, and ``check``
-    reports it."""
-    ctx = small_context(2, "projection")
+    undefined: the fused pass and the FD oracle raise, as ``forward`` does,
+    and ``check`` reports it."""
+    ctx = small_context(seed, mode)
     bare = dataclasses.replace(
         ctx, g2s_pairs=ctx.g2s_pairs[:0], g2s_targets=ctx.g2s_targets[:0]
     )
     with pytest.raises(NoValidTargets):
         gradcheck.value_and_grad(bare, bare.params0)
+    with pytest.raises(NoValidTargets):
+        gradcheck.fd_gradient(bare, bare.params0)
     report = gradcheck.check(bare)
     assert not report.passed
     assert "NoValidTargets" in report.error
