@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import CrosslocError, FormatError, MetadataMissing, OutOfRange, UsageError
 from .estimator import PipelineConfig, RansacConfig, estimate_pose, overlay_layout
+from .geometry import SimilarityTransform2D
 from .gradcheck import build_context, check
 from .io import (
     _atomic_write_bytes,
@@ -164,8 +165,6 @@ def _section(doc, key: str, fields, path) -> list:
 
 
 def _truth_from_results(doc, path):
-    from .geometry import SimilarityTransform2D
-
     scale, theta, t = _section(doc, "truth", ("scale", "theta", "t"), path)
     if not (isinstance(t, list) and len(t) == 2):
         raise FormatError(f"{path}: truth.t must be two numbers, got {t!r}")
@@ -366,18 +365,18 @@ def cmd_train(args) -> int:
     result = train(
         scenes, cfg, reference_pipeline(), eval_pipe=reference_eval_pipeline()
     )
+    m = result.metrics()
     record = {
         "train_config": dataclasses.asdict(cfg),
         "dataset": data_doc,
         "loss_curve": [float(v) for v in result.loss_curve],
-        "metrics": result.metrics(),
+        "metrics": m,
         "weights": {
             "matrix": [[float(v) for v in row] for row in result.weights.matrix],
             "dustbin_z": float(result.weights.dustbin_z),
         },
     }
     write_results(record, args.out)
-    m = result.metrics()
     print(
         f"loss {m['initial_loss']:.4f} -> {m['final_smoothed_loss']:.4f} (smoothed) "
         f"over {m['steps']} steps"

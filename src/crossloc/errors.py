@@ -20,10 +20,6 @@ class LengthMismatch(CrosslocError):
     """Parallel arrays (points / weights) disagree in length."""
 
 
-class ZeroWeightSum(CrosslocError):
-    """Weights are all zero; a weighted mean is undefined."""
-
-
 class DegenerateConfiguration(CrosslocError):
     """Point configuration does not determine a transform (e.g. all
     positively weighted source points coincide, or fewer than two pairs)."""

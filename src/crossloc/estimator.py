@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import AllHypothesesDegenerate, DegenerateConfiguration, DimensionMismatch
-from .errors import InsufficientMatches, require_bool, require_int, require_real
+from .errors import InsufficientMatches, OutOfRange, require_bool, require_int, require_real
 from .geometry import (
     SimilarityTransform2D,
     apply_transform,
@@ -137,13 +137,19 @@ def build_correspondences(
     in topmost mode only the highest lifted point per aerial-cell-sized
     planar bucket survives.
     Raises DimensionMismatch when the depth map or the ray table is not the
-    ground grid's shape, InsufficientMatches when fewer than two weighted
-    pairs remain.
+    ground grid's shape, OutOfRange naming the grid and its first cell when
+    a feature is NaN or infinite, and InsufficientMatches when fewer than
+    two weighted pairs remain.
     """
     shapes = {"depth map": depth.depth.shape, "ray table": rays.directions.shape[:2]}
     for what, shape in shapes.items():
         if shape != (ground.rows, ground.cols):
             raise DimensionMismatch(f"{what} {shape} vs ground grid {(ground.rows, ground.cols)}")
+    for name, grid in (("aerial", aerial), ("ground", ground)):
+        finite = np.isfinite(grid.data).all(axis=-1)
+        if not finite.all():
+            cell = tuple(np.argwhere(~finite)[0].tolist())
+            raise OutOfRange(f"{name} feature at cell {cell} is NaN or infinite", field=name)
     valid = np.flatnonzero(depth_valid_mask(depth, cfg.lift))
     if len(valid) == 0:
         raise InsufficientMatches("only 0 correspondences: no ground cell has valid depth")
@@ -279,30 +285,25 @@ class _MinimalSamples:
     """Successive results of ``rng.choice(n, MIN_SAMPLE, replace=False)``
     on ``default_rng(seed)``, handed out in blocks by ``_bulk_choice``.
     When n == MIN_SAMPLE (Floyd's first bound is 0 and reads no word) or a
-    block meets a rejection, it re-seeds, replays the samples already handed
-    out, and continues with numpy's own per-sample calls."""
+    block meets a rejection, numpy's own per-sample calls continue from the
+    state saved before the block: an even count of samples is whole raw
+    words, so no half word is buffered at a bulk block's start."""
 
     def __init__(self, seed: int, n: int):
-        self.seed, self.n = seed, n
+        self.n = n
         self.rng = np.random.default_rng(seed)
         self.bulk = n > MIN_SAMPLE
-        self.taken = 0
 
     def take(self, count: int) -> np.ndarray:
         """The next ``count`` samples (one more when a bulk block rounds an
         odd count up) as a (m, MIN_SAMPLE) index array."""
         if self.bulk:
+            state = self.rng.bit_generator.state
             rows = _bulk_choice(self.rng, self.n, count + count % 2)
             if rows is not None:
-                self.taken += len(rows)
                 return rows
             self.bulk = False
-            self.rng = np.random.default_rng(self.seed)
-            self._loop(self.taken)
-        self.taken += count
-        return self._loop(count)
-
-    def _loop(self, count: int) -> np.ndarray:
+            self.rng.bit_generator.state = state
         rows = [self.rng.choice(self.n, size=MIN_SAMPLE, replace=False) for _ in range(count)]
         return np.array(rows, dtype=np.intp).reshape(count, MIN_SAMPLE)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateConfiguration, LengthMismatch, OutOfRange, ZeroWeightSum
+from .errors import DegenerateConfiguration, LengthMismatch, OutOfRange
 
 __all__ = [
     "SimilarityTransform2D",
@@ -54,16 +54,6 @@ class SimilarityTransform2D:
     theta: float = 0.0
     t: np.ndarray = field(default_factory=lambda: np.zeros(2))
 
-    def rotation(self) -> np.ndarray:
-        return rotation_matrix(self.theta)
-
-    def inverse(self) -> "SimilarityTransform2D":
-        """Transform mapping the target frame back to the source frame."""
-        inv_scale = 1.0 / self.scale
-        inv_theta = wrap_angle(-self.theta)
-        inv_t = -inv_scale * (rotation_matrix(-self.theta) @ self.t)
-        return SimilarityTransform2D(inv_scale, inv_theta, inv_t)
-
 
 def _check_pairs(p: np.ndarray, q: np.ndarray, w: np.ndarray):
     p = np.asarray(p, dtype=float)
@@ -92,9 +82,9 @@ def _solve(p, q, w, with_scale: bool) -> SimilarityTransform2D:
         raise DegenerateConfiguration(
             f"need >= 2 positively weighted pairs, got {positive}"
         )
+    # a float sum of weights >= 0 is at least its largest term: the total
+    # is positive, or NaN or infinite and caught by the finiteness check
     total = float(np.add.reduce(w))
-    if total <= 0.0:
-        raise ZeroWeightSum("weights sum to zero")
 
     pq = np.concatenate((p, q), axis=1)
     bar = w @ pq
@@ -149,6 +139,6 @@ def apply_transform(transform: SimilarityTransform2D, points: np.ndarray) -> np.
     points = np.asarray(points, dtype=float)
     single = points.ndim == 1
     pts = np.atleast_2d(points)
-    out = transform.scale * (pts @ transform.rotation().T) + transform.t
+    out = transform.scale * (pts @ rotation_matrix(transform.theta).T) + transform.t
     return out[0] if single else out
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import require_int, require_real
-from .geometry import SimilarityTransform2D, rotation_matrix
+from .geometry import SimilarityTransform2D, rotation_matrix, solve_similarity
 
 __all__ = [
     "NEGATIVE_RADIUS",
@@ -74,8 +74,6 @@ def pseudo_scale_targets(
     (aerial-frame targets for the ground points,
      ground-frame targets for the aerial points).
     """
-    from .geometry import solve_similarity
-
     est = solve_similarity(ground_planar, aerial_metric, weights)
     q_hat = gt_aerial_targets(ground_planar, truth, est.scale)
     p_hat = gt_ground_targets(aerial_metric, truth, est.scale)

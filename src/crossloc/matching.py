@@ -18,7 +18,6 @@ import numpy as np
 from .errors import DimensionMismatch, ZeroNormFeature, require_int, require_real
 
 __all__ = [
-    "MASK_SCORE",
     "AerialMeta",
     "GroundMeta",
     "FeatureGrid",
@@ -29,16 +28,10 @@ __all__ = [
     "col_softmax",
     "dual_softmax",
     "soft_assign",
-    "mask_ground_columns",
     "match_probabilities",
     "top_n_flat_indices",
     "sample_correspondences",
 ]
-
-# Finite stand-in for -inf: large enough that exp() underflows to exactly 0
-# after max subtraction, small enough to stay well inside float range.
-MASK_SCORE = -1.0e9
-
 
 @dataclass(frozen=True)
 class AerialMeta:
@@ -163,22 +156,6 @@ def soft_assign(scores: np.ndarray, z, rows=slice(None), cols=slice(None)):
     numpy sums in the whole matrix's order, to the same bits."""
     ra = row_softmax(augment_dustbin(scores[..., rows, :], z))
     return ra, col_softmax(augment_dustbin(scores[..., :, cols], z))
-
-
-def mask_ground_columns(m: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """The scores with every entry of an invalid ground column set to
-    MASK_SCORE.
-
-    ``valid`` is a boolean array over the flattened ground cells.  Masked
-    columns receive an effectively minus-infinite score, so after the dual
-    softmax they carry exactly zero probability.
-    """
-    valid = np.asarray(valid, dtype=bool)
-    if valid.shape != (m.shape[1],):
-        raise DimensionMismatch(
-            f"valid mask length {valid.shape} vs {m.shape[1]} ground cells"
-        )
-    return np.where(valid[None, :], m, MASK_SCORE)
 
 
 def match_probabilities(m: np.ndarray, z: float = 0.0) -> np.ndarray:

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import OutOfRange, PlacementFailure, require_choice, require_int, require_real
 from .geometry import SimilarityTransform2D, rotation_matrix, wrap_angle
 from .lifting import DepthMap, RayModel, aerial_cells_to_metric, metric_to_aerial_cells
-from .matching import AerialMeta, FeatureGrid, GroundMeta
+from .matching import AerialMeta, FeatureGrid, GroundMeta, _unit_rows
 
 __all__ = [
     "SceneConfig",
@@ -122,10 +122,6 @@ def _stream(cfg: SceneConfig, label: int) -> np.random.Generator:
     return np.random.default_rng([cfg.seed, label])
 
 
-def _unit_rows(x: np.ndarray) -> np.ndarray:
-    return x / np.linalg.norm(x, axis=-1, keepdims=True)
-
-
 def generate(cfg: SceneConfig) -> SyntheticScene:
     """Draw a scene layout and render all observations.
 
@@ -143,7 +139,7 @@ def generate(cfg: SceneConfig) -> SyntheticScene:
     shape = (cfg.aerial_cells, cfg.aerial_cells)
     landmark_xy = aerial_cells_to_metric(cells, meta, shape)
     landmark_height = rng.uniform(0.0, cfg.max_height, size=cfg.landmark_count)
-    landmark_latent = _unit_rows(rng.normal(size=(cfg.landmark_count, cfg.feature_dim)))
+    landmark_latent = _unit_rows(rng.normal(size=(cfg.landmark_count, cfg.feature_dim)))[0]
 
     if cfg.pose_prior == "fixed":
         theta = 0.0
@@ -208,11 +204,11 @@ def render_aerial(scene: SyntheticScene) -> FeatureGrid:
     shape = (g, g)
 
     features = np.empty((g, g, cfg.feature_dim))
-    features[:] = _unit_rows(rng.normal(size=cfg.feature_dim))  # background
+    features[:] = _unit_rows(rng.normal(size=cfg.feature_dim))[0]  # background
     clutter = rng.random((g, g)) < cfg.clutter_fraction
     n_clutter = int(clutter.sum())
     if n_clutter:
-        features[clutter] = _unit_rows(rng.normal(size=(n_clutter, cfg.feature_dim)))
+        features[clutter] = _unit_rows(rng.normal(size=(n_clutter, cfg.feature_dim)))[0]
 
     cells = metric_to_aerial_cells(scene.landmark_xy, meta, shape)
     offsets = scene.landmark_xy - aerial_cells_to_metric(cells, meta, shape)
@@ -289,7 +285,7 @@ def render_ground(scene: SyntheticScene):
     depth[flat] = slant[won] / scene.scale_gt
     empty = np.isnan(depth)  # a claimed depth is finite and positive
     features = np.empty((rows * cols, cfg.feature_dim))
-    features[empty] = _unit_rows(rng.normal(size=(int(empty.sum()), cfg.feature_dim)))
+    features[empty] = _unit_rows(rng.normal(size=(int(empty.sum()), cfg.feature_dim)))[0]
     # sky above the horizon stays invalid; below it, far clutter depth
     below = empty & (canonical.directions[..., 2].ravel() <= 0)
     depth[below] = (cfg.extent * (1.5 + rng.random(int(below.sum())))) / scene.scale_gt

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DivergenceDetected, EmptyInput, OutOfRange
 from .errors import require_choice, require_int, require_real
-from .estimator import PipelineConfig, estimate_pose
+from .estimator import PipelineConfig, RansacConfig, estimate_pose
 from .gradcheck import _freeze, _prepare, value_and_grad
 from .lifting import LiftConfig
 from .matching import FeatureGrid
@@ -331,8 +331,6 @@ def reference_pipeline() -> PipelineConfig:
 
 def reference_eval_pipeline() -> PipelineConfig:
     """Robustified settings for the before/after pose evaluations."""
-    from .estimator import RansacConfig
-
     return dataclasses.replace(
         reference_pipeline(),
         num_correspondences=64,

@@ -26,7 +26,11 @@ They are not on any program path, so they live with the tests:
 * ``alignment_objective`` -- the weighted squared residual the solver
   minimises, under any candidate transform;
 * ``metric_to_aerial_cell`` -- ``lifting.metric_to_aerial_cells`` for one
-  point, as a tuple.
+  point, as a tuple;
+* ``mask_ground_columns`` -- the full score matrix with the invalid ground
+  columns at ``MASK_SCORE``, the route the estimator took before it scored
+  only the depth-valid columns;
+* ``inverse`` -- the similarity transform undoing a given one.
 """
 
 import math
@@ -41,11 +45,16 @@ from crossloc.geometry import (
     apply_transform,
     rotation_matrix,
     solve_similarity,
+    wrap_angle,
 )
 from crossloc.losses import NEGATIVE_RADIUS, gt_aerial_targets, gt_ground_targets
 from crossloc.lifting import DepthMap, RayModel, aerial_coverage_mask, metric_to_aerial_cells
-from crossloc.matching import AerialMeta, FeatureGrid, GroundMeta, match_probabilities
-from crossloc.simulator import _stream, _unit_rows
+from crossloc.matching import AerialMeta, FeatureGrid, GroundMeta, _unit_rows, match_probabilities
+from crossloc.simulator import _stream
+
+# Finite stand-in for -inf: large enough that exp() underflows to exactly 0
+# after max subtraction, small enough to stay well inside float range.
+MASK_SCORE = -1.0e9
 
 
 def forward(ctx, params) -> float:
@@ -231,7 +240,7 @@ def reference_render_ground(scene):
 
     features = np.empty((rows, cols, cfg.feature_dim))
     empty = claim == -1
-    features[empty] = _unit_rows(rng.normal(size=(int(empty.sum()), cfg.feature_dim)))
+    features[empty] = _unit_rows(rng.normal(size=(int(empty.sum()), cfg.feature_dim)))[0]
     below = empty & (canonical.directions[..., 2] <= 0)
     depth[below] = (cfg.extent * (1.5 + rng.random(int(below.sum())))) / scene.scale_gt
     claimed_cells = np.argwhere(~empty)
@@ -364,3 +373,16 @@ def metric_to_aerial_cell(point: np.ndarray, meta: AerialMeta, shape: tuple) -> 
     """Aerial cell ``(row, col)`` whose center is nearest a metric point."""
     row, col = metric_to_aerial_cells(np.array([point], dtype=float), meta, shape)[0]
     return int(row), int(col)
+
+
+def mask_ground_columns(m: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """The scores with every entry of an invalid ground column (``valid`` is
+    a boolean array over the ground cells) set to MASK_SCORE."""
+    return np.where(valid[None, :], m, MASK_SCORE)
+
+
+def inverse(t: SimilarityTransform2D) -> SimilarityTransform2D:
+    """The transform mapping ``t``'s target frame back to its source frame."""
+    inv_scale = 1.0 / t.scale
+    inv_t = -inv_scale * (rotation_matrix(-t.theta) @ t.t)
+    return SimilarityTransform2D(inv_scale, wrap_angle(-t.theta), inv_t)

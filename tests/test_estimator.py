@@ -174,17 +174,27 @@ def test_depth_or_rays_of_another_shape_are_a_dimension_mismatch():
         build_correspondences(scene.aerial, scene.ground, scene.depth, rays, cfg)
 
 
-def test_nan_feature_in_valid_cell_leaves_no_matches():
-    """One NaN ground feature turns every dual-softmax row into NaN; NaN
-    weights are not positive, so nothing survives to reach the solver."""
+@pytest.mark.parametrize(
+    "side, value, scored",
+    [("ground", np.nan, True), ("ground", np.inf, False), ("aerial", np.nan, None),
+     ("aerial", -np.inf, None)],
+)
+def test_non_finite_feature_is_out_of_range(side, value, scored):
+    """A NaN or infinite feature in either grid, in a scored ground cell or
+    not, is OutOfRange naming the grid and its first such cell."""
     scene = generate(SceneConfig(seed=4))
-    cfg = PipelineConfig()  # N large enough to reach the NaN entries
+    cfg = PipelineConfig()
+    grids = {"aerial": scene.aerial, "ground": scene.ground}
     valid = depth_valid_mask(scene.depth, cfg.lift)
-    data = scene.ground.data.copy()
-    data[tuple(np.argwhere(valid)[0])] = np.nan
-    ground = dataclasses.replace(scene.ground, data=data)
-    with pytest.raises(InsufficientMatches, match="only 0 "):
-        build_correspondences(scene.aerial, ground, scene.depth, scene.rays, cfg)
+    cell = tuple(np.argwhere(valid == scored)[0]) if side == "ground" else (3, 5)
+    data = grids[side].data.copy()
+    data[cell + (2,)] = value
+    data[-1, -1, 0] = np.nan  # a later cell is not the one named
+    grids[side] = dataclasses.replace(grids[side], data=data)
+    named = rf"^{side} feature at cell \({cell[0]}, {cell[1]}\) "
+    with pytest.raises(OutOfRange, match=named) as e:
+        build_correspondences(grids["aerial"], grids["ground"], scene.depth, scene.rays, cfg)
+    assert e.value.field == side
 
 
 def test_topmost_mode_still_closes():

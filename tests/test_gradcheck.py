@@ -31,7 +31,6 @@ from crossloc.matching import (
     FeatureGrid,
     augment_dustbin,
     col_softmax,
-    mask_ground_columns,
     row_softmax,
 )
 from crossloc.simulator import SceneConfig, generate
@@ -39,6 +38,7 @@ from oracles import (
     add_at_value_and_grad,
     finite_difference,
     forward,
+    mask_ground_columns,
     pose_weight_gradients,
     reference_fd_gradient,
     vce_loss,

@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 
 from crossloc.errors import DimensionMismatch, OutOfRange, ZeroNormFeature
 from crossloc.matching import (
-    MASK_SCORE,
     AerialMeta,
     FeatureGrid,
     augment_dustbin,
     col_softmax,
     dual_softmax,
-    mask_ground_columns,
     match_probabilities,
     row_softmax,
     sample_correspondences,
@@ -23,6 +21,7 @@ from crossloc.matching import (
     soft_assign,
     top_n_flat_indices,
 )
+from oracles import MASK_SCORE, mask_ground_columns
 
 TIGHT = 1e-9
 

@@ -3,9 +3,11 @@
 ``ransac_estimate`` takes its minimal samples from a replica of numpy's
 ``Generator.choice(n, 3, replace=False)`` stream computed in bulk from the
 raw generator words.  These tests hold the replica to the per-sample calls
-(many seeds and sizes, the n == 3 and Lemire-rejection fallbacks, block
-boundaries) and hold ``ransac_estimate`` to ``reference_ransac``, the
-one-call-per-sample loop it replaced, kept here as the oracle.
+(many seeds and sizes, the n == 3 fallback, block boundaries), a block
+that meets a Lemire rejection to numpy's calls from the state saved before
+it (the first block, a later one, one after an odd request rounded up), and
+hold ``ransac_estimate`` to ``reference_ransac``, the one-call-per-sample
+loop it replaced, kept here as the oracle.
 """
 
 import numpy as np
@@ -115,13 +117,26 @@ def test_three_pairs_go_through_the_loop(monkeypatch):
 
 
 def test_a_lemire_rejection_falls_back_and_still_equals_the_loop():
+    """numpy's calls continue from the state saved before the rejecting
+    block: the fifth of ten, the first, and one after an odd request that
+    a bulk block rounded up to even."""
     rng = np.random.default_rng(1)
     assert estimator._bulk_choice(rng, REJECTING_N, 400) is not None
     assert estimator._bulk_choice(rng, REJECTING_N, 100) is None  # draws 400-499
-    samples = estimator._MinimalSamples(1, REJECTING_N)
-    got = np.concatenate([samples.take(100) for _ in range(10)])
-    assert not samples.bulk  # the fifth block fell back after four bulk ones
-    np.testing.assert_array_equal(got, choice_loop(1, REJECTING_N, 1000))
+    assert estimator._bulk_choice(np.random.default_rng(2), REJECTING_N, 100) is None
+    # (seed, requests, how many of them were served in bulk, samples handed out)
+    for seed, requests, bulk, total in (
+        (1, [100] * 10, 4, 1000),
+        (2, [100, 50], 0, 150),
+        (1, [399, 99, 7], 1, 506),
+    ):
+        samples = estimator._MinimalSamples(seed, REJECTING_N)
+        got, served_in_bulk = [], 0
+        for count in requests:
+            got.append(samples.take(count))
+            served_in_bulk += samples.bulk
+        assert served_in_bulk == bulk and not samples.bulk
+        np.testing.assert_array_equal(np.concatenate(got), choice_loop(seed, REJECTING_N, total))
 
 
 def test_samples_stay_exact_across_blocks_with_many_redraws(monkeypatch):
