@@ -19,6 +19,7 @@ import sys
 import numpy as np
 
 from .errors import CrosslocError, FormatError, MetadataMissing, OutOfRange, UsageError
+from .errors import require_real
 from .estimator import PipelineConfig, RansacConfig, estimate_pose, overlay_layout
 from .geometry import SimilarityTransform2D
 from .gradcheck import build_context, check
@@ -399,8 +400,7 @@ GRADCHECK_SCENE = SceneConfig(
 
 
 def cmd_gradcheck(args) -> int:
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise UsageError(f"--tol must be finite and positive, got {args.tol}")
+    _from_args(require_real, "--tol", args.tol, 0, ends="()")
     modes = ("score", "features", "projection") if args.mode == "all" else (args.mode,)
     pipe = PipelineConfig(num_correspondences=8, lift=LiftConfig(max_depth=15.0))
     reports = []

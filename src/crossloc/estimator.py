@@ -21,6 +21,7 @@ from .errors import AllHypothesesDegenerate, DegenerateConfiguration, DimensionM
 from .errors import InsufficientMatches, OutOfRange, require_bool, require_int, require_real
 from .geometry import (
     SimilarityTransform2D,
+    _check_pairs,
     apply_transform,
     solve_orthogonal,
     solve_similarity,
@@ -56,7 +57,6 @@ __all__ = [
 
 MIN_SAMPLE = 3  # pairs per RANSAC hypothesis
 _DRAW_BLOCK = 4096  # most minimal samples drawn and gathered at once
-_LOW32 = np.uint64(0xFFFFFFFF)
 
 
 @dataclass(frozen=True)
@@ -246,30 +246,22 @@ def count_inliers(
     return int(np.count_nonzero(flags)), flags
 
 
-def _bulk_choice(rng: np.random.Generator, n: int, count: int) -> Optional[np.ndarray]:
-    """The next ``count`` (even) results of ``rng.choice(n, MIN_SAMPLE,
-    replace=False)`` for n > MIN_SAMPLE as one (count, MIN_SAMPLE) array,
-    or None when one of its words is a Lemire rejection.
+def _minimal_samples(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """The next ``count`` results of ``rng.choice(n, MIN_SAMPLE,
+    replace=False)`` as one (count, MIN_SAMPLE) array.
 
     numpy 2.4.6's ``Generator.choice`` picks k < n items by Floyd's
     algorithm -- bounded draws on [0, n-3], [0, n-2], [0, n-1], a value
     already picked replaced by the bound -- and then shuffles them, swapping
-    slot 2 with a draw on [0, 2] and slot 1 with one on [0, 1].  Each bounded
-    draw scales one 32-bit word by bound + 1 (Lemire), and PCG64 hands out the
-    low half of each 64-bit raw word before its high half, so ``count``
-    samples are ``5 * count / 2`` raw words.  A word whose scaled low half
-    falls under numpy's threshold ``2**32 % (bound + 1)`` is rejected and
-    another word read (about 3n / 2**32 per sample); that shifts the stream,
-    so this returns None and leaves the rng past the block.  numpy's
+    slot 2 with a draw on [0, 2] and slot 1 with one on [0, 1].
+    ``Generator.integers`` over an array of bounds makes each of its draws
+    the same way: a Lemire draw on the generator's buffered 32-bit words,
+    rejections redrawn, and a bound of 0 reading no word.  numpy's
     tail-shuffle branch (n > 10000 and k > n // 50) cannot occur for k = 3.
     """
-    raw = rng.bit_generator.random_raw(count * 5 // 2)
-    words = np.stack((raw & _LOW32, raw >> np.uint64(32)), axis=-1).reshape(count, 5)
-    span = np.array([n - 2, n - 1, n, 3, 2], dtype=np.uint64)
-    scaled = words * span
-    if np.any((scaled & _LOW32) < 2**32 % span):
-        return None
-    first, second, third, swap2, swap1 = (scaled >> np.uint64(32)).astype(np.intp).T
+    first, second, third, swap2, swap1 = rng.integers(
+        0, [n - 3, n - 2, n - 1, 2, 1], size=(count, 5), endpoint=True
+    ).T
     second = np.where(second == first, n - 2, second)
     third = np.where((third == first) | (third == second), n - 1, third)
     rows = np.stack((first, second, third), axis=1)
@@ -279,33 +271,6 @@ def _bulk_choice(rng: np.random.Generator, n: int, count: int) -> Optional[np.nd
         rows[every, other] = rows[:, slot]
         rows[:, slot] = moved
     return rows
-
-
-class _MinimalSamples:
-    """Successive results of ``rng.choice(n, MIN_SAMPLE, replace=False)``
-    on ``default_rng(seed)``, handed out in blocks by ``_bulk_choice``.
-    When n == MIN_SAMPLE (Floyd's first bound is 0 and reads no word) or a
-    block meets a rejection, numpy's own per-sample calls continue from the
-    state saved before the block: an even count of samples is whole raw
-    words, so no half word is buffered at a bulk block's start."""
-
-    def __init__(self, seed: int, n: int):
-        self.n = n
-        self.rng = np.random.default_rng(seed)
-        self.bulk = n > MIN_SAMPLE
-
-    def take(self, count: int) -> np.ndarray:
-        """The next ``count`` samples (one more when a bulk block rounds an
-        odd count up) as a (m, MIN_SAMPLE) index array."""
-        if self.bulk:
-            state = self.rng.bit_generator.state
-            rows = _bulk_choice(self.rng, self.n, count + count % 2)
-            if rows is not None:
-                return rows
-            self.bulk = False
-            self.rng.bit_generator.state = state
-        rows = [self.rng.choice(self.n, size=MIN_SAMPLE, replace=False) for _ in range(count)]
-        return np.array(rows, dtype=np.intp).reshape(count, MIN_SAMPLE)
 
 
 def ransac_estimate(
@@ -326,21 +291,26 @@ def ransac_estimate(
     hypothesis's consensus, and ``draws``, ``redraws`` and ``refit`` report
     the loop's own counts.  Deterministic for a fixed seed: the samples are
     exactly the stream of ``default_rng(seed).choice(n, MIN_SAMPLE,
-    replace=False)`` calls, reproduced in bulk from the generator's raw
-    words, with numpy's per-sample calls as the fallback.  They are drawn
-    and gathered in blocks just large enough to finish if no sample is
-    degenerate.
+    replace=False)`` calls, taken by ``_minimal_samples`` in blocks just
+    large enough to finish if no sample is degenerate.
+    Raises LengthMismatch for arrays that are not (N, 2), (N, 2) and (N,),
+    InsufficientMatches for fewer than ``MIN_SAMPLE`` pairs, and OutOfRange
+    for a negative weight or a non-finite point or weight, all before the
+    first draw.
     """
-    ground_planar = np.asarray(ground_planar, dtype=float)
-    aerial_metric = np.asarray(aerial_metric, dtype=float)
-    weights = np.asarray(weights, dtype=float)
+    ground_planar, aerial_metric, weights = _check_pairs(ground_planar, aerial_metric, weights)
     n = len(ground_planar)
     solver = solve_similarity if scale_aware else solve_orthogonal
     if n < MIN_SAMPLE:
         raise InsufficientMatches(
             f"{n} correspondences cannot seed {MIN_SAMPLE}-point hypotheses"
         )
-    samples = _MinimalSamples(cfg.seed, n)
+    # the solver's own checks, once for every pair instead of per sample
+    if float(np.minimum.reduce(weights, initial=math.inf)) < 0.0:
+        raise OutOfRange("weights must be >= 0")
+    if not all(np.isfinite(a).all() for a in (ground_planar, aerial_metric, weights)):
+        raise OutOfRange("points and weights must be finite")
+    rng = np.random.default_rng(cfg.seed)
     uniform = np.ones(MIN_SAMPLE)
 
     best_count = -1
@@ -349,25 +319,21 @@ def ransac_estimate(
     completed = 0
     draws = 0
     max_draws = cfg.iterations * 10
-    block_p = block_q = np.empty((0, MIN_SAMPLE, 2))
-    at = 0
     while completed < cfg.iterations and draws < max_draws:
-        if at == len(block_p):
-            rows = samples.take(min(cfg.iterations - completed, max_draws - draws, _DRAW_BLOCK))
-            block_p, block_q, at = ground_planar[rows], aerial_metric[rows], 0
-        p3, q3 = block_p[at], block_q[at]
-        at += 1
-        draws += 1
-        try:
-            hyp = solver(p3, q3, uniform)
-        except DegenerateConfiguration:
-            continue  # redraw; not counted against the iteration budget
-        count, flags = count_inliers(
-            hyp, ground_planar, aerial_metric, cfg.inlier_threshold
-        )
-        if count > best_count:
-            best_count, best_transform, best_flags = count, hyp, flags
-        completed += 1
+        block = min(cfg.iterations - completed, max_draws - draws, _DRAW_BLOCK)
+        rows = _minimal_samples(rng, n, block)
+        for p3, q3 in zip(ground_planar[rows], aerial_metric[rows]):
+            draws += 1
+            try:
+                hyp = solver(p3, q3, uniform)
+            except DegenerateConfiguration:
+                continue  # redraw; not counted against the iteration budget
+            count, flags = count_inliers(
+                hyp, ground_planar, aerial_metric, cfg.inlier_threshold
+            )
+            if count > best_count:
+                best_count, best_transform, best_flags = count, hyp, flags
+            completed += 1
     if best_transform is None:
         raise AllHypothesesDegenerate(
             f"no valid hypothesis in {draws} sample draws"

@@ -83,14 +83,16 @@ def _solve(p, q, w, with_scale: bool) -> SimilarityTransform2D:
             f"need >= 2 positively weighted pairs, got {positive}"
         )
     # a float sum of weights >= 0 is at least its largest term: the total
-    # is positive, or NaN or infinite and caught by the finiteness check
+    # is positive, or NaN or infinite and caught before any product with it
     total = float(np.add.reduce(w))
+    if not math.isfinite(total):
+        raise OutOfRange("points and weights must be finite")
 
     pq = np.concatenate((p, q), axis=1)
     bar = w @ pq
     bar /= total
     p_x, p_y, q_x, q_y = bar.tolist()
-    if not math.isfinite(total + p_x + p_y + q_x + q_y):
+    if not math.isfinite(p_x + p_y + q_x + q_y):
         raise OutOfRange("points and weights must be finite")
     pq -= bar
     (xx, _, a, b), (_, yy, d, e), _, _ = ((pq.T * w) @ pq).tolist()

@@ -197,6 +197,8 @@ def _bad_input(kind):
         w[1] = -0.5
     elif kind == "nan-weight":
         w[1] = np.nan
+    elif kind == "inf-weight":
+        w[0] = np.inf
     elif kind == "inf-point":
         p[1, 0] = np.inf
     elif kind == "nan-point":
@@ -206,7 +208,9 @@ def _bad_input(kind):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("solver", [solve_similarity, solve_orthogonal])
-@pytest.mark.parametrize("kind", ["negative-weight", "nan-weight", "inf-point", "nan-point"])
+@pytest.mark.parametrize(
+    "kind", ["negative-weight", "nan-weight", "inf-weight", "inf-point", "nan-point"]
+)
 def test_solver_rejects_negative_or_non_finite_input(solver, kind):
     """A negative weight, or a non-finite point or weight, is OutOfRange
     (not a reflected fit or a NaN transform), without a RuntimeWarning."""

@@ -1,20 +1,23 @@
-"""RANSAC's bulk sample draws against numpy's own ``rng.choice`` loop.
+"""RANSAC's minimal samples against numpy's own ``rng.choice`` loop.
 
-``ransac_estimate`` takes its minimal samples from a replica of numpy's
-``Generator.choice(n, 3, replace=False)`` stream computed in bulk from the
-raw generator words.  These tests hold the replica to the per-sample calls
-(many seeds and sizes, the n == 3 fallback, block boundaries), a block
-that meets a Lemire rejection to numpy's calls from the state saved before
-it (the first block, a later one, one after an odd request rounded up), and
-hold ``ransac_estimate`` to ``reference_ransac``, the one-call-per-sample
-loop it replaced, kept here as the oracle.
+``ransac_estimate`` takes its minimal samples from ``_minimal_samples``:
+one ``Generator.integers`` call over Floyd's and the shuffle's bounds per
+block, fixed up into the stream of ``Generator.choice(n, 3,
+replace=False)`` calls.  These tests hold those blocks to the per-sample
+calls (many seeds and sizes, n == 3, odd requests, a stream that meets a
+Lemire rejection, random cases), hold ``ransac_estimate`` to
+``reference_ransac``, the one-call-per-sample loop it replaced, kept here
+as the oracle, and check that bad input is rejected before the first draw.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from crossloc import estimator
-from crossloc.errors import AllHypothesesDegenerate, DegenerateConfiguration
+from crossloc.errors import AllHypothesesDegenerate, DegenerateConfiguration, LengthMismatch
+from crossloc.errors import OutOfRange
 from crossloc.estimator import (
     MIN_SAMPLE,
     PipelineConfig,
@@ -29,6 +32,7 @@ from crossloc.simulator import SceneConfig, generate
 # 2**32 + 1 = 641 * 6700417, so 2**32 % n = n - 1: about one word in 640 of
 # the [0, n-1] draws is a Lemire rejection
 REJECTING_N = 6_700_417
+LOW32 = np.uint64(0xFFFFFFFF)
 
 
 def choice_loop(seed, n, count):
@@ -93,54 +97,60 @@ def pairs_with_coincident_rows(seed, n):
 
 
 # ---------------------------------------------------------------------------
-# the replica of numpy's choice stream
+# the sampler against numpy's choice stream
 
 
-@pytest.mark.parametrize("n", [4, 9, 128, 1024, 5000])
-def test_bulk_samples_equal_the_choice_loop(n):
+def taken(seed, n, requests):
+    rng = np.random.default_rng(seed)
+    return np.concatenate([estimator._minimal_samples(rng, n, count) for count in requests])
+
+
+def meets_rejection(seed, n, count):
+    """Whether the first ``count`` samples of ``choice_loop(seed, n, ...)``
+    (n > MIN_SAMPLE) read a word that Lemire's method rejects.  Each sample
+    makes five bounded draws, one 32-bit word each until a rejection (PCG64
+    hands out a raw word's low half before its high half); a word whose
+    product with bound + 1 has a low half under 2**32 % (bound + 1) is
+    rejected."""
+    raw = np.random.default_rng(seed).bit_generator.random_raw((5 * count + 1) // 2)
+    words = np.stack((raw & LOW32, raw >> np.uint64(32)), axis=-1).reshape(-1)
+    span = np.array([n - 2, n - 1, n, 3, 2], dtype=np.uint64)
+    scaled = words[: 5 * count].reshape(count, 5) * span
+    return bool(np.any((scaled & LOW32) < 2**32 % span))
+
+
+@pytest.mark.parametrize("n", [MIN_SAMPLE, 4, 9, 128, 1024, 5000, REJECTING_N])
+def test_samples_equal_the_choice_loop(n):
     for seed in range(12):
-        samples = estimator._MinimalSamples(seed, n)
-        got = np.concatenate([samples.take(count) for count in (500, 301, 1199)])
+        got = taken(seed, n, (501, 1, 299, 7))
         np.testing.assert_array_equal(got, choice_loop(seed, n, len(got)))
-        assert samples.bulk
 
 
-def test_three_pairs_go_through_the_loop(monkeypatch):
-    def no_bulk(*args):
-        raise AssertionError("n == MIN_SAMPLE has a word-free draw the replica does not model")
+def test_a_lemire_rejection_still_equals_the_choice_loop():
+    """Seed 1 at ``REJECTING_N`` meets a rejection in samples 400-999 (at
+    sample 449; the word after it shifts every later draw).  numpy redraws
+    it inside the same ``integers`` call, whether it falls in the first
+    block, the fifth, or the second after an odd request."""
+    assert not meets_rejection(1, REJECTING_N, 400)
+    assert meets_rejection(1, REJECTING_N, 1000)
+    for requests in ([1000], [100] * 10, [399, 99, 7, 495]):
+        np.testing.assert_array_equal(
+            taken(1, REJECTING_N, requests), choice_loop(1, REJECTING_N, 1000)
+        )
 
-    monkeypatch.setattr(estimator, "_bulk_choice", no_bulk)
-    for seed in range(5):
-        samples = estimator._MinimalSamples(seed, MIN_SAMPLE)
-        got = np.concatenate([samples.take(count) for count in (7, 1, 20)])
-        np.testing.assert_array_equal(got, choice_loop(seed, MIN_SAMPLE, 28))
 
-
-def test_a_lemire_rejection_falls_back_and_still_equals_the_loop():
-    """numpy's calls continue from the state saved before the rejecting
-    block: the fifth of ten, the first, and one after an odd request that
-    a bulk block rounded up to even."""
-    rng = np.random.default_rng(1)
-    assert estimator._bulk_choice(rng, REJECTING_N, 400) is not None
-    assert estimator._bulk_choice(rng, REJECTING_N, 100) is None  # draws 400-499
-    assert estimator._bulk_choice(np.random.default_rng(2), REJECTING_N, 100) is None
-    # (seed, requests, how many of them were served in bulk, samples handed out)
-    for seed, requests, bulk, total in (
-        (1, [100] * 10, 4, 1000),
-        (2, [100, 50], 0, 150),
-        (1, [399, 99, 7], 1, 506),
-    ):
-        samples = estimator._MinimalSamples(seed, REJECTING_N)
-        got, served_in_bulk = [], 0
-        for count in requests:
-            got.append(samples.take(count))
-            served_in_bulk += samples.bulk
-        assert served_in_bulk == bulk and not samples.bulk
-        np.testing.assert_array_equal(np.concatenate(got), choice_loop(seed, REJECTING_N, total))
+@given(
+    n=st.integers(MIN_SAMPLE, 10**7),
+    seed=st.integers(0, 2**32 - 1),
+    requests=st.lists(st.integers(1, 300), min_size=1, max_size=3),
+)
+def test_any_blocks_equal_the_choice_loop(n, seed, requests):
+    got = taken(seed, n, requests)
+    np.testing.assert_array_equal(got, choice_loop(seed, n, sum(requests)))
 
 
 def test_samples_stay_exact_across_blocks_with_many_redraws(monkeypatch):
-    monkeypatch.setattr(estimator, "_DRAW_BLOCK", 5)  # odd: every block rounds up
+    monkeypatch.setattr(estimator, "_DRAW_BLOCK", 5)  # redraws need many small blocks
     for seed in range(8):
         p, q, w = pairs_with_coincident_rows(seed, 12)
         est = assert_same_as_reference(p, q, w, RansacConfig(iterations=15, seed=seed))
@@ -148,7 +158,7 @@ def test_samples_stay_exact_across_blocks_with_many_redraws(monkeypatch):
 
 
 def test_default_blocks_stay_exact_with_redraws():
-    # the first block holds 42 draws (41 rounded up to even); redraws need more
+    # the first block holds 41 draws; redraws need more
     for seed in range(8):
         p, q, w = pairs_with_coincident_rows(seed, 10)
         est = assert_same_as_reference(p, q, w, RansacConfig(iterations=41, seed=seed))
@@ -179,6 +189,42 @@ def test_all_degenerate_samples_raise_after_the_same_draws():
     with pytest.raises(AllHypothesesDegenerate) as theirs:
         reference_ransac(p, q, np.ones(9), cfg)
     assert str(ours.value) == str(theirs.value) == "no valid hypothesis in 70 sample draws"
+
+
+BAD_VALUES = {
+    "nan-point": (0, np.nan),
+    "inf-point": (1, -np.inf),
+    "negative-weight": (2, -0.5),
+    "nan-weight": (2, np.nan),
+    "inf-weight": (2, np.inf),
+}
+
+
+@pytest.mark.parametrize("iterations", [5, 1000])
+@pytest.mark.parametrize("kind", list(BAD_VALUES))
+def test_bad_input_is_rejected_before_the_first_draw(kind, iterations, monkeypatch):
+    """A non-finite point or weight, or a negative weight, anywhere in the
+    input is the solver's own OutOfRange, whatever the iteration budget and
+    whichever pairs the samples would hold."""
+    p, q, w = pairs_with_coincident_rows(4, 40)
+    which, value = BAD_VALUES[kind]
+    # pair 3 is outside the winning consensus at both budgets, and only the
+    # 1000-iteration stream samples it
+    (p[:, 0], q[:, 1], w)[which][3] = value
+    with pytest.raises(OutOfRange) as solver:
+        solve_similarity(p, q, w)
+    monkeypatch.setattr(estimator, "_minimal_samples", lambda *args: pytest.fail("drew"))
+    with pytest.raises(OutOfRange) as ours:
+        ransac_estimate(p, q, w, RansacConfig(iterations=iterations))
+    assert str(ours.value) == str(solver.value)
+
+
+def test_mismatched_arrays_are_named_before_the_first_draw(monkeypatch):
+    p, q, w = pairs_with_coincident_rows(4, 40)
+    monkeypatch.setattr(estimator, "_minimal_samples", lambda *args: pytest.fail("drew"))
+    for args in ((p, q, w[:5]), (p, q[:30], w), (p[:, :1], q, w)):
+        with pytest.raises(LengthMismatch):
+            ransac_estimate(*args)
 
 
 # ---------------------------------------------------------------------------
