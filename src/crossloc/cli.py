@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import CrosslocError, FormatError, MetadataMissing, OutOfRange, UsageError
 from .errors import require_real
-from .estimator import PipelineConfig, RansacConfig, estimate_pose, overlay_layout
-from .geometry import SimilarityTransform2D
+from .estimator import PipelineConfig, RansacConfig, estimate_pose
+from .geometry import SimilarityTransform2D, apply_transform
 from .gradcheck import build_context, check
 from .io import (
     _atomic_write_bytes,
@@ -224,7 +224,7 @@ def cmd_solve(args) -> int:
     truth = _truth_from_results(read_results(args.truth), args.truth) if args.truth else None
     record = _solve_record(est, truth)
     record["config"] = _pipeline_echo(pipe)
-    record["overlay"] = overlay_layout(est.ground_points3, est.transform).tolist()
+    record["overlay"] = apply_transform(est.transform, est.ground_points3[:, :2]).tolist()
     write_results(record, args.out)
     line = "scale={scale:.6g} theta={theta:.6g} t=({t[0]:.6g}, {t[1]:.6g})".format(
         **record["estimate"]
@@ -347,10 +347,8 @@ def _ablation_variants(mode: str, values):
             (f"N={n}", {}, dataclasses.replace(base_pipe, num_correspondences=n))
             for n in values
         ]
-    if mode == "grid":
-        values = values or [21, 41, 61]
-        return [(f"grid={g}", {"aerial_cells": g}, base_pipe) for g in values]
-    raise OutOfRange(f"unknown ablation mode {mode!r}")
+    values = values or [21, 41, 61]  # "grid"
+    return [(f"grid={g}", {"aerial_cells": g}, base_pipe) for g in values]
 
 
 def cmd_train(args) -> int:

@@ -22,7 +22,6 @@ from .errors import InsufficientMatches, OutOfRange, require_bool, require_int, 
 from .geometry import (
     SimilarityTransform2D,
     _check_pairs,
-    apply_transform,
     solve_orthogonal,
     solve_similarity,
 )
@@ -38,9 +37,9 @@ from .lifting import (
 from .matching import (
     FeatureGrid,
     Matches,
-    match_probabilities,
     sample_correspondences,
     score_matrix,
+    soft_assign,
 )
 
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
     "estimate_pose",
     "ransac_estimate",
     "count_inliers",
-    "overlay_layout",
 ]
 
 MIN_SAMPLE = 3  # pairs per RANSAC hypothesis
@@ -154,7 +152,9 @@ def build_correspondences(
     if len(valid) == 0:
         raise InsufficientMatches("only 0 correspondences: no ground cell has valid depth")
     scores = score_matrix(aerial.flat(), ground.flat()[valid], cfg.tau)
-    probs = match_probabilities(scores, cfg.dustbin_z)
+    ra, cb = soft_assign(scores, cfg.dustbin_z)
+    probs = ra[:-1, :-1] * cb[:-1, :-1]
+    del ra, cb  # freed before the top-N, which copies the probabilities twice
     points3 = _lift_tables(valid, ground, depth, rays, cfg)
     return _lift_top_n(probs, valid, points3, aerial, cfg)
 
@@ -358,9 +358,3 @@ def ransac_estimate(
         redraws=draws - completed,
         refit=refit,
     )
-
-
-def overlay_layout(points3: np.ndarray, transform: SimilarityTransform2D) -> np.ndarray:
-    """Project lifted scene points into the aerial frame for inspection."""
-    points3 = np.asarray(points3, dtype=float)
-    return apply_transform(transform, points3[:, :2])

@@ -88,7 +88,7 @@ from .estimator import PipelineConfig, _lift_tables, _lift_top_n
 from .geometry import solve_similarity
 from .lifting import aerial_coverage_mask, depth_valid_mask, metric_to_aerial_cells
 from .losses import NEGATIVE_RADIUS, gt_aerial_targets, gt_ground_targets, virtual_point_grid
-from .matching import score_matrix, soft_assign
+from .matching import _exp_record, score_matrix, soft_assign
 
 __all__ = [
     "GradContext",
@@ -212,7 +212,6 @@ def build_context(
     mode: str = "score",
     beta: float = 0.1,
     params0: Optional[np.ndarray] = None,
-    target_scale: Optional[float] = None,
 ) -> GradContext:
     """Freeze one scene's pipeline state into a differentiable view.
 
@@ -221,13 +220,13 @@ def build_context(
     raw features or the identity projection, with ``cfg.dustbin_z``) and
     records it.  The selection is the top-N of its probabilities, lifted
     as ``estimator.build_correspondences`` lifts its own.  Also captures
-    the contrastive-target scale (the true scale when depths are metric,
-    otherwise the solver's estimate at the frozen weights -- the
-    stop-gradient treatment the trainer uses; pass ``target_scale`` to
-    override either).  The same as ``_freeze(_prepare(scene, cfg, mode),
-    beta, params0, target_scale)``; the trainer prepares each scene once.
+    the contrastive-target scale: the true scale when depths are metric,
+    otherwise the solver's estimate at the frozen weights (the
+    stop-gradient treatment the trainer uses).  The same as
+    ``_freeze(_prepare(scene, cfg, mode), beta, params0)``; the trainer
+    prepares each scene once and passes its loss mode's scale to ``_freeze``.
     """
-    return _freeze(_prepare(scene, cfg, mode), beta, params0, target_scale)
+    return _freeze(_prepare(scene, cfg, mode), beta, params0)
 
 
 # what no leaf vector changes: the scene, the leaf layout (all stage one
@@ -481,19 +480,13 @@ def _vce(truth, points: np.ndarray, cos_t, sin_t, t_x, t_y, dtype):
     return norms.mean(axis=-1), (dx, dy, norms)
 
 
-def _exp_record(x: np.ndarray, axis: int) -> tuple:
-    """``(max, exp(x - max), their sum)`` along ``axis`` (keepdims), as
-    ``row_softmax``, ``col_softmax`` and ``_logsumexp`` form them."""
-    m = x.max(axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    return m, e, e.sum(axis=axis, keepdims=True)
-
-
 def _logsumexp(x: np.ndarray):
     """(log-sum-exp of each row of ``x``, and the reverse sweep's record of
-    it: the rows' shifted exponentials exp(x - max) and their sums)."""
-    m, e, total = _exp_record(x, -1)
-    return m[..., 0] + np.log(total[..., 0]), (e, total[..., 0])
+    it: the rows' shifted exponentials from ``matching._exp_record``, and
+    their sums)."""
+    m, e = _exp_record(x, -1)
+    total = e.sum(axis=-1)
+    return m[..., 0] + np.log(total), (e, total)
 
 
 def _g2s_logits(ctx: GradContext, scores: np.ndarray, sel) -> np.ndarray:
@@ -738,24 +731,25 @@ def _batch_like(a: np.ndarray, v: int) -> np.ndarray:
     return out
 
 
-_Lines = namedtuple("_Lines", "x m e t top arg")
+_Lines = namedtuple("_Lines", "x m e top arg")
 
 
 def _lines_record(x: np.ndarray, axis: int) -> _Lines:
     """Lines the chain normalises along ``axis`` of ``x`` (a stage one
     stacked twice): the view (batch, line, entry) with that axis last
-    (``np.moveaxis`` keeps the memory layout), its ``_exp_record``, each
-    line's runner-up and max entry, and the max's position."""
+    (``np.moveaxis`` keeps the memory layout), its ``matching._exp_record``,
+    each line's runner-up and max entry, and the max's position."""
     x = np.moveaxis(x, axis, -1)
     return _Lines(x, *_exp_record(x, -1), np.sort(x[0], axis=-1)[:, -2:], x[0].argmax(axis=-1))
 
 
 def _swap(rec: _Lines, at: np.ndarray, new: np.ndarray) -> tuple:
-    """``_exp_record`` of ``V`` copies of ``rec``'s lines in which entry
-    ``at[v]`` of every line is ``new[v, line]``.  Max and subtraction are
-    exact: a line's new max is the larger of the new entry and the rest's
-    (the runner-up where ``at[v]`` held the max), the other entries keep
-    the base's exponentials, and a line whose max moves is redone whole.
+    """``(max, exp(x - max), sum)`` of ``V`` copies of ``rec``'s lines in
+    which entry ``at[v]`` of every line is ``new[v, line]``.  Max and
+    subtraction are exact: a line's new max is the larger of the new entry
+    and the rest's (the runner-up where ``at[v]`` held the max), the other
+    entries keep the base's exponentials, and a line whose max moves is
+    redone whole.
     They are summed again in the base's memory layout (``_batch_like``)."""
     v, n = new.shape
     m = np.maximum(np.where(rec.arg == at[:, None], rec.top[:, 0], rec.top[:, 1]), new)
@@ -919,14 +913,13 @@ def compare_gradients(
     analytic: np.ndarray,
     fd: np.ndarray,
     tol: float = 1.0e-4,
-    floor: float = REL_FLOOR,
 ):
-    """(max abs err, max rel err, passed) with a floored relative error.
+    """(max abs err, max rel err, passed) with the relative error's
+    denominator floored at ``REL_FLOOR``.
 
-    Raises OutOfRange unless ``tol`` and ``floor`` are finite and positive,
-    and DimensionMismatch when the two gradients' shapes differ."""
+    Raises OutOfRange unless ``tol`` is finite and positive, and
+    DimensionMismatch when the two gradients' shapes differ."""
     require_real("tol", tol, 0, ends="()")
-    require_real("floor", floor, 0, ends="()")
     analytic = np.asarray(analytic, dtype=float)
     fd = np.asarray(fd, dtype=float)
     if analytic.shape != fd.shape:
@@ -934,7 +927,7 @@ def compare_gradients(
             f"analytic gradient of shape {analytic.shape} vs finite differences of shape {fd.shape}"
         )
     abs_err = np.abs(analytic - fd)
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), floor)
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), REL_FLOOR)
     rel_err = abs_err / denom
     return float(abs_err.max()), float(rel_err.max()), bool(rel_err.max() < tol)
 

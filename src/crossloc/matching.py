@@ -28,7 +28,6 @@ __all__ = [
     "col_softmax",
     "dual_softmax",
     "soft_assign",
-    "match_probabilities",
     "top_n_flat_indices",
     "sample_correspondences",
 ]
@@ -125,16 +124,23 @@ def augment_dustbin(scores: np.ndarray, z) -> np.ndarray:
     return out
 
 
+def _exp_record(x: np.ndarray, axis: int) -> tuple:
+    """``(max, exp(x - max))`` along ``axis`` (keepdims): the shifted
+    exponentials every softmax and log-sum-exp of the package sums."""
+    m = x.max(axis=axis, keepdims=True)
+    return m, np.exp(x - m)
+
+
 def row_softmax(m: np.ndarray) -> np.ndarray:
     """Numerically stable softmax over each row (last axis; max subtraction)."""
-    e = np.exp(m - m.max(axis=-1, keepdims=True))
+    e = _exp_record(m, -1)[1]
     e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
 def col_softmax(m: np.ndarray) -> np.ndarray:
     """Numerically stable softmax over each column (second-to-last axis)."""
-    e = np.exp(m - m.max(axis=-2, keepdims=True))
+    e = _exp_record(m, -2)[1]
     e /= e.sum(axis=-2, keepdims=True)
     return e
 
@@ -153,16 +159,10 @@ def soft_assign(scores: np.ndarray, z, rows=slice(None), cols=slice(None)):
     """The row softmaxes of aerial ``rows`` and the column softmaxes of
     ground ``cols`` of the dustbin-augmented scores (default all).  Each is
     a contiguous ``augment_dustbin`` copy at least 2 columns wide, which
-    numpy sums in the whole matrix's order, to the same bits."""
+    numpy sums in the whole matrix's order, to the same bits.  Inference and
+    training select their top-N from ``ra[..., :-1, :-1] * cb[..., :-1, :-1]``."""
     ra = row_softmax(augment_dustbin(scores[..., rows, :], z))
     return ra, col_softmax(augment_dustbin(scores[..., :, cols], z))
-
-
-def match_probabilities(m: np.ndarray, z: float = 0.0) -> np.ndarray:
-    """Full soft-assignment chain: dustbin augment and dual softmax; returns
-    the (n_aerial, n_ground) real-pair probabilities without renormalizing,
-    as a contiguous copy, so the extended matrix is freed before top-N."""
-    return dual_softmax(augment_dustbin(m, z))[..., :-1, :-1].copy()
 
 
 def top_n_flat_indices(flat_probs: np.ndarray, n: int) -> np.ndarray:

@@ -27,6 +27,7 @@ Three loss modes mirror the ablation settings of the alignment objective:
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import math
@@ -35,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DivergenceDetected, EmptyInput, OutOfRange
+from .errors import DivergenceDetected, EmptyInput, InsufficientMatches, OutOfRange
 from .errors import require_choice, require_int, require_real
 from .estimator import PipelineConfig, RansacConfig, estimate_pose
 from .gradcheck import _freeze, _prepare, value_and_grad
@@ -222,7 +223,9 @@ def train(
     gradient from one ``value_and_grad`` pass, averages them in dataset
     order, and takes one descent step.
     Raises DivergenceDetected as soon as the batch loss exceeds
-    ``divergence_factor`` times its step-0 value.
+    ``divergence_factor`` times its step-0 value, and when a descent step's
+    weights overflow or leave no weighted pair (naming the step, ``lr`` and
+    a dustbin score that outranks every real score); step 0 raises as is.
 
     ``eval_pipe`` lets the before/after evaluation use different estimator
     settings than training (typically more correspondences plus the robust
@@ -258,10 +261,20 @@ def train(
         start = (step * batch) % n_train
         loss_sum = 0.0
         grad_sum = np.zeros_like(params)
-        for i in range(start, start + batch):
-            value, grad = value_and_grad(scene_steps[i % n_train](params))
-            loss_sum += value
-            grad_sum += grad
+        try:
+            with np.errstate(over="raise", invalid="raise") if step else contextlib.nullcontext():
+                for i in range(start, start + batch):
+                    value, grad = value_and_grad(scene_steps[i % n_train](params))
+                    loss_sum += value
+                    grad_sum += grad
+        except (InsufficientMatches, OutOfRange, FloatingPointError) as exc:
+            if step == 0:
+                raise
+            z, top = params[-1], 1.0 / pipe.tau
+            why = f"; the dustbin score {z:.3g} outranks every real score (<= {top:g})"
+            raise DivergenceDetected(
+                f"training diverged at step {step} (lr {cfg.lr:g}): {exc}{why if z > top else ''}"
+            ) from exc
 
         loss = loss_sum / batch
         curve[step] = loss
@@ -273,7 +286,8 @@ def train(
                 f"{cfg.divergence_factor:g}x the initial {initial:.3e}"
             )
 
-        params = params - cfg.lr * (grad_sum / batch)
+        with np.errstate(over="ignore", invalid="ignore"):  # _freeze rejects non-finite ones
+            params = params - cfg.lr * (grad_sum / batch)
 
     weights = ProjectionWeights(params[:-1].reshape(dim, dim), params[-1])
     eval_after = evaluate_projection(weights, held_scenes, eval_pipe)

@@ -2,10 +2,14 @@
 
 They are not on any program path, so they live with the tests:
 
-* ``forward`` -- the training loss by the production route:
-  ``matching.match_probabilities``, the production ``solve_similarity``
-  (its own Gram-product closed form) and the ``losses`` module, held to
+* ``forward`` -- the training loss by an independent route:
+  ``match_probabilities`` below, the production ``solve_similarity`` (its
+  own Gram-product closed form) and the ``losses`` module, held to
   ``gradcheck``'s loss chain;
+* ``match_probabilities`` -- the real pairs' probabilities by gate 04's
+  ``matching.dual_softmax`` of the whole dustbin-augmented matrix, held to
+  the product of ``matching.soft_assign``'s factors that the library
+  selects from;
 * ``finite_difference`` -- scalar central differences of any function, one
   leaf at a time, the generic reference for ``gradcheck.fd_gradient``;
 * ``reference_fd_gradient`` -- ``gradcheck.fd_gradient`` with every read
@@ -49,7 +53,8 @@ from crossloc.geometry import (
 )
 from crossloc.losses import NEGATIVE_RADIUS, gt_aerial_targets, gt_ground_targets
 from crossloc.lifting import DepthMap, RayModel, aerial_coverage_mask, metric_to_aerial_cells
-from crossloc.matching import AerialMeta, FeatureGrid, GroundMeta, _unit_rows, match_probabilities
+from crossloc.matching import AerialMeta, FeatureGrid, GroundMeta, _unit_rows
+from crossloc.matching import augment_dustbin, dual_softmax
 from crossloc.simulator import _stream
 
 # Finite stand-in for -inf: large enough that exp() underflows to exactly 0
@@ -60,9 +65,10 @@ MASK_SCORE = -1.0e9
 def forward(ctx, params) -> float:
     """Total training loss at ``params`` with the context's frozen selection.
 
-    Uses the production matching and solver and the loss terms below end
-    to end, as an independent route to the loss ``value_and_grad`` returns.
-    Only the depth-valid ground columns are scored (see ``forward_value``).
+    Uses ``match_probabilities`` (the dual softmax of the whole augmented
+    matrix), the production solver and the loss terms below end to end, as
+    an independent route to the loss ``value_and_grad`` returns.  Only the
+    depth-valid ground columns are scored (see ``forward_value``).
     """
     params = gradcheck._float_leaves(ctx, params)
     sel = ctx.sel
@@ -79,6 +85,13 @@ def forward(ctx, params) -> float:
     g2s = info_nce_g2s(scores, ctx.aerial_shape, sel, q_hat, ctx.aerial_meta)
     s2g = info_nce_s2g(scores, ctx.aerial_flat, p_hat, sel, ctx.ground_planar)
     return total_loss(vce, g2s, s2g, ctx.beta)
+
+
+def match_probabilities(m: np.ndarray, z=0.0) -> np.ndarray:
+    """The (..., n_aerial, n_ground) real-pair probabilities of the scores
+    ``m``: ``dual_softmax`` of the dustbin-augmented matrix, without the
+    dustbin row and column and without renormalizing."""
+    return dual_softmax(augment_dustbin(m, z))[..., :-1, :-1]
 
 
 def finite_difference(f, params, epsilon: float = 1.0e-5) -> np.ndarray:

@@ -343,12 +343,16 @@ def test_seed_ranges_reject_negative_seeds():
     [
         ["simulate", "--seeds", "-1"],
         ["ablate", "--mode", "grid", "--values", "5", "--seeds", "0"],
+        ["ablate", "--mode", "N", "--values", "0", "--seeds", "0"],
         ["gradcheck", "--seeds", "0", "--tol", "nan"],
         ["gradcheck", "--seeds", "0", "--tol", "inf"],
         ["gradcheck", "--seeds", "0", "--tol", "0"],
         ["gradcheck", "--seeds", "0", "--tol=-0.5"],
     ],
-    ids=["negative-seed", "too-small-grid", "nan-tol", "inf-tol", "zero-tol", "negative-tol"],
+    ids=[
+        "negative-seed", "too-small-grid", "zero-count", "nan-tol", "inf-tol", "zero-tol",
+        "negative-tol",
+    ],
 )
 def test_settings_checked_after_parsing_are_usage_errors_before_any_scene(
     argv, tmp_path, monkeypatch, capsys

@@ -24,7 +24,6 @@ from crossloc.estimator import (
     build_correspondences,
     count_inliers,
     estimate_pose,
-    overlay_layout,
     ransac_estimate,
 )
 from crossloc.geometry import (
@@ -387,10 +386,3 @@ def test_count_inliers_hand_case():
     count, flags = count_inliers(transform, p, q, threshold=1.0)
     assert count == 4
     np.testing.assert_array_equal(flags, [True, False, True, True, False, True])
-
-
-def test_overlay_layout_applies_pose_to_planar_part():
-    points3 = np.array([[1.0, 0.0, 5.0], [0.0, 2.0, -1.0]])
-    transform = SimilarityTransform2D(2.0, np.pi / 2, np.array([1.0, 0.0]))
-    out = overlay_layout(points3, transform)
-    np.testing.assert_allclose(out, [[1.0, 2.0], [-3.0, 0.0]], atol=1e-12)

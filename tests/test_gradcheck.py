@@ -691,7 +691,8 @@ def test_selection_is_the_inference_paths_top_n():
     pairs build_correspondences gets: on gate 05's 50 scenes as rendered,
     and at jittered projection weights on metric and relative-depth
     scenes, where the contrastive target scale is the solver's estimate
-    on those pairs."""
+    on those pairs.  As rendered, both soft-assign the same scores, so the
+    kept weights are the frozen probabilities bit for bit."""
     modes = ("score", "features", "projection")
     dim = SMALL_SCENE["feature_dim"]
     rng = np.random.default_rng(0)
@@ -713,6 +714,9 @@ def test_selection_is_the_inference_paths_top_n():
                 np.testing.assert_array_equal(ctx.ground_flat, corr.matches.ground)
                 np.testing.assert_array_equal(ctx.ground_planar, corr.ground_planar)
                 np.testing.assert_array_equal(ctx.aerial_metric, corr.aerial_metric)
+                if leaves is None:
+                    kept = ctx.stage0.probs[ctx.aerial_flat, ctx.sel]
+                    assert corr.weights.tobytes() == kept.tobytes()
                 if kind == "relative":
                     est = solve_similarity(corr.ground_planar, corr.aerial_metric, corr.weights)
                     assert ctx.target_scale == est.scale

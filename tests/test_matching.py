@@ -14,14 +14,13 @@ from crossloc.matching import (
     augment_dustbin,
     col_softmax,
     dual_softmax,
-    match_probabilities,
     row_softmax,
     sample_correspondences,
     score_matrix,
     soft_assign,
     top_n_flat_indices,
 )
-from oracles import MASK_SCORE, mask_ground_columns
+from oracles import MASK_SCORE, mask_ground_columns, match_probabilities
 
 TIGHT = 1e-9
 
@@ -220,7 +219,7 @@ def test_batched_kernel_equals_per_matrix_calls(seed, k, n_a, n_g, dtype, scalar
 def test_whole_soft_assignment_is_match_probabilities(seed, k, n_a, n_g, dtype):
     """The product of ``soft_assign``'s two whole factors without the dustbin
     (what training contexts freeze their selection from) equals
-    ``match_probabilities`` (gate 04's dual softmax, what inference runs)
+    ``match_probabilities`` (gate 04's dual softmax of the whole matrix)
     bit for bit, for one matrix (k = 0) and for a (k, A, G) batch."""
     rng = np.random.default_rng(seed)
     shape = (k, n_a, n_g) if k else (n_a, n_g)

@@ -272,12 +272,13 @@ def test_analytic_mode_runs_one_fused_pass_per_scene_step(monkeypatch):
 def test_training_step_matches_once_in_the_loss_chain(monkeypatch):
     """Each scene-step runs the chain's stage one once (build_context
     records it, value_and_grad reuses it); the inference path's matching
-    runs only in the before/after evaluations, one held-out scene each."""
-    names = ("build_correspondences", "match_probabilities", "_stage_one")
+    runs only in the before/after evaluations, one held-out scene each.
+    Both soft-assign through ``soft_assign``."""
+    names = ("build_correspondences", "soft_assign", "_stage_one")
     calls = count_calls(monkeypatch, *names)
     cfg = TrainConfig(lr=1e-2, steps=3, holdout=1, init_jitter=0.05, seed=1)
     train(small_scenes(3), cfg, SMALL_PIPE)
-    assert calls == {"build_correspondences": 2, "match_probabilities": 2, "_stage_one": 3 * 2}
+    assert calls == {"build_correspondences": 2, "soft_assign": 2 + 3 * 2, "_stage_one": 3 * 2}
 
 
 def test_divergence_detected_at_huge_learning_rate():
@@ -291,6 +292,23 @@ def test_divergence_detected_at_huge_learning_rate():
     with pytest.raises(DivergenceDetected) as info:
         train(scenes, cfg, SMALL_PIPE)
     assert "5" in str(info.value)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lr", [1e10, 1e30, 1e150, 1e300])
+def test_a_descent_step_that_wrecks_the_weights_is_divergence(lr):
+    """A learning rate that blows the weights up leaves the loss near its
+    start, so the loss guard cannot fire; the next step's failure -- the
+    dustbin taking the mass, or overflowing feature norms at 1e300 -- is
+    DivergenceDetected naming the step, lr and dustbin score, with no
+    RuntimeWarning on the way."""
+    cfg = dataclasses.replace(trainer.REFERENCE_TRAIN, lr=lr, steps=4, holdout=1)
+    pipe, eval_pipe = trainer.reference_pipeline(), trainer.reference_eval_pipeline()
+    with pytest.raises(DivergenceDetected) as info:
+        train(trainer.reference_dataset(n_scenes=4), cfg, pipe, eval_pipe=eval_pipe)
+    message = str(info.value)
+    assert f"at step 1 (lr {lr:g})" in message
+    assert "the dustbin score 1.82e+" in message and "every real score (<= 10)" in message
 
 
 def test_identity_init_on_noiseless_scenes_stays_put():

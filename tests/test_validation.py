@@ -90,8 +90,6 @@ def test_plain_ints_for_float_fields_stay_ints():
         (lambda: gradcheck.compare_gradients(np.ones(2), np.ones(2), tol=math.nan), "tol"),
         (lambda: gradcheck.compare_gradients(np.ones(2), np.ones(2), tol=math.inf), "tol"),
         (lambda: gradcheck.compare_gradients(np.ones(2), np.ones(2), tol=0.0), "tol"),
-        (lambda: gradcheck.compare_gradients(np.ones(2), np.ones(2), floor=math.nan), "floor"),
-        (lambda: gradcheck.compare_gradients(np.ones(2), np.ones(2), floor=0.0), "floor"),
     ],
     ids=[
         "scene-fractional-cells",
@@ -116,8 +114,6 @@ def test_plain_ints_for_float_fields_stay_ints():
         "compare-nan-tol",
         "compare-inf-tol",
         "compare-zero-tol",
-        "compare-nan-floor",
-        "compare-zero-floor",
     ],
 )
 def test_each_former_gap_is_out_of_range_naming_the_argument(call, field):
