@@ -72,16 +72,19 @@ def parse_seed_range(text: str):
 
 def parse_factor_range(text: str, steps: int):
     """'0.001..1000' -> ``steps`` (>= 1) log-spaced factors, endpoints
-    inclusive."""
+    inclusive; a single factor is a one-factor list.  Factors are finite
+    and positive."""
     if steps < 1:
         raise UsageError(f"--factor-steps must be >= 1, got {steps}")
-    if ".." not in text:
-        return [_parse_number(text, float, "factor")]
-    lo, hi = (_parse_number(v, float, "factor range") for v in text.split("..", 1))
+    single = ".." not in text
+    what = "factor" if single else "factor range"
+    ends = (text, text) if single else text.split("..", 1)
+    lo, hi = (_parse_number(v, float, what) for v in ends)
     if not 0 < lo <= hi < math.inf:
-        raise UsageError(
-            f"factor range {text!r} must be finite, positive and increasing"
-        )
+        need = "finite and positive" if single else "finite, positive and increasing"
+        raise UsageError(f"{what} {text!r} must be {need}")
+    if single:
+        return [lo]
     return [float(f) for f in np.logspace(math.log10(lo), math.log10(hi), steps)]
 
 

@@ -151,10 +151,11 @@ def build_correspondences(
     valid = np.flatnonzero(depth_valid_mask(depth, cfg.lift))
     if len(valid) == 0:
         raise InsufficientMatches("only 0 correspondences: no ground cell has valid depth")
-    scores = score_matrix(aerial.flat(), ground.flat()[valid], cfg.tau)
-    ra, cb = soft_assign(scores, cfg.dustbin_z)
+    # the scores live only while soft_assign runs, and its two factors only
+    # until their product: at most three score-sized matrices at a time
+    ra, cb = soft_assign(score_matrix(aerial.flat(), ground.flat()[valid], cfg.tau), cfg.dustbin_z)
     probs = ra[:-1, :-1] * cb[:-1, :-1]
-    del ra, cb  # freed before the top-N, which copies the probabilities twice
+    del ra, cb  # freed before the top-N, which copies the probabilities once
     points3 = _lift_tables(valid, ground, depth, rays, cfg)
     return _lift_top_n(probs, valid, points3, aerial, cfg)
 

@@ -829,17 +829,17 @@ def _line_values(ctx: GradContext, base: _Stage, records: tuple, axis: int, line
         reach_s = changed[:, af].any(axis=1) & np.isin(lines, sel)
         pairs = sel == lines[:, None]
         hit = pairs.any(axis=1)
-        aug = matching.augment_dustbin(new[hit, :, None], z)[..., 0]
-        _, e, t = _redo(columns, np.searchsorted(cols, lines[hit]), aug)
+        line = np.searchsorted(cols, lines[hit])
+        _, e, t = _redo(columns, line, matching.augment_dustbin(new[hit, :, None], z)[..., 0])
         cb[pairs] = (e[:, af] / t)[pairs[hit]]
         if g2s is not None:
             reads = sel[ctx.g2s_pairs] == lines[:, None]
             hit = reads.any(axis=1)
             m, _, t = _redo(g2s, reads[hit].argmax(axis=1), new[hit])
             g2s_lse[reads] = np.broadcast_to(m + np.log(t), reads[hit].shape)[reads[hit]]
+    del _, e, t  # stage two, where a call peaks, reads no line's exponentials
     if reach_r.any():
-        aug = matching.augment_dustbin(scores[reach_r][..., rows, :], z)
-        ra[reach_r] = matching.row_softmax(aug)[..., r_at, sel]
+        ra[reach_r] = matching.row_softmax(scores[reach_r][..., rows, :], z)[..., r_at, sel]
     if g2s is not None and reach_s.any():
         s2g_lse[reach_s] = _logsumexp(_s2g_logits(ctx, scores[reach_s], sel))[0]
     tape = _stage_two(ctx, ra * cb, scores, sel, np.longdouble, g2s_lse=g2s_lse, s2g_lse=s2g_lse)

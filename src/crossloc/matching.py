@@ -110,7 +110,8 @@ def score_matrix(aerial: np.ndarray, ground: np.ndarray, tau: float, units: bool
             f"feature dims differ: aerial {aerial.shape[-1]} vs ground {ground.shape[-1]}"
         )
     a, g = _unit_rows(aerial), _unit_rows(ground)
-    scores = (a[0] @ g[0].swapaxes(-1, -2)) / a[0].dtype.type(tau)
+    scores = a[0] @ g[0].swapaxes(-1, -2)
+    scores /= a[0].dtype.type(tau)
     return (scores, a, g) if units else scores
 
 
@@ -124,25 +125,36 @@ def augment_dustbin(scores: np.ndarray, z) -> np.ndarray:
     return out
 
 
-def _exp_record(x: np.ndarray, axis: int) -> tuple:
+def _exp_record(x: np.ndarray, axis: int, out=None) -> tuple:
     """``(max, exp(x - max))`` along ``axis`` (keepdims): the shifted
-    exponentials every softmax and log-sum-exp of the package sums."""
+    exponentials every softmax and log-sum-exp of the package sums.  They
+    are formed in ``out`` (which may be ``x``) or in one new array laid out
+    as ``x - max`` lays it out."""
     m = x.max(axis=axis, keepdims=True)
-    return m, np.exp(x - m)
+    e = np.subtract(x, m, out=out)
+    return m, np.exp(e, out=e)
 
 
-def row_softmax(m: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax over each row (last axis; max subtraction)."""
-    e = _exp_record(m, -1)[1]
-    e /= e.sum(axis=-1, keepdims=True)
+def _softmax(m: np.ndarray, z, axis: int) -> np.ndarray:
+    """Softmax along ``axis`` of ``m``, or of ``augment_dustbin(m, z)``,
+    normalised in one new array and in place."""
+    x = m if z is None else augment_dustbin(m, z)
+    e = _exp_record(x, axis, out=None if z is None else x)[1]
+    e /= e.sum(axis=axis, keepdims=True)
     return e
 
 
-def col_softmax(m: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax over each column (second-to-last axis)."""
-    e = _exp_record(m, -2)[1]
-    e /= e.sum(axis=-2, keepdims=True)
-    return e
+def row_softmax(m: np.ndarray, z=None) -> np.ndarray:
+    """Numerically stable softmax over each row (last axis; max subtraction)
+    of ``m``, or of ``augment_dustbin(m, z)`` given the dustbin score z.
+    Returns a new array; ``m`` is not written."""
+    return _softmax(m, z, -1)
+
+
+def col_softmax(m: np.ndarray, z=None) -> np.ndarray:
+    """Numerically stable softmax over each column (second-to-last axis),
+    as ``row_softmax``."""
+    return _softmax(m, z, -2)
 
 
 def dual_softmax(extended: np.ndarray) -> np.ndarray:
@@ -158,25 +170,29 @@ def dual_softmax(extended: np.ndarray) -> np.ndarray:
 def soft_assign(scores: np.ndarray, z, rows=slice(None), cols=slice(None)):
     """The row softmaxes of aerial ``rows`` and the column softmaxes of
     ground ``cols`` of the dustbin-augmented scores (default all).  Each is
-    a contiguous ``augment_dustbin`` copy at least 2 columns wide, which
-    numpy sums in the whole matrix's order, to the same bits.  Inference and
-    training select their top-N from ``ra[..., :-1, :-1] * cb[..., :-1, :-1]``."""
-    ra = row_softmax(augment_dustbin(scores[..., rows, :], z))
-    return ra, col_softmax(augment_dustbin(scores[..., :, cols], z))
+    normalised in its own contiguous ``augment_dustbin`` copy at least 2
+    columns wide, which numpy sums in the whole matrix's order, to the same
+    bits.  Inference and training select their top-N from
+    ``ra[..., :-1, :-1] * cb[..., :-1, :-1]``."""
+    ra = row_softmax(scores[..., rows, :], z)
+    return ra, col_softmax(scores[..., :, cols], z)
 
 
 def top_n_flat_indices(flat_probs: np.ndarray, n: int) -> np.ndarray:
     """Indices of the n largest entries, descending, ties broken by index
     (NaN last); only the entries at or above the n-th largest are sorted."""
-    key = -flat_probs  # ascending key; NaN stays NaN and sorts last
-    take = min(n, key.size)
-    candidates = np.arange(key.size)
-    if 0 < take < key.size:
-        kth = np.partition(key, take - 1)[take - 1]
+    take = min(n, flat_probs.size)
+    candidates = np.arange(flat_probs.size)
+    if 0 < take < flat_probs.size:
+        key = np.negative(flat_probs)  # ascending key; NaN stays NaN and sorts last
+        key.partition(take - 1)
+        kth = key[take - 1]
+        del key
         if not np.isnan(kth):  # else every non-NaN entry is a candidate
-            candidates = np.flatnonzero(key <= kth)
+            # negation is exact: these are the entries whose key is <= kth
+            candidates = np.flatnonzero(flat_probs >= -kth)
     # the stable sort keeps ascending flat index order within ties
-    return candidates[np.argsort(key[candidates], kind="stable")[:take]]
+    return candidates[np.argsort(-flat_probs[candidates], kind="stable")[:take]]
 
 
 def sample_correspondences(probs: np.ndarray, n: int) -> Matches:

@@ -224,8 +224,9 @@ def train(
     order, and takes one descent step.
     Raises DivergenceDetected as soon as the batch loss exceeds
     ``divergence_factor`` times its step-0 value, and when a descent step's
-    weights overflow or leave no weighted pair (naming the step, ``lr`` and
-    a dustbin score that outranks every real score); step 0 raises as is.
+    weights overflow or leave no weighted pair in the next step or in the
+    final evaluation (naming the step, ``lr`` and a dustbin score that
+    outranks every real score); step 0 and the first evaluation raise as is.
 
     ``eval_pipe`` lets the before/after evaluation use different estimator
     settings than training (typically more correspondences plus the robust
@@ -261,20 +262,12 @@ def train(
         start = (step * batch) % n_train
         loss_sum = 0.0
         grad_sum = np.zeros_like(params)
-        try:
-            with np.errstate(over="raise", invalid="raise") if step else contextlib.nullcontext():
-                for i in range(start, start + batch):
-                    value, grad = value_and_grad(scene_steps[i % n_train](params))
-                    loss_sum += value
-                    grad_sum += grad
-        except (InsufficientMatches, OutOfRange, FloatingPointError) as exc:
-            if step == 0:
-                raise
-            z, top = params[-1], 1.0 / pipe.tau
-            why = f"; the dustbin score {z:.3g} outranks every real score (<= {top:g})"
-            raise DivergenceDetected(
-                f"training diverged at step {step} (lr {cfg.lr:g}): {exc}{why if z > top else ''}"
-            ) from exc
+        where = f"at step {step}"
+        with _divergence(where, cfg, pipe, params) if step else contextlib.nullcontext():
+            for i in range(start, start + batch):
+                value, grad = value_and_grad(scene_steps[i % n_train](params))
+                loss_sum += value
+                grad_sum += grad
 
         loss = loss_sum / batch
         curve[step] = loss
@@ -290,8 +283,26 @@ def train(
             params = params - cfg.lr * (grad_sum / batch)
 
     weights = ProjectionWeights(params[:-1].reshape(dim, dim), params[-1])
-    eval_after = evaluate_projection(weights, held_scenes, eval_pipe)
+    with _divergence(f"at the final evaluation, after step {cfg.steps - 1}", cfg, pipe, params):
+        eval_after = evaluate_projection(weights, held_scenes, eval_pipe)
     return TrainResult(weights, curve, eval_before, eval_after)
+
+
+@contextlib.contextmanager
+def _divergence(where: str, cfg: TrainConfig, pipe: PipelineConfig, params: np.ndarray):
+    """Run the block on weights a descent step made, with overflow and
+    invalid operations raising; its InsufficientMatches, OutOfRange or
+    FloatingPointError becomes DivergenceDetected naming ``where``, ``lr``
+    and a dustbin score that outranks every real score."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except (InsufficientMatches, OutOfRange, FloatingPointError) as exc:
+        z, top = params[-1], 1.0 / pipe.tau
+        why = f"; the dustbin score {z:.3g} outranks every real score (<= {top:g})"
+        raise DivergenceDetected(
+            f"training diverged {where} (lr {cfg.lr:g}): {exc}{why if z > top else ''}"
+        ) from exc
 
 
 # --- seeded reference configuration ----------------------------------------

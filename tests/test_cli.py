@@ -70,6 +70,11 @@ def test_factor_range_parsing():
     np.testing.assert_allclose(factors[-1], 1e3)
     with pytest.raises(OutOfRange):
         parse_factor_range("-1..10", 3)
+    assert parse_factor_range("2.5", 7) == [2.5]
+    # a single factor is held to the range's bounds, as a usage error naming it
+    for bad in ("nan", "0", "-1", "inf"):
+        with pytest.raises(UsageError, match=rf"^factor '{bad}' must be finite and positive"):
+            parse_factor_range(bad, 3)
 
 
 # --- subcommands ------------------------------------------------------------

@@ -7,6 +7,7 @@ scale absorbs exactly 1/k.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +150,28 @@ def test_build_correspondences_masks_invalid_depth():
     scaled = (scene.depth.depth * scene.scale_gt).ravel()[corr.matches.ground]
     assert np.isfinite(scaled).all()
     assert (scaled <= 35.0 + 1e-12).all()
+
+
+def test_matching_holds_at_most_three_score_sized_matrices():
+    """On a default scene the traced peak of ``build_correspondences`` stays
+    within three (A+1) x (k+1) float64 matrices (k valid ground cells) plus
+    the two feature grids' bytes: the scores, the row factor and the column
+    factor, or the two factors and their product, and never a further
+    augmented or exponential copy."""
+    scene = generate(SceneConfig(seed=0))
+    cfg = PipelineConfig(num_correspondences=256)
+    args = (scene.aerial, scene.ground, scene.depth, scene.rays, cfg)
+    build_correspondences(*args)  # first-call allocations are not the stage's
+    k = int(depth_valid_mask(scene.depth, cfg.lift).sum())
+    matrix = (scene.aerial.rows * scene.aerial.cols + 1) * (k + 1) * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        build_correspondences(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * matrix + scene.aerial.data.nbytes + scene.ground.data.nbytes
 
 
 def test_all_invalid_depth_raises():

@@ -646,9 +646,9 @@ def test_sliced_stage_one_gives_the_whole_matrix_weights_bit_for_bit(seed, mode,
 @pytest.mark.parametrize("seed, mode", LEAF_CONTEXTS)
 def test_forward_value_normalises_only_the_selected_rows_and_columns(seed, mode, monkeypatch):
     """The oracle's softmaxes see the selected pairs' distinct aerial rows
-    (plus the dustbin row ``augment_dustbin`` adds) over every valid column,
-    and the distinct selected columns plus the dustbin over every aerial
-    row: never the whole matrix."""
+    over every valid column, and the distinct selected columns over every
+    aerial row, each with the dustbin score (which the softmax appends):
+    never the whole matrix."""
     ctx = small_context(seed, mode)
     sel = ctx.sel
     rows, cols = np.unique(ctx.aerial_flat), np.unique(sel)
@@ -660,16 +660,18 @@ def test_forward_value_normalises_only_the_selected_rows_and_columns(seed, mode,
     for name in ("row_softmax", "col_softmax"):
         fn = getattr(matching, name)
 
-        def recording(m, name=name, fn=fn):
-            seen[name] = m
-            return fn(m)
+        def recording(m, z, name=name, fn=fn):
+            seen[name] = m, z
+            return fn(m, z)
 
         monkeypatch.setattr(matching, name, recording)
     gradcheck.forward_value(ctx, params)
-    assert seen["row_softmax"].shape == (3, len(rows) + 1, n_valid + 1)
-    assert (seen["row_softmax"][:, :-1, :-1] == scores[:, rows, :]).all()
-    assert seen["col_softmax"].shape == (3, ctx.n_aerial + 1, len(cols) + 1)
-    assert (seen["col_softmax"][:, :-1, :-1] == scores[:, :, cols]).all()
+    assert seen["row_softmax"][0].shape == (3, len(rows), n_valid)
+    assert (seen["row_softmax"][0] == scores[:, rows, :]).all()
+    assert seen["col_softmax"][0].shape == (3, ctx.n_aerial, len(cols))
+    assert (seen["col_softmax"][0] == scores[:, :, cols]).all()
+    for name in seen:
+        np.testing.assert_array_equal(seen[name][1], params[:, -1])
 
 
 def inference_route(scene, pipe, params0=None):

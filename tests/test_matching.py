@@ -11,6 +11,7 @@ from crossloc.errors import DimensionMismatch, OutOfRange, ZeroNormFeature
 from crossloc.matching import (
     AerialMeta,
     FeatureGrid,
+    _exp_record,
     augment_dustbin,
     col_softmax,
     dual_softmax,
@@ -231,6 +232,75 @@ def test_whole_soft_assignment_is_match_probabilities(seed, k, n_a, n_g, dtype):
     # exact equality (long double's storage padding makes bytes unfit)
     np.testing.assert_array_equal(ra[..., :-1, :-1] * cb[..., :-1, :-1],
                                   match_probabilities(scores, z))
+
+
+def read_only(a):
+    """``a`` with writing switched off, so a function that writes it raises."""
+    a.flags.writeable = False
+    return a
+
+
+def non_c_batch(rng, k, n_a, n_g, dtype):
+    """A (k, A, G) batch laid out with the batch axis innermost, as a leaf
+    gather lays out the chain's batches."""
+    return np.moveaxis(rng.normal(scale=5.0, size=(n_a, n_g, k)).astype(dtype), -1, 0)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("batched", [False, True])
+def test_softmax_with_a_dustbin_score_equals_the_augmented_softmax(dtype, batched):
+    """``row_softmax(m, z)`` and ``col_softmax(m, z)`` equal the softmaxes of
+    ``augment_dustbin(m, z)`` bit for bit (byte for byte in float64), on one
+    matrix and on a batch laid out batch-innermost, and write neither
+    ``m`` nor ``z``."""
+    rng = np.random.default_rng(11)
+    if batched:
+        m = non_c_batch(rng, 3, 7, 5, dtype)
+        assert not m.flags.c_contiguous
+        z = rng.normal(size=3).astype(dtype)
+    else:
+        m, z = rng.normal(scale=5.0, size=(7, 5)).astype(dtype), dtype(0.3)
+    m, z = read_only(m), read_only(np.asarray(z))
+    kept = m.copy()
+    for fn in (row_softmax, col_softmax):
+        got, expected = fn(m, z), fn(augment_dustbin(m, z))
+        assert got.dtype == dtype and got.shape == m.shape[:-2] + (8, 6)
+        assert got.flags.c_contiguous and got.flags.writeable
+        # exact equality (long double's storage padding makes bytes unfit)
+        np.testing.assert_array_equal(got, expected)
+        if dtype == np.float64:
+            assert got.tobytes() == expected.tobytes()
+    np.testing.assert_array_equal(m, kept)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_softmax_without_a_dustbin_keeps_the_inputs_layout(dtype):
+    """Without ``z`` a softmax normalises one new array laid out as ``m -
+    max`` lays it out, so a batch-innermost input is summed along strided
+    lines, in sequence, exactly as the direct expression sums it; ``m`` is
+    not written, nor is ``_exp_record``'s ``x``."""
+    m = read_only(non_c_batch(np.random.default_rng(12), 4, 9, 300, dtype))
+    for axis, fn in ((-1, row_softmax), (-2, col_softmax)):
+        direct = np.exp(m - m.max(axis=axis, keepdims=True))
+        direct = direct / direct.sum(axis=axis, keepdims=True)
+        got = fn(m)
+        assert got.strides == direct.strides
+        np.testing.assert_array_equal(got, direct)
+        top, e = _exp_record(m, axis)
+        np.testing.assert_array_equal(top, m.max(axis=axis, keepdims=True))
+        np.testing.assert_array_equal(e, np.exp(m - top))
+
+
+def test_exp_record_writes_only_its_out():
+    """With ``out`` the shifted exponentials are formed in it (which may be
+    ``x`` itself), to the bits of the fresh array."""
+    x = np.random.default_rng(13).normal(scale=30.0, size=(6, 9))
+    top, fresh = _exp_record(read_only(x.copy()), -1)
+    out = np.empty_like(x)
+    assert _exp_record(x, -1, out=out)[1] is out
+    assert out.tobytes() == fresh.tobytes()
+    assert _exp_record(x, -1, out=x)[1] is x
+    assert x.tobytes() == fresh.tobytes()
 
 
 # --- masking ----------------------------------------------------------------

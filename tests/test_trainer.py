@@ -222,6 +222,21 @@ def test_training_contexts_pass_gradient_check(loss_mode):
         assert report.passed, f"{loss_mode}: rel {report.max_rel_err:.2e}"
 
 
+def test_value_and_grad_is_certified_where_the_reference_run_trains():
+    """At the weights of a short reference run, the gradient ``train``
+    descends on the reference scenes (21 x 21 grids, its own contexts) meets
+    the long-double FD oracle's bar, as gate 05 checks it at the identity
+    on 7 x 7 scenes.  Two scenes, about 3.6 s on a 2-core VM."""
+    params = trainer.reference_run(steps=20).weights.as_params()
+    scenes = trainer.reference_dataset(n_scenes=2)
+    pipe = trainer.reference_pipeline()
+    for scene_step in trainer._scene_steps(trainer.REFERENCE_TRAIN, scenes, pipe):
+        ctx = scene_step(params)
+        assert (ctx.mode, ctx.beta, ctx.n_aerial) == ("projection", 0.7, 21 * 21)
+        report = gradcheck.check(ctx)
+        assert report.passed, f"rel {report.max_rel_err:.2e}"
+
+
 def test_scene_steps_take_the_loss_modes_beta_and_target_scale():
     """gt-scale places targets with the true scale, pseudo-scale with the
     solver's estimate at the frozen weights, and vce-only turns the
@@ -308,6 +323,21 @@ def test_a_descent_step_that_wrecks_the_weights_is_divergence(lr):
         train(trainer.reference_dataset(n_scenes=4), cfg, pipe, eval_pipe=eval_pipe)
     message = str(info.value)
     assert f"at step 1 (lr {lr:g})" in message
+    assert "the dustbin score 1.82e+" in message and "every real score (<= 10)" in message
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lr", [1e10, 1e30, 1e150, 1e300])
+def test_a_wrecking_last_step_is_divergence_at_the_final_evaluation(lr):
+    """When the last descent step wrecks the weights, the held-out
+    evaluation after it fails as a scene-step would, and is
+    DivergenceDetected naming that step, lr and the dustbin score."""
+    cfg = dataclasses.replace(trainer.REFERENCE_TRAIN, lr=lr, steps=1, holdout=1)
+    pipe, eval_pipe = trainer.reference_pipeline(), trainer.reference_eval_pipeline()
+    with pytest.raises(DivergenceDetected) as info:
+        train(trainer.reference_dataset(n_scenes=4), cfg, pipe, eval_pipe=eval_pipe)
+    message = str(info.value)
+    assert f"at the final evaluation, after step 0 (lr {lr:g})" in message
     assert "the dustbin score 1.82e+" in message and "every real score (<= 10)" in message
 
 
