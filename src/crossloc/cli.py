@@ -495,7 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ransac", action="store_true")
     p.add_argument("--ransac-iterations", type=int, default=1000)
     p.add_argument("--inlier-threshold", type=float, default=1.0)
-    p.add_argument("--topmost", action="store_true")
+    p.add_argument("--topmost", action="store_true", help="keep the highest lifted point per "
+                   "aerial-cell-sized bucket (lifted units: metres only for metric depth)")
     p.add_argument("--no-scale", action="store_true")
     _add_solver_flags(p)
     p.add_argument("--out", required=True)

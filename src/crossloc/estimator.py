@@ -139,6 +139,20 @@ def build_correspondences(
     a feature is NaN or infinite, and InsufficientMatches when fewer than
     two weighted pairs remain.
     """
+    valid, points3 = _scene_tables(aerial, ground, depth, rays, cfg)
+    # the scores live only while soft_assign runs, and its two factors only
+    # until their product: at most three score-sized matrices at a time
+    ra, cb = soft_assign(score_matrix(aerial.flat(), ground.flat()[valid], cfg.tau), cfg.dustbin_z)
+    probs = ra[:-1, :-1] * cb[:-1, :-1]
+    del ra, cb  # freed before the top-N, which copies the probabilities once
+    return _lift_top_n(probs, valid, points3, aerial, cfg)
+
+
+def _scene_tables(aerial, ground, depth, rays, cfg):
+    """``build_correspondences``' input checks, then the tables ``_lift_top_n``
+    selects from (``gradcheck._prepare``'s too): the flat indices of the
+    depth-valid ground cells, which are the scored columns, and each one's
+    lifted 3-D point, the same bits as lifting that one cell."""
     shapes = {"depth map": depth.depth.shape, "ray table": rays.directions.shape[:2]}
     for what, shape in shapes.items():
         if shape != (ground.rows, ground.cols):
@@ -151,27 +165,14 @@ def build_correspondences(
     valid = np.flatnonzero(depth_valid_mask(depth, cfg.lift))
     if len(valid) == 0:
         raise InsufficientMatches("only 0 correspondences: no ground cell has valid depth")
-    # the scores live only while soft_assign runs, and its two factors only
-    # until their product: at most three score-sized matrices at a time
-    ra, cb = soft_assign(score_matrix(aerial.flat(), ground.flat()[valid], cfg.tau), cfg.dustbin_z)
-    probs = ra[:-1, :-1] * cb[:-1, :-1]
-    del ra, cb  # freed before the top-N, which copies the probabilities once
-    points3 = _lift_tables(valid, ground, depth, rays, cfg)
-    return _lift_top_n(probs, valid, points3, aerial, cfg)
-
-
-def _lift_tables(valid, ground, depth, rays, cfg):
-    """The table ``_lift_top_n`` selects from: the lifted 3-D point of each
-    ground cell of ``valid`` (flat indices).  The lift is elementwise, so a
-    row is the same bits as lifting that one cell."""
     cells = np.stack(np.divmod(valid, ground.cols), axis=1)
-    return lift_ground_cells(cells, depth, rays, cfg.lift.initial_scale)
+    return valid, lift_ground_cells(cells, depth, rays, cfg.lift.initial_scale)
 
 
 def _lift_top_n(probs, valid, points3, aerial, cfg) -> CorrespondenceSet:
     """``build_correspondences`` from the aerial-by-``valid``-ground
     probabilities on, looking the selected ground cells up in
-    ``_lift_tables``' ``points3`` and converting the kept aerial cells
+    ``_scene_tables``' ``points3`` and converting the kept aerial cells
     (``gradcheck`` selects through it too).  Private: a tracer of public
     functions sees its calls as the caller's."""
     matches = sample_correspondences(probs, cfg.num_correspondences)

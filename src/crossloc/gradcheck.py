@@ -20,11 +20,11 @@ as one chain of elementwise numpy operations in any float type
 freezes the top-N of its probabilities, so the loss differentiates the
 very matching it selected from.  It is two parts.  ``_prepare`` holds what
 no leaf vector changes, once per scene (the trainer prepares each training
-scene once per run): the depth-valid mask and its columns, the raw
-features as read-only views of the scene's arrays, the lifted 3-D point of
-every valid ground cell and the metric point of every aerial cell.
-``_freeze`` is what each scene-step recomputes: stage one, its top-N looked
-up in those tables, the contrastive targets and index arrays.
+scene once per run): the inference path's depth-valid columns and lifted
+points (``estimator._scene_tables``) and the raw features as read-only
+views of the scene's arrays.  ``_freeze`` is what each scene-step
+recomputes: stage one, its top-N looked up in those tables, the
+contrastive targets and index arrays.
 ``value_and_grad`` runs the chain in float64, reusing that stage at
 ``params0`` -- its unit feature rows and norms and its probabilities --
 and makes one reverse sweep over the values it recorded (``backward`` is
@@ -84,9 +84,9 @@ import numpy as np
 from . import matching
 from .errors import DegenerateConfiguration, DimensionMismatch, NonDifferentiablePoint
 from .errors import NoValidTargets, OutOfRange, require_choice, require_real
-from .estimator import PipelineConfig, _lift_tables, _lift_top_n
+from .estimator import PipelineConfig, _lift_top_n, _scene_tables
 from .geometry import solve_similarity
-from .lifting import aerial_coverage_mask, depth_valid_mask, metric_to_aerial_cells
+from .lifting import aerial_coverage_mask, metric_to_aerial_cells
 from .losses import NEGATIVE_RADIUS, gt_aerial_targets, gt_ground_targets, virtual_point_grid
 from .matching import _exp_record, score_matrix, soft_assign
 
@@ -219,44 +219,41 @@ def build_context(
     ``mode``'s layout; by default the scene as rendered: its scores, its
     raw features or the identity projection, with ``cfg.dustbin_z``) and
     records it.  The selection is the top-N of its probabilities, lifted
-    as ``estimator.build_correspondences`` lifts its own.  Also captures
-    the contrastive-target scale: the true scale when depths are metric,
-    otherwise the solver's estimate at the frozen weights (the
-    stop-gradient treatment the trainer uses).  The same as
-    ``_freeze(_prepare(scene, cfg, mode), beta, params0)``; the trainer
-    prepares each scene once and passes its loss mode's scale to ``_freeze``.
+    as ``estimator.build_correspondences`` lifts its own, and a scene that
+    function refuses is refused with the same error.  The contrastive
+    targets sit at the solver's scale estimate at the frozen weights on
+    relative depth (the stop-gradient treatment), else at the true scale.
+    The same as ``_freeze(_prepare(scene, cfg, mode), beta, params0)``.
     """
     return _freeze(_prepare(scene, cfg, mode), beta, params0)
 
 
-# what no leaf vector changes: the scene, the leaf layout (all stage one
-# reads of it), the depth-valid mask and its columns, and the lifted points
-# the top-N is looked up in
 _Prepared = namedtuple(
     "_Prepared", "scene cfg mode tau valid cols aerial_raw ground_raw points3"
 )
 
 
 def _prepare(scene, cfg: PipelineConfig = None, mode: str = "score") -> _Prepared:
-    """The part of ``build_context`` no leaf vector changes, once per scene:
-    the raw features as read-only float views of the scene's arrays, and
-    ``estimator._lift_tables``' lifted point of every valid ground cell."""
+    """``build_context``'s part no leaf vector changes, once per scene: the
+    scene, leaf layout, ``estimator._scene_tables``' checks and tables, and
+    the raw features as read-only float views of the scene's arrays."""
     require_choice("mode", mode, ("score", "features", "projection"))
     if cfg is None:
         cfg = PipelineConfig(num_correspondences=8)
+    cols, points3 = _scene_tables(scene.aerial, scene.ground, scene.depth, scene.rays, cfg)
     aerial_raw = np.asarray(scene.aerial.flat(), dtype=float)
     ground_raw = np.asarray(scene.ground.flat(), dtype=float)
     aerial_raw.flags.writeable = ground_raw.flags.writeable = False
-    valid = depth_valid_mask(scene.depth, cfg.lift).ravel()
-    cols = np.flatnonzero(valid)
-    points3 = _lift_tables(cols, scene.ground, scene.depth, scene.rays, cfg)
+    valid = np.zeros(len(ground_raw), dtype=bool)
+    valid[cols] = True
     return _Prepared(scene, cfg, mode, cfg.tau, valid, cols, aerial_raw, ground_raw, points3)
 
 
-def _freeze(prep: _Prepared, beta: float = 0.1, params0=None, target_scale=None) -> GradContext:
+def _freeze(prep: _Prepared, beta: float = 0.1, params0=None, pseudo: bool = True) -> GradContext:
     """``build_context``'s per-step part: stage one at ``params0``, its
     top-N looked up in the prepared tables, the targets and the contrastive
-    index arrays."""
+    index arrays.  ``pseudo`` places the targets at the solver's scale on
+    relative depth; otherwise they sit at ``scale_gt / initial_scale``."""
     scene, cfg, mode = prep.scene, prep.cfg, prep.mode
     (na, dim), ng = prep.aerial_raw.shape, prep.ground_raw.shape[0]
     if params0 is None:
@@ -279,12 +276,10 @@ def _freeze(prep: _Prepared, beta: float = 0.1, params0=None, target_scale=None)
     stage0 = stage0._replace(probs=stage0.ra[:-1, :-1] * stage0.cb[:-1, :-1])
     corr = _lift_top_n(stage0.probs, prep.cols, prep.points3, scene.aerial, cfg)
 
-    if target_scale is None:
-        if scene.depth.kind == "metric":
-            target_scale = 1.0 / cfg.lift.initial_scale
-        else:
-            est = solve_similarity(corr.ground_planar, corr.aerial_metric, corr.weights)
-            target_scale = est.scale
+    if pseudo and scene.depth.kind != "metric":
+        target_scale = solve_similarity(corr.ground_planar, corr.aerial_metric, corr.weights).scale
+    else:
+        target_scale = scene.scale_gt / cfg.lift.initial_scale
 
     aerial_shape = (scene.aerial.rows, scene.aerial.cols)
     q_hat = gt_aerial_targets(corr.ground_planar, scene.truth, target_scale)

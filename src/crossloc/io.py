@@ -61,6 +61,7 @@ _HEADER = struct.Struct("<4sIIIIB3x")  # magic, version, rows, cols, dim, kind
 
 _GRID_KINDS = ("aerial", "ground")
 _DEPTH_KINDS = ("metric", "relative")
+_UNIT_TOLERANCE = 1e-12  # a ray override's |norm - 1| (rendered ones: <= 2.2e-16)
 
 
 def _atomic_write_bytes(path, blob: bytes) -> None:
@@ -155,8 +156,8 @@ def read_feature_grid(path) -> FeatureGrid:
     """Parse a binary grid and rebuild its calibration from the sidecar.
 
     A NaN or infinite feature raises NonFiniteValue; a sidecar of the other
-    grid kind, or a malformed, out-of-bounds or non-finite ray override,
-    raises FormatError.
+    grid kind, or a malformed, out-of-bounds, non-finite or non-unit ray
+    override, raises FormatError.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -242,7 +243,7 @@ def _json_number(path, key: str, value, positive: bool = False) -> float:
 
 def _override_rays(side, overrides, canonical: np.ndarray) -> np.ndarray:
     """``canonical`` with each ``[row, col, [x, y, z]]`` override written in;
-    a malformed, out-of-bounds or non-finite entry is a FormatError."""
+    a malformed, out-of-bounds, non-finite or non-unit entry is a FormatError."""
     rows, cols, width = canonical.shape
     try:
         if not isinstance(overrides, list):
@@ -259,6 +260,9 @@ def _override_rays(side, overrides, canonical: np.ndarray) -> np.ndarray:
             f"{side}: ray_overrides must be [row, col, [x, y, z]] entries naming "
             f"cells of the {rows}x{cols} grid, with {width} finite components"
         ) from None
+    off = np.flatnonzero(np.abs(np.linalg.norm(vecs, axis=1) - 1.0) > _UNIT_TOLERANCE)
+    if off.size:
+        raise FormatError(f"{side}: ray override at cell {cells[off[0]]} is not a unit vector")
     directions = canonical.copy()
     for (r, c), vec in zip(cells, vecs):
         directions[r, c] = vec

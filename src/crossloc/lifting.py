@@ -252,10 +252,12 @@ def depth_valid_mask(depth_map: DepthMap, config: LiftConfig) -> np.ndarray:
 def topmost_selection(points: np.ndarray, bucket_size: float) -> np.ndarray:
     """Indices keeping only the highest point per planar bucket.
 
-    Buckets quantize x and y at ``bucket_size``.  Within a bucket the point
-    with maximal z wins; exact z ties keep the earliest input index.  Points
-    must be finite (``lift_ground_cells`` raises InvalidDepth before a
-    non-finite point can be lifted).
+    Buckets quantize x and y at ``bucket_size`` in the points' own units;
+    lifted points are metres only for metric depth, so unlike the rest of
+    the pipeline the selection changes when the depth is rescaled.  Within
+    a bucket the point with maximal z wins; exact z ties keep the earliest
+    input index.  Points must be finite (``lift_ground_cells`` raises
+    InvalidDepth before a non-finite point can be lifted).
     """
     points = np.asarray(points, dtype=float)
     require_real("bucket_size", bucket_size, 0, ends="()")

@@ -20,8 +20,9 @@ Three loss modes mirror the ablation settings of the alignment objective:
 * ``"gt-scale"``     -- contrastive targets placed with the true depth
                         scale (assumes the scale is known during training);
 * ``"pseudo-scale"`` -- targets placed with the solver's own scale
-                        estimate at the current weights, treated as a
-                        constant (stop-gradient) within the step;
+                        estimate at the current weights (stop-gradient),
+                        on relative depth only: on the all-metric
+                        ``reference_dataset`` it trains gt-scale's bits;
 * ``"vce-only"``     -- contrastive terms off (beta = 0).
 """
 
@@ -194,17 +195,11 @@ def _scene_steps(cfg: TrainConfig, scenes, pipe: PipelineConfig) -> list:
     """Per training scene, prepared once per run, the map from a step's
     leaf vector (``ProjectionWeights.as_params`` layout) to the scene's
     frozen projection-mode ``GradContext`` at it, with the loss mode's
-    contrastive target scale (None: the solver's estimate) and beta."""
-    steps = []
-    for scene in scenes:
-        target_scale, beta = None, cfg.beta  # "pseudo-scale"
-        if cfg.loss_mode == "gt-scale":
-            target_scale = scene.scale_gt / pipe.lift.initial_scale
-        elif cfg.loss_mode == "vce-only":
-            beta = 0.0
-        prep = _prepare(scene, pipe, "projection")
-        steps.append(functools.partial(_freeze, prep, beta, target_scale=target_scale))
-    return steps
+    beta and whether its targets take the solver's scale."""
+    beta = 0.0 if cfg.loss_mode == "vce-only" else cfg.beta
+    pseudo = cfg.loss_mode == "pseudo-scale"
+    return [functools.partial(_freeze, _prepare(scene, pipe, "projection"), beta, pseudo=pseudo)
+            for scene in scenes]
 
 
 def train(

@@ -7,10 +7,13 @@ scale absorbs exactly 1/k.
 """
 
 import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from crossloc.errors import (
     AllHypothesesDegenerate,
@@ -113,6 +116,61 @@ def test_depth_rescaling_moves_scale_not_pose():
             reference = est.transform
         assert np.linalg.norm(est.transform.t - reference.t) < 1e-6
         assert abs(wrap_angle(est.transform.theta - reference.theta)) < 1e-9
+
+
+# cached: the power-of-two properties below compare many scalings to one base
+@functools.lru_cache(maxsize=None)
+def default_scene(seed, noise):
+    return generate(SceneConfig(seed=seed, noise_sigma=noise))
+
+
+@functools.lru_cache(maxsize=None)
+def scene_and_estimate(seed, noise, ransac):
+    """A default scene and its estimate under ``symmetry_config``."""
+    scene = default_scene(seed, noise)
+    cfg = symmetry_config(ransac)
+    return scene, estimate_pose(scene.aerial, scene.ground, scene.depth, scene.rays, cfg)
+
+
+def symmetry_config(ransac, max_depth=35.0):
+    """Default settings, all-points projection, direct or 200-iteration
+    RANSAC."""
+    return PipelineConfig(
+        lift=LiftConfig(max_depth=max_depth),
+        ransac=RansacConfig(iterations=200) if ransac else None,
+    )
+
+
+def assert_same_pose_bits(est, base, scale):
+    assert est.transform.scale == scale
+    assert est.transform.theta == base.transform.theta
+    np.testing.assert_array_equal(est.transform.t, base.transform.t)
+    np.testing.assert_array_equal(est.inlier_mask, base.inlier_mask)
+
+
+@given(seed=st.integers(0, 11), k=st.sampled_from([1, -3, 40]), ransac=st.booleans())
+def test_depth_and_max_depth_times_two_to_the_k_divide_only_the_scale(seed, k, ransac):
+    """Depths and ``max_depth`` times 2^k keep the same cells valid and lift
+    every point exactly 2^k times farther, so the scale is exactly 2^-k of
+    the unscaled one and heading, translation and inlier mask keep their
+    bits.  Topmost mode is left out: its buckets are in lifted units, which
+    are metres only for metric depth, so scaling the depth moves points
+    between buckets."""
+    scene, base = scene_and_estimate(seed, 0.0, ransac)
+    depth = DepthMap(scene.depth.depth * 2.0**k, scene.depth.kind)
+    cfg = symmetry_config(ransac, max_depth=35.0 * 2.0**k)
+    est = estimate_pose(scene.aerial, scene.ground, depth, scene.rays, cfg)
+    assert_same_pose_bits(est, base, base.transform.scale * 2.0**-k)
+
+
+@given(seed=st.integers(0, 11), k=st.sampled_from([3, -7, 200]), ransac=st.booleans())
+def test_ground_features_times_two_to_the_k_keep_the_pose(seed, k, ransac):
+    """Matching reads only unit feature rows, and a row times 2^k normalises
+    to the same bits, so the whole estimate keeps its bits."""
+    scene, base = scene_and_estimate(seed, 0.3, ransac)
+    ground = dataclasses.replace(scene.ground, data=scene.ground.data * 2.0**k)
+    est = estimate_pose(scene.aerial, ground, scene.depth, scene.rays, symmetry_config(ransac))
+    assert_same_pose_bits(est, base, base.transform.scale)
 
 
 def test_estimate_is_deterministic():

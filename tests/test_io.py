@@ -248,12 +248,15 @@ def test_sidecar_of_the_other_grid_kind_raises(tmp_path, kind):
         [[True, 0, [1.0, 0.0, 0.0]]],
         [[0, 3, [float("nan"), 0.0, 0.0]]],
         [[0, 3, [0.0, float("inf"), 0.0]]],
+        [[0, 3, [0.0, 0.0, 0.0]]],
+        [[0, 3, [5.0, 0.0, 0.0]]],
         {"0": [1.0, 0.0, 0.0]},
     ],
     ids=[
         "short-entry", "bare-number", "string-entry", "string-vector", "two-components",
         "nested-vector", "row-out-of-bounds", "col-out-of-bounds", "negative-row",
-        "fractional-row", "bool-row", "nan-component", "inf-component", "not-a-list",
+        "fractional-row", "bool-row", "nan-component", "inf-component", "zero-vector",
+        "five-times-unit", "not-a-list",
     ],
 )
 def test_bad_ray_override_raises_format_error(tmp_path, overrides):
@@ -268,6 +271,24 @@ def test_bad_ray_override_raises_format_error(tmp_path, overrides):
     with pytest.raises(FormatError) as caught:
         read_feature_grid(path)
     assert type(caught.value) is FormatError
+
+
+def test_a_non_unit_ray_override_names_its_cell(tmp_path):
+    """An override 5e-13 off unit length is read; 1e-11 off is a FormatError
+    naming the cell."""
+    path = tmp_path / "g.fgrd"
+    write_feature_grid(random_ground(np.random.default_rng(13)), path)
+    side = sidecar_path(path)
+    doc = json.loads(open(side).read())
+    for norm, ok in ((1.0 + 5e-13, True), (1.0 + 1e-11, False)):
+        doc["ray_overrides"] = [[2, 7, [0.0, norm, 0.0]]]
+        with open(side, "w") as f:
+            json.dump(doc, f)
+        if ok:
+            assert read_feature_grid(path).meta.rays.directions[2, 7, 1] == norm
+        else:
+            with pytest.raises(FormatError, match=r"cell \(2, 7\) is not a unit vector"):
+                read_feature_grid(path)
 
 
 GRID_SHAPES = array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=6)

@@ -8,10 +8,16 @@ import numpy as np
 import pytest
 
 from crossloc import estimator, gradcheck, matching, trainer
-from crossloc.errors import DivergenceDetected, EmptyInput, OutOfRange
-from crossloc.estimator import PipelineConfig
+from crossloc.errors import (
+    DimensionMismatch,
+    DivergenceDetected,
+    EmptyInput,
+    InsufficientMatches,
+    OutOfRange,
+)
+from crossloc.estimator import PipelineConfig, build_correspondences
 from crossloc.gradcheck import build_context
-from crossloc.lifting import LiftConfig
+from crossloc.lifting import DepthMap, LiftConfig, depth_valid_mask
 from crossloc.simulator import SceneConfig, generate
 from crossloc.trainer import (
     ProjectionWeights,
@@ -237,23 +243,40 @@ def test_value_and_grad_is_certified_where_the_reference_run_trains():
         assert report.passed, f"rel {report.max_rel_err:.2e}"
 
 
-def test_scene_steps_take_the_loss_modes_beta_and_target_scale():
-    """gt-scale places targets with the true scale, pseudo-scale with the
-    solver's estimate at the frozen weights, and vce-only turns the
-    contrastive terms off."""
-    scene = generate(dataclasses.replace(SMALL_SCENE, seed=100, depth_kind="relative",
-                                         scale_bounds=(0.8, 1.25)))
+def test_scene_steps_take_the_loss_modes_beta_and_target_scale(monkeypatch):
+    """On relative depth gt-scale places targets with the true scale and
+    pseudo-scale with the solver's estimate at the frozen weights, one
+    ``solve_similarity`` call per scene-step; vce-only makes none, turns the
+    contrastive terms off and never reads its targets.  On metric depth
+    pseudo-scale takes the true scale, with no call."""
+    relative = generate(dataclasses.replace(SMALL_SCENE, seed=100, depth_kind="relative",
+                                            scale_bounds=(0.8, 1.25)))
     params = ProjectionWeights(np.eye(SMALL_SCENE.feature_dim)).as_params()
-    contexts = {
-        mode: trainer._scene_steps(TrainConfig(beta=0.7, loss_mode=mode), [scene], SMALL_PIPE)[0](
-            params
-        )
-        for mode in trainer.LOSS_MODES
-    }
-    assert contexts["gt-scale"].target_scale == scene.scale_gt
-    estimate = build_context(scene, SMALL_PIPE, "projection", params0=params).target_scale
-    assert contexts["pseudo-scale"].target_scale == estimate
-    assert [contexts[m].beta for m in trainer.LOSS_MODES] == [0.7, 0.7, 0.0]
+    estimate = build_context(relative, SMALL_PIPE, "projection", params0=params).target_scale
+    calls = count_calls(monkeypatch, "solve_similarity")
+
+    def frozen_twice(scene, mode):
+        """The context of the second of two scene-steps, and the solves."""
+        step = trainer._scene_steps(TrainConfig(beta=0.7, loss_mode=mode), [scene], SMALL_PIPE)[0]
+        calls["solve_similarity"] = 0
+        contexts = [step(params) for _ in range(2)]
+        return contexts[-1], calls["solve_similarity"]
+
+    contexts, solves = zip(*(frozen_twice(relative, mode) for mode in trainer.LOSS_MODES))
+    gt, pseudo, vce = contexts
+    assert solves == (0, 2, 0)
+    assert gt.target_scale == vce.target_scale == relative.scale_gt
+    assert pseudo.target_scale == estimate
+    assert [ctx.beta for ctx in contexts] == [0.7, 0.7, 0.0]
+    blind = dataclasses.replace(vce, target_scale=math.nan, g2s_pairs=None, g2s_targets=None,
+                                s2g_keep=None, s2g_pos=None)
+    (value, grad), (blind_value, blind_grad) = map(gradcheck.value_and_grad, (vce, blind))
+    assert blind_value == value
+    np.testing.assert_array_equal(blind_grad, grad)
+
+    metric = small_scenes(1)[0]
+    pseudo, solves = frozen_twice(metric, "pseudo-scale")
+    assert (pseudo.target_scale, solves) == (metric.scale_gt / SMALL_PIPE.lift.initial_scale, 0)
 
 
 def count_calls(monkeypatch, *names):
@@ -294,6 +317,60 @@ def test_training_step_matches_once_in_the_loss_chain(monkeypatch):
     cfg = TrainConfig(lr=1e-2, steps=3, holdout=1, init_jitter=0.05, seed=1)
     train(small_scenes(3), cfg, SMALL_PIPE)
     assert calls == {"build_correspondences": 2, "soft_assign": 2 + 3 * 2, "_stage_one": 3 * 2}
+
+
+def bad_scene(scene, what):
+    """``scene`` with one input the estimator refuses, and the error, message
+    and ``field`` it refuses it with."""
+    depth, rays, grids = scene.depth, scene.rays, {"aerial": scene.aerial, "ground": scene.ground}
+    field = None
+    if what == "depth-shape":
+        depth = DepthMap(depth.depth[:, :-1], depth.kind)
+        error, message = DimensionMismatch, r"^depth map \(4, 7\) vs ground grid \(4, 8\)$"
+    elif what == "ray-shape":
+        rays = dataclasses.replace(rays, directions=rays.directions[:-1])
+        error, message = DimensionMismatch, r"^ray table \(3, 8\) vs ground grid \(4, 8\)$"
+    elif what == "no-valid-depth":
+        depth = DepthMap(np.full_like(depth.depth, np.nan), depth.kind)
+        error, message = InsufficientMatches, "^only 0 correspondences: no ground cell has valid depth$"
+    else:
+        field, value = {"nan-aerial": ("aerial", np.nan), "inf-ground": ("ground", np.inf)}[what]
+        valid = depth_valid_mask(scene.depth, SMALL_PIPE.lift)
+        cell = (3, 5) if field == "aerial" else tuple(np.argwhere(valid)[0].tolist())
+        data = grids[field].data.copy()
+        data[cell + (2,)] = value
+        grids[field] = dataclasses.replace(grids[field], data=data)
+        error, message = OutOfRange, rf"^{field} feature at cell \({cell[0]}, {cell[1]}\) "
+    bad = dataclasses.replace(scene, depth=depth, rays=rays, **grids)
+    return bad, error, message, field
+
+
+@pytest.mark.parametrize(
+    "what", ["depth-shape", "ray-shape", "nan-aerial", "inf-ground", "no-valid-depth"]
+)
+@pytest.mark.parametrize(
+    "route", ["build_correspondences", "build_context-score", "build_context-features",
+              "build_context-projection", "train"]
+)
+def test_every_route_refuses_a_bad_scene_with_the_estimators_errors(route, what, monkeypatch):
+    """Inference, every gradient-context mode and training take their
+    scene's valid columns and lifted points from one front end, so a depth
+    map or ray table of another shape, a non-finite feature (here in a
+    scored ground cell) and a depth map with no valid cell are refused
+    with the same named error and message on each route; training refuses
+    a bad training scene before step 0."""
+    good, scene = small_scenes(2)
+    scene, error, message, field = bad_scene(scene, what)
+    calls = count_calls(monkeypatch, "value_and_grad")
+    with pytest.raises(error, match=message) as caught:
+        if route == "build_correspondences":
+            build_correspondences(scene.aerial, scene.ground, scene.depth, scene.rays, SMALL_PIPE)
+        elif route == "train":
+            train([scene, good], TrainConfig(steps=1, holdout=1), SMALL_PIPE)
+        else:
+            build_context(scene, SMALL_PIPE, route.removeprefix("build_context-"))
+    assert getattr(caught.value, "field", None) == field
+    assert calls == {"value_and_grad": 0}
 
 
 def test_divergence_detected_at_huge_learning_rate():
