@@ -326,6 +326,8 @@ def cmd_ablate(args) -> int:
 
 
 def _ablation_variants(mode: str, values):
+    if values and mode in ("top-points", "no-scale"):
+        raise OutOfRange(f"--values sweeps the N and grid modes only, not {mode}")
     base_pipe = PipelineConfig(num_correspondences=128)
     if mode == "top-points":
         return [
@@ -435,9 +437,11 @@ def cmd_metrics(args) -> int:
                 f"{path} has no per-sample errors; solve it with --truth first"
             )
         values = _section(doc, "errors", fields, path)
-        samples.append(
-            ErrorSample(*(_json_number(path, f"errors.{f}", v) for f, v in zip(fields, values)))
-        )
+        numbers = [_json_number(path, f"errors.{f}", v) for f, v in zip(fields, values)]
+        try:
+            samples.append(ErrorSample(*numbers))
+        except OutOfRange as e:
+            raise FormatError(f"{path}: errors.{e.field}: {e}") from None
     summary = summarize(samples)
     write_results({"summary": summary.to_dict()}, args.out)
     print(
@@ -516,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True, choices=ABLATION_MODES)
     p.add_argument("--config", help="JSON file of scene-config overrides")
     p.add_argument("--seeds", required=True)
-    p.add_argument("--values", help="comma-separated sweep values (N/grid modes)")
+    p.add_argument("--values", help="comma-separated sweep values (N and grid modes only)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ablate)
 

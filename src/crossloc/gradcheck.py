@@ -18,18 +18,19 @@ as one chain of elementwise numpy operations in any float type
 
 ``build_context`` runs stage one once at the leaf vector ``params0`` and
 freezes the top-N of its probabilities, so the loss differentiates the
-very matching it selected from.  It is two parts.  ``_prepare`` holds what
-no leaf vector changes, once per scene (the trainer prepares each training
-scene once per run): the inference path's depth-valid columns and lifted
-points (``estimator._scene_tables``) and the raw features as read-only
-views of the scene's arrays.  ``_freeze`` is what each scene-step
+very matching it selected from.  It is two parts.  ``_prepare`` records
+what no leaf vector changes, once per scene (the trainer prepares each
+training scene once per run): the inference path's depth-valid columns and
+lifted points (``estimator._scene_tables``) and the raw features as
+read-only views of the scene's arrays.  ``_freeze`` extends that record
+(a ``GradContext`` is a ``_Prepared``) with what each scene-step
 recomputes: stage one, its top-N looked up in those tables, the
 contrastive targets and index arrays.
-``value_and_grad`` runs the chain in float64, reusing that stage at
-``params0`` -- its unit feature rows and norms and its probabilities --
-and makes one reverse sweep over the values it recorded (``backward`` is
-its gradient; the trainer calls it once per scene-step).  The
-finite-difference oracle runs the same chain in extended precision
+``value_and_grad`` runs the chain in float64 -- called without a leaf
+vector, from that stage one, its unit feature rows and norms and its
+softmaxes -- and makes one reverse sweep over the values it recorded
+(``backward`` is its gradient; the trainer calls it once per scene-step).
+The finite-difference oracle runs the same chain in extended precision
 (``np.longdouble``): float64 rounding of an O(1) loss leaves ~1e-10 of
 noise in a central difference at step 1e-5, which would swamp honest
 gradient entries near the relative-error floor.
@@ -75,7 +76,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Optional
 
@@ -110,13 +111,44 @@ _VIRTUAL_POINTS.flags.writeable = False
 
 
 @dataclass(frozen=True)
-class GradContext:
-    """Everything held fixed while differentiating: the frozen selection,
-    the lifted geometry, the supervision targets, and the leaf layout."""
+class _Prepared:
+    """``build_context``'s part no leaf vector changes, once per scene: the
+    scene, the leaf layout, the depth-valid ground cells and their lifted
+    points, and the raw features."""
 
+    scene: object
+    cfg: PipelineConfig
     mode: str  # "score" | "features" | "projection"
     tau: float
     valid: np.ndarray  # (n_ground,) bool, usable ground cells
+    aerial_raw: np.ndarray  # (n_aerial, dim) unnormalized features
+    ground_raw: np.ndarray  # (n_ground, dim) unnormalized features
+    points3: np.ndarray  # (len(cols), 3) each valid cell's lifted point
+
+    @cached_property
+    def cols(self) -> np.ndarray:
+        """The depth-valid ground cells' flat indices: the scored columns."""
+        return np.flatnonzero(self.valid)
+
+    @property
+    def n_aerial(self) -> int:
+        return self.aerial_raw.shape[0]
+
+    @property
+    def n_ground(self) -> int:
+        return self.ground_raw.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.aerial_raw.shape[1]
+
+
+@dataclass(frozen=True)
+class GradContext(_Prepared):
+    """Everything held fixed while differentiating: the prepared scene and
+    leaf layout, plus the frozen selection, the lifted geometry and the
+    supervision targets."""
+
     aerial_flat: np.ndarray  # (N,) selected aerial cells, flat indices
     ground_flat: np.ndarray  # (N,) selected ground cells, flat indices
     ground_planar: np.ndarray  # (N, 2) lifted BEV points (fixed)
@@ -126,8 +158,6 @@ class GradContext:
     beta: float
     aerial_meta: object
     aerial_shape: tuple
-    aerial_raw: np.ndarray  # (n_aerial, dim) unnormalized features
-    ground_raw: np.ndarray  # (n_ground, dim) unnormalized features
     params0: np.ndarray  # (P,) read-only leaf vector the selection is frozen at
     # frozen contrastive structure as index arrays over the N selected pairs:
     # positives and negative sets are fixed functions of the (fixed)
@@ -137,11 +167,6 @@ class GradContext:
     s2g_keep: np.ndarray  # (N, N) bool: pair m is a candidate for row of pair n
     s2g_pos: np.ndarray  # (N,) the positive candidate pair of each row
     stage0: tuple  # the chain's stage one at params0 (``_Stage``)
-
-    @cached_property
-    def cols(self) -> np.ndarray:
-        """The depth-valid ground cells' flat indices: the scored columns."""
-        return np.flatnonzero(self.valid)
 
     @cached_property
     def sel(self) -> np.ndarray:
@@ -160,18 +185,6 @@ class GradContext:
         """(the distinct ``sel`` columns, each pair's position among them):
         the columns the loss normalises."""
         return np.unique(self.sel, return_inverse=True)
-
-    @property
-    def n_aerial(self) -> int:
-        return self.aerial_raw.shape[0]
-
-    @property
-    def n_ground(self) -> int:
-        return self.ground_raw.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.aerial_raw.shape[1]
 
 
 @dataclass(frozen=True)
@@ -228,15 +241,10 @@ def build_context(
     return _freeze(_prepare(scene, cfg, mode), beta, params0)
 
 
-_Prepared = namedtuple(
-    "_Prepared", "scene cfg mode tau valid cols aerial_raw ground_raw points3"
-)
-
-
 def _prepare(scene, cfg: PipelineConfig = None, mode: str = "score") -> _Prepared:
-    """``build_context``'s part no leaf vector changes, once per scene: the
-    scene, leaf layout, ``estimator._scene_tables``' checks and tables, and
-    the raw features as read-only float views of the scene's arrays."""
+    """``build_context``'s part no leaf vector changes, once per scene:
+    ``estimator._scene_tables``' checks and tables, and the raw features as
+    read-only float views of the scene's arrays."""
     require_choice("mode", mode, ("score", "features", "projection"))
     if cfg is None:
         cfg = PipelineConfig(num_correspondences=8)
@@ -246,7 +254,7 @@ def _prepare(scene, cfg: PipelineConfig = None, mode: str = "score") -> _Prepare
     aerial_raw.flags.writeable = ground_raw.flags.writeable = False
     valid = np.zeros(len(ground_raw), dtype=bool)
     valid[cols] = True
-    return _Prepared(scene, cfg, mode, cfg.tau, valid, cols, aerial_raw, ground_raw, points3)
+    return _Prepared(scene, cfg, mode, cfg.tau, valid, aerial_raw, ground_raw, points3)
 
 
 def _freeze(prep: _Prepared, beta: float = 0.1, params0=None, pseudo: bool = True) -> GradContext:
@@ -255,7 +263,7 @@ def _freeze(prep: _Prepared, beta: float = 0.1, params0=None, pseudo: bool = Tru
     index arrays.  ``pseudo`` places the targets at the solver's scale on
     relative depth; otherwise they sit at ``scale_gt / initial_scale``."""
     scene, cfg, mode = prep.scene, prep.cfg, prep.mode
-    (na, dim), ng = prep.aerial_raw.shape, prep.ground_raw.shape[0]
+    na, ng, dim = prep.n_aerial, prep.n_ground, prep.dim
     if params0 is None:
         if mode == "score":
             base = score_matrix(prep.aerial_raw, prep.ground_raw, cfg.tau)
@@ -265,16 +273,13 @@ def _freeze(prep: _Prepared, beta: float = 0.1, params0=None, pseudo: bool = Tru
             base = np.eye(dim)
         params0 = np.append(base.ravel(), cfg.dustbin_z)
     else:
-        params0 = np.array(params0, dtype=float)
         n = {"score": na * ng, "features": (na + ng) * dim, "projection": dim * dim}[mode]
-        if params0.shape != (n + 1,):
-            raise OutOfRange(f"expected {n + 1} {mode} leaves, got shape {params0.shape}")
-        _require_finite("params0", params0)
-    params0.flags.writeable = False  # value_and_grad reuses stage0 by identity
+        params0 = np.array(_float_leaves(n + 1, mode, params0, "params0"))
+    params0.flags.writeable = False  # value_and_grad(ctx) reuses stage0 as params0's
 
     stage0 = _stage_one(prep, params0, np.float64)
-    stage0 = stage0._replace(probs=stage0.ra[:-1, :-1] * stage0.cb[:-1, :-1])
-    corr = _lift_top_n(stage0.probs, prep.cols, prep.points3, scene.aerial, cfg)
+    probs = stage0.ra[:-1, :-1] * stage0.cb[:-1, :-1]
+    corr = _lift_top_n(probs, prep.cols, prep.points3, scene.aerial, cfg)
 
     if pseudo and scene.depth.kind != "metric":
         target_scale = solve_similarity(corr.ground_planar, corr.aerial_metric, corr.weights).scale
@@ -294,9 +299,7 @@ def _freeze(prep: _Prepared, beta: float = 0.1, params0=None, pseudo: bool = Tru
     s2g_keep[np.arange(len(s2g_pos)), s2g_pos] = True
 
     return GradContext(
-        mode=mode,
-        tau=cfg.tau,
-        valid=prep.valid,
+        **{field.name: getattr(prep, field.name) for field in fields(prep)},
         aerial_flat=corr.matches.aerial,
         ground_flat=corr.matches.ground,
         ground_planar=corr.ground_planar,
@@ -306,8 +309,6 @@ def _freeze(prep: _Prepared, beta: float = 0.1, params0=None, pseudo: bool = Tru
         beta=float(beta),
         aerial_meta=scene.aerial.meta,
         aerial_shape=aerial_shape,
-        aerial_raw=prep.aerial_raw,
-        ground_raw=prep.ground_raw,
         params0=params0,
         g2s_pairs=g2s_pairs,
         g2s_targets=g2s_targets,
@@ -317,8 +318,12 @@ def _freeze(prep: _Prepared, beta: float = 0.1, params0=None, pseudo: bool = Tru
     )
 
 
-def _require_finite(name: str, params: np.ndarray) -> None:
-    """OutOfRange naming ``name`` unless every leaf of ``params`` is finite."""
+def _float_leaves(n: int, mode: str, params, name: str = "params") -> np.ndarray:
+    """``params`` as float64, OutOfRange naming ``name`` unless it is a
+    vector of ``n`` finite ``mode`` leaves."""
+    params = np.asarray(params, dtype=float)
+    if params.shape != (n,):
+        raise OutOfRange(f"expected {n} {mode} leaves, got shape {params.shape}")
     bad = np.flatnonzero(~np.isfinite(params))
     if bad.size:
         raise OutOfRange(
@@ -326,24 +331,13 @@ def _require_finite(name: str, params: np.ndarray) -> None:
             f"({bad.size} of {params.size} leaves non-finite)",
             field=name,
         )
-
-
-def _float_leaves(ctx: GradContext, params: np.ndarray) -> np.ndarray:
-    """One finite float64 leaf vector of the context's layout."""
-    params = np.asarray(params, dtype=float)
-    if params.shape != ctx.params0.shape:
-        raise OutOfRange(
-            f"expected {ctx.params0.shape[0]} parameters, got {params.shape}"
-        )
-    _require_finite("params", params)
     return params
 
 
-def _score_leaves(ctx, cols: np.ndarray) -> np.ndarray:
+def _score_leaves(ctx: _Prepared, cols: np.ndarray) -> np.ndarray:
     """Flat indices of the score leaves of the ground columns ``cols``,
     row-major over ``(n_aerial, len(cols))`` (ascending for sorted ``cols``)."""
-    na, ng = ctx.aerial_raw.shape[0], ctx.ground_raw.shape[0]
-    return (np.arange(na)[:, None] * ng + cols).ravel()
+    return (np.arange(ctx.n_aerial)[:, None] * ctx.n_ground + cols).ravel()
 
 
 def _read_leaves(ctx: GradContext):
@@ -358,8 +352,7 @@ def _read_leaves(ctx: GradContext):
     every projection entry, and the dustbin.  Score leaves of masked
     columns and ground feature rows of masked cells are never read.
     """
-    cols = ctx.cols
-    (na, d), n = ctx.aerial_raw.shape, ctx.params0.shape[0]
+    cols, na, d, n = ctx.cols, ctx.n_aerial, ctx.dim, ctx.params0.shape[0]
     no_rows = np.empty((0, d), dtype=int)
     if ctx.mode == "score":
         return _score_leaves(ctx, cols).reshape(na, len(cols)).T, no_rows, np.array([n - 1])
@@ -369,7 +362,7 @@ def _read_leaves(ctx: GradContext):
     return np.empty((len(cols), 0), dtype=int), no_rows, np.arange(n)
 
 
-def _valid_scores(ctx: GradContext, params: np.ndarray, cols: np.ndarray, dtype):
+def _valid_scores(ctx: _Prepared, params: np.ndarray, cols: np.ndarray, dtype):
     """Raw scores of the ground columns ``cols``, ``(..., n_aerial, len(cols))``,
     and for feature and projection leaves the unit rows and norms of the
     features they came from, ``((a_hat, a_norm), (g_hat, g_norm))`` with the
@@ -379,8 +372,7 @@ def _valid_scores(ctx: GradContext, params: np.ndarray, cols: np.ndarray, dtype)
     Leaves are gathered before they are widened to ``dtype``, so leaves of
     other columns are never converted or copied.
     """
-    batch = params.shape[:-1]
-    (na, d), ng = ctx.aerial_raw.shape, ctx.ground_raw.shape[0]
+    batch, na, ng, d = params.shape[:-1], ctx.n_aerial, ctx.n_ground, ctx.dim
     if ctx.mode == "score":
         entries = _score_leaves(ctx, cols)
         return params[..., entries].reshape(batch + (na, len(cols))).astype(dtype), None
@@ -405,19 +397,17 @@ def _valid_scores(ctx: GradContext, params: np.ndarray, cols: np.ndarray, dtype)
 # virtual-point offsets and, with the contrastive terms on, each term's
 # shifted exponentials and their sums.
 
-# ``probs``, the real pairs' dual softmax, is recorded only by ``_freeze``
-_Stage = namedtuple("_Stage", "params scores features ra cb probs", defaults=(None,))
+_Stage = namedtuple("_Stage", "params scores features ra cb")
 _Alignment = namedtuple(
     "_Alignment", "total p_bar pt qt cross dot pp g h r spp theta scale cos_t sin_t t_x t_y"
 )
 _Tape = namedtuple("_Tape", "loss align offsets g2s s2g", defaults=(None, None))
 
 
-def _stage_one(ctx, params: np.ndarray, dtype, rows=slice(None), cols=slice(None)) -> _Stage:
+def _stage_one(ctx: _Prepared, params, dtype, rows=slice(None), cols=slice(None)) -> _Stage:
     """Stage one, which the selection at most slices: valid-column scores plus a
     dustbin of score ``params[..., -1]``, and ``soft_assign``'s row softmaxes
-    of aerial ``rows`` and column softmaxes of valid ``cols`` (default all).
-    ``ctx`` may be a ``_Prepared`` scene."""
+    of aerial ``rows`` and column softmaxes of valid ``cols`` (default all)."""
     scores, features = _valid_scores(ctx, params, ctx.cols, dtype)
     ra, cb = soft_assign(scores, params[..., -1], rows, cols)
     return _Stage(params, scores, features, ra, cb)
@@ -621,21 +611,22 @@ def value_and_grad(ctx: GradContext, params: np.ndarray = None):
     """(loss, gradient) at ``params`` (default ``ctx.params0``):
     ``forward_value``'s chain in float64, so the loss is
     ``forward_value(ctx, params, np.float64)`` exactly, then one reverse
-    sweep over the values it recorded.  At ``ctx.params0`` itself stage one
-    is the one ``build_context`` recorded, not a recomputation; any other
-    array, a copy of ``params0`` included, runs the whole chain.
+    sweep over the values it recorded.  With ``params`` None stage one is
+    the one ``build_context`` recorded at ``params0``, not a recomputation;
+    any array, ``params0`` itself included, runs the whole chain.
 
     A selection-boundary tie, checked between the chain's two stages,
     raises NonDifferentiablePoint before the alignment runs, then come
     DegenerateConfiguration and NoValidTargets.  Entries of masked ground
     columns and feature rows are exactly 0 in the gradient.
     """
-    params = _float_leaves(ctx, ctx.params0 if params is None else params)
-    stage = ctx.stage0 if params is ctx.stage0.params else _stage_one(ctx, params, np.float64)
+    if params is None:
+        stage = ctx.stage0
+    else:
+        stage = _stage_one(ctx, _float_leaves(ctx.params0.size, ctx.mode, params), np.float64)
     cols, sel = ctx.cols, ctx.sel
     ra, cb = stage.ra, stage.cb
-    probs = ra[:-1, :-1] * cb[:-1, :-1] if stage.probs is None else stage.probs
-    _check_selection_boundary(ctx, probs, sel)
+    _check_selection_boundary(ctx, ra[:-1, :-1] * cb[:-1, :-1], sel)
     tape = _loss(ctx, stage, sel, np.float64, strict=True)
     al = tape.align
 
@@ -686,7 +677,7 @@ def value_and_grad(ctx: GradContext, params: np.ndarray = None):
     return loss, np.append(d_mat.ravel(), d_z)
 
 
-def backward(ctx: GradContext, params: np.ndarray) -> np.ndarray:
+def backward(ctx: GradContext, params: np.ndarray = None) -> np.ndarray:
     """Exact gradient of the loss at ``params``: ``value_and_grad``'s."""
     return value_and_grad(ctx, params)[1]
 
@@ -875,7 +866,7 @@ def fd_gradient(
     once per call, when a leaf of ``params`` is not finite.
     """
     require_real("epsilon", epsilon, 0, ends="()")
-    params = _float_leaves(ctx, params)
+    params = _float_leaves(ctx.params0.size, ctx.mode, params)
     grad = np.zeros_like(params)
     columns, rows, whole = _read_leaves(ctx)
 
@@ -942,11 +933,9 @@ def check(
     non-finite ``params``.
     """
     require_real("tol", tol, 0, ends="()")
-    if params is None:
-        params = ctx.params0
     try:
         analytic = backward(ctx, params)
-        fd = fd_gradient(ctx, params, epsilon)
+        fd = fd_gradient(ctx, ctx.params0 if params is None else params, epsilon)
     except (DegenerateConfiguration, NonDifferentiablePoint, NoValidTargets) as exc:
         return GradReport(
             mode=ctx.mode,
@@ -959,7 +948,7 @@ def check(
     max_abs, max_rel, passed = compare_gradients(analytic, fd, tol)
     return GradReport(
         mode=ctx.mode,
-        n_params=len(params),
+        n_params=len(ctx.params0),
         max_abs_err=max_abs,
         max_rel_err=max_rel,
         passed=passed,

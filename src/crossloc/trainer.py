@@ -277,8 +277,8 @@ def train(
         with np.errstate(over="ignore", invalid="ignore"):  # _freeze rejects non-finite ones
             params = params - cfg.lr * (grad_sum / batch)
 
-    weights = ProjectionWeights(params[:-1].reshape(dim, dim), params[-1])
     with _divergence(f"at the final evaluation, after step {cfg.steps - 1}", cfg, pipe, params):
+        weights = ProjectionWeights(params[:-1].reshape(dim, dim), params[-1])
         eval_after = evaluate_projection(weights, held_scenes, eval_pipe)
     return TrainResult(weights, curve, eval_before, eval_after)
 

@@ -70,7 +70,7 @@ def forward(ctx, params) -> float:
     an independent route to the loss ``value_and_grad`` returns.  Only the
     depth-valid ground columns are scored (see ``forward_value``).
     """
-    params = gradcheck._float_leaves(ctx, params)
+    params = gradcheck._float_leaves(ctx.params0.size, ctx.mode, params)
     sel = ctx.sel
     scores, _ = gradcheck._valid_scores(ctx, params, ctx.cols, np.float64)
     probs = match_probabilities(scores, params[-1])
@@ -111,7 +111,7 @@ def reference_fd_gradient(ctx, params, epsilon: float = 1.0e-5) -> np.ndarray:
     ``FD_BLOCK`` read leaves at a time, ascending, through one batched
     ``forward_value`` call each; an exact +0.0 for every other leaf."""
     require_real("epsilon", epsilon, 0, ends="()")
-    params = gradcheck._float_leaves(ctx, params)
+    params = gradcheck._float_leaves(ctx.params0.size, ctx.mode, params)
     grad = np.zeros_like(params)
     columns, rows, whole = gradcheck._read_leaves(ctx)
     read = np.union1d(np.union1d(columns, rows), whole)

@@ -349,14 +349,16 @@ def test_seed_ranges_reject_negative_seeds():
         ["simulate", "--seeds", "-1"],
         ["ablate", "--mode", "grid", "--values", "5", "--seeds", "0"],
         ["ablate", "--mode", "N", "--values", "0", "--seeds", "0"],
+        ["ablate", "--mode", "top-points", "--values", "8", "--seeds", "0"],
+        ["ablate", "--mode", "no-scale", "--values", "8", "--seeds", "0"],
         ["gradcheck", "--seeds", "0", "--tol", "nan"],
         ["gradcheck", "--seeds", "0", "--tol", "inf"],
         ["gradcheck", "--seeds", "0", "--tol", "0"],
         ["gradcheck", "--seeds", "0", "--tol=-0.5"],
     ],
     ids=[
-        "negative-seed", "too-small-grid", "zero-count", "nan-tol", "inf-tol", "zero-tol",
-        "negative-tol",
+        "negative-seed", "too-small-grid", "zero-count", "top-points-values",
+        "no-scale-values", "nan-tol", "inf-tol", "zero-tol", "negative-tol",
     ],
 )
 def test_settings_checked_after_parsing_are_usage_errors_before_any_scene(
@@ -674,13 +676,18 @@ def test_invalid_json_input_is_an_error_naming_the_file(command, scene_dir, tmp_
         ("metrics", {"errors": {"loc_error": 1.0}}, MetadataMissing, "'ori_error'"),
         ("metrics", {"errors": {"loc_error": 1.0, "ori_error": None, "lateral": 0.0,
                                 "longitudinal": 0.0}}, FormatError, "errors.ori_error"),
+        ("metrics", {"errors": {"loc_error": -1, "ori_error": 0.0, "lateral": 0.0,
+                                "longitudinal": 0.0}}, FormatError, "errors.loc_error"),
+        ("metrics", {"errors": {"loc_error": 1.0, "ori_error": 200, "lateral": 0.0,
+                                "longitudinal": 0.0}}, FormatError, "errors.ori_error"),
         ("metrics", "text", FormatError, "JSON object"),
         ("overlay", {"overlay": [1]}, FormatError, "overlay"),
         ("overlay", {"overlay": [[1.0, 2.0, 3.0]]}, FormatError, "overlay"),
         ("overlay", {"overlay": [[1, "x"]]}, FormatError, "overlay"),
     ],
     ids=["no-truth-key", "truth-without-t", "string-theta", "short-t", "truth-list",
-         "errors-list", "errors-without-ori", "null-ori", "results-string",
+         "errors-list", "errors-without-ori", "null-ori", "negative-loc", "ori-over-180",
+         "results-string",
          "overlay-scalar", "overlay-triple", "overlay-string"],
 )
 def test_wrong_shape_documents_are_named_errors(

@@ -37,6 +37,7 @@ from crossloc.geometry import (
     wrap_angle,
 )
 from crossloc.lifting import DepthMap, LiftConfig, depth_valid_mask
+from crossloc.matching import AerialMeta
 from crossloc.simulator import SceneConfig, contaminate, generate
 
 
@@ -125,26 +126,27 @@ def default_scene(seed, noise):
 
 
 @functools.lru_cache(maxsize=None)
-def scene_and_estimate(seed, noise, ransac):
+def scene_and_estimate(seed, noise, ransac, n=1024):
     """A default scene and its estimate under ``symmetry_config``."""
     scene = default_scene(seed, noise)
-    cfg = symmetry_config(ransac)
+    cfg = symmetry_config(ransac, n=n)
     return scene, estimate_pose(scene.aerial, scene.ground, scene.depth, scene.rays, cfg)
 
 
-def symmetry_config(ransac, max_depth=35.0):
-    """Default settings, all-points projection, direct or 200-iteration
-    RANSAC."""
+def symmetry_config(ransac, max_depth=35.0, n=1024, threshold=1.0):
+    """Default settings but ``n`` correspondences, all-points projection,
+    direct or 200-iteration RANSAC."""
     return PipelineConfig(
+        num_correspondences=n,
         lift=LiftConfig(max_depth=max_depth),
-        ransac=RansacConfig(iterations=200) if ransac else None,
+        ransac=RansacConfig(iterations=200, inlier_threshold=threshold) if ransac else None,
     )
 
 
-def assert_same_pose_bits(est, base, scale):
+def assert_same_pose_bits(est, base, scale, t_factor=1.0):
     assert est.transform.scale == scale
     assert est.transform.theta == base.transform.theta
-    np.testing.assert_array_equal(est.transform.t, base.transform.t)
+    np.testing.assert_array_equal(est.transform.t, base.transform.t * t_factor)
     np.testing.assert_array_equal(est.inlier_mask, base.inlier_mask)
 
 
@@ -171,6 +173,23 @@ def test_ground_features_times_two_to_the_k_keep_the_pose(seed, k, ransac):
     ground = dataclasses.replace(scene.ground, data=scene.ground.data * 2.0**k)
     est = estimate_pose(scene.aerial, ground, scene.depth, scene.rays, symmetry_config(ransac))
     assert_same_pose_bits(est, base, base.transform.scale)
+
+
+@given(seed=st.integers(0, 11), k=st.sampled_from([3, -7]), ransac=st.booleans())
+def test_aerial_geometry_times_two_to_the_k_multiplies_scale_and_translation(seed, k, ransac):
+    """Aerial ``meters_per_cell`` and ``center_offset`` times 2^k place every
+    aerial point exactly 2^k times farther out, and the inlier threshold
+    times 2^k keeps each residual's verdict, so scale and translation are
+    exactly 2^k times the unscaled ones and heading and inlier mask keep
+    their bits.  Topmost mode is left out: its buckets are sized by
+    ``meters_per_cell`` but hold lifted points, which do not scale with it."""
+    scene, base = scene_and_estimate(seed, 0.0, ransac, n=256)
+    meta = scene.aerial.meta
+    meta = AerialMeta(meta.meters_per_cell * 2.0**k, meta.center_offset * 2.0**k)
+    aerial = dataclasses.replace(scene.aerial, meta=meta)
+    cfg = symmetry_config(ransac, n=256, threshold=2.0**k)
+    est = estimate_pose(aerial, scene.ground, scene.depth, scene.rays, cfg)
+    assert_same_pose_bits(est, base, base.transform.scale * 2.0**k, 2.0**k)
 
 
 def test_estimate_is_deterministic():

@@ -8,6 +8,7 @@ held to the FD oracle.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from crossloc import gradcheck, matching
+from crossloc import gradcheck, matching, trainer
 from crossloc.errors import DegenerateConfiguration, NonDifferentiablePoint
 from crossloc.errors import NoValidTargets, OutOfRange
 from crossloc.estimator import PipelineConfig, build_correspondences
@@ -571,6 +572,36 @@ def test_value_and_grad_at_params0_reuses_the_recorded_stage(seed, mode, beta, m
     np.testing.assert_array_equal(reused[1], grad)
 
 
+@functools.lru_cache(maxsize=None)
+def reference_training_scenes():
+    """The reference run's 16 training scenes (its holdout left out)."""
+    return trainer.reference_dataset()[: -trainer.REFERENCE_TRAIN.holdout]
+
+
+@given(index=st.integers(0, 15), k=st.sampled_from([1, -5, 30]))
+def test_projection_matrix_times_two_to_the_k_keeps_the_loss(index, k):
+    """A projection matrix times 2^k scales every projected feature row by
+    2^k, which normalises to the same unit row, so the frozen selection and
+    the loss keep their bits; the matrix gradient, divided by the 2^k times
+    larger norms, is exactly 2^-k times the unscaled one, and the dustbin
+    entry keeps its bits.  On the reference run's training scenes at the
+    identity plus 0.05 jitter."""
+    scene, pipe = reference_training_scenes()[index], trainer.reference_pipeline()
+    dim = scene.aerial.dim
+    matrix = np.eye(dim) + 0.05 * np.random.default_rng(index).standard_normal((dim, dim))
+    base, scaled = (
+        gradcheck.build_context(scene, pipe, "projection", beta=0.7,
+                                params0=np.append(matrix * factor, pipe.dustbin_z))
+        for factor in (1.0, 2.0**k)
+    )
+    np.testing.assert_array_equal(scaled.aerial_flat, base.aerial_flat)
+    np.testing.assert_array_equal(scaled.ground_flat, base.ground_flat)
+    (loss, grad), (scaled_loss, scaled_grad) = map(gradcheck.value_and_grad, (base, scaled))
+    assert scaled_loss == loss
+    np.testing.assert_array_equal(scaled_grad[:-1], grad[:-1] * 2.0**-k)
+    assert scaled_grad[-1] == grad[-1]
+
+
 @pytest.mark.parametrize("seed, mode", LEAF_CONTEXTS)
 def test_stage_one_takes_its_softmaxes_from_matching(seed, mode, monkeypatch):
     """Away from ``params0`` (and in the FD oracle's batched chain) stage one
@@ -717,7 +748,8 @@ def test_selection_is_the_inference_paths_top_n():
                 np.testing.assert_array_equal(ctx.ground_planar, corr.ground_planar)
                 np.testing.assert_array_equal(ctx.aerial_metric, corr.aerial_metric)
                 if leaves is None:
-                    kept = ctx.stage0.probs[ctx.aerial_flat, ctx.sel]
+                    probs = ctx.stage0.ra[:-1, :-1] * ctx.stage0.cb[:-1, :-1]
+                    kept = probs[ctx.aerial_flat, ctx.sel]
                     assert corr.weights.tobytes() == kept.tobytes()
                 if kind == "relative":
                     est = solve_similarity(corr.ground_planar, corr.aerial_metric, corr.weights)
@@ -759,7 +791,7 @@ def test_a_prepared_scene_frozen_step_by_step_equals_fresh_contexts(mode, projec
     assert np.shares_memory(prep.aerial_raw, scene.aerial.data)
     assert np.shares_memory(prep.ground_raw, scene.ground.data)
     assert not (prep.aerial_raw.flags.writeable or prep.ground_raw.flags.writeable)
-    before = {k: v.copy() for k, v in prep._asdict().items() if isinstance(v, np.ndarray)}
+    before = {k: v.copy() for k, v in vars(prep).items() if isinstance(v, np.ndarray)}
     rng = np.random.default_rng(0)
     base = gradcheck.build_context(scene, pipe, mode).params0
     leaves = [None] + [base + rng.normal(scale=0.05, size=base.shape) for _ in range(2)]
@@ -1024,9 +1056,9 @@ def test_a_non_finite_leaf_is_out_of_range_naming_the_vector(bad, monkeypatch):
     ctx = small_context(1, "features")
     params = ctx.params0.copy()
     params[3] = bad
-    checked, require_finite = [], gradcheck._require_finite
-    monkeypatch.setattr(gradcheck, "_require_finite",
-                        lambda name, p: checked.append(name) or require_finite(name, p))
+    checked, float_leaves = [], gradcheck._float_leaves
+    monkeypatch.setattr(gradcheck, "_float_leaves", lambda n, mode, p, name="params":
+                        checked.append(name) or float_leaves(n, mode, p, name))
     for call in (gradcheck.fd_gradient, gradcheck.value_and_grad, gradcheck.backward,
                  gradcheck.check):
         with pytest.raises(OutOfRange) as info:

@@ -404,7 +404,7 @@ def test_a_descent_step_that_wrecks_the_weights_is_divergence(lr):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("lr", [1e10, 1e30, 1e150, 1e300])
+@pytest.mark.parametrize("lr", [1e10, 1e30, 1e150, 1e300, 1e308])
 def test_a_wrecking_last_step_is_divergence_at_the_final_evaluation(lr):
     """When the last descent step wrecks the weights, the held-out
     evaluation after it fails as a scene-step would, and is
