@@ -11,12 +11,15 @@ in 2-D) is the complex number s * e^(i theta) = ((a + e) + i (b - d)) /
 spread, so no SVD is taken.  A scale-free variant (s fixed to 1) is
 provided for ablations.
 All point sets are numpy arrays of shape (N, 2); weights are nonnegative
-arrays of shape (N,).
+arrays of shape (N,).  The training loss's own form of the solve, batched,
+in any float type and with its reverse sweep (``_align``, ``_align_vjp``),
+is at the end.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,3 +147,85 @@ def apply_transform(transform: SimilarityTransform2D, points: np.ndarray) -> np.
     out = transform.scale * (pts @ rotation_matrix(transform.theta).T) + transform.t
     return out[0] if single else out
 
+
+# --- the training loss's alignment --------------------------------------------
+#
+# ``gradcheck``'s loss chain solves the same weighted similarity as
+# ``solve_similarity``, by the closed form in any float type and with any
+# leading batch or scene axes, and records what its reverse sweep reads.  The
+# two forms differ in the last bits, so neither replaces the other.
+
+_Alignment = namedtuple(
+    "_Alignment", "total p_bar pt qt cross dot pp g h r spp theta scale cos_t sin_t t_x t_y"
+)
+
+
+def _align(p, q, w, strict: bool = False) -> _Alignment:
+    """Weighted similarity mapping ``p`` onto ``q`` (any leading axes
+    broadcast: a batch of weights, or a stack of scenes).
+
+    The optimal angle maximizes h cos(theta) + g sin(theta), where g and h
+    are the antisymmetric and symmetric invariants of the weighted
+    covariance; the optimal scale is hypot(g, h) over the weighted ground
+    spread.  With ``strict`` a degenerate alignment (of any scene) raises
+    DegenerateConfiguration before anything is divided by zero.
+    """
+    total = w.sum(axis=-1)
+    if strict and np.any(total <= 0.0):
+        raise DegenerateConfiguration("weights sum to zero")
+    p_bar = (w[..., None] * p).sum(axis=-2) / total[..., None]
+    q_bar = (w[..., None] * q).sum(axis=-2) / total[..., None]
+    pt = p - p_bar[..., None, :]
+    qt = q - q_bar[..., None, :]
+    cross = pt[..., 0] * qt[..., 1] - pt[..., 1] * qt[..., 0]
+    dot = (pt * qt).sum(axis=-1)
+    pp = (pt**2).sum(axis=-1)
+    g = (w * cross).sum(axis=-1)
+    h = (w * dot).sum(axis=-1)
+    r = np.hypot(g, h)
+    spp = (w * pp).sum(axis=-1)
+    if strict and np.any(spp <= 0.0):
+        raise DegenerateConfiguration("ground points have no weighted spread")
+    if strict and np.any(r == 0.0):
+        raise DegenerateConfiguration("zero covariance leaves the angle undefined")
+    theta = np.arctan2(g, h)
+    scale = r / spp
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    t_x = q_bar[..., 0] - scale * (cos_t * p_bar[..., 0] - sin_t * p_bar[..., 1])
+    t_y = q_bar[..., 1] - scale * (sin_t * p_bar[..., 0] + cos_t * p_bar[..., 1])
+    return _Alignment(
+        total, p_bar, pt, qt, cross, dot, pp, g, h, r, spp, theta, scale, cos_t, sin_t, t_x, t_y
+    )
+
+
+def _rotation(c, s) -> np.ndarray:
+    """The matrices [[c, -s], [s, c]], one per entry of ``c`` and ``s``."""
+    out = np.empty(np.shape(c) + (2, 2), np.result_type(c, s))
+    out[..., 0, 0] = out[..., 1, 1] = c
+    out[..., 0, 1], out[..., 1, 0] = -s, s
+    return out
+
+
+def _align_vjp(al: _Alignment, d_theta, d_scale, d_t) -> np.ndarray:
+    """Per-weight gradient of a scalar with the given partials in the
+    solved angle, scale and translation, with ``_align``'s leading axis
+    (one scene's partials per row of a stack).
+
+    Centering makes the centroid-shift terms vanish in the covariance
+    derivatives, so each weight's contribution reduces to its centered pair.
+    """
+    g, h, r, spp, scale = (x[..., None] for x in (al.g, al.h, al.r, al.spp, al.scale))
+    # float_power is libm's pow, as a Python float's r**2 is
+    dtheta_dw = (h * al.cross - g * al.dot) / np.float_power(r, 2)
+    dscale_dw = (g * al.cross + h * al.dot) / (r * spp) - scale * al.pp / spp
+    rot = _rotation(al.cos_t, al.sin_t)
+    rot_p = _rotation(-al.sin_t, al.cos_t)  # dR/dtheta
+    p_bar = al.p_bar[..., None]
+    # t = q_bar - scale * R p_bar, totally differentiated in w_n
+    dt_dw = (
+        (al.qt - scale[..., None] * (al.pt @ rot.swapaxes(-1, -2))) / al.total[..., None, None]
+        - dscale_dw[..., None] * (rot @ p_bar)[..., None, :, 0]
+        - scale[..., None] * (dtheta_dw[..., None] * (rot_p @ p_bar)[..., None, :, 0])
+    )
+    d_t = np.asarray(d_t, float)[..., None]
+    return np.asarray(d_theta)[..., None] * dtheta_dw + d_scale * dscale_dw + (dt_dw @ d_t)[..., 0]

@@ -10,11 +10,12 @@ as one chain of elementwise numpy operations in any float type
 * scores and the dual softmax with dustbin -- ``matching``'s own
   ``score_matrix`` and ``soft_assign``, batched and in the chain's float
   type (the selection at most slices its rows and columns);
-* weighted scale-aware alignment -- the optimal angle in 2-D has the closed
-  form theta* = atan2(C01 - C10, C00 + C11) over the weighted covariance C,
-  and the optimal scale is hypot of the same two invariants over the
-  weighted ground spread, so no SVD is needed -- then the selected pairs'
-  weights, the pose loss and the contrastive cross-entropies.
+* weighted scale-aware alignment (``geometry._align``) -- the optimal angle
+  in 2-D has the closed form theta* = atan2(C01 - C10, C00 + C11) over the
+  weighted covariance C, and the optimal scale is hypot of the same two
+  invariants over the weighted ground spread, so no SVD is needed -- then
+  the selected pairs' weights, the pose loss and the contrastive
+  cross-entropies.
 
 ``build_context`` runs stage one once at the leaf vector ``params0`` and
 freezes the top-N of its probabilities, so the loss differentiates the
@@ -29,7 +30,12 @@ contrastive targets and index arrays.
 ``value_and_grad`` runs the chain in float64 -- called without a leaf
 vector, from that stage one, its unit feature rows and norms and its
 softmaxes -- and makes one reverse sweep over the values it recorded
-(``backward`` is its gradient; the trainer calls it once per scene-step).
+(``backward`` is its gradient).  It is the step routine
+``_values_and_grads`` on a batch of one.  A training step's scenes
+select the same number N of pairs, so ``_freeze`` places their targets
+and ``_values_and_grads`` runs their stage two and its reverse sweep once
+over a leading scene axis; stage one, the top-N, the selection-boundary
+check and the ragged score-matrix part of the sweep stay per scene.
 The finite-difference oracle runs the same chain in extended precision
 (``np.longdouble``): float64 rounding of an O(1) loss leaves ~1e-10 of
 noise in a central difference at step 1e-5, which would swamp honest
@@ -76,7 +82,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Optional
 
@@ -86,9 +92,8 @@ from . import matching
 from .errors import DegenerateConfiguration, DimensionMismatch, NonDifferentiablePoint
 from .errors import NoValidTargets, OutOfRange, require_choice, require_real
 from .estimator import PipelineConfig, _lift_top_n, _scene_tables
-from .geometry import solve_similarity
-from .lifting import aerial_coverage_mask, metric_to_aerial_cells
-from .losses import NEGATIVE_RADIUS, gt_aerial_targets, gt_ground_targets, virtual_point_grid
+from .geometry import _align, _align_vjp, _rotation, solve_similarity
+from .losses import _contrastive_indices, virtual_point_grid
 from .matching import _exp_record, score_matrix, soft_assign
 
 __all__ = [
@@ -159,20 +164,27 @@ class GradContext(_Prepared):
     aerial_meta: object
     aerial_shape: tuple
     params0: np.ndarray  # (P,) read-only leaf vector the selection is frozen at
+    stage0: tuple  # the chain's stage one at params0 (``_Stage``)
     # frozen contrastive structure as index arrays over the N selected pairs:
     # positives and negative sets are fixed functions of the (fixed)
-    # geometry, captured once at construction
-    g2s_pairs: np.ndarray  # (T,) pairs whose aerial target lies in coverage
-    g2s_targets: np.ndarray  # (T,) positive aerial flat cell of each such pair
-    s2g_keep: np.ndarray  # (N, N) bool: pair m is a candidate for row of pair n
-    s2g_pos: np.ndarray  # (N,) the positive candidate pair of each row
-    stage0: tuple  # the chain's stage one at params0 (``_Stage``)
+    # geometry, captured once per step over its scenes (``_targets``)
+    g2s_pairs: np.ndarray = None  # (T,) pairs whose aerial target lies in coverage
+    g2s_targets: np.ndarray = None  # (T,) positive aerial flat cell of each such pair
+    s2g_keep: np.ndarray = None  # (N, N) bool: pair m is a candidate for row of pair n
+    s2g_pos: np.ndarray = None  # (N,) the positive candidate pair of each row
 
     @cached_property
     def sel(self) -> np.ndarray:
         """Each selected pair's column among ``cols`` (the selection is made
         over valid columns only)."""
         return np.searchsorted(self.cols, self.ground_flat)
+
+    @cached_property
+    def hot(self) -> np.ndarray:
+        """(N, k): beta / 2 where pair n's column is valid column j, else 0.
+        Through it the contrastive score gradients, whose entries repeat,
+        are summed per column."""
+        return (self.beta / 2.0) * (self.sel[:, None] == np.arange(len(self.cols)))
 
     @cached_property
     def unique_rows(self) -> tuple:
@@ -236,9 +248,9 @@ def build_context(
     function refuses is refused with the same error.  The contrastive
     targets sit at the solver's scale estimate at the frozen weights on
     relative depth (the stop-gradient treatment), else at the true scale.
-    The same as ``_freeze(_prepare(scene, cfg, mode), beta, params0)``.
+    The same as ``_freeze([_prepare(scene, cfg, mode)], beta, params0)[0][0]``.
     """
-    return _freeze(_prepare(scene, cfg, mode), beta, params0)
+    return _freeze([_prepare(scene, cfg, mode)], beta, params0)[0][0]
 
 
 def _prepare(scene, cfg: PipelineConfig = None, mode: str = "score") -> _Prepared:
@@ -257,11 +269,23 @@ def _prepare(scene, cfg: PipelineConfig = None, mode: str = "score") -> _Prepare
     return _Prepared(scene, cfg, mode, cfg.tau, valid, aerial_raw, ground_raw, points3)
 
 
-def _freeze(prep: _Prepared, beta: float = 0.1, params0=None, pseudo: bool = True) -> GradContext:
-    """``build_context``'s per-step part: stage one at ``params0``, its
-    top-N looked up in the prepared tables, the targets and the contrastive
-    index arrays.  ``pseudo`` places the targets at the solver's scale on
-    relative depth; otherwise they sit at ``scale_gt / initial_scale``."""
+def _freeze(preps, beta: float = 0.1, params0=None, pseudo: bool = True) -> list:
+    """``build_context``'s per-step part for a step's prepared scenes, as
+    batches of contexts in order: one batch when every scene selects the
+    same number N of pairs, else batches of one.  Per scene ``_select``,
+    then per batch ``_targets``.  ``pseudo`` places the targets at the
+    solver's scale on relative depth; otherwise they sit at
+    ``scale_gt / initial_scale``."""
+    chosen = [_select(prep, beta, params0, pseudo) for prep in preps]
+    if len({len(ctx.aerial_flat) for ctx in chosen}) > 1:
+        return [_targets([ctx]) for ctx in chosen]
+    return [_targets(chosen)]
+
+
+def _select(prep: _Prepared, beta: float, params0, pseudo: bool) -> GradContext:
+    """One scene's context short of its contrastive index arrays: stage one
+    at ``params0`` (default ``build_context``'s), its top-N looked up in
+    the prepared tables, and the targets' scale."""
     scene, cfg, mode = prep.scene, prep.cfg, prep.mode
     na, ng, dim = prep.n_aerial, prep.n_ground, prep.dim
     if params0 is None:
@@ -286,18 +310,6 @@ def _freeze(prep: _Prepared, beta: float = 0.1, params0=None, pseudo: bool = Tru
     else:
         target_scale = scene.scale_gt / cfg.lift.initial_scale
 
-    aerial_shape = (scene.aerial.rows, scene.aerial.cols)
-    q_hat = gt_aerial_targets(corr.ground_planar, scene.truth, target_scale)
-    inside = aerial_coverage_mask(q_hat, scene.aerial.meta, aerial_shape)
-    g2s_pairs = np.flatnonzero(inside)
-    cells = metric_to_aerial_cells(q_hat[g2s_pairs], scene.aerial.meta, aerial_shape)
-    g2s_targets = cells[:, 0] * aerial_shape[1] + cells[:, 1]
-    p_hat = gt_ground_targets(corr.aerial_metric, scene.truth, target_scale)
-    dist = np.linalg.norm(corr.ground_planar[None, :, :] - p_hat[:, None, :], axis=2)
-    s2g_pos = np.argmin(dist, axis=1)  # ties keep the earliest candidate
-    s2g_keep = dist > NEGATIVE_RADIUS
-    s2g_keep[np.arange(len(s2g_pos)), s2g_pos] = True
-
     return GradContext(
         **{field.name: getattr(prep, field.name) for field in fields(prep)},
         aerial_flat=corr.matches.aerial,
@@ -308,14 +320,26 @@ def _freeze(prep: _Prepared, beta: float = 0.1, params0=None, pseudo: bool = Tru
         target_scale=float(target_scale),
         beta=float(beta),
         aerial_meta=scene.aerial.meta,
-        aerial_shape=aerial_shape,
+        aerial_shape=(scene.aerial.rows, scene.aerial.cols),
         params0=params0,
-        g2s_pairs=g2s_pairs,
-        g2s_targets=g2s_targets,
-        s2g_keep=s2g_keep,
-        s2g_pos=s2g_pos,
         stage0=stage0,
     )
+
+
+def _targets(ctxs: list) -> list:
+    """``ctxs``, which share N, with their contrastive index arrays, placed
+    once over a leading scene axis (``losses._contrastive_indices``)."""
+    inside, cells, keep, pos = _contrastive_indices(
+        np.array([ctx.ground_planar for ctx in ctxs]),
+        np.array([ctx.aerial_metric for ctx in ctxs]),
+        [ctx.truth for ctx in ctxs],
+        [ctx.target_scale for ctx in ctxs],
+        [ctx.aerial_meta for ctx in ctxs],
+        [ctx.aerial_shape for ctx in ctxs],
+    )
+    pairs = [np.flatnonzero(row) for row in inside]
+    return [replace(ctx, g2s_pairs=at, g2s_targets=cells[i, at], s2g_keep=keep[i], s2g_pos=pos[i])
+            for i, (ctx, at) in enumerate(zip(ctxs, pairs))]
 
 
 def _float_leaves(n: int, mode: str, params, name: str = "params") -> np.ndarray:
@@ -382,15 +406,16 @@ def _valid_scores(ctx: _Prepared, params: np.ndarray, cols: np.ndarray, dtype):
         g_raw = g_raw[..., cols, :].astype(dtype)
     else:
         mat_t = params[..., : d * d].reshape(batch + (d, d)).astype(dtype).swapaxes(-1, -2)
-        a_raw = ctx.aerial_raw.astype(dtype) @ mat_t
-        g_raw = ctx.ground_raw[cols].astype(dtype) @ mat_t
+        a_raw = ctx.aerial_raw.astype(dtype, copy=False) @ mat_t
+        g_raw = ctx.ground_raw[cols].astype(dtype, copy=False) @ mat_t
     scores, a_units, g_units = score_matrix(a_raw, g_raw, ctx.tau, units=True)
     return scores, (a_units, g_units)
 
 
 # ---------------------------------------------------------------------------
 # the loss chain: one forward pass in two stages, in any float type, with an
-# optional leading batch axis, recording what the reverse sweep reads.  Stage
+# optional leading batch axis (in stage two, or a stack of scenes), recording
+# what the reverse sweep reads.  Stage
 # one: the valid columns' scores (and the features' unit rows and norms), and
 # ``matching``'s softmaxes of the dustbin-augmented matrix's rows and columns.
 # Stage two: the selected pairs' weights, the loss, the alignment, the
@@ -398,9 +423,6 @@ def _valid_scores(ctx: _Prepared, params: np.ndarray, cols: np.ndarray, dtype):
 # shifted exponentials and their sums.
 
 _Stage = namedtuple("_Stage", "params scores features ra cb")
-_Alignment = namedtuple(
-    "_Alignment", "total p_bar pt qt cross dot pp g h r spp theta scale cos_t sin_t t_x t_y"
-)
 _Tape = namedtuple("_Tape", "loss align offsets g2s s2g", defaults=(None, None))
 
 
@@ -413,51 +435,19 @@ def _stage_one(ctx: _Prepared, params, dtype, rows=slice(None), cols=slice(None)
     return _Stage(params, scores, features, ra, cb)
 
 
-def _align(p, q, w, strict: bool = False) -> _Alignment:
-    """Weighted similarity mapping ``p`` onto ``q`` (``w`` may be batched).
-
-    The optimal angle maximizes h cos(theta) + g sin(theta), where g and h
-    are the antisymmetric and symmetric invariants of the weighted
-    covariance; the optimal scale is hypot(g, h) over the weighted ground
-    spread.  With ``strict`` (one weight vector) a degenerate alignment
-    raises DegenerateConfiguration before anything is divided by zero.
-    """
-    total = w.sum(axis=-1)
-    if strict and total <= 0.0:
-        raise DegenerateConfiguration("weights sum to zero")
-    p_bar = (w[..., None] * p).sum(axis=-2) / total[..., None]
-    q_bar = (w[..., None] * q).sum(axis=-2) / total[..., None]
-    pt = p - p_bar[..., None, :]
-    qt = q - q_bar[..., None, :]
-    cross = pt[..., 0] * qt[..., 1] - pt[..., 1] * qt[..., 0]
-    dot = (pt * qt).sum(axis=-1)
-    pp = (pt**2).sum(axis=-1)
-    g = (w * cross).sum(axis=-1)
-    h = (w * dot).sum(axis=-1)
-    r = np.hypot(g, h)
-    spp = (w * pp).sum(axis=-1)
-    if strict and spp <= 0.0:
-        raise DegenerateConfiguration("ground points have no weighted spread")
-    if strict and r == 0.0:
-        raise DegenerateConfiguration("zero covariance leaves the angle undefined")
-    theta = np.arctan2(g, h)
-    scale = r / spp
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    t_x = q_bar[..., 0] - scale * (cos_t * p_bar[..., 0] - sin_t * p_bar[..., 1])
-    t_y = q_bar[..., 1] - scale * (sin_t * p_bar[..., 0] + cos_t * p_bar[..., 1])
-    return _Alignment(
-        total, p_bar, pt, qt, cross, dot, pp, g, h, r, spp, theta, scale, cos_t, sin_t, t_x, t_y
-    )
-
-
-def _vce(truth, points: np.ndarray, cos_t, sin_t, t_x, t_y, dtype):
+def _vce(theta, t, points: np.ndarray, cos_t, sin_t, t_x, t_y, dtype):
     """(vce, (dx, dy, norms)): the mean norm of the virtual-point offsets
-    ``truth - solved``, the offsets and their norms.  Both poses map the
-    points by the same arithmetic, so equal poses give offsets of exactly 0.
+    ``truth - solved`` of the true pose's angle ``theta`` and translation
+    ``t`` (one per scene of a leading axis, or one for every row), the
+    offsets and their norms.  Both poses map the points by the same
+    arithmetic, so equal poses give offsets of exactly 0.
     """
     v_x, v_y = points.astype(dtype).T
-    c, s = np.cos(dtype(truth.theta)), np.sin(dtype(truth.theta))
-    gt_x, gt_y = truth.t.astype(dtype)
+    theta, t = np.asarray(theta, dtype), np.asarray(t, dtype)
+    if theta.ndim:  # a stack of scenes: one true pose per row
+        theta, t = theta[:, None], t[:, None]
+    c, s = np.cos(theta), np.sin(theta)
+    gt_x, gt_y = t[..., 0], t[..., 1]
     cos_t, sin_t = cos_t[..., None], sin_t[..., None]
     dx = (c * v_x - s * v_y + gt_x) - (cos_t * v_x - sin_t * v_y + t_x[..., None])
     dy = (s * v_x + c * v_y + gt_y) - (sin_t * v_x + cos_t * v_y + t_y[..., None])
@@ -486,42 +476,59 @@ def _s2g_logits(ctx: GradContext, scores: np.ndarray, sel) -> np.ndarray:
 
 
 def _loss(ctx: GradContext, stage: _Stage, sel, dtype, strict: bool = False, at=None) -> _Tape:
-    """Stage two on ``stage``: the selected pairs' weights (``sel``: their
-    columns among the valid ones; ``at``: their rows and columns in a sliced
-    stage one), then ``_stage_two``."""
+    """Stage two of one context on ``stage``: the selected pairs' weights
+    (``sel``: their columns among the valid ones; ``at``: their rows and
+    columns in a sliced stage one), then ``_stage_two``."""
     r_at, c_at = (ctx.aerial_flat, sel) if at is None else at
     w = stage.ra[..., r_at, sel] * stage.cb[..., ctx.aerial_flat, c_at]
-    return _stage_two(ctx, w, stage.scores, sel, dtype, strict)
+    return _stage_two([ctx], w, [stage.scores], dtype, strict)
 
 
-def _stage_two(
-    ctx: GradContext, w, scores, sel, dtype, strict: bool = False, g2s_lse=None, s2g_lse=None
-) -> _Tape:
-    """From the selected pairs' weights ``w`` and the valid columns'
-    ``scores``: the alignment, the pose loss and the contrastive terms
-    (NoValidTargets when on with no ground-to-aerial target in coverage);
-    ``strict`` is ``_align``'s.  ``g2s_lse`` and ``s2g_lse``, when given,
-    hold the ground-to-aerial and aerial-to-ground rows' log-sum-exps, which
-    are then neither recomputed nor recorded."""
-    p, q = ctx.ground_planar.astype(dtype), ctx.aerial_metric.astype(dtype)
+def _stack(arrays: list):
+    """One array per scene along a new leading axis; a batch of one keeps
+    its array as it is, so a single context's chain has its own shapes."""
+    return arrays[0] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _stage_two(ctxs: list, w, scores: list, dtype, strict: bool = False, g2s_lse=None,
+               s2g_lse=None) -> _Tape:
+    """From the selected pairs' weights ``w`` and each context's
+    valid-column ``scores``: the alignment, the pose loss and the
+    contrastive terms (NoValidTargets when on and a context has no
+    ground-to-aerial target in coverage); ``strict`` is ``_align``'s.
+    Contexts that share N and beta run over a leading scene axis
+    (``_stack``), but for the ground-to-aerial terms, whose T rows are
+    ragged; one context may carry a leading batch of leaf vectors instead.
+    ``g2s_lse`` (one array per context) and ``s2g_lse``, when given, hold
+    the ground-to-aerial and aerial-to-ground rows' log-sum-exps, which are
+    then neither recomputed nor recorded."""
+    p = _stack([ctx.ground_planar for ctx in ctxs]).astype(dtype)
+    q = _stack([ctx.aerial_metric for ctx in ctxs]).astype(dtype)
     al = _align(p, q, w, strict)
-    vce, offsets = _vce(
-        ctx.truth, _VIRTUAL_POINTS, al.cos_t, al.sin_t, al.t_x, al.t_y, dtype
-    )
-    if ctx.beta == 0.0:
+    theta, t = _stack([ctx.truth.theta for ctx in ctxs]), _stack([ctx.truth.t for ctx in ctxs])
+    vce, offsets = _vce(theta, t, _VIRTUAL_POINTS, al.cos_t, al.sin_t, al.t_x, al.t_y, dtype)
+    beta = ctxs[0].beta
+    if beta == 0.0:
         return _Tape(vce, al, offsets)
-    if len(ctx.g2s_pairs) == 0:
+    if any(len(ctx.g2s_pairs) == 0 for ctx in ctxs):
         raise NoValidTargets("every ground-to-aerial target left the aerial coverage")
-    g2s_exp = s2g_exp = None
-    if g2s_lse is None:
-        g2s_lse, g2s_exp = _logsumexp(_g2s_logits(ctx, scores, sel))
-    g2s_pos = scores[..., ctx.g2s_targets, sel[ctx.g2s_pairs]]
-    g2s = -(g2s_pos - g2s_lse).sum(axis=-1) / len(ctx.g2s_pairs)
+    g2s, g2s_exp, s2g_pos, s2g_logits = [], [], [], []
+    for i, (ctx, sc) in enumerate(zip(ctxs, scores)):
+        sel, lse = ctx.sel, None if g2s_lse is None else g2s_lse[i]
+        if lse is None:
+            lse, exp = _logsumexp(_g2s_logits(ctx, sc, sel))
+            g2s_exp.append(exp)
+        g2s_pos = sc[..., ctx.g2s_targets, sel[ctx.g2s_pairs]]
+        g2s.append(-(g2s_pos - lse).sum(axis=-1) / len(ctx.g2s_pairs))
+        s2g_pos.append(sc[..., ctx.aerial_flat, sel[ctx.s2g_pos]])
+        if s2g_lse is None:
+            s2g_logits.append(_s2g_logits(ctx, sc, sel))
+    s2g_exp = None
     if s2g_lse is None:
-        s2g_lse, s2g_exp = _logsumexp(_s2g_logits(ctx, scores, sel))
-    s2g_pos = scores[..., ctx.aerial_flat, sel[ctx.s2g_pos]]
-    s2g = -(s2g_pos - s2g_lse).sum(axis=-1) / len(sel)
-    loss = vce + dtype(ctx.beta) * (g2s + s2g) / dtype(2.0)
+        s2g_lse, s2g_exp = _logsumexp(_stack(s2g_logits))
+    s2g = -(_stack(s2g_pos) - s2g_lse).sum(axis=-1) / len(ctxs[0].sel)
+    loss = vce + dtype(beta) * (_stack(g2s) + s2g) / dtype(2.0)
+    g2s_exp = g2s_exp[0] if len(g2s_exp) == 1 else g2s_exp or None  # as _stack keeps one
     return _Tape(loss, al, offsets, g2s_exp, s2g_exp)
 
 
@@ -545,50 +552,30 @@ def forward_value(ctx: GradContext, params: np.ndarray, dtype=np.longdouble):
 # the reverse sweep
 
 
-def _align_vjp(al: _Alignment, d_theta, d_scale, d_t) -> np.ndarray:
-    """Per-weight gradient of a scalar with the given partials in the
-    solved angle, scale and translation, for one unbatched alignment.
-
-    Centering makes the centroid-shift terms vanish in the covariance
-    derivatives, so each weight's contribution reduces to its centered pair.
-    """
-    g, h, r, spp = float(al.g), float(al.h), float(al.r), float(al.spp)
-    scale, c, s = float(al.scale), float(al.cos_t), float(al.sin_t)
-    dtheta_dw = (h * al.cross - g * al.dot) / r**2
-    dscale_dw = (g * al.cross + h * al.dot) / (r * spp) - scale * al.pp / spp
-    rot = np.array([[c, -s], [s, c]])
-    rot_p = np.array([[-s, -c], [c, -s]])  # dR/dtheta
-    # t = q_bar - scale * R p_bar, totally differentiated in w_n
-    dt_dw = (
-        (al.qt - scale * (al.pt @ rot.T)) / float(al.total)
-        - np.outer(dscale_dw, rot @ al.p_bar)
-        - scale * np.outer(dtheta_dw, rot_p @ al.p_bar)
-    )
-    return d_theta * dtheta_dw + d_scale * dscale_dw + dt_dw @ np.asarray(d_t, float)
-
-
 def _vce_vjp(points: np.ndarray, cos_t, sin_t, offsets):
-    """(dvce/dtheta, dvce/dt) of ``_vce`` for one unbatched pose.
+    """(dvce/dtheta, dvce/dt) of ``_vce``, with its leading axis (one
+    scene's pose per row of a stack).
 
     Offsets that are exactly zero contribute nothing (the minimum of the
     cone; its symmetric subgradient).
     """
     dx, dy, norms = offsets
-    delta, norms = np.stack([dx, dy], axis=1), norms[:, None]
+    delta, norms = np.stack([dx, dy], axis=-1), norms[..., None]
     unit = np.divide(delta, norms, out=np.zeros_like(delta), where=norms > 0.0)
-    c, s = float(cos_t), float(sin_t)
-    rot_p = np.array([[-s, -c], [c, -s]])  # dR/dtheta
-    d_theta = -float((unit * (points @ rot_p.T)).sum() / len(points))
-    d_t = -unit.sum(axis=0) / len(points)
+    rot_p = _rotation(-sin_t, cos_t)  # dR/dtheta
+    d_theta = -((unit * (points @ rot_p.swapaxes(-1, -2))).sum(axis=(-2, -1)) / len(points))
+    d_t = -unit.sum(axis=-2) / len(points)
     return d_theta, d_t
 
 
 def _cross_entropy_vjp(e: np.ndarray, total: np.ndarray, targets: np.ndarray):
     """Gradient of the mean softmax cross-entropy of rows of logits against
-    their ``targets`` columns, from ``_logsumexp``'s record of the rows."""
-    grad = e / total[:, None]
-    grad[np.arange(len(targets)), targets] -= 1.0
-    return grad / len(targets)
+    their ``targets`` columns, from ``_logsumexp``'s record of the rows
+    (with any leading axis of ``targets``)."""
+    grad = e / total[..., None]
+    grad[np.indices(targets.shape, sparse=True) + (targets,)] -= 1.0
+    grad /= targets.shape[-1]
+    return grad
 
 
 def _check_selection_boundary(ctx: GradContext, probs: np.ndarray, sel: np.ndarray):
@@ -596,12 +583,13 @@ def _check_selection_boundary(ctx: GradContext, probs: np.ndarray, sel: np.ndarr
     selection is ambiguous at these parameters.
 
     ``probs`` holds the valid columns only; every entry of a masked column
-    is an unselected entry of probability exactly 0.
+    is an unselected entry of probability exactly 0.  It is a temporary:
+    its selected entries are overwritten.
     """
-    outside = probs.copy()
-    outside[ctx.aerial_flat, sel] = -np.inf
+    low = probs[ctx.aerial_flat, sel].min()
+    probs[ctx.aerial_flat, sel] = -np.inf
     floor = 0.0 if probs.shape[1] < ctx.n_ground else -np.inf
-    if probs[ctx.aerial_flat, sel].min() == outside.max(initial=floor):
+    if low == probs.max(initial=floor):
         raise NonDifferentiablePoint(
             "selected and unselected entries tie exactly at the sampling boundary"
         )
@@ -611,9 +599,10 @@ def value_and_grad(ctx: GradContext, params: np.ndarray = None):
     """(loss, gradient) at ``params`` (default ``ctx.params0``):
     ``forward_value``'s chain in float64, so the loss is
     ``forward_value(ctx, params, np.float64)`` exactly, then one reverse
-    sweep over the values it recorded.  With ``params`` None stage one is
-    the one ``build_context`` recorded at ``params0``, not a recomputation;
-    any array, ``params0`` itself included, runs the whole chain.
+    sweep over the values it recorded -- ``_values_and_grads`` on a batch
+    of one.  With ``params`` None stage one is the one ``build_context``
+    recorded at ``params0``, not a recomputation; any array, ``params0``
+    itself included, runs the whole chain.
 
     A selection-boundary tie, checked between the chain's two stages,
     raises NonDifferentiablePoint before the alignment runs, then come
@@ -624,42 +613,85 @@ def value_and_grad(ctx: GradContext, params: np.ndarray = None):
         stage = ctx.stage0
     else:
         stage = _stage_one(ctx, _float_leaves(ctx.params0.size, ctx.mode, params), np.float64)
-    cols, sel = ctx.cols, ctx.sel
-    ra, cb = stage.ra, stage.cb
-    _check_selection_boundary(ctx, ra[:-1, :-1] * cb[:-1, :-1], sel)
-    tape = _loss(ctx, stage, sel, np.float64, strict=True)
+    return _values_and_grads([ctx], [stage])[0]
+
+
+def _values_and_grads(ctxs: list, stages: list = None) -> list:
+    """``value_and_grad`` of each context of a batch that shares N, at its
+    stage one in ``stages`` (default ``stage0``), in order.  Per scene: the
+    selection-boundary check and the selected pairs' weights.  Once over
+    the leading scene axis: stage two and the reverse sweep through the
+    pose loss, the alignment and the aerial-to-ground cross-entropies.  Per
+    scene: the rest (``_score_vjp``).  A batch raises the first failing
+    check in that order.
+
+    The ground-to-aerial term reads no weight, so each scene's term and its
+    score gradient are formed in the first loop (``_g2s_terms``): its
+    (T, n_aerial) record lives for one scene, not for the batch."""
+    n, stages = len(ctxs), stages or [ctx.stage0 for ctx in ctxs]
+    picked, g2s = [], []
+    for ctx, stage in zip(ctxs, stages):
+        ra, cb, af, sel = stage.ra, stage.cb, ctx.aerial_flat, ctx.sel
+        _check_selection_boundary(ctx, ra[:-1, :-1] * cb[:-1, :-1], sel)
+        picked.append((ra[af, sel], cb[af, sel]))
+        if ctx.beta != 0.0:
+            g2s.append(_g2s_terms(ctx, stage.scores))
+    w = _stack([r_sel * c_sel for r_sel, c_sel in picked])
+    scores, g2s_lse = [stage.scores for stage in stages], [lse for lse, _ in g2s]
+    tape = _stage_two(ctxs, w, scores, np.float64, strict=True, g2s_lse=g2s_lse or None)
     al = tape.align
-
     d_theta, d_t = _vce_vjp(_VIRTUAL_POINTS, al.cos_t, al.sin_t, tape.offsets)
-    de_dw = _align_vjp(al, d_theta, 0.0, d_t)
+    de_dw = _align_vjp(al, d_theta, 0.0, d_t).reshape(n, -1)
+    losses = np.reshape(tape.loss, n)
+    if g2s:
+        d_s2g = _cross_entropy_vjp(*tape.s2g, _stack([ctx.s2g_pos for ctx in ctxs]))
+        d_s2g = d_s2g.reshape((n,) + d_s2g.shape[-2:])
+    out = []
+    for i, (ctx, stage, (r_sel, c_sel)) in enumerate(zip(ctxs, stages, picked)):
+        terms = (g2s[i][1], d_s2g[i]) if g2s else None
+        out.append((float(losses[i]), _score_vjp(ctx, stage, de_dw[i], r_sel, c_sel, terms)))
+    return out
 
+
+def _g2s_terms(ctx: GradContext, scores: np.ndarray) -> tuple:
+    """One scene's ground-to-aerial rows' log-sum-exps and the term's
+    gradient in the valid columns' scores (through ``hot``)."""
+    lse, record = _logsumexp(_g2s_logits(ctx, scores, ctx.sel))
+    return lse, _cross_entropy_vjp(*record, ctx.g2s_targets).T @ ctx.hot[ctx.g2s_pairs]
+
+
+def _score_vjp(ctx: GradContext, stage: _Stage, de_dw, r_sel, c_sel, contrastive) -> np.ndarray:
+    """One scene's gradient at ``stage`` from ``de_dw`` (in the weights
+    ``r_sel * c_sel``) and, with the contrastive terms on, ``(the
+    ground-to-aerial term's score gradient, the aerial-to-ground logits'
+    gradient)``."""
+    cols, sel, af = ctx.cols, ctx.sel, ctx.aerial_flat
+    ra, cb = stage.ra, stage.cb
     # VJP of row_softmax(E) * col_softmax(E) at the distinct selected
     # entries: ra * (u - rowsum(ra * u)) + cb * (v - colsum(cb * v)) with
     # u = d_probs * cb and v = d_probs * ra, which are 0 off the selection
-    af, r_sel, c_sel = ctx.aerial_flat, ra[ctx.aerial_flat, sel], cb[ctx.aerial_flat, sel]
     u, v = de_dw * c_sel, de_dw * r_sel
     r, c = np.bincount(af, r_sel * u, len(ra)), np.bincount(sel, c_sel * v, ra.shape[1])
-    d_extended = ra * -r[:, None] - cb * c
+    d_extended = ra * -r[:, None]
+    d_extended -= cb * c
     d_extended[af, sel] = r_sel * (u - r[af]) + c_sel * (v - c[sel])
     d_scores = d_extended[:-1, :-1]
     d_z = float(d_extended[-1, :].sum() + d_extended[:-1, -1].sum())
 
-    if tape.g2s is not None:
-        # the contrastive score gradients, whose entries repeat: summed per
-        # column through the selected columns' one-hot matrix, then the
-        # aerial-to-ground term's rows per entry by one scatter
+    if contrastive is not None:
+        # the aerial-to-ground term's rows, summed per column through
+        # ``hot``, go in per entry by one scatter
+        g2s_grad, d_s2g = contrastive
         k = len(cols)
-        hot = (ctx.beta / 2.0) * (sel[:, None] == np.arange(k))
-        d_scores += _cross_entropy_vjp(*tape.g2s, ctx.g2s_targets).T @ hot[ctx.g2s_pairs]
-        d_s2g = _cross_entropy_vjp(*tape.s2g, ctx.s2g_pos) @ hot
+        d_scores += g2s_grad
+        d_s2g = d_s2g @ ctx.hot
         at = (af[:, None] * k + np.arange(k)).ravel()
         d_scores += np.bincount(at, d_s2g.ravel(), d_scores.size).reshape(d_scores.shape)
 
-    loss = float(tape.loss)
     if ctx.mode == "score":
         grad = np.zeros((ctx.n_aerial, ctx.n_ground))
         grad[:, cols] = d_scores
-        return loss, np.append(grad.ravel(), d_z)
+        return np.append(grad.ravel(), d_z)
 
     # chain through the cosine scores and the normalization into raw
     # features, from the unit rows and norms stage one recorded
@@ -672,9 +704,9 @@ def value_and_grad(ctx: GradContext, params: np.ndarray = None):
     if ctx.mode == "features":
         d_ground = np.zeros((ctx.n_ground, ctx.dim))
         d_ground[cols] = d_g_raw
-        return loss, np.concatenate([d_a_raw.ravel(), d_ground.ravel(), [d_z]])
+        return np.concatenate([d_a_raw.ravel(), d_ground.ravel(), [d_z]])
     d_mat = d_a_raw.T @ ctx.aerial_raw + d_g_raw.T @ ctx.ground_raw[cols]
-    return loss, np.append(d_mat.ravel(), d_z)
+    return np.append(d_mat.ravel(), d_z)
 
 
 def backward(ctx: GradContext, params: np.ndarray = None) -> np.ndarray:
@@ -828,7 +860,8 @@ def _line_values(ctx: GradContext, base: _Stage, records: tuple, axis: int, line
         ra[reach_r] = matching.row_softmax(scores[reach_r][..., rows, :], z)[..., r_at, sel]
     if g2s is not None and reach_s.any():
         s2g_lse[reach_s] = _logsumexp(_s2g_logits(ctx, scores[reach_s], sel))[0]
-    tape = _stage_two(ctx, ra * cb, scores, sel, np.longdouble, g2s_lse=g2s_lse, s2g_lse=s2g_lse)
+    g2s_lse = None if g2s_lse is None else [g2s_lse]
+    tape = _stage_two([ctx], ra * cb, [scores], np.longdouble, g2s_lse=g2s_lse, s2g_lse=s2g_lse)
     return tape.loss
 
 

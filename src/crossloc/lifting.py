@@ -194,7 +194,9 @@ def aerial_cells_to_metric(cells: np.ndarray, meta: AerialMeta, shape: tuple) ->
 
 
 def metric_to_aerial_cells(points: np.ndarray, meta: AerialMeta, shape: tuple) -> np.ndarray:
-    """Nearest aerial cells of (N, 2) metric points as (N, 2) ``(row, col)``.
+    """Nearest aerial cells of (..., N, 2) metric points as (..., N, 2)
+    ``(row, col)``.  A leading scene axis may come with a meta and shape
+    whose fields are arrays that broadcast against ``points[..., 0]``.
 
     Exact half-cell ties resolve to the smaller index (row-major first),
     and results are clamped to the grid.  Raises OutOfRange for a point
@@ -205,22 +207,23 @@ def metric_to_aerial_cells(points: np.ndarray, meta: AerialMeta, shape: tuple) -
     rel = np.asarray(points, dtype=float) - np.asarray(meta.center_offset, dtype=float)
     if not np.isfinite(rel).all():
         raise OutOfRange("metric points must be finite")
-    col_f = rel[:, 0] / m + (cols - 1) / 2.0
-    row_f = (rows - 1) / 2.0 - rel[:, 1] / m
+    col_f = rel[..., 0] / m + (cols - 1) / 2.0
+    row_f = (rows - 1) / 2.0 - rel[..., 1] / m
     # ceil(x - 0.5) rounds halves down, so the smaller index wins ties
-    cells = np.ceil(np.stack([row_f, col_f], axis=1) - 0.5).astype(int)
-    return np.clip(cells, 0, [rows - 1, cols - 1])
+    cells = np.ceil(np.stack([row_f, col_f], axis=-1) - 0.5).astype(int)
+    return np.clip(cells, 0, np.stack([rows - 1, cols - 1], axis=-1))
 
 
 def aerial_coverage_mask(points: np.ndarray, meta: AerialMeta, shape: tuple) -> np.ndarray:
-    """True for metric points inside the union of aerial cell footprints."""
+    """True for metric points inside the union of aerial cell footprints
+    (a leading scene axis as in ``metric_to_aerial_cells``)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     rows, cols = shape
     m = meta.meters_per_cell
     rel = points - np.asarray(meta.center_offset, dtype=float)
     half_x = cols * m / 2.0
     half_y = rows * m / 2.0
-    return (np.abs(rel[:, 0]) <= half_x) & (np.abs(rel[:, 1]) <= half_y)
+    return (np.abs(rel[..., 0]) <= half_x) & (np.abs(rel[..., 1]) <= half_y)
 
 
 # --- ground lifting ---------------------------------------------------------

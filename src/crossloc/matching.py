@@ -120,8 +120,9 @@ def augment_dustbin(scores: np.ndarray, z) -> np.ndarray:
     or one per matrix of a batch); a float ``scores`` keeps its type."""
     n_a, n_g = scores.shape[-2:]
     z = np.asarray(z, dtype=scores.dtype if scores.dtype.kind == "f" else float)
-    out = np.full(scores.shape[:-2] + (n_a + 1, n_g + 1), z[..., None, None])
+    out = np.empty(scores.shape[:-2] + (n_a + 1, n_g + 1), z.dtype)
     out[..., :-1, :-1] = scores
+    out[..., -1, :] = out[..., :-1, -1] = z[..., None]
     return out
 
 

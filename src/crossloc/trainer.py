@@ -4,12 +4,14 @@ The trainable parameters are a single dim x dim matrix applied to the raw
 feature vectors of *both* grids before normalization, plus the dustbin
 score.  Optimization is plain full-batch gradient descent on the combined
 alignment-plus-contrastive loss.  Each scene is prepared once per run
-(``gradcheck._prepare``); each step freezes every scene's selection and
+(``gradcheck._prepare``).  Each step freezes its scenes' selections and
 targets at the current weights (``gradcheck._freeze``, the per-step half of
-``build_context``, runs the loss chain's matching stage once) and takes the
-scene's loss and gradient from ``gradcheck.value_and_grad``, which reuses
-that stage, finishes the chain in float64 and sweeps back once over what it
-recorded.
+``build_context``, runs the loss chain's matching stage once per scene)
+and takes every scene's loss and gradient from
+``gradcheck._values_and_grads``, which reuses that stage, finishes the
+chain in float64 and sweeps back once over what it recorded.  Scenes that
+select the same number of pairs run their targets and stage two once over
+a leading scene axis, and each gets ``gradcheck.value_and_grad``'s bits.
 Gate 05 certifies that gradient against the long-double FD oracle, which
 evaluates the same chain.  No momentum, no adaptive
 scaling: the point is to demonstrate that pose supervision alone moves the
@@ -30,8 +32,8 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -40,7 +42,7 @@ import numpy as np
 from .errors import DivergenceDetected, EmptyInput, InsufficientMatches, OutOfRange
 from .errors import require_choice, require_int, require_real
 from .estimator import PipelineConfig, RansacConfig, estimate_pose
-from .gradcheck import _freeze, _prepare, value_and_grad
+from .gradcheck import _freeze, _prepare, _values_and_grads
 from .lifting import LiftConfig
 from .matching import FeatureGrid
 from .metrics import pose_errors
@@ -191,15 +193,22 @@ def evaluate_projection(weights: ProjectionWeights, scenes, pipe: PipelineConfig
     }
 
 
+class _SceneStep(namedtuple("_SceneStep", "prep beta pseudo")):
+    """A training scene prepared once per run (``gradcheck._prepare``),
+    with the loss mode's beta and whether its targets take the solver's
+    scale.  Called with a step's leaf vector (``ProjectionWeights.as_params``
+    layout) it is the scene's frozen projection-mode ``GradContext`` there,
+    which ``train`` freezes with the step's other scenes to the same bits."""
+
+    def __call__(self, params):
+        return _freeze([self.prep], self.beta, params, self.pseudo)[0][0]
+
+
 def _scene_steps(cfg: TrainConfig, scenes, pipe: PipelineConfig) -> list:
-    """Per training scene, prepared once per run, the map from a step's
-    leaf vector (``ProjectionWeights.as_params`` layout) to the scene's
-    frozen projection-mode ``GradContext`` at it, with the loss mode's
-    beta and whether its targets take the solver's scale."""
+    """One ``_SceneStep`` per training scene."""
     beta = 0.0 if cfg.loss_mode == "vce-only" else cfg.beta
     pseudo = cfg.loss_mode == "pseudo-scale"
-    return [functools.partial(_freeze, _prepare(scene, pipe, "projection"), beta, pseudo=pseudo)
-            for scene in scenes]
+    return [_SceneStep(_prepare(scene, pipe, "projection"), beta, pseudo) for scene in scenes]
 
 
 def train(
@@ -213,10 +222,10 @@ def train(
     The trailing ``cfg.holdout`` scenes are excluded from gradient steps and
     used only for the before/after estimator evaluation (with no holdout the
     evaluation falls back to the training scenes).  Each training scene is
-    prepared once (``_scene_steps``); each step freezes every batch scene's
-    pipeline view at the current weights, takes the scene's loss and
-    gradient from one ``value_and_grad`` pass, averages them in dataset
-    order, and takes one descent step.
+    prepared once (``_scene_steps``); each step freezes its batch's scenes
+    at the current weights, takes their losses and gradients from one
+    stage-two pass over them (``gradcheck._values_and_grads``), averages
+    them in dataset order, and takes one descent step.
     Raises DivergenceDetected as soon as the batch loss exceeds
     ``divergence_factor`` times its step-0 value, and when a descent step's
     weights overflow or leave no weighted pair in the next step or in the
@@ -249,6 +258,7 @@ def train(
     params = initial_weights.as_params()
 
     scene_steps = _scene_steps(cfg, train_scenes, pipe)
+    beta, pseudo = scene_steps[0].beta, scene_steps[0].pseudo
     n_train = len(train_scenes)
     batch = n_train if cfg.batch is None else min(cfg.batch, n_train)
     curve = np.empty(cfg.steps)
@@ -259,8 +269,11 @@ def train(
         grad_sum = np.zeros_like(params)
         where = f"at step {step}"
         with _divergence(where, cfg, pipe, params) if step else contextlib.nullcontext():
-            for i in range(start, start + batch):
-                value, grad = value_and_grad(scene_steps[i % n_train](params))
+            preps = [scene_steps[i % n_train].prep for i in range(start, start + batch)]
+            # the step's contexts die with the comprehension, before the next step's
+            results = [out for contexts in _freeze(preps, beta, params, pseudo)
+                       for out in _values_and_grads(contexts)]
+            for value, grad in results:
                 loss_sum += value
                 grad_sum += grad
 

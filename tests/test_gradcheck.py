@@ -72,7 +72,7 @@ def vce_partials(theta, t, truth, points):
     reverse sweep, at one float64 pose."""
     cos_t, sin_t = np.cos(np.float64(theta)), np.sin(np.float64(theta))
     t_x, t_y = np.asarray(t, dtype=float)
-    vce, offsets = gradcheck._vce(truth, points, cos_t, sin_t, t_x, t_y, np.float64)
+    vce, offsets = gradcheck._vce(truth.theta, truth.t, points, cos_t, sin_t, t_x, t_y, np.float64)
     d_theta, d_t = gradcheck._vce_vjp(points, cos_t, sin_t, offsets)
     return float(vce), d_theta, d_t
 
@@ -796,7 +796,7 @@ def test_a_prepared_scene_frozen_step_by_step_equals_fresh_contexts(mode, projec
     base = gradcheck.build_context(scene, pipe, mode).params0
     leaves = [None] + [base + rng.normal(scale=0.05, size=base.shape) for _ in range(2)]
     for params0 in leaves:
-        frozen = gradcheck._freeze(prep, 0.7, params0)
+        frozen = gradcheck._freeze([prep], 0.7, params0)[0][0]
         fresh = gradcheck.build_context(scene, pipe, mode, beta=0.7, params0=params0)
         for field in dataclasses.fields(fresh):
             a, b = getattr(frozen, field.name), getattr(fresh, field.name)

@@ -211,6 +211,25 @@ def test_aerial_coverage_mask():
     assert list(aerial_coverage_mask(pts, meta, shape)) == [True, True, True, False, False]
 
 
+def test_coverage_and_cells_take_a_leading_scene_axis():
+    """A stack of scenes' points with one grid per scene (meta and shape
+    fields as (S, 1) arrays) gives each scene's own mask and cells."""
+    rng = np.random.default_rng(2)
+    metas = [AerialMeta(1.5, np.array([0.0, 0.0])), AerialMeta(2.0, np.array([3.0, -1.0])),
+             AerialMeta(0.5, np.array([-2.0, 4.0]))]
+    shapes = [(21, 21), (7, 9), (10, 6)]
+    points = rng.uniform(-20, 20, size=(3, 24, 2))
+    meta = AerialMeta(np.array([m.meters_per_cell for m in metas])[:, None],
+                      np.stack([m.center_offset for m in metas])[:, None])
+    shape = tuple(np.array(shapes).T[..., None])
+    inside = aerial_coverage_mask(points, meta, shape)
+    cells = metric_to_aerial_cells(points, meta, shape)
+    for i, (m, grid) in enumerate(zip(metas, shapes)):
+        np.testing.assert_array_equal(inside[i], aerial_coverage_mask(points[i], m, grid))
+        np.testing.assert_array_equal(cells[i], metric_to_aerial_cells(points[i], m, grid))
+    assert inside.any() and not inside.all()
+
+
 # --- lifting ----------------------------------------------------------------
 
 

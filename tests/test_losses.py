@@ -109,6 +109,20 @@ def test_gt_aerial_targets_hand_value():
     assert np.allclose(q_hat, [[1.0, 6.0]], atol=TIGHT)
 
 
+def test_gt_targets_take_a_leading_scene_axis_bit_for_bit():
+    """(S, N, 2) points with a list of S poses and scales give each scene's
+    own targets to the bit, as a training step places them."""
+    rng = np.random.default_rng(1)
+    points = rng.normal(size=(5, 24, 2)) * 10
+    angles = rng.uniform(-3, 3, 5)
+    truths = [SimilarityTransform2D(1.0, th, rng.normal(size=2) * 5) for th in angles]
+    scales = rng.uniform(0.5, 2.0, 5)
+    for place in (gt_aerial_targets, gt_ground_targets):
+        stacked = place(points, truths, scales)
+        for i, (truth, scale) in enumerate(zip(truths, scales)):
+            np.testing.assert_array_equal(stacked[i], place(points[i], truth, float(scale)))
+
+
 # --- ground-to-aerial contrastive loss --------------------------------------
 
 

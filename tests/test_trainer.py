@@ -298,13 +298,66 @@ def count_calls(monkeypatch, *names):
     return calls
 
 
-def test_analytic_mode_runs_one_fused_pass_per_scene_step(monkeypatch):
-    """Each scene of each step costs one value_and_grad call and no separate
-    forward or backward pass."""
-    calls = count_calls(monkeypatch, "value_and_grad", "forward", "backward")
+def test_analytic_mode_runs_one_stage_two_pass_per_step(monkeypatch):
+    """Each step runs stage two once over its scenes, which share N, and
+    stage one once per scene-step; no separate forward or backward pass."""
+    names = ("_stage_two", "_stage_one", "value_and_grad", "forward_value", "backward")
+    calls = count_calls(monkeypatch, *names)
     cfg = TrainConfig(lr=1e-2, steps=3, holdout=1, init_jitter=0.05, seed=1)
     train(small_scenes(3), cfg, SMALL_PIPE)
-    assert calls == {"value_and_grad": 3 * 2, "forward": 0, "backward": 0}
+    assert calls == {"_stage_two": 3, "_stage_one": 3 * 2, "value_and_grad": 0,
+                     "forward_value": 0, "backward": 0}
+
+
+def assert_step_is_each_contexts_own(steps, params, batches):
+    """The step's contexts, frozen together, come in ``batches`` and equal
+    each scene's context frozen alone; their losses and gradients from the
+    batched stage two equal ``value_and_grad`` on each context, bit for bit."""
+    frozen = gradcheck._freeze([step.prep for step in steps], steps[0].beta, params,
+                               steps[0].pseudo)
+    assert [len(batch) for batch in frozen] == batches
+    together = [ctx for batch in frozen for ctx in batch]
+    results = [out for batch in frozen for out in gradcheck._values_and_grads(batch)]
+    for step, ctx, (value, grad) in zip(steps, together, results, strict=True):
+        alone = step(params)
+        for name in ("target_scale", "g2s_pairs", "g2s_targets", "s2g_keep", "s2g_pos"):
+            np.testing.assert_array_equal(getattr(ctx, name), getattr(alone, name))
+        alone_value, alone_grad = gradcheck.value_and_grad(alone)
+        assert value == alone_value
+        np.testing.assert_array_equal(grad, alone_grad)
+
+
+def test_a_batched_step_gives_every_scene_its_own_contexts_bits():
+    """The 16 reference training scenes share N = 24 pairs, so a step runs
+    their targets and stage two once over a leading scene axis; each
+    scene's loss and gradient are single-context ``value_and_grad``'s to
+    the bit, at the run's initial weights and after 20 reference steps."""
+    cfg, pipe = trainer.REFERENCE_TRAIN, trainer.reference_pipeline()
+    steps = trainer._scene_steps(cfg, trainer.reference_dataset()[: -cfg.holdout], pipe)
+    dim = trainer.REFERENCE_SCENE.feature_dim
+    rng = np.random.default_rng(cfg.seed)
+    matrix = np.eye(dim) + cfg.init_jitter * rng.standard_normal((dim, dim))
+    initial = ProjectionWeights(matrix, pipe.dustbin_z)
+    trained = trainer.reference_run(steps=20).weights
+    for weights in (initial, trained):
+        assert_step_is_each_contexts_own(steps, weights.as_params(), [16])
+
+
+def test_a_step_whose_scenes_differ_in_n_runs_batches_of_one(monkeypatch):
+    """Topmost selection keeps 5 or 6 of 8 pairs on these scenes, so a
+    step's scenes differ in N: each runs the same functions as a batch of
+    one, with its own context's bits, and training runs stage two once per
+    scene-step."""
+    topmost = dataclasses.replace(SMALL_PIPE.lift, projection_mode="topmost")
+    pipe = dataclasses.replace(SMALL_PIPE, lift=topmost)
+    scenes = small_scenes(4)
+    steps = trainer._scene_steps(TrainConfig(beta=0.7), scenes, pipe)
+    params = ProjectionWeights(np.eye(SMALL_SCENE.feature_dim)).as_params()
+    assert [len(step(params).sel) for step in steps] == [6, 5, 5, 6]
+    assert_step_is_each_contexts_own(steps, params, [1, 1, 1, 1])
+    calls = count_calls(monkeypatch, "_stage_two")
+    train(scenes, TrainConfig(lr=1e-2, steps=2, holdout=1, beta=0.7), pipe)
+    assert calls == {"_stage_two": 2 * 3}
 
 
 def test_training_step_matches_once_in_the_loss_chain(monkeypatch):
