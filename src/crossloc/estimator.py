@@ -37,6 +37,7 @@ from .lifting import (
 from .matching import (
     FeatureGrid,
     Matches,
+    _common_dim,
     sample_correspondences,
     score_matrix,
     soft_assign,
@@ -135,9 +136,9 @@ def build_correspondences(
     in topmost mode only the highest lifted point per aerial-cell-sized
     planar bucket survives.
     Raises DimensionMismatch when the depth map or the ray table is not the
-    ground grid's shape, OutOfRange naming the grid and its first cell when
-    a feature is NaN or infinite, and InsufficientMatches when fewer than
-    two weighted pairs remain.
+    ground grid's shape or the grids' feature dims differ, OutOfRange
+    naming the grid and its first cell when a feature is NaN or infinite,
+    and InsufficientMatches when fewer than two weighted pairs remain.
     """
     valid, points3 = _scene_tables(aerial, ground, depth, rays, cfg)
     # the scores live only while soft_assign runs, and its two factors only
@@ -157,6 +158,7 @@ def _scene_tables(aerial, ground, depth, rays, cfg):
     for what, shape in shapes.items():
         if shape != (ground.rows, ground.cols):
             raise DimensionMismatch(f"{what} {shape} vs ground grid {(ground.rows, ground.cols)}")
+    _common_dim(aerial.dim, ground.dim)
     for name, grid in (("aerial", aerial), ("ground", ground)):
         finite = np.isfinite(grid.data).all(axis=-1)
         if not finite.all():

@@ -82,7 +82,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Optional
 
@@ -125,15 +125,10 @@ class _Prepared:
     cfg: PipelineConfig
     mode: str  # "score" | "features" | "projection"
     tau: float
-    valid: np.ndarray  # (n_ground,) bool, usable ground cells
+    cols: np.ndarray  # (k,) the depth-valid ground cells' flat indices: the scored columns
     aerial_raw: np.ndarray  # (n_aerial, dim) unnormalized features
     ground_raw: np.ndarray  # (n_ground, dim) unnormalized features
-    points3: np.ndarray  # (len(cols), 3) each valid cell's lifted point
-
-    @cached_property
-    def cols(self) -> np.ndarray:
-        """The depth-valid ground cells' flat indices: the scored columns."""
-        return np.flatnonzero(self.valid)
+    points3: np.ndarray  # (k, 3) each valid cell's lifted point
 
     @property
     def n_aerial(self) -> int:
@@ -168,10 +163,10 @@ class GradContext(_Prepared):
     # frozen contrastive structure as index arrays over the N selected pairs:
     # positives and negative sets are fixed functions of the (fixed)
     # geometry, captured once per step over its scenes (``_targets``)
-    g2s_pairs: np.ndarray = None  # (T,) pairs whose aerial target lies in coverage
-    g2s_targets: np.ndarray = None  # (T,) positive aerial flat cell of each such pair
-    s2g_keep: np.ndarray = None  # (N, N) bool: pair m is a candidate for row of pair n
-    s2g_pos: np.ndarray = None  # (N,) the positive candidate pair of each row
+    g2s_pairs: np.ndarray  # (T,) pairs whose aerial target lies in coverage
+    g2s_targets: np.ndarray  # (T,) positive aerial flat cell of each such pair
+    s2g_keep: np.ndarray  # (N, N) bool: pair m is a candidate for row of pair n
+    s2g_pos: np.ndarray  # (N,) the positive candidate pair of each row
 
     @cached_property
     def sel(self) -> np.ndarray:
@@ -264,28 +259,26 @@ def _prepare(scene, cfg: PipelineConfig = None, mode: str = "score") -> _Prepare
     aerial_raw = np.asarray(scene.aerial.flat(), dtype=float)
     ground_raw = np.asarray(scene.ground.flat(), dtype=float)
     aerial_raw.flags.writeable = ground_raw.flags.writeable = False
-    valid = np.zeros(len(ground_raw), dtype=bool)
-    valid[cols] = True
-    return _Prepared(scene, cfg, mode, cfg.tau, valid, aerial_raw, ground_raw, points3)
+    return _Prepared(scene, cfg, mode, cfg.tau, cols, aerial_raw, ground_raw, points3)
 
 
 def _freeze(preps, beta: float = 0.1, params0=None, pseudo: bool = True) -> list:
     """``build_context``'s per-step part for a step's prepared scenes, as
     batches of contexts in order: one batch when every scene selects the
     same number N of pairs, else batches of one.  Per scene ``_select``,
-    then per batch ``_targets``.  ``pseudo`` places the targets at the
-    solver's scale on relative depth; otherwise they sit at
-    ``scale_gt / initial_scale``."""
+    then per batch ``_targets``, which builds the contexts.  ``pseudo``
+    places the targets at the solver's scale on relative depth; otherwise
+    they sit at ``scale_gt / initial_scale``."""
     chosen = [_select(prep, beta, params0, pseudo) for prep in preps]
-    if len({len(ctx.aerial_flat) for ctx in chosen}) > 1:
-        return [_targets([ctx]) for ctx in chosen]
+    if len({len(kw["aerial_flat"]) for kw in chosen}) > 1:
+        return [_targets([kw]) for kw in chosen]
     return [_targets(chosen)]
 
 
-def _select(prep: _Prepared, beta: float, params0, pseudo: bool) -> GradContext:
-    """One scene's context short of its contrastive index arrays: stage one
-    at ``params0`` (default ``build_context``'s), its top-N looked up in
-    the prepared tables, and the targets' scale."""
+def _select(prep: _Prepared, beta: float, params0, pseudo: bool) -> dict:
+    """One scene's context fields but its contrastive index arrays: the
+    prepared ones, stage one at ``params0`` (default ``build_context``'s),
+    its top-N looked up in the prepared tables, and the targets' scale."""
     scene, cfg, mode = prep.scene, prep.cfg, prep.mode
     na, ng, dim = prep.n_aerial, prep.n_ground, prep.dim
     if params0 is None:
@@ -310,8 +303,8 @@ def _select(prep: _Prepared, beta: float, params0, pseudo: bool) -> GradContext:
     else:
         target_scale = scene.scale_gt / cfg.lift.initial_scale
 
-    return GradContext(
-        **{field.name: getattr(prep, field.name) for field in fields(prep)},
+    return dict(
+        {field.name: getattr(prep, field.name) for field in fields(prep)},
         aerial_flat=corr.matches.aerial,
         ground_flat=corr.matches.ground,
         ground_planar=corr.ground_planar,
@@ -326,20 +319,17 @@ def _select(prep: _Prepared, beta: float, params0, pseudo: bool) -> GradContext:
     )
 
 
-def _targets(ctxs: list) -> list:
-    """``ctxs``, which share N, with their contrastive index arrays, placed
-    once over a leading scene axis (``losses._contrastive_indices``)."""
-    inside, cells, keep, pos = _contrastive_indices(
-        np.array([ctx.ground_planar for ctx in ctxs]),
-        np.array([ctx.aerial_metric for ctx in ctxs]),
-        [ctx.truth for ctx in ctxs],
-        [ctx.target_scale for ctx in ctxs],
-        [ctx.aerial_meta for ctx in ctxs],
-        [ctx.aerial_shape for ctx in ctxs],
-    )
+def _targets(chosen: list) -> list:
+    """The contexts of ``_select``'s fields ``chosen``, which share N, with
+    their contrastive index arrays, placed once over a leading scene axis
+    (``losses._contrastive_indices``)."""
+    names = ("ground_planar", "aerial_metric", "truth", "target_scale", "aerial_meta",
+             "aerial_shape")
+    planar, metric, *rest = ([kw[name] for kw in chosen] for name in names)
+    inside, cells, keep, pos = _contrastive_indices(np.array(planar), np.array(metric), *rest)
     pairs = [np.flatnonzero(row) for row in inside]
-    return [replace(ctx, g2s_pairs=at, g2s_targets=cells[i, at], s2g_keep=keep[i], s2g_pos=pos[i])
-            for i, (ctx, at) in enumerate(zip(ctxs, pairs))]
+    return [GradContext(**kw, g2s_pairs=at, g2s_targets=cells[i, at], s2g_keep=keep[i],
+                        s2g_pos=pos[i]) for i, (kw, at) in enumerate(zip(chosen, pairs))]
 
 
 def _float_leaves(n: int, mode: str, params, name: str = "params") -> np.ndarray:
@@ -358,10 +348,10 @@ def _float_leaves(n: int, mode: str, params, name: str = "params") -> np.ndarray
     return params
 
 
-def _score_leaves(ctx: _Prepared, cols: np.ndarray) -> np.ndarray:
-    """Flat indices of the score leaves of the ground columns ``cols``,
-    row-major over ``(n_aerial, len(cols))`` (ascending for sorted ``cols``)."""
-    return (np.arange(ctx.n_aerial)[:, None] * ctx.n_ground + cols).ravel()
+def _score_leaves(ctx: _Prepared) -> np.ndarray:
+    """Flat indices of the valid columns' score leaves, row-major over
+    ``(n_aerial, len(cols))`` and ascending."""
+    return (np.arange(ctx.n_aerial)[:, None] * ctx.n_ground + ctx.cols).ravel()
 
 
 def _read_leaves(ctx: GradContext):
@@ -379,26 +369,26 @@ def _read_leaves(ctx: GradContext):
     cols, na, d, n = ctx.cols, ctx.n_aerial, ctx.dim, ctx.params0.shape[0]
     no_rows = np.empty((0, d), dtype=int)
     if ctx.mode == "score":
-        return _score_leaves(ctx, cols).reshape(na, len(cols)).T, no_rows, np.array([n - 1])
+        return _score_leaves(ctx).reshape(na, len(cols)).T, no_rows, np.array([n - 1])
     if ctx.mode == "features":
         columns = na * d + cols[:, None] * d + np.arange(d)
         return columns, np.arange(na * d).reshape(na, d), np.array([n - 1])
     return np.empty((len(cols), 0), dtype=int), no_rows, np.arange(n)
 
 
-def _valid_scores(ctx: _Prepared, params: np.ndarray, cols: np.ndarray, dtype):
-    """Raw scores of the ground columns ``cols``, ``(..., n_aerial, len(cols))``,
-    and for feature and projection leaves the unit rows and norms of the
+def _valid_scores(ctx: _Prepared, params: np.ndarray, dtype):
+    """Raw scores of the valid columns, ``(..., n_aerial, len(cols))``, and
+    for feature and projection leaves the unit rows and norms of the
     features they came from, ``((a_hat, a_norm), (g_hat, g_norm))`` with the
-    ground rows of ``cols`` (``None`` for score leaves).  Any leading batch
-    axis is kept.
+    valid ground rows (``None`` for score leaves).  Any leading batch axis
+    is kept.
 
     Leaves are gathered before they are widened to ``dtype``, so leaves of
     other columns are never converted or copied.
     """
-    batch, na, ng, d = params.shape[:-1], ctx.n_aerial, ctx.n_ground, ctx.dim
+    batch, na, ng, d, cols = params.shape[:-1], ctx.n_aerial, ctx.n_ground, ctx.dim, ctx.cols
     if ctx.mode == "score":
-        entries = _score_leaves(ctx, cols)
+        entries = _score_leaves(ctx)
         return params[..., entries].reshape(batch + (na, len(cols))).astype(dtype), None
     if ctx.mode == "features":
         a_raw = params[..., : na * d].reshape(batch + (na, d)).astype(dtype)
@@ -418,19 +408,18 @@ def _valid_scores(ctx: _Prepared, params: np.ndarray, cols: np.ndarray, dtype):
 # what the reverse sweep reads.  Stage
 # one: the valid columns' scores (and the features' unit rows and norms), and
 # ``matching``'s softmaxes of the dustbin-augmented matrix's rows and columns.
-# Stage two: the selected pairs' weights, the loss, the alignment, the
-# virtual-point offsets and, with the contrastive terms on, each term's
-# shifted exponentials and their sums.
+# Stage two: from the selected pairs' weights and the contrastive terms'
+# log-sum-exps, the loss, the alignment and the virtual-point offsets.
 
 _Stage = namedtuple("_Stage", "params scores features ra cb")
-_Tape = namedtuple("_Tape", "loss align offsets g2s s2g", defaults=(None, None))
+_Tape = namedtuple("_Tape", "loss align offsets")
 
 
 def _stage_one(ctx: _Prepared, params, dtype, rows=slice(None), cols=slice(None)) -> _Stage:
     """Stage one, which the selection at most slices: valid-column scores plus a
     dustbin of score ``params[..., -1]``, and ``soft_assign``'s row softmaxes
     of aerial ``rows`` and column softmaxes of valid ``cols`` (default all)."""
-    scores, features = _valid_scores(ctx, params, ctx.cols, dtype)
+    scores, features = _valid_scores(ctx, params, dtype)
     ra, cb = soft_assign(scores, params[..., -1], rows, cols)
     return _Stage(params, scores, features, ra, cb)
 
@@ -464,24 +453,28 @@ def _logsumexp(x: np.ndarray):
     return m[..., 0] + np.log(total), (e, total)
 
 
-def _g2s_logits(ctx: GradContext, scores: np.ndarray, sel) -> np.ndarray:
+def _g2s_logits(ctx: GradContext, scores: np.ndarray) -> np.ndarray:
     """Ground-to-aerial logits: each in-coverage pair's score column down the rows."""
-    return scores[..., sel[ctx.g2s_pairs]].swapaxes(-1, -2)
+    return scores[..., ctx.sel[ctx.g2s_pairs]].swapaxes(-1, -2)
 
 
-def _s2g_logits(ctx: GradContext, scores: np.ndarray, sel) -> np.ndarray:
+def _s2g_logits(ctx: GradContext, scores: np.ndarray) -> np.ndarray:
     """Aerial-to-ground logits: each pair's score row over the pairs' columns."""
-    block = scores[..., ctx.aerial_flat[:, None], sel[None, :]]
+    block = scores[..., ctx.aerial_flat[:, None], ctx.sel[None, :]]
     return np.where(ctx.s2g_keep, block, scores.dtype.type(-np.inf))
 
 
-def _loss(ctx: GradContext, stage: _Stage, sel, dtype, strict: bool = False, at=None) -> _Tape:
+def _loss(ctx: GradContext, stage: _Stage, dtype, at=None) -> _Tape:
     """Stage two of one context on ``stage``: the selected pairs' weights
-    (``sel``: their columns among the valid ones; ``at``: their rows and
-    columns in a sliced stage one), then ``_stage_two``."""
-    r_at, c_at = (ctx.aerial_flat, sel) if at is None else at
-    w = stage.ra[..., r_at, sel] * stage.cb[..., ctx.aerial_flat, c_at]
-    return _stage_two([ctx], w, [stage.scores], dtype, strict)
+    (``at``: their rows and columns in a sliced stage one), with the
+    contrastive terms on both terms' log-sum-exps, then ``_stage_two``."""
+    r_at, c_at = (ctx.aerial_flat, ctx.sel) if at is None else at
+    w = stage.ra[..., r_at, ctx.sel] * stage.cb[..., ctx.aerial_flat, c_at]
+    lse = None
+    if ctx.beta != 0.0:
+        g2s_lse = _logsumexp(_g2s_logits(ctx, stage.scores))[0]
+        lse = [g2s_lse], _logsumexp(_s2g_logits(ctx, stage.scores))[0]
+    return _stage_two([ctx], w, [stage.scores], dtype, lse)
 
 
 def _stack(arrays: list):
@@ -490,8 +483,7 @@ def _stack(arrays: list):
     return arrays[0] if len(arrays) == 1 else np.stack(arrays)
 
 
-def _stage_two(ctxs: list, w, scores: list, dtype, strict: bool = False, g2s_lse=None,
-               s2g_lse=None) -> _Tape:
+def _stage_two(ctxs: list, w, scores: list, dtype, lse=None, strict: bool = False) -> _Tape:
     """From the selected pairs' weights ``w`` and each context's
     valid-column ``scores``: the alignment, the pose loss and the
     contrastive terms (NoValidTargets when on and a context has no
@@ -499,9 +491,9 @@ def _stage_two(ctxs: list, w, scores: list, dtype, strict: bool = False, g2s_lse
     Contexts that share N and beta run over a leading scene axis
     (``_stack``), but for the ground-to-aerial terms, whose T rows are
     ragged; one context may carry a leading batch of leaf vectors instead.
-    ``g2s_lse`` (one array per context) and ``s2g_lse``, when given, hold
-    the ground-to-aerial and aerial-to-ground rows' log-sum-exps, which are
-    then neither recomputed nor recorded."""
+    With the contrastive terms on, the caller forms their rows' log-sum-exps:
+    ``lse`` is (one ground-to-aerial array per context, the stacked
+    aerial-to-ground array)."""
     p = _stack([ctx.ground_planar for ctx in ctxs]).astype(dtype)
     q = _stack([ctx.aerial_metric for ctx in ctxs]).astype(dtype)
     al = _align(p, q, w, strict)
@@ -512,24 +504,15 @@ def _stage_two(ctxs: list, w, scores: list, dtype, strict: bool = False, g2s_lse
         return _Tape(vce, al, offsets)
     if any(len(ctx.g2s_pairs) == 0 for ctx in ctxs):
         raise NoValidTargets("every ground-to-aerial target left the aerial coverage")
-    g2s, g2s_exp, s2g_pos, s2g_logits = [], [], [], []
-    for i, (ctx, sc) in enumerate(zip(ctxs, scores)):
-        sel, lse = ctx.sel, None if g2s_lse is None else g2s_lse[i]
-        if lse is None:
-            lse, exp = _logsumexp(_g2s_logits(ctx, sc, sel))
-            g2s_exp.append(exp)
-        g2s_pos = sc[..., ctx.g2s_targets, sel[ctx.g2s_pairs]]
-        g2s.append(-(g2s_pos - lse).sum(axis=-1) / len(ctx.g2s_pairs))
-        s2g_pos.append(sc[..., ctx.aerial_flat, sel[ctx.s2g_pos]])
-        if s2g_lse is None:
-            s2g_logits.append(_s2g_logits(ctx, sc, sel))
-    s2g_exp = None
-    if s2g_lse is None:
-        s2g_lse, s2g_exp = _logsumexp(_stack(s2g_logits))
+    g2s_lse, s2g_lse = lse
+    g2s, s2g_pos = [], []
+    for ctx, sc, row_lse in zip(ctxs, scores, g2s_lse):
+        g2s_pos = sc[..., ctx.g2s_targets, ctx.sel[ctx.g2s_pairs]]
+        g2s.append(-(g2s_pos - row_lse).sum(axis=-1) / len(ctx.g2s_pairs))
+        s2g_pos.append(sc[..., ctx.aerial_flat, ctx.sel[ctx.s2g_pos]])
     s2g = -(_stack(s2g_pos) - s2g_lse).sum(axis=-1) / len(ctxs[0].sel)
     loss = vce + dtype(beta) * (_stack(g2s) + s2g) / dtype(2.0)
-    g2s_exp = g2s_exp[0] if len(g2s_exp) == 1 else g2s_exp or None  # as _stack keeps one
-    return _Tape(loss, al, offsets, g2s_exp, s2g_exp)
+    return _Tape(loss, al, offsets)
 
 
 def forward_value(ctx: GradContext, params: np.ndarray, dtype=np.longdouble):
@@ -545,7 +528,7 @@ def forward_value(ctx: GradContext, params: np.ndarray, dtype=np.longdouble):
     """
     (rows, r_at), (cols, c_at) = ctx.unique_rows, ctx.unique_cols
     stage = _stage_one(ctx, np.asarray(params), dtype, rows, cols)
-    return _loss(ctx, stage, ctx.sel, dtype, at=(r_at, c_at)).loss
+    return _loss(ctx, stage, dtype, at=(r_at, c_at)).loss
 
 
 # ---------------------------------------------------------------------------
@@ -620,10 +603,11 @@ def _values_and_grads(ctxs: list, stages: list = None) -> list:
     """``value_and_grad`` of each context of a batch that shares N, at its
     stage one in ``stages`` (default ``stage0``), in order.  Per scene: the
     selection-boundary check and the selected pairs' weights.  Once over
-    the leading scene axis: stage two and the reverse sweep through the
-    pose loss, the alignment and the aerial-to-ground cross-entropies.  Per
-    scene: the rest (``_score_vjp``).  A batch raises the first failing
-    check in that order.
+    the leading scene axis: the aerial-to-ground rows' log-sum-exps and
+    their record, stage two and the reverse sweep through the pose loss,
+    the alignment and the aerial-to-ground cross-entropies.  Per scene: the
+    rest (``_score_vjp``).  A batch raises the first failing check in that
+    order.
 
     The ground-to-aerial term reads no weight, so each scene's term and its
     score gradient are formed in the first loop (``_g2s_terms``): its
@@ -637,14 +621,18 @@ def _values_and_grads(ctxs: list, stages: list = None) -> list:
         if ctx.beta != 0.0:
             g2s.append(_g2s_terms(ctx, stage.scores))
     w = _stack([r_sel * c_sel for r_sel, c_sel in picked])
-    scores, g2s_lse = [stage.scores for stage in stages], [lse for lse, _ in g2s]
-    tape = _stage_two(ctxs, w, scores, np.float64, strict=True, g2s_lse=g2s_lse or None)
+    lse = None
+    if g2s:
+        s2g_lse, s2g_record = _logsumexp(_stack([_s2g_logits(ctx, stage.scores)
+                                                 for ctx, stage in zip(ctxs, stages)]))
+        lse = [row_lse for row_lse, _ in g2s], s2g_lse
+    tape = _stage_two(ctxs, w, [stage.scores for stage in stages], np.float64, lse, strict=True)
     al = tape.align
     d_theta, d_t = _vce_vjp(_VIRTUAL_POINTS, al.cos_t, al.sin_t, tape.offsets)
     de_dw = _align_vjp(al, d_theta, 0.0, d_t).reshape(n, -1)
     losses = np.reshape(tape.loss, n)
     if g2s:
-        d_s2g = _cross_entropy_vjp(*tape.s2g, _stack([ctx.s2g_pos for ctx in ctxs]))
+        d_s2g = _cross_entropy_vjp(*s2g_record, _stack([ctx.s2g_pos for ctx in ctxs]))
         d_s2g = d_s2g.reshape((n,) + d_s2g.shape[-2:])
     out = []
     for i, (ctx, stage, (r_sel, c_sel)) in enumerate(zip(ctxs, stages, picked)):
@@ -656,7 +644,7 @@ def _values_and_grads(ctxs: list, stages: list = None) -> list:
 def _g2s_terms(ctx: GradContext, scores: np.ndarray) -> tuple:
     """One scene's ground-to-aerial rows' log-sum-exps and the term's
     gradient in the valid columns' scores (through ``hot``)."""
-    lse, record = _logsumexp(_g2s_logits(ctx, scores, ctx.sel))
+    lse, record = _logsumexp(_g2s_logits(ctx, scores))
     return lse, _cross_entropy_vjp(*record, ctx.g2s_targets).T @ ctx.hot[ctx.g2s_pairs]
 
 
@@ -809,8 +797,8 @@ def _records(ctx: GradContext, base: _Stage) -> tuple:
     out = (base.ra[..., r_at, sel], base.cb[..., ctx.aerial_flat, c_at])
     if ctx.beta == 0.0 or len(ctx.g2s_pairs) == 0:
         return out + (None, None, columns, None)
-    g2s = _g2s_logits(ctx, scores, sel)
-    s2g_lse = _logsumexp(_s2g_logits(ctx, scores, sel))[0]
+    g2s = _g2s_logits(ctx, scores)
+    s2g_lse = _logsumexp(_s2g_logits(ctx, scores))[0]
     return out + (_logsumexp(g2s)[0], s2g_lse, columns, _lines_record(g2s, -1))
 
 
@@ -859,10 +847,9 @@ def _line_values(ctx: GradContext, base: _Stage, records: tuple, axis: int, line
     if reach_r.any():
         ra[reach_r] = matching.row_softmax(scores[reach_r][..., rows, :], z)[..., r_at, sel]
     if g2s is not None and reach_s.any():
-        s2g_lse[reach_s] = _logsumexp(_s2g_logits(ctx, scores[reach_s], sel))[0]
-    g2s_lse = None if g2s_lse is None else [g2s_lse]
-    tape = _stage_two([ctx], ra * cb, [scores], np.longdouble, g2s_lse=g2s_lse, s2g_lse=s2g_lse)
-    return tape.loss
+        s2g_lse[reach_s] = _logsumexp(_s2g_logits(ctx, scores[reach_s]))[0]
+    lse = None if g2s is None else ([g2s_lse], s2g_lse)
+    return _stage_two([ctx], ra * cb, [scores], np.longdouble, lse=lse).loss
 
 
 def _line_scores(ctx: GradContext, base: _Stage, axis: int, leaves: np.ndarray):

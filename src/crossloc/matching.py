@@ -95,6 +95,13 @@ def _unit_rows(flat: np.ndarray):
     return flat / norms[..., None], norms
 
 
+def _common_dim(aerial_dim: int, ground_dim: int) -> int:
+    """The features' shared dimension; DimensionMismatch if the two differ."""
+    if aerial_dim != ground_dim:
+        raise DimensionMismatch(f"feature dims differ: aerial {aerial_dim} vs ground {ground_dim}")
+    return aerial_dim
+
+
 def score_matrix(aerial: np.ndarray, ground: np.ndarray, tau: float, units: bool = False):
     """Cosine similarity of every pair of raw ``(..., n, dim)`` aerial and
     ground feature rows over tau, in their float type.  With ``units`` it
@@ -105,10 +112,7 @@ def score_matrix(aerial: np.ndarray, ground: np.ndarray, tau: float, units: bool
     dimensions differ and OutOfRange unless tau is finite and positive.
     """
     require_real("tau", tau, 0, ends="()")
-    if aerial.shape[-1] != ground.shape[-1]:
-        raise DimensionMismatch(
-            f"feature dims differ: aerial {aerial.shape[-1]} vs ground {ground.shape[-1]}"
-        )
+    _common_dim(aerial.shape[-1], ground.shape[-1])
     a, g = _unit_rows(aerial), _unit_rows(ground)
     scores = a[0] @ g[0].swapaxes(-1, -2)
     scores /= a[0].dtype.type(tau)

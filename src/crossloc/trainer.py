@@ -4,12 +4,13 @@ The trainable parameters are a single dim x dim matrix applied to the raw
 feature vectors of *both* grids before normalization, plus the dustbin
 score.  Optimization is plain full-batch gradient descent on the combined
 alignment-plus-contrastive loss.  Each scene is prepared once per run
-(``gradcheck._prepare``).  Each step freezes its scenes' selections and
-targets at the current weights (``gradcheck._freeze``, the per-step half of
-``build_context``, runs the loss chain's matching stage once per scene)
-and takes every scene's loss and gradient from
-``gradcheck._values_and_grads``, which reuses that stage, finishes the
-chain in float64 and sweeps back once over what it recorded.  Scenes that
+(``gradcheck._prepare``).  Each step freezes its scenes at the current
+weights (``gradcheck._freeze``, the per-step half of ``build_context``,
+runs the loss chain's matching stage once per scene and builds each
+scene's context once) and takes every scene's loss and gradient from
+``gradcheck._values_and_grads``, which reuses that stage, forms the
+contrastive log-sum-exps, finishes the chain in float64 and sweeps back
+once over what it recorded.  Scenes that
 select the same number of pairs run their targets and stage two once over
 a leading scene axis, and each gets ``gradcheck.value_and_grad``'s bits.
 Gate 05 certifies that gradient against the long-double FD oracle, which
@@ -33,18 +34,18 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import DivergenceDetected, EmptyInput, InsufficientMatches, OutOfRange
+from .errors import DimensionMismatch, DivergenceDetected, EmptyInput, InsufficientMatches
+from .errors import OutOfRange
 from .errors import require_choice, require_int, require_real
 from .estimator import PipelineConfig, RansacConfig, estimate_pose
 from .gradcheck import _freeze, _prepare, _values_and_grads
 from .lifting import LiftConfig
-from .matching import FeatureGrid
+from .matching import FeatureGrid, _common_dim
 from .metrics import pose_errors
 from .simulator import SceneConfig, generate
 
@@ -193,24 +194,6 @@ def evaluate_projection(weights: ProjectionWeights, scenes, pipe: PipelineConfig
     }
 
 
-class _SceneStep(namedtuple("_SceneStep", "prep beta pseudo")):
-    """A training scene prepared once per run (``gradcheck._prepare``),
-    with the loss mode's beta and whether its targets take the solver's
-    scale.  Called with a step's leaf vector (``ProjectionWeights.as_params``
-    layout) it is the scene's frozen projection-mode ``GradContext`` there,
-    which ``train`` freezes with the step's other scenes to the same bits."""
-
-    def __call__(self, params):
-        return _freeze([self.prep], self.beta, params, self.pseudo)[0][0]
-
-
-def _scene_steps(cfg: TrainConfig, scenes, pipe: PipelineConfig) -> list:
-    """One ``_SceneStep`` per training scene."""
-    beta = 0.0 if cfg.loss_mode == "vce-only" else cfg.beta
-    pseudo = cfg.loss_mode == "pseudo-scale"
-    return [_SceneStep(_prepare(scene, pipe, "projection"), beta, pseudo) for scene in scenes]
-
-
 def train(
     dataset,
     cfg: TrainConfig = TrainConfig(),
@@ -222,15 +205,18 @@ def train(
     The trailing ``cfg.holdout`` scenes are excluded from gradient steps and
     used only for the before/after estimator evaluation (with no holdout the
     evaluation falls back to the training scenes).  Each training scene is
-    prepared once (``_scene_steps``); each step freezes its batch's scenes
-    at the current weights, takes their losses and gradients from one
-    stage-two pass over them (``gradcheck._values_and_grads``), averages
-    them in dataset order, and takes one descent step.
-    Raises DivergenceDetected as soon as the batch loss exceeds
-    ``divergence_factor`` times its step-0 value, and when a descent step's
-    weights overflow or leave no weighted pair in the next step or in the
-    final evaluation (naming the step, ``lr`` and a dustbin score that
-    outranks every real score); step 0 and the first evaluation raise as is.
+    prepared once (``gradcheck._prepare``); each step freezes its batch's
+    scenes at the current weights with the loss mode's beta and target
+    scale (``gradcheck._freeze``), takes their losses and gradients from
+    one stage-two pass over them (``gradcheck._values_and_grads``),
+    averages them in dataset order, and takes one descent step.
+    Raises DimensionMismatch before any work unless all scenes' features
+    share one dimension, and DivergenceDetected as soon as the batch loss
+    exceeds ``divergence_factor`` times its step-0 value, and when a
+    descent step's weights overflow or leave no weighted pair in the next
+    step or in the final evaluation (naming the step, ``lr`` and a dustbin
+    score that outranks every real score); step 0 and the first evaluation
+    raise as is.
 
     ``eval_pipe`` lets the before/after evaluation use different estimator
     settings than training (typically more correspondences plus the robust
@@ -239,6 +225,11 @@ def train(
     dataset = list(dataset)
     if not dataset:
         raise EmptyInput("train() needs at least one scene")
+    dim = _common_dim(dataset[0].aerial.dim, dataset[0].ground.dim)
+    for i, scene in enumerate(dataset[1:], 1):
+        if _common_dim(scene.aerial.dim, scene.ground.dim) != dim:
+            raise DimensionMismatch(
+                f"scene {i} has feature dim {scene.aerial.dim}, scene 0 has {dim}")
     if pipe is None:
         pipe = PipelineConfig()
     if eval_pipe is None:
@@ -250,15 +241,15 @@ def train(
     train_scenes = dataset[: len(dataset) - cfg.holdout] if cfg.holdout else dataset
     held_scenes = dataset[len(dataset) - cfg.holdout :] if cfg.holdout else dataset
 
-    dim = train_scenes[0].aerial.dim
     rng = np.random.default_rng(cfg.seed)
     matrix = np.eye(dim) + cfg.init_jitter * rng.standard_normal((dim, dim))
     initial_weights = ProjectionWeights(matrix, pipe.dustbin_z)
     eval_before = evaluate_projection(initial_weights, held_scenes, eval_pipe)
     params = initial_weights.as_params()
 
-    scene_steps = _scene_steps(cfg, train_scenes, pipe)
-    beta, pseudo = scene_steps[0].beta, scene_steps[0].pseudo
+    preps = [_prepare(scene, pipe, "projection") for scene in train_scenes]
+    beta = 0.0 if cfg.loss_mode == "vce-only" else cfg.beta
+    pseudo = cfg.loss_mode == "pseudo-scale"
     n_train = len(train_scenes)
     batch = n_train if cfg.batch is None else min(cfg.batch, n_train)
     curve = np.empty(cfg.steps)
@@ -269,9 +260,9 @@ def train(
         grad_sum = np.zeros_like(params)
         where = f"at step {step}"
         with _divergence(where, cfg, pipe, params) if step else contextlib.nullcontext():
-            preps = [scene_steps[i % n_train].prep for i in range(start, start + batch)]
+            scenes = [preps[i % n_train] for i in range(start, start + batch)]
             # the step's contexts die with the comprehension, before the next step's
-            results = [out for contexts in _freeze(preps, beta, params, pseudo)
+            results = [out for contexts in _freeze(scenes, beta, params, pseudo)
                        for out in _values_and_grads(contexts)]
             for value, grad in results:
                 loss_sum += value

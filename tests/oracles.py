@@ -52,7 +52,8 @@ from crossloc.geometry import (
     wrap_angle,
 )
 from crossloc.losses import NEGATIVE_RADIUS, gt_aerial_targets, gt_ground_targets
-from crossloc.lifting import DepthMap, RayModel, aerial_coverage_mask, metric_to_aerial_cells
+from crossloc.lifting import DepthMap, RayModel, aerial_coverage_mask, depth_valid_mask
+from crossloc.lifting import metric_to_aerial_cells
 from crossloc.matching import AerialMeta, FeatureGrid, GroundMeta, _unit_rows
 from crossloc.matching import augment_dustbin, dual_softmax
 from crossloc.simulator import _stream
@@ -72,7 +73,7 @@ def forward(ctx, params) -> float:
     """
     params = gradcheck._float_leaves(ctx.params0.size, ctx.mode, params)
     sel = ctx.sel
-    scores, _ = gradcheck._valid_scores(ctx, params, ctx.cols, np.float64)
+    scores, _ = gradcheck._valid_scores(ctx, params, np.float64)
     probs = match_probabilities(scores, params[-1])
     estimate = solve_similarity(
         ctx.ground_planar, ctx.aerial_metric, probs[ctx.aerial_flat, sel]
@@ -137,16 +138,24 @@ def pose_weight_gradients(p, q, w, d_theta: float, d_scale: float, d_t) -> np.nd
 def add_at_value_and_grad(ctx, params):
     """``gradcheck.value_and_grad`` as a reverse sweep that reuses nothing
     stage one or ``build_context`` formed: the valid columns, the selection,
-    the probabilities and the unit feature rows are formed afresh, and the
-    two contrastive terms' score gradients go into the score gradient by
-    two dense ``np.add.at`` scatters, one after the other."""
+    the probabilities, the contrastive terms' log-sum-exps and the unit
+    feature rows are formed afresh, and the two contrastive terms' score
+    gradients go into the score gradient by two dense ``np.add.at``
+    scatters, one after the other."""
     params = np.asarray(params, dtype=float)
-    cols = np.flatnonzero(ctx.valid)
+    cols = np.flatnonzero(depth_valid_mask(ctx.scene.depth, ctx.cfg.lift))
     sel = np.searchsorted(cols, ctx.ground_flat)
     stage = gradcheck._stage_one(ctx, params, np.float64)
     ra, cb = stage.ra, stage.cb
     gradcheck._check_selection_boundary(ctx, ra[:-1, :-1] * cb[:-1, :-1], sel)
-    tape = gradcheck._loss(ctx, stage, sel, np.float64, strict=True)
+    lse = None
+    if ctx.beta != 0.0:
+        g2s_lse, g2s_record = gradcheck._logsumexp(stage.scores[:, sel[ctx.g2s_pairs]].T)
+        s2g_logits = stage.scores[ctx.aerial_flat[:, None], sel[None, :]]
+        s2g_lse, s2g_record = gradcheck._logsumexp(np.where(ctx.s2g_keep, s2g_logits, -np.inf))
+        lse = [g2s_lse], s2g_lse
+    w = ra[ctx.aerial_flat, sel] * cb[ctx.aerial_flat, sel]
+    tape = gradcheck._stage_two([ctx], w, [stage.scores], np.float64, lse, strict=True)
     al = tape.align
     d_theta, d_t = gradcheck._vce_vjp(gradcheck._VIRTUAL_POINTS, al.cos_t, al.sin_t, tape.offsets)
     d_probs = np.zeros_like(ra)
@@ -157,11 +166,11 @@ def add_at_value_and_grad(ctx, params):
     )
     d_scores = d_ext[:-1, :-1]
     d_z = d_ext[-1, :].sum() + d_ext[:-1, -1].sum()
-    if tape.g2s is not None:
+    if lse is not None:
         coef = ctx.beta / 2.0
-        d_g2s = gradcheck._cross_entropy_vjp(*tape.g2s, ctx.g2s_targets)
+        d_g2s = gradcheck._cross_entropy_vjp(*g2s_record, ctx.g2s_targets)
         np.add.at(d_scores, (slice(None), sel[ctx.g2s_pairs]), coef * d_g2s.T)
-        d_s2g = gradcheck._cross_entropy_vjp(*tape.s2g, ctx.s2g_pos)
+        d_s2g = gradcheck._cross_entropy_vjp(*s2g_record, ctx.s2g_pos)
         np.add.at(d_scores, (ctx.aerial_flat[:, None], sel[None, :]), coef * d_s2g)
     if ctx.mode == "score":
         grad = np.zeros((ctx.n_aerial, ctx.n_ground))

@@ -67,6 +67,11 @@ def small_context(seed, mode, beta=0.1, **scene_kwargs):
     return gradcheck.build_context(scene, SMALL_PIPE, mode=mode, beta=beta)
 
 
+def valid_mask(ctx):
+    """(n_ground,) bool: whether each ground cell is a scored column."""
+    return np.isin(np.arange(ctx.n_ground), ctx.cols)
+
+
 def vce_partials(theta, t, truth, points):
     """(vce, dvce/dtheta, dvce/dt) from the chain's pose-loss stage and its
     reverse sweep, at one float64 pose."""
@@ -247,18 +252,19 @@ def test_check_passes_away_from_initial_params():
 
 def test_masked_column_gradients_are_exactly_zero():
     ctx = small_context(7, "score")
-    assert not ctx.valid.all()  # scene must actually have masked cells
+    valid = valid_mask(ctx)
+    assert not valid.all()  # scene must actually have masked cells
     grad = gradcheck.backward(ctx, ctx.params0)
     entries = grad[:-1].reshape(ctx.n_aerial, ctx.n_ground)
-    assert (entries[:, ~ctx.valid] == 0.0).all()
+    assert (entries[:, ~valid] == 0.0).all()
     fd = finite_difference(
         lambda p: gradcheck.forward_value(ctx, p),
         np.asarray(ctx.params0, np.longdouble),
         1e-5,
     ).astype(float)
-    assert (fd[:-1].reshape(ctx.n_aerial, ctx.n_ground)[:, ~ctx.valid] == 0.0).all()
+    assert (fd[:-1].reshape(ctx.n_aerial, ctx.n_ground)[:, ~valid] == 0.0).all()
     batched = gradcheck.fd_gradient(ctx, ctx.params0)
-    masked = batched[:-1].reshape(ctx.n_aerial, ctx.n_ground)[:, ~ctx.valid]
+    masked = batched[:-1].reshape(ctx.n_aerial, ctx.n_ground)[:, ~valid]
     assert (masked == 0.0).all()
 
 
@@ -437,9 +443,9 @@ def test_a_line_reaching_an_s2g_row_recomputes_its_log_sum_exp(seed, mode, monke
     monkeypatch.setattr(gradcheck, "_line_values", lambda c, b, r, axis, lines, new: calls.append(
         [axis, lines, new, b]) or line_values(c, b, r, axis, lines, new))
     monkeypatch.setattr(gradcheck, "_stage_two", lambda *a, **k: (
-        "s2g_lse" in k and calls[-1].append(k["s2g_lse"])) or stage_two(*a, **k))
+        "lse" in k and calls[-1].append(k["lse"][1])) or stage_two(*a, **k))
     gradcheck.fd_gradient(ctx, ctx.params0)
-    base_lse = gradcheck._logsumexp(gradcheck._s2g_logits(ctx, calls[0][3].scores, sel))[0][0]
+    base_lse = gradcheck._logsumexp(gradcheck._s2g_logits(ctx, calls[0][3].scores))[0][0]
     moved = 0
     for axis, lines, new, base, lse in calls:
         if axis == -2:  # a whole aerial row moves every entry of its pairs' rows
@@ -483,10 +489,10 @@ def test_read_leaves_are_the_valid_columns_and_the_dustbin(seed, mode):
     ctx = small_context(seed, mode)
     na, ng, d = ctx.n_aerial, ctx.n_ground, ctx.dim
     if mode == "score":
-        read = np.tile(ctx.valid, na)
+        read = np.tile(valid_mask(ctx), na)
         whole = np.zeros(na * ng, bool)
     elif mode == "features":
-        read = np.concatenate([np.ones(na * d, bool), np.repeat(ctx.valid, d)])
+        read = np.concatenate([np.ones(na * d, bool), np.repeat(valid_mask(ctx), d)])
         whole = np.zeros(len(read), bool)
     else:
         read = whole = np.ones(d * d, bool)
@@ -634,7 +640,7 @@ def forced_selection(ctx, kind):
     """``ctx`` with its selected pairs as built, or moved onto a single
     distinct ground column (distinct aerial rows), or onto a single aerial
     row (the valid columns in turn)."""
-    n, cols = len(ctx.aerial_flat), np.flatnonzero(ctx.valid)
+    n, cols = len(ctx.aerial_flat), ctx.cols
     if kind == "one-column":
         return dataclasses.replace(ctx, aerial_flat=np.arange(n) * 3 % ctx.n_aerial,
                                    ground_flat=np.full(n, cols[-1]))
@@ -670,7 +676,7 @@ def test_sliced_stage_one_gives_the_whole_matrix_weights_bit_for_bit(seed, mode,
         assert w.dtype == dtype
         # exact equality (long double's storage padding makes bytes unfit)
         np.testing.assert_array_equal(w, whole[..., ctx.aerial_flat, sel])
-        full = gradcheck._loss(ctx, gradcheck._stage_one(ctx, params, dtype), sel, dtype)
+        full = gradcheck._loss(ctx, gradcheck._stage_one(ctx, params, dtype), dtype)
         np.testing.assert_array_equal(gradcheck.forward_value(ctx, params, dtype), full.loss)
 
 
@@ -683,7 +689,7 @@ def test_forward_value_normalises_only_the_selected_rows_and_columns(seed, mode,
     ctx = small_context(seed, mode)
     sel = ctx.sel
     rows, cols = np.unique(ctx.aerial_flat), np.unique(sel)
-    n_valid = int(ctx.valid.sum())
+    n_valid = len(ctx.cols)
     assert len(rows) < ctx.n_aerial and len(cols) < n_valid  # a proper slice
     params = np.tile(ctx.params0, (3, 1))
     scores = gradcheck._stage_one(ctx, params, np.longdouble).scores
@@ -824,7 +830,7 @@ def test_a_prepared_scene_frozen_step_by_step_equals_fresh_contexts(mode, projec
 def shared_selection(ctx):
     """``ctx`` with its pairs moved onto two aerial rows times half as many
     valid columns: distinct entries whose rows and columns all repeat."""
-    n, cols = len(ctx.aerial_flat), np.flatnonzero(ctx.valid)
+    n, cols = len(ctx.aerial_flat), ctx.cols
     rows = np.unique(ctx.aerial_flat)[:2]
     return dataclasses.replace(ctx, aerial_flat=np.repeat(rows, n // 2),
                                ground_flat=np.tile(cols[: n // 2], 2))
@@ -863,7 +869,7 @@ def masked_chain_gradient(ctx, params):
     ground column scored, masked ones at MASK_SCORE, the dual-softmax VJP
     over the whole augmented matrix and the contrastive terms one at a time."""
     full = params[:-1].reshape(ctx.n_aerial, ctx.n_ground)
-    scores = mask_ground_columns(full, ctx.valid)
+    scores = mask_ground_columns(full, valid_mask(ctx))
     ext = augment_dustbin(scores, params[-1])
     ra, cb = row_softmax(ext), col_softmax(ext)
     pairs = (ctx.aerial_flat, ctx.ground_flat)
@@ -913,7 +919,7 @@ def test_compacted_gradient_equals_masked_chain(seed, mask_bits, pick):
     entries = rng.choice(base.n_aerial * len(cols), size=n_pairs, replace=False)
     aerial_flat, sel = np.divmod(entries, len(cols))
     ctx = dataclasses.replace(
-        base, valid=valid, aerial_flat=aerial_flat, ground_flat=cols[sel]
+        base, cols=cols, aerial_flat=aerial_flat, ground_flat=cols[sel]
     )
     params = ctx.params0 + rng.normal(scale=0.1, size=ctx.params0.shape)
     grad = gradcheck.backward(ctx, params)
@@ -939,8 +945,7 @@ def test_gradient_vanishes_at_constructed_minimum():
     """When the supervision pose is exactly the solved pose, the pose loss
     sits at the bottom of its cone and the whole gradient vanishes."""
     ctx = small_context(9, "score", beta=0.0)
-    sel = ctx.sel
-    s = gradcheck._loss(ctx, ctx.stage0, sel, np.float64).align
+    s = gradcheck._loss(ctx, ctx.stage0, np.float64).align
     t_est = np.array([s.t_x, s.t_y])
     fitted = SimilarityTransform2D(1.0, float(s.theta), t_est)
     at_min = dataclasses.replace(ctx, truth=fitted)
@@ -1006,14 +1011,22 @@ def test_degenerate_configuration_surfaces_in_report():
 @pytest.mark.parametrize("seed, mode", LEAF_CONTEXTS)
 def test_missing_contrastive_targets_surface_in_report(seed, mode):
     """With no ground-to-aerial target in coverage the contrastive loss is
-    undefined: the fused pass and the FD oracle raise, as ``forward`` does,
-    and ``check`` reports it."""
+    undefined: the chain, the fused pass (at ``params0``, on the recorded
+    stage one, and for the second context of a batch) and the FD oracle
+    raise, as ``forward`` does, with no warning from the log-sum-exps of
+    the empty rows formed before, and ``check`` reports it."""
     ctx = small_context(seed, mode)
     bare = dataclasses.replace(
         ctx, g2s_pairs=ctx.g2s_pairs[:0], g2s_targets=ctx.g2s_targets[:0]
     )
     with pytest.raises(NoValidTargets):
+        gradcheck.forward_value(bare, bare.params0)
+    with pytest.raises(NoValidTargets):
         gradcheck.value_and_grad(bare, bare.params0)
+    with pytest.raises(NoValidTargets):
+        gradcheck.value_and_grad(bare)
+    with pytest.raises(NoValidTargets):
+        gradcheck._values_and_grads([ctx, bare])
     with pytest.raises(NoValidTargets):
         gradcheck.fd_gradient(bare, bare.params0)
     report = gradcheck.check(bare)
@@ -1035,7 +1048,7 @@ def test_boundary_tie_raises_non_differentiable():
     col = ctx.ground_flat[0]
     every = dataclasses.replace(
         ctx,
-        valid=np.arange(ctx.n_ground) == col,
+        cols=np.array([col]),
         aerial_flat=np.arange(ctx.n_aerial),
         ground_flat=np.full(ctx.n_aerial, col),
     )

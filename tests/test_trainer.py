@@ -50,6 +50,17 @@ def small_scenes(n, sigma=0.15, seed0=100):
     ]
 
 
+def prepared(scenes, pipe):
+    """Each scene prepared as ``train`` prepares its training scenes."""
+    return [gradcheck._prepare(scene, pipe, "projection") for scene in scenes]
+
+
+def frozen(prep, beta, params, pseudo):
+    """``prep``'s context at ``params``, frozen alone with a loss mode's
+    beta and target scale."""
+    return gradcheck._freeze([prep], beta, params, pseudo)[0][0]
+
+
 # --- ProjectionWeights ------------------------------------------------------
 
 
@@ -83,12 +94,11 @@ def test_a_step_at_non_finite_weights_names_params0():
     """A scene-step at non-finite weights is OutOfRange naming ``params0``,
     the leaf vector the step freezes the selection at, not a misleading
     InsufficientMatches."""
-    scene = small_scenes(1)[0]
-    step = trainer._scene_steps(TrainConfig(), [scene], SMALL_PIPE)[0]
+    prep = prepared(small_scenes(1), SMALL_PIPE)[0]
     params = ProjectionWeights(np.eye(8), 0.25).as_params()
     params[5] = np.nan
     with pytest.raises(OutOfRange) as info:
-        step(params)
+        frozen(prep, TrainConfig().beta, params, False)
     assert info.value.field == "params0"
 
 
@@ -208,18 +218,17 @@ def test_training_is_deterministic():
 @pytest.mark.parametrize("loss_mode", ["gt-scale", "pseudo-scale"])
 def test_training_contexts_pass_gradient_check(loss_mode):
     """The gradient each training step descends matches the long-double FD
-    oracle on contexts built exactly as ``train`` builds them: through its
-    per-scene path (``_scene_steps``, each scene prepared once) at jittered
-    projection weights, with the mode's contrastive target scale and beta
-    0.7."""
+    oracle on contexts built exactly as ``train`` builds them (each scene
+    prepared once, then frozen) at jittered projection weights, with the
+    mode's contrastive target scale and beta 0.7."""
     cfg = TrainConfig(beta=0.7, loss_mode=loss_mode, init_jitter=0.05, seed=1)
     rng = np.random.default_rng(cfg.seed)
     dim = SMALL_SCENE.feature_dim
     matrix = np.eye(dim) + cfg.init_jitter * rng.standard_normal((dim, dim))
     params = ProjectionWeights(matrix, SMALL_PIPE.dustbin_z).as_params()
     scenes = small_scenes(2)
-    for scene, scene_step in zip(scenes, trainer._scene_steps(cfg, scenes, SMALL_PIPE)):
-        ctx = scene_step(params)
+    for scene, prep in zip(scenes, prepared(scenes, SMALL_PIPE)):
+        ctx = frozen(prep, cfg.beta, params, loss_mode == "pseudo-scale")
         assert (ctx.mode, ctx.beta) == ("projection", 0.7)
         np.testing.assert_array_equal(ctx.params0, params)
         if loss_mode == "gt-scale":
@@ -236,33 +245,42 @@ def test_value_and_grad_is_certified_where_the_reference_run_trains():
     params = trainer.reference_run(steps=20).weights.as_params()
     scenes = trainer.reference_dataset(n_scenes=2)
     pipe = trainer.reference_pipeline()
-    for scene_step in trainer._scene_steps(trainer.REFERENCE_TRAIN, scenes, pipe):
-        ctx = scene_step(params)
+    for prep in prepared(scenes, pipe):
+        ctx = frozen(prep, trainer.REFERENCE_TRAIN.beta, params, True)
         assert (ctx.mode, ctx.beta, ctx.n_aerial) == ("projection", 0.7, 21 * 21)
         report = gradcheck.check(ctx)
         assert report.passed, f"rel {report.max_rel_err:.2e}"
 
 
 def test_scene_steps_take_the_loss_modes_beta_and_target_scale(monkeypatch):
-    """On relative depth gt-scale places targets with the true scale and
-    pseudo-scale with the solver's estimate at the frozen weights, one
-    ``solve_similarity`` call per scene-step; vce-only makes none, turns the
-    contrastive terms off and never reads its targets.  On metric depth
-    pseudo-scale takes the true scale, with no call."""
+    """``train`` freezes its scenes with the loss mode's beta and whether
+    the targets take the solver's scale.  On relative depth gt-scale places
+    targets with the true scale and pseudo-scale with the solver's estimate
+    at the frozen weights, one ``solve_similarity`` call per scene-step;
+    vce-only makes none, turns the contrastive terms off and never reads
+    its targets.  On metric depth pseudo-scale takes the true scale, with
+    no call."""
+    freezes, freeze = [], trainer._freeze
+    monkeypatch.setattr(trainer, "_freeze", lambda preps, beta, params0, pseudo: (
+        freezes.append((beta, pseudo)) or freeze(preps, beta, params0, pseudo)))
+    for mode in trainer.LOSS_MODES:
+        train(small_scenes(2), TrainConfig(steps=1, holdout=1, beta=0.7, loss_mode=mode),
+              SMALL_PIPE)
+    assert freezes == [(0.7, False), (0.7, True), (0.0, False)]
     relative = generate(dataclasses.replace(SMALL_SCENE, seed=100, depth_kind="relative",
                                             scale_bounds=(0.8, 1.25)))
     params = ProjectionWeights(np.eye(SMALL_SCENE.feature_dim)).as_params()
     estimate = build_context(relative, SMALL_PIPE, "projection", params0=params).target_scale
     calls = count_calls(monkeypatch, "solve_similarity")
 
-    def frozen_twice(scene, mode):
+    def frozen_twice(scene, beta, pseudo):
         """The context of the second of two scene-steps, and the solves."""
-        step = trainer._scene_steps(TrainConfig(beta=0.7, loss_mode=mode), [scene], SMALL_PIPE)[0]
+        prep = prepared([scene], SMALL_PIPE)[0]
         calls["solve_similarity"] = 0
-        contexts = [step(params) for _ in range(2)]
+        contexts = [frozen(prep, beta, params, pseudo) for _ in range(2)]
         return contexts[-1], calls["solve_similarity"]
 
-    contexts, solves = zip(*(frozen_twice(relative, mode) for mode in trainer.LOSS_MODES))
+    contexts, solves = zip(*(frozen_twice(relative, *mapping) for mapping in freezes))
     gt, pseudo, vce = contexts
     assert solves == (0, 2, 0)
     assert gt.target_scale == vce.target_scale == relative.scale_gt
@@ -275,7 +293,7 @@ def test_scene_steps_take_the_loss_modes_beta_and_target_scale(monkeypatch):
     np.testing.assert_array_equal(blind_grad, grad)
 
     metric = small_scenes(1)[0]
-    pseudo, solves = frozen_twice(metric, "pseudo-scale")
+    pseudo, solves = frozen_twice(metric, *freezes[1])
     assert (pseudo.target_scale, solves) == (metric.scale_gt / SMALL_PIPE.lift.initial_scale, 0)
 
 
@@ -309,17 +327,16 @@ def test_analytic_mode_runs_one_stage_two_pass_per_step(monkeypatch):
                      "forward_value": 0, "backward": 0}
 
 
-def assert_step_is_each_contexts_own(steps, params, batches):
+def assert_step_is_each_contexts_own(preps, beta, pseudo, params, batches):
     """The step's contexts, frozen together, come in ``batches`` and equal
     each scene's context frozen alone; their losses and gradients from the
     batched stage two equal ``value_and_grad`` on each context, bit for bit."""
-    frozen = gradcheck._freeze([step.prep for step in steps], steps[0].beta, params,
-                               steps[0].pseudo)
-    assert [len(batch) for batch in frozen] == batches
-    together = [ctx for batch in frozen for ctx in batch]
-    results = [out for batch in frozen for out in gradcheck._values_and_grads(batch)]
-    for step, ctx, (value, grad) in zip(steps, together, results, strict=True):
-        alone = step(params)
+    step = gradcheck._freeze(preps, beta, params, pseudo)
+    assert [len(batch) for batch in step] == batches
+    together = [ctx for batch in step for ctx in batch]
+    results = [out for batch in step for out in gradcheck._values_and_grads(batch)]
+    for prep, ctx, (value, grad) in zip(preps, together, results, strict=True):
+        alone = frozen(prep, beta, params, pseudo)
         for name in ("target_scale", "g2s_pairs", "g2s_targets", "s2g_keep", "s2g_pos"):
             np.testing.assert_array_equal(getattr(ctx, name), getattr(alone, name))
         alone_value, alone_grad = gradcheck.value_and_grad(alone)
@@ -333,14 +350,14 @@ def test_a_batched_step_gives_every_scene_its_own_contexts_bits():
     scene's loss and gradient are single-context ``value_and_grad``'s to
     the bit, at the run's initial weights and after 20 reference steps."""
     cfg, pipe = trainer.REFERENCE_TRAIN, trainer.reference_pipeline()
-    steps = trainer._scene_steps(cfg, trainer.reference_dataset()[: -cfg.holdout], pipe)
+    preps = prepared(trainer.reference_dataset()[: -cfg.holdout], pipe)
     dim = trainer.REFERENCE_SCENE.feature_dim
     rng = np.random.default_rng(cfg.seed)
     matrix = np.eye(dim) + cfg.init_jitter * rng.standard_normal((dim, dim))
     initial = ProjectionWeights(matrix, pipe.dustbin_z)
     trained = trainer.reference_run(steps=20).weights
     for weights in (initial, trained):
-        assert_step_is_each_contexts_own(steps, weights.as_params(), [16])
+        assert_step_is_each_contexts_own(preps, cfg.beta, True, weights.as_params(), [16])
 
 
 def test_a_step_whose_scenes_differ_in_n_runs_batches_of_one(monkeypatch):
@@ -351,10 +368,10 @@ def test_a_step_whose_scenes_differ_in_n_runs_batches_of_one(monkeypatch):
     topmost = dataclasses.replace(SMALL_PIPE.lift, projection_mode="topmost")
     pipe = dataclasses.replace(SMALL_PIPE, lift=topmost)
     scenes = small_scenes(4)
-    steps = trainer._scene_steps(TrainConfig(beta=0.7), scenes, pipe)
+    preps = prepared(scenes, pipe)
     params = ProjectionWeights(np.eye(SMALL_SCENE.feature_dim)).as_params()
-    assert [len(step(params).sel) for step in steps] == [6, 5, 5, 6]
-    assert_step_is_each_contexts_own(steps, params, [1, 1, 1, 1])
+    assert [len(frozen(prep, 0.7, params, False).sel) for prep in preps] == [6, 5, 5, 6]
+    assert_step_is_each_contexts_own(preps, 0.7, False, params, [1, 1, 1, 1])
     calls = count_calls(monkeypatch, "_stage_two")
     train(scenes, TrainConfig(lr=1e-2, steps=2, holdout=1, beta=0.7), pipe)
     assert calls == {"_stage_two": 2 * 3}
@@ -386,6 +403,10 @@ def bad_scene(scene, what):
     elif what == "no-valid-depth":
         depth = DepthMap(np.full_like(depth.depth, np.nan), depth.kind)
         error, message = InsufficientMatches, "^only 0 correspondences: no ground cell has valid depth$"
+    elif what == "dim-mismatch":
+        wide = np.pad(scene.ground.data, [(0, 0), (0, 0), (0, 2)])  # two zero dims: same norms
+        grids["ground"] = dataclasses.replace(scene.ground, data=wide)
+        error, message = DimensionMismatch, r"^feature dims differ: aerial 8 vs ground 10$"
     else:
         field, value = {"nan-aerial": ("aerial", np.nan), "inf-ground": ("ground", np.inf)}[what]
         valid = depth_valid_mask(scene.depth, SMALL_PIPE.lift)
@@ -399,7 +420,8 @@ def bad_scene(scene, what):
 
 
 @pytest.mark.parametrize(
-    "what", ["depth-shape", "ray-shape", "nan-aerial", "inf-ground", "no-valid-depth"]
+    "what", ["depth-shape", "ray-shape", "nan-aerial", "inf-ground", "no-valid-depth",
+             "dim-mismatch"]
 )
 @pytest.mark.parametrize(
     "route", ["build_correspondences", "build_context-score", "build_context-features",
@@ -408,10 +430,11 @@ def bad_scene(scene, what):
 def test_every_route_refuses_a_bad_scene_with_the_estimators_errors(route, what, monkeypatch):
     """Inference, every gradient-context mode and training take their
     scene's valid columns and lifted points from one front end, so a depth
-    map or ray table of another shape, a non-finite feature (here in a
-    scored ground cell) and a depth map with no valid cell are refused
-    with the same named error and message on each route; training refuses
-    a bad training scene before step 0."""
+    map or ray table of another shape, a ground grid wider than the aerial
+    one, a non-finite feature (here in a scored ground cell) and a depth
+    map with no valid cell are refused with the same named error and
+    message on each route; training refuses a bad training scene before
+    step 0."""
     good, scene = small_scenes(2)
     scene, error, message, field = bad_scene(scene, what)
     calls = count_calls(monkeypatch, "value_and_grad")
@@ -424,6 +447,20 @@ def test_every_route_refuses_a_bad_scene_with_the_estimators_errors(route, what,
             build_context(scene, SMALL_PIPE, route.removeprefix("build_context-"))
     assert getattr(caught.value, "field", None) == field
     assert calls == {"value_and_grad": 0}
+
+
+@pytest.mark.parametrize("odd, batch", [(1, None), (2, None), (1, 1)])
+def test_train_refuses_scenes_whose_feature_dims_differ(odd, batch, monkeypatch):
+    """A scene of feature dim 16 among scenes of dim 8 -- a training scene,
+    the held-out scene, or the second training scene with one scene per
+    step -- is refused before any evaluation or preparation, naming the
+    scene and both dims."""
+    scenes = small_scenes(3)
+    scenes[odd] = generate(dataclasses.replace(SMALL_SCENE, feature_dim=16, seed=100 + odd))
+    calls = count_calls(monkeypatch, "estimate_pose", "_prepare")
+    with pytest.raises(DimensionMismatch, match=rf"^scene {odd} has feature dim 16, scene 0 has 8$"):
+        train(scenes, TrainConfig(lr=1e-2, steps=2, holdout=1, batch=batch), SMALL_PIPE)
+    assert calls == {"estimate_pose": 0, "_prepare": 0}
 
 
 def test_divergence_detected_at_huge_learning_rate():
